@@ -1,34 +1,29 @@
-// MICRO: scheduler-internals microbenchmarks — wheel vs heap A/B.
+// MICRO: scheduler-internals microbenchmarks.
 //
 // Not a paper figure. Where micro_engine measures the scheduler as the
-// simulation uses it (fresh scheduler, modest queue), these cases pit
-// the calendar queue directly against the legacy binary heap on the
-// workloads where their asymptotics diverge:
+// simulation uses it (fresh scheduler, modest queue), these cases load
+// the calendar queue on its own:
 //
 //   churn/*        steady-state schedule+fire cycles at a held queue
-//                  depth D. The heap pays O(log D) per pop (a cache-
-//                  missing sift at large D); the wheel pays O(1), so
-//                  the ratio widens with depth.
-//   cancel_churn/* schedule-then-cancel rounds that never fire. The
-//                  wheel unlinks and recycles eagerly; the heap can
-//                  only discard stale entries at pop time, so its
-//                  queue (and per-op cost) grows with every round.
+//                  depth D; the wheel's O(1) pop keeps the per-pair
+//                  cost flat as D grows.
+//   queue_only/*   the same hold model on the bare CalendarQueue, with
+//                  the arena, EventFn and dispatch costs stripped away.
+//   cancel_churn/* schedule-then-cancel rounds that never fire; the
+//                  wheel unlinks and recycles at cancel() time.
 //   arena_cycle    the schedule→fire→recycle loop on one long-lived
 //                  scheduler, with a hard zero-allocation witness:
 //                  the run aborts if the arena grows a chunk or any
 //                  callback spills to the heap after warmup.
 //   rng/*          batched Stream draws vs single-draw engine calls.
 //
-// After the cases run, a wheel-vs-heap speedup table (p50 ratios) is
-// printed on stdout; the per-case numbers land in
-// BENCH_micro_scheduler.json like every other bench.
+// The per-case numbers land in BENCH_micro_scheduler.json like every
+// other bench.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <vector>
-
-#include <queue>
 
 #include "harness.h"
 #include "des/calendar_queue.h"
@@ -72,8 +67,8 @@ struct ChurnTick {
 /// minutes so the pending set stays uniformly spread at every depth;
 /// every executed event is one pop plus (until the quota runs out) one
 /// push, so events/sec ≈ sustained pair throughput.
-std::uint64_t churn_at_depth(des::QueueImpl impl, std::uint64_t depth, std::uint64_t churn_ops) {
-  des::Scheduler sched(impl);
+std::uint64_t churn_at_depth(std::uint64_t depth, std::uint64_t churn_ops) {
+  des::Scheduler sched;
   ChurnCtx ctx{&sched, 0x9e3779b97f4a7c15ULL, churn_ops, depth};
   for (std::uint64_t i = 0; i < depth; ++i) {
     ctx.state = ctx.state * kLcgMul + kLcgAdd;
@@ -86,11 +81,10 @@ std::uint64_t churn_at_depth(des::QueueImpl impl, std::uint64_t depth, std::uint
 }
 
 /// Rounds of (schedule a burst, cancel the whole burst). Nothing ever
-/// fires, so the measured cost is pure queue bookkeeping. Under the
-/// heap the stale entries pile up across rounds; the reported events
-/// count schedules + cancels.
-std::uint64_t cancel_churn(des::QueueImpl impl, int rounds, int burst) {
-  des::Scheduler sched(impl);
+/// fires, so the measured cost is pure queue bookkeeping; the reported
+/// events count schedules + cancels.
+std::uint64_t cancel_churn(int rounds, int burst) {
+  des::Scheduler sched;
   std::vector<des::EventHandle> handles;
   handles.reserve(static_cast<std::size_t>(burst));
   std::uint64_t state = 0x2545f4914f6cdd1dULL;
@@ -103,11 +97,8 @@ std::uint64_t cancel_churn(des::QueueImpl impl, int rounds, int burst) {
     }
     for (des::EventHandle h : handles) sched.cancel(h);
   }
-  // Surface the deferred cost: the wheel already reclaimed everything
-  // at cancel() time, while the heap still holds every stale entry and
-  // must sift each one to the top to discard it.
   sched.run_to_quiescence();
-  g_sink = sched.cancelled_reclaimed_count();
+  g_sink = sched.arena_recycled_count();
   return sched.cancelled_count() * 2;
 }
 
@@ -115,8 +106,8 @@ std::uint64_t cancel_churn(des::QueueImpl impl, int rounds, int burst) {
 /// Aborts the bench if the cycle allocates after warmup — this is the
 /// executable form of the "zero heap allocations per event in steady
 /// state" contract.
-std::uint64_t arena_cycle(des::QueueImpl impl) {
-  des::Scheduler sched(impl);
+std::uint64_t arena_cycle() {
+  des::Scheduler sched;
   constexpr int kWarmupRounds = 4;
   constexpr int kRounds = 400;
   constexpr int kBurst = 512;
@@ -140,24 +131,8 @@ std::uint64_t arena_cycle(des::QueueImpl impl) {
   return sched.executed_count();
 }
 
-/// The legacy scheduler's queue, reproduced standalone: a binary
-/// min-heap of (time, seq) entries. Used by the queue_only/* cases to
-/// measure the data structures themselves, with the arena, EventFn and
-/// dispatch costs (identical under both impls) stripped away.
-struct BareHeapEntry {
-  double at;
-  std::uint64_t seq;
-  std::uint32_t id;
-  std::uint64_t generation;  // the real HeapEntry carries one too
-  friend bool operator<(const BareHeapEntry& a, const BareHeapEntry& b) {
-    if (a.at != b.at) return a.at > b.at;
-    return a.seq > b.seq;
-  }
-};
-
-/// Hold model on the bare queues: pop the minimum, push a replacement
-/// a uniform-random delay (spanning `depth` minutes) ahead. This is
-/// where the O(1)-vs-O(log n) gap shows undiluted.
+/// Hold model on the bare calendar queue: pop the minimum, push a
+/// replacement a uniform-random delay (spanning `depth` minutes) ahead.
 std::uint64_t queue_only_wheel(std::uint64_t depth, std::uint64_t ops) {
   des::CalendarQueue q;
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;
@@ -179,31 +154,6 @@ std::uint64_t queue_only_wheel(std::uint64_t depth, std::uint64_t ops) {
     ++seq;
   }
   while (q.size() > 0) q.pop_front();
-  g_sink = static_cast<std::uint64_t>(checksum);
-  return ops + depth;
-}
-
-std::uint64_t queue_only_heap(std::uint64_t depth, std::uint64_t ops) {
-  std::priority_queue<BareHeapEntry> q;
-  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
-  std::uint64_t seq = 0;
-  for (std::uint64_t i = 0; i < depth; ++i) {
-    state = state * kLcgMul + kLcgAdd;
-    q.push({static_cast<double>((state >> 33) % depth) + 1.0, seq,
-            static_cast<std::uint32_t>(seq), seq});
-    ++seq;
-  }
-  double checksum = 0.0;
-  for (std::uint64_t i = 0; i < ops; ++i) {
-    double now = q.top().at;
-    checksum += now;
-    q.pop();
-    state = state * kLcgMul + kLcgAdd;
-    q.push({now + static_cast<double>((state >> 33) % depth) + 1.0, seq,
-            static_cast<std::uint32_t>(seq), seq});
-    ++seq;
-  }
-  while (!q.empty()) q.pop();
   g_sink = static_cast<std::uint64_t>(checksum);
   return ops + depth;
 }
@@ -230,73 +180,25 @@ std::uint64_t rng_unbatched() {
   return kRngDraws;
 }
 
-double case_p50(const std::vector<bench::CaseResult>& cases, const std::string& name) {
-  for (const bench::CaseResult& c : cases) {
-    if (c.name == name) return bench::sample_quantile(c.wall_seconds, 0.5);
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 int main() {
   bench::Harness harness("micro_scheduler", {.warmup = 1, .repeat = 5});
 
   const std::uint64_t kChurnOps = 200'000;
-  const std::vector<std::uint64_t> depths = {1'000, 10'000, 100'000};
-  const std::vector<std::uint64_t> bare_depths = {1'000, 10'000, 100'000, 1'000'000};
-  for (std::uint64_t depth : depths) {
-    for (auto [impl, tag] : {std::pair{des::QueueImpl::kWheel, "wheel"},
-                             std::pair{des::QueueImpl::kHeap, "heap"}}) {
-      harness.run_case("churn/" + std::string(tag) + "/depth_" + std::to_string(depth),
-                       [impl, depth, kChurnOps] { return churn_at_depth(impl, depth, kChurnOps); });
-    }
+  for (std::uint64_t depth : {1'000ULL, 10'000ULL, 100'000ULL}) {
+    harness.run_case("churn/wheel/depth_" + std::to_string(depth),
+                     [depth, kChurnOps] { return churn_at_depth(depth, kChurnOps); });
   }
   const std::uint64_t kBareOps = 1'000'000;
-  for (std::uint64_t depth : bare_depths) {
-    std::string suffix = "/depth_" + std::to_string(depth);
-    harness.run_case("queue_only/wheel" + suffix,
+  for (std::uint64_t depth : {1'000ULL, 10'000ULL, 100'000ULL, 1'000'000ULL}) {
+    harness.run_case("queue_only/wheel/depth_" + std::to_string(depth),
                      [depth, kBareOps] { return queue_only_wheel(depth, kBareOps); });
-    harness.run_case("queue_only/heap" + suffix,
-                     [depth, kBareOps] { return queue_only_heap(depth, kBareOps); });
   }
-  for (auto [impl, tag] : {std::pair{des::QueueImpl::kWheel, "wheel"},
-                           std::pair{des::QueueImpl::kHeap, "heap"}}) {
-    harness.run_case("cancel_churn/" + std::string(tag),
-                     [impl] { return cancel_churn(impl, 200, 1000); });
-  }
-  harness.run_case("arena_cycle", [] { return arena_cycle(des::QueueImpl::kWheel); });
+  harness.run_case("cancel_churn/wheel", [] { return cancel_churn(200, 1000); });
+  harness.run_case("arena_cycle", arena_cycle);
   harness.run_case("rng/batched", rng_batched);
   harness.run_case("rng/unbatched", rng_unbatched);
-
-  // Wheel-vs-heap p50 speedups, the headline numbers for this bench.
-  std::printf("\n%-28s %12s %12s %8s\n", "workload", "wheel p50 s", "heap p50 s", "speedup");
-  for (std::uint64_t depth : depths) {
-    std::string suffix = "/depth_" + std::to_string(depth);
-    double wheel = case_p50(harness.cases(), "churn/wheel" + suffix);
-    double heap = case_p50(harness.cases(), "churn/heap" + suffix);
-    std::printf("%-28s %12.6f %12.6f %7.2fx\n", ("churn" + suffix).c_str(), wheel, heap,
-                wheel > 0.0 ? heap / wheel : 0.0);
-  }
-  for (std::uint64_t depth : bare_depths) {
-    std::string suffix = "/depth_" + std::to_string(depth);
-    double wheel = case_p50(harness.cases(), "queue_only/wheel" + suffix);
-    double heap = case_p50(harness.cases(), "queue_only/heap" + suffix);
-    std::printf("%-28s %12.6f %12.6f %7.2fx\n", ("queue_only" + suffix).c_str(), wheel, heap,
-                wheel > 0.0 ? heap / wheel : 0.0);
-  }
-  {
-    double wheel = case_p50(harness.cases(), "cancel_churn/wheel");
-    double heap = case_p50(harness.cases(), "cancel_churn/heap");
-    std::printf("%-28s %12.6f %12.6f %7.2fx\n", "cancel_churn", wheel, heap,
-                wheel > 0.0 ? heap / wheel : 0.0);
-  }
-  {
-    double batched = case_p50(harness.cases(), "rng/batched");
-    double unbatched = case_p50(harness.cases(), "rng/unbatched");
-    std::printf("%-28s %12.6f %12.6f %7.2fx\n", "rng (batched vs not)", batched, unbatched,
-                batched > 0.0 ? unbatched / batched : 0.0);
-  }
 
   harness.write_report();
   return 0;

@@ -57,8 +57,6 @@ usage:
       --profile PATH       time the event loop: write a per-event-type wall-clock
                            profile as JSON ('-' = stdout; results bit-identical,
                            see docs/observability.md)
-      --des-impl NAME      scheduler queue: 'wheel' (calendar queue, default) or
-                           'heap' (legacy binary heap); results bit-identical
       --shards N           partition the contact graph and run each replication on
                            N cooperating shard schedulers (default 1 = the serial
                            engine; N >= 2 changes results — see docs/parallelism.md;
@@ -131,7 +129,6 @@ struct RunOptions {
   int trace_replication = 0;
   std::size_t trace_capacity = trace::TraceBuffer::kDefaultCapacity;
   std::string profile_path;
-  des::QueueImpl des_impl = des::QueueImpl::kWheel;
   std::uint32_t shards = 1;
   double shard_window_minutes = 0.0;  // 0 = scenario delivery_delay_mean
   int shard_workers = 0;
@@ -232,17 +229,6 @@ int parse_run_options(const std::vector<std::string>& args, RunOptions& options,
       const std::string* v = next("--profile");
       if (v == nullptr) return 1;
       options.profile_path = *v;
-    } else if (arg == "--des-impl") {
-      const std::string* v = next("--des-impl");
-      if (v == nullptr) return 1;
-      if (*v == "wheel") {
-        options.des_impl = des::QueueImpl::kWheel;
-      } else if (*v == "heap") {
-        options.des_impl = des::QueueImpl::kHeap;
-      } else {
-        err << "--des-impl: expected 'wheel' or 'heap', got '" << *v << "'\n";
-        return 1;
-      }
     } else if (arg == "--shards") {
       const std::string* v = next("--shards");
       if (v == nullptr) return 1;
@@ -458,7 +444,6 @@ int command_run(const std::vector<std::string>& args, std::ostream& out, std::os
     runner.trace_replication = options.trace_replication;
   }
   runner.profile = !options.profile_path.empty();
-  runner.des_impl = options.des_impl;
   runner.shards = options.shards;
   if (options.shard_window_minutes > 0.0) {
     runner.shard_window = SimTime::minutes(options.shard_window_minutes);

@@ -102,148 +102,95 @@ class ProgressSink {
   ProgressUpdate update_;
 };
 
+/// Builds replication `rep`'s engine: the one place the serial/sharded
+/// choice is made. `profiler` (may be null) times the serial engine's
+/// events; sharded engines give every shard a profiler of its own.
+std::unique_ptr<ReplicationEngine> make_engine(const ScenarioConfig& config,
+                                               const RunnerOptions& options, int rep,
+                                               prof::Profiler* profiler, graph::GraphCache* cache,
+                                               ProgressSink* progress) {
+  const std::uint64_t seed =
+      rng::derive_seed(options.master_seed, static_cast<std::uint64_t>(rep));
+  trace::TraceBuffer* trace = rep == options.trace_replication ? options.trace : nullptr;
+  if (options.shards == 1) {
+    return std::make_unique<Simulation>(config, seed, trace, profiler, des::QueueImpl::kWheel,
+                                        cache);
+  }
+  ShardingOptions sharding;
+  sharding.shards = options.shards;
+  sharding.window = options.shard_window;
+  sharding.worker_threads = options.shard_workers;
+  sharding.trace = trace;
+  sharding.profile = profiler != nullptr;
+  auto sim = std::make_unique<ShardedSimulation>(config, seed, sharding, des::QueueImpl::kWheel,
+                                                 cache);
+  if (progress != nullptr) {
+    sim->set_window_observer([progress](SimTime window_end, SimTime horizon,
+                                        std::uint64_t events) {
+      progress->window_tick(window_end, horizon, events);
+    });
+  }
+  return sim;
+}
+
+/// Runs `engine` to the horizon, appending a stats-stream sample at
+/// each period mark — exactly at the mark on the serial engine, at the
+/// first window barrier at or past it on the sharded one — and always
+/// one where the run ends (the horizon, or the barrier where a sharded
+/// run went quiescent). Stepping is bit-identical to one uninterrupted
+/// run (golden-pinned).
+void run_streamed(ReplicationEngine& engine, SimTime horizon, const RunnerOptions& options,
+                  int rep, std::chrono::steady_clock::time_point started) {
+  SimTime mark = options.stats_period;
+  for (;;) {
+    const SimTime reached = engine.advance_to(min(mark, horizon));
+    obs::RunSample sample = engine.sample();
+    sample.replication = rep;
+    const double elapsed =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+    sample.events_per_sec =
+        elapsed > 0.0 ? static_cast<double>(sample.events_executed) / elapsed : 0.0;
+    options.stats_stream->write_sample(sample);
+    if (engine.done()) return;
+    while (mark <= reached) mark = mark + options.stats_period;
+  }
+}
+
 /// Runs replications [0, count) into `slots`, pulling indices from a
-/// shared counter. Each replication is a fully independent Simulation;
-/// the only shared state is the index counter, the output slot owned
+/// shared counter. Each replication is a fully independent engine; the
+/// only shared state is the index counter, the output slot owned
 /// exclusively by the replication that claimed it, and the (mutex-
 /// serialized) progress sink. Each replication is wall-clock timed
-/// here (construction + run), feeding the runner's `timing.*` metrics;
-/// under `options.profile` it additionally carries its own Profiler,
-/// whose snapshot rides along in the replication's metrics.
+/// here (build + run + collect), feeding the runner's `timing.*`
+/// metrics; under `options.profile` it additionally carries its own
+/// Profiler, whose snapshot rides along in the replication's metrics.
 void run_worker(const ScenarioConfig& config, const RunnerOptions& options, int count,
                 std::atomic<int>& next, std::vector<ReplicationResult>& slots,
                 ProgressSink* progress, graph::GraphCache* cache) {
   for (;;) {
-    int rep = next.fetch_add(1, std::memory_order_relaxed);
+    const int rep = next.fetch_add(1, std::memory_order_relaxed);
     if (rep >= count) return;
-    auto started = std::chrono::steady_clock::now();
-    if (options.shards > 1) {
-      ShardingOptions sharding;
-      sharding.shards = options.shards;
-      sharding.window = options.shard_window;
-      sharding.worker_threads = options.shard_workers;
-      // Same single-replication trace contract as the serial path; the
-      // engine fans the buffer out into per-shard slices and merges
-      // them back at collect().
-      sharding.trace = rep == options.trace_replication ? options.trace : nullptr;
-      sharding.profile = options.profile;
-      // The engine profiles per-shard event costs; this profiler adds
-      // the engine-level build/run phases (collect stays zero-count —
-      // it is folded into ShardedSimulation::run()).
-      std::unique_ptr<prof::Profiler> profiler;
-      if (options.profile) profiler = std::make_unique<prof::Profiler>();
-
-      std::optional<ShardedSimulation> sim;
-      {
-        prof::ScopedPhase phase(profiler.get(), prof::Phase::kBuild);
-        sim.emplace(config,
-                    rng::derive_seed(options.master_seed, static_cast<std::uint64_t>(rep)),
-                    sharding, options.des_impl, cache);
-      }
-      if (progress != nullptr) {
-        sim->set_window_observer(
-            [progress](SimTime window_end, SimTime horizon, std::uint64_t events) {
-              progress->window_tick(window_end, horizon, events);
-            });
-      }
-      if (options.stats_stream != nullptr) {
-        // Sample at the first barrier at or past each period mark (the
-        // barrier grid is the only place the engine pauses).
-        obs::RunStream* stream = options.stats_stream;
-        const SimTime period = options.stats_period;
-        auto next_sample = std::make_shared<SimTime>(period);
-        sim->set_stats_observer(
-            [stream, rep, period, next_sample,
-             started](const ShardedSimulation::ShardWindowSample& w) {
-              // Emit at each period mark, plus always on the final
-              // window (horizon or early quiescence) so every
-              // replication streams at least one sample.
-              if (!w.last && w.window_end < *next_sample) return;
-              while (*next_sample <= w.window_end) *next_sample = *next_sample + period;
-              obs::RunSample sample;
-              sample.replication = rep;
-              sample.time = w.window_end;
-              sample.infected = w.infected;
-              sample.patched = w.patched;
-              sample.messages_blocked = w.messages_blocked;
-              sample.events_executed = w.events_executed;
-              const double elapsed =
-                  std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-                      .count();
-              sample.events_per_sec =
-                  elapsed > 0.0 ? static_cast<double>(w.events_executed) / elapsed : 0.0;
-              sample.queue_depth = w.queue_depth;
-              sample.mailbox_sent = w.mailbox_sent;
-              sample.mailbox_received = w.mailbox_received;
-              sample.shards.reserve(w.shards.size());
-              for (std::size_t s = 0; s < w.shards.size(); ++s) {
-                obs::ShardSample per;
-                per.shard = static_cast<std::uint32_t>(s);
-                per.events_executed = w.shards[s].events_executed;
-                per.queue_depth = w.shards[s].queue_depth;
-                per.barrier_wait_ms = w.shards[s].barrier_wait_ms;
-                sample.shards.push_back(per);
-              }
-              stream->write_sample(sample);
-            });
-      }
-      ReplicationResult result;
-      {
-        prof::ScopedPhase phase(profiler.get(), prof::Phase::kRun);
-        result = sim->run();
-      }
-      if (profiler != nullptr) result.metrics.merge(profiler->snapshot());
-      result.wall_seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
-      slots[static_cast<std::size_t>(rep)] = std::move(result);
-      if (progress != nullptr) progress->replication_done(slots[static_cast<std::size_t>(rep)]);
-      continue;
-    }
-    trace::TraceBuffer* trace = rep == options.trace_replication ? options.trace : nullptr;
+    const auto started = std::chrono::steady_clock::now();
     std::unique_ptr<prof::Profiler> profiler;
     if (options.profile) profiler = std::make_unique<prof::Profiler>();
 
-    std::optional<Simulation> sim;
+    std::unique_ptr<ReplicationEngine> engine;
     {
       prof::ScopedPhase phase(profiler.get(), prof::Phase::kBuild);
-      sim.emplace(config,
-                  rng::derive_seed(options.master_seed, static_cast<std::uint64_t>(rep)), trace,
-                  profiler.get(), options.des_impl, cache);
+      engine = make_engine(config, options, rep, profiler.get(), cache, progress);
     }
     {
       prof::ScopedPhase phase(profiler.get(), prof::Phase::kRun);
       if (options.stats_stream == nullptr) {
-        sim->run_until(config.horizon);
+        engine->advance_to(config.horizon);
       } else {
-        // Stepped run: run_until(a); run_until(b) executes the exact
-        // event sequence of run_until(b), so sampling between steps is
-        // bit-identical to an uninterrupted run (golden-pinned).
-        obs::RunStream* stream = options.stats_stream;
-        SimTime t = SimTime::zero();
-        while (t < config.horizon) {
-          t = min(t + options.stats_period, config.horizon);
-          sim->run_until(t);
-          obs::RunSample sample;
-          sample.replication = rep;
-          sample.time = t;
-          sample.infected = sim->infected_count();
-          sample.patched = sim->patched_infected() + sim->immunized_healthy();
-          sample.messages_blocked = sim->gateway().counters().messages_blocked;
-          sample.events_executed = sim->scheduler().executed_count();
-          const double elapsed =
-              std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
-                  .count();
-          sample.events_per_sec =
-              elapsed > 0.0 ? static_cast<double>(sample.events_executed) / elapsed : 0.0;
-          sample.queue_depth = sim->scheduler().pending_count();
-          stream->write_sample(sample);
-        }
+        run_streamed(*engine, config.horizon, options, rep, started);
       }
     }
     ReplicationResult result;
     {
       prof::ScopedPhase phase(profiler.get(), prof::Phase::kCollect);
-      result = sim->result();
+      result = engine->run();
     }
     if (profiler != nullptr) result.metrics.merge(profiler->snapshot());
     result.wall_seconds =

@@ -114,10 +114,6 @@ struct RunnerOptions {
   /// instrumentation is observation-only, so profiled runs are
   /// bit-identical to unprofiled ones.
   bool profile = false;
-  /// Scheduler queue implementation for every replication (`mvsim run
-  /// --des-impl {wheel,heap}`). Both fire bit-identical event orders;
-  /// the heap is the legacy A/B reference for the calendar queue.
-  des::QueueImpl des_impl = des::QueueImpl::kWheel;
   /// Shared-graph cache. When non-null, every replication fetches its
   /// contact graph through this cache instead of building privately —
   /// byte-identical results either way (see graph::GraphCache). When
@@ -126,9 +122,9 @@ struct RunnerOptions {
   /// built once, not once per replication.
   graph::GraphCache* graph_cache = nullptr;
   /// Shards per replication (`mvsim run --shards N`). 1 (default)
-  /// routes through the classic serial Simulation, bit-identical to
-  /// every release before sharding existed. >= 2 runs each replication
-  /// on a ShardedSimulation: the contact graph is partitioned into
+  /// runs each replication on the serial Simulation, one slice over the
+  /// whole population. >= 2 runs each replication on a
+  /// ShardedSimulation: the contact graph is partitioned into
   /// `shards` contiguous degree-balanced ranges, each with its own
   /// scheduler and RNG streams, synchronized at window barriers.
   /// Results at >= 2 are a different (equally valid) sample path than
@@ -150,9 +146,10 @@ struct RunnerOptions {
   /// When non-null, every replication appends time-series telemetry
   /// samples to this stream (obs::RunStream is thread-safe; records are
   /// tagged with their replication index). Serial replications sample
-  /// every `stats_period` of simulation time by stepping run_until —
-  /// bit-identical to one uninterrupted run; sharded replications
-  /// sample at the first window barrier at or past each period mark.
+  /// every `stats_period` of simulation time exactly; sharded
+  /// replications sample at the first window barrier at or past each
+  /// period mark. Either way stepping is bit-identical to one
+  /// uninterrupted run.
   /// Observation-only. The caller writes the stream header.
   obs::RunStream* stats_stream = nullptr;
   /// Simulation-time spacing between stats samples (`mvsim run

@@ -1,14 +1,14 @@
 // Sharded single-replication engine: one run on multiple cores.
 //
-// The serial Simulation executes a replication on one scheduler and
+// The serial Simulation executes a replication on one EngineSlice and
 // therefore one core; at 10^6 phones that single thread is the
 // wall-clock bound (ROADMAP item 2). ShardedSimulation partitions the
 // contact graph into K contiguous, degree-balanced ranges
-// (graph::Partition) and gives each shard its own des::Scheduler,
-// gateway, RNG streams and response-mechanism instances. Shards
-// advance in lockstep through fixed synchronization windows:
+// (graph::Partition) and runs one EngineSlice per range, each with its
+// own scheduler, gateway, RNG streams and response-mechanism instances.
+// Slices advance in lockstep through fixed synchronization windows:
 //
-//   loop: run every shard to the window end (in parallel)
+//   loop: run every slice to the window end (in parallel)
 //         barrier: drain cross-shard mailboxes, sum detectability,
 //                  tick progress
 //
@@ -21,11 +21,11 @@
 //
 // Determinism: fixed (config, seed, shards, window) ⇒ bit-identical
 // results for ANY worker-thread count, including the inline
-// single-thread mode. Results at shards >= 2 are a different (equally
-// valid) sample path than the serial engine's — per-shard RNG streams
-// and the cross-shard latency floor see to that — which is why the
-// runner keeps `--shards 1` on the serial engine and the golden tests
-// pin sharded curves separately.
+// single-thread mode. A sharded run is a different (equally valid)
+// sample path than the serial engine's — salted per-shard RNG streams,
+// the cross-shard latency floor and barrier-quantized detection see to
+// that — so `--shards 1` runs the serial Simulation, and the golden
+// tests pin sharded curves separately.
 #pragma once
 
 #include <chrono>
@@ -34,25 +34,18 @@
 #include <memory>
 #include <vector>
 
+#include "core/engine_slice.h"
 #include "core/scenario.h"
-#include "core/simulation.h"
 #include "graph/graph_cache.h"
 #include "graph/partition.h"
 #include "net/shard_mailbox.h"
-#include "phone/phone_table.h"
-#include "rng/stream.h"
-#include "stats/time_series.h"
 #include "trace/trace.h"
 
 namespace mvsim::core {
 
-namespace detail {
-struct ShardRuntime;
-}
-
 struct ShardingOptions {
-  /// Worker shards (>= 2; a 1-shard run is just the serial engine, and
-  /// the runner routes it there to keep the golden gate byte-exact).
+  /// Worker shards (>= 1; the runner sends one shard to the serial
+  /// Simulation instead).
   std::uint32_t shards = 2;
   /// Synchronization-window width; zero (default) resolves to the
   /// scenario's delivery_delay_mean. Part of the model at shards >= 2:
@@ -64,8 +57,8 @@ struct ShardingOptions {
   /// When non-null, the run records a causal trace into it: each shard
   /// fills a private buffer (capacity split evenly, trace->capacity()
   /// / shards each), message ids are namespaced by origin shard
-  /// (trace::kShardMessageStride), and collect() replaces *trace with
-  /// the deterministic (time, shard) merge of all shard buffers.
+  /// (trace::kShardMessageStride), and run() replaces *trace with the
+  /// deterministic (time, shard) merge of all shard buffers.
   /// Observation-only: results are bit-identical with tracing on or
   /// off, at any worker count.
   trace::TraceBuffer* trace = nullptr;
@@ -75,7 +68,7 @@ struct ShardingOptions {
   bool profile = false;
 };
 
-class ShardedSimulation final {
+class ShardedSimulation final : public ReplicationEngine {
  public:
   /// Called at each window barrier (from the coordinating thread):
   /// `window_end` is the simulated time just reached, `events` the
@@ -83,35 +76,13 @@ class ShardedSimulation final {
   using WindowObserver = std::function<void(SimTime window_end, SimTime horizon,
                                             std::uint64_t events)>;
 
-  /// One telemetry sample per window barrier (obs::RunStream feeds on
-  /// these). Counters are cumulative since construction; gauges are
-  /// instantaneous at the barrier.
-  struct ShardWindowSample {
-    SimTime window_end;
-    SimTime horizon;
-    std::uint64_t events_executed = 0;   ///< all shards, cumulative
-    std::uint64_t queue_depth = 0;       ///< pending events, all shards
-    std::uint64_t infected = 0;          ///< phones ever infected (cumulative)
-    std::uint64_t patched = 0;           ///< patched or immunized phones
-    std::uint64_t messages_blocked = 0;  ///< gateway blocks, all shards
-    std::uint64_t mailbox_sent = 0;      ///< cross-shard entries pushed
-    std::uint64_t mailbox_received = 0;  ///< cross-shard entries drained
-    /// Coordinator wait at this window's completion barrier (0 when
-    /// the shards run inline on the calling thread).
+  /// The stats-stream sample at one window barrier (sample() at that
+  /// point), plus the coordinator's wait at the barrier (0 when the
+  /// shards run inline) and whether this was the run's final window —
+  /// horizon reached or epidemic quiescent.
+  struct ShardWindowSample : obs::RunSample {
     double barrier_wait_ms = 0.0;
-    /// True on the run's final window — horizon reached or epidemic
-    /// quiescent — so samplers can always emit a closing sample even
-    /// when the run ends before the first period mark.
     bool last = false;
-    struct PerShard {
-      std::uint64_t events_executed = 0;
-      std::uint64_t queue_depth = 0;
-      /// Wall-clock ms between this shard finishing its window and the
-      /// completion barrier releasing — the shard that waited least is
-      /// the straggler the others stalled on. 0 when shards run inline.
-      double barrier_wait_ms = 0.0;
-    };
-    std::vector<PerShard> shards;  ///< indexed by shard id
   };
 
   /// Called at each window barrier, after the mailbox exchange, from
@@ -121,13 +92,13 @@ class ShardedSimulation final {
   /// Validates `config` and the sharding options. Scenarios with a
   /// proximity (Bluetooth) channel are rejected: proximity contacts
   /// are global by construction and do not respect the partition.
-  /// `des_impl` and `graph_cache` mean exactly what they do on the
-  /// serial Simulation.
+  /// The des::QueueImpl parameter is ignored; `graph_cache` means
+  /// exactly what it does on the serial Simulation.
   ShardedSimulation(const ScenarioConfig& config, std::uint64_t replication_seed,
                     const ShardingOptions& options,
-                    des::QueueImpl des_impl = des::QueueImpl::kWheel,
+                    des::QueueImpl queue = des::QueueImpl::kWheel,
                     graph::GraphCache* graph_cache = nullptr);
-  ~ShardedSimulation();
+  ~ShardedSimulation() override;
   ShardedSimulation(const ShardedSimulation&) = delete;
   ShardedSimulation& operator=(const ShardedSimulation&) = delete;
 
@@ -136,56 +107,45 @@ class ShardedSimulation final {
 
   /// Runs the window loop to the horizon and returns the merged
   /// result. May be called once.
-  ReplicationResult run();
+  ReplicationResult run() override;
 
-  // ---- Introspection for tests ----
-  [[nodiscard]] std::uint32_t shard_count() const { return options_.shards; }
-  [[nodiscard]] SimTime window() const { return window_; }
-  [[nodiscard]] const graph::Partition& partition() const { return *partition_; }
-  [[nodiscard]] const graph::ContactGraph& contact_graph() const { return *graph_; }
+  // ReplicationEngine
+  SimTime advance_to(SimTime target) override;
+  [[nodiscard]] bool done() const override {
+    return quiescent_ || !(now_ < state_.config.horizon);
+  }
+  /// The summed sample plus mailbox traffic and the per-shard
+  /// breakdown, with each shard's wait at the last barrier.
+  [[nodiscard]] obs::RunSample sample() const override;
+
+  [[nodiscard]] const graph::Partition& partition() const { return partition_; }
 
  private:
-  friend struct detail::ShardRuntime;
+  class WindowPool;
 
-  void build_shards(des::QueueImpl des_impl, graph::GraphCache* graph_cache);
-  void seed_patient_zero();
-  /// Barrier step: drains every mailbox into the destination shards'
-  /// schedulers (deterministic source order).
+  /// One lockstep window: every slice runs to the window end, then the
+  /// barrier work (mailbox exchange, detectability, observers).
+  void step_window();
+  /// Barrier step: drains every mailbox into the destination slices'
+  /// staging (deterministic source order).
   void exchange_mailboxes();
-  /// Barrier step: sums per-shard infected-submission counts and, on
-  /// the global threshold crossing, schedules force_detect into every
-  /// shard at `window_end`.
+  /// Barrier step: sums per-slice infected-submission counts and, on
+  /// the global threshold crossing, stages force_detect into every
+  /// slice at `window_end`.
   void check_detectability(SimTime window_end);
-  [[nodiscard]] std::uint64_t events_executed_total() const;
+  /// No pending events anywhere and nothing in flight between shards.
   [[nodiscard]] bool quiescent() const;
-  /// Builds the barrier-time telemetry sample for the stats observer.
-  /// `barrier_release` is when the completion barrier opened (a default
-  /// time_point in inline mode, zeroing the per-shard waits).
-  [[nodiscard]] ShardWindowSample sample_window(
-      SimTime window_end, double barrier_wait_ms,
-      std::chrono::steady_clock::time_point barrier_release) const;
-  /// Runs every shard (inline or via the worker pool) to `until`.
-  void advance_shards(SimTime until);
-  [[nodiscard]] ReplicationResult collect() const;
 
-  ScenarioConfig config_;
-  std::uint64_t replication_seed_;
   ShardingOptions options_;
   SimTime window_;
   int workers_ = 1;
-
-  rng::Stream topology_stream_;
-  std::shared_ptr<const graph::ContactGraph> graph_;
-  std::unique_ptr<graph::Partition> partition_;
-  phone::ConsentModel consent_;
+  ReplicationState state_;
+  graph::Partition partition_;
   net::ShardMailboxGrid mailbox_;
 
-  std::vector<std::unique_ptr<detail::ShardRuntime>> shards_;
-  // unique_ptr for address stability, same contract as the serial
-  // engine: decision events capture the table pointer.
-  std::unique_ptr<phone::PhoneTable> phones_;
-  std::vector<graph::PhoneId> susceptible_ids_;
-  std::vector<std::unique_ptr<virus::SendingProcess>> processes_;  // index = phone id
+  SimTime now_ = SimTime::zero();
+  bool quiescent_ = false;
+  bool ran_ = false;
 
   // Barrier-quantized global detectability (docs/parallelism.md).
   bool detectability_dispatched_ = false;
@@ -195,14 +155,19 @@ class ShardedSimulation final {
   StatsObserver stats_observer_;
 
   // Coordinator-level trace events (the detectability crossing); shard
-  // kNoShard, merged after the per-shard buffers at collect().
+  // kNoShard, merged after the per-shard buffers at the end of run().
   trace::TraceBuffer engine_trace_{1};
 
-  // Engine-level telemetry (merged on top of the per-shard registries).
+  // Engine-level telemetry (merged on top of the per-slice metrics).
   std::uint64_t windows_stepped_ = 0;
   std::vector<double> barrier_wait_ms_;  // one sample per threaded window
+  /// When the last threaded window's completion barrier opened (a
+  /// default time_point while the shards run inline).
+  std::chrono::steady_clock::time_point barrier_release_{};
 
-  bool ran_ = false;
+  // Declared last: its worker threads run the slices, so it must stop
+  // before anything else goes.
+  std::unique_ptr<WindowPool> pool_;
 };
 
 }  // namespace mvsim::core

@@ -1,271 +1,40 @@
 #include "core/simulation.h"
 
-#include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "core/topology_build.h"
-#include "response/registry.h"
-#include "rng/seed.h"
 
 namespace mvsim::core {
 
 Simulation::Simulation(const ScenarioConfig& config, std::uint64_t replication_seed,
                        trace::TraceBuffer* trace, des::EventTimer* event_timer,
-                       des::QueueImpl des_impl, graph::GraphCache* graph_cache)
-    : config_(config),
-      replication_seed_(replication_seed),
-      topology_stream_(rng::derive_seed(replication_seed, kTopologyStream)),
-      user_stream_(rng::derive_seed(replication_seed, kUserStream)),
-      virus_stream_(rng::derive_seed(replication_seed, kVirusStream)),
-      net_stream_(rng::derive_seed(replication_seed, kNetStream)),
-      response_stream_(rng::derive_seed(replication_seed, kResponseStream)),
-      mobility_stream_(rng::derive_seed(replication_seed, kMobilityStream)),
-      proximity_stream_(rng::derive_seed(replication_seed, kProximityStream)),
-      scheduler_(des_impl),
-      consent_(response::consent_for_suite(config.responses, config.eventual_acceptance)),
-      trace_(trace) {
-  config.validate().throw_if_invalid();
-  scheduler_.set_event_timer(event_timer);
-
-  build_topology(graph_cache);
-
-  gateway_ = std::make_unique<net::Gateway>(scheduler_, net_stream_,
-                                            config_.delivery_delay_mean);
-  gateway_->set_delivery_callback([this](graph::PhoneId recipient, const net::MmsMessage& msg) {
-    phones_->receive_infected_message(
-        recipient, {msg.sender, msg.sequence, phone::InfectionChannel::kMms});
-  });
-  if (trace_ != nullptr) {
-    // First observer on the gateway, so each submission's trace event
-    // precedes any mechanism reaction to it. Observers are passive —
-    // registering one more never perturbs RNG draws or event order.
-    recorder_ = std::make_unique<trace::GatewayRecorder>(*trace_);
-    gateway_->add_observer(*recorder_);
-  }
-
-  build_phones();
-  build_responses();
-  build_proximity_channel();
-  seed_patient_zero();
-
-  if (trace_ != nullptr) {
-    context_->detector().on_detected([this](SimTime at) {
-      trace::Event event;
-      event.time = at;
-      event.kind = trace::EventKind::kDetectabilityCrossed;
-      trace_->record(std::move(event));
-    });
-  }
-}
-
-void Simulation::build_proximity_channel() {
-  if (!config_.proximity) return;
-  const ProximityChannelConfig& proximity = *config_.proximity;
-  proximity_grid_ = std::make_unique<mobility::MobilityGrid>(
-      proximity.grid_width, proximity.grid_height, config_.population);
-  proximity_grid_->place_all_uniform(mobility_stream_);
-  movement_ = std::make_unique<mobility::MovementProcess>(scheduler_, *proximity_grid_,
-                                                          mobility_stream_,
-                                                          proximity.dwell_mean);
-}
-
-void Simulation::schedule_bluetooth_scan(graph::PhoneId id) {
-  scheduler_.schedule_after(
-      proximity_stream_.exponential(config_.proximity->scan_interval_mean),
-      des::EventType::kBluetoothScan, [this, id] {
-        // A patch kills the worm outright. Blacklisting and monitoring
-        // do NOT apply: the provider's MMS-side levers cannot touch
-        // point-to-point Bluetooth transfers.
-        if (phones_->propagation_stopped(id)) return;
-        graph::PhoneId victim = 0;
-        if (proximity_grid_->sample_co_located(id, proximity_stream_, victim)) {
-          ++bluetooth_push_attempts_;
-          phones_->receive_infected_message(
-              victim, {id, net::kInvalidMessageId, phone::InfectionChannel::kBluetooth});
-        }
-        schedule_bluetooth_scan(id);
-      });
+                       des::QueueImpl /*queue*/, graph::GraphCache* graph_cache)
+    : state_(config, replication_seed, graph_cache) {
+  state_.slices.push_back(std::make_unique<EngineSlice>(state_, trace, event_timer));
+  state_.populate(nullptr);
 }
 
 Simulation::~Simulation() = default;
 
-void Simulation::build_topology(graph::GraphCache* graph_cache) {
-  graph_ = resolve_topology(config_, replication_seed_, topology_stream_, graph_cache);
+void Simulation::run_until(SimTime t) { slice().scheduler().run_until(t); }
+
+SimTime Simulation::advance_to(SimTime target) {
+  run_until(target);
+  return now();
 }
-
-void Simulation::build_phones() {
-  phone_env_.scheduler = &scheduler_;
-  phone_env_.user_stream = &user_stream_;
-  phone_env_.consent = &consent_;
-  phone_env_.read_delay_mean = config_.read_delay_mean;
-  phone_env_.decision_cutoff = config_.decision_cutoff;
-  phone_env_.listener = this;
-
-  phones_ = std::make_unique<phone::PhoneTable>(config_.population, &phone_env_);
-
-  // "800 are randomly designated as susceptible": sample without
-  // replacement from the whole population.
-  auto susceptible_target = static_cast<std::uint64_t>(
-      std::llround(config_.susceptible_fraction * static_cast<double>(config_.population)));
-  auto chosen = topology_stream_.sample_without_replacement(config_.population,
-                                                            susceptible_target);
-  susceptible_ids_.reserve(chosen.size());
-  std::vector<bool> susceptible(config_.population, false);
-  for (auto id : chosen) susceptible[static_cast<std::size_t>(id)] = true;
-  for (graph::PhoneId id = 0; id < config_.population; ++id) {
-    if (!susceptible[id]) continue;
-    phones_->set_susceptible(id, true);
-    susceptible_ids_.push_back(id);
-  }
-  processes_.resize(config_.population);
-}
-
-void Simulation::build_responses() {
-  // The registry decides which mechanisms exist; the context owns them
-  // (plus the detectability monitor, which is harmless to build
-  // unconditionally and useful for metrics) and dispatches every
-  // simulation event to them. (user_education is folded into the
-  // ConsentModel at construction — see response::consent_for_suite.)
-  context_ = std::make_unique<SimulationContext>(config_.responses,
-                                                 response::ResponseRegistry::built_ins());
-
-  sending_env_.scheduler = &scheduler_;
-  sending_env_.virus_stream = &virus_stream_;
-  sending_env_.gateway = gateway_.get();
-  sending_env_.trace = trace_;
-
-  response::BuildContext build;
-  build.scheduler = &scheduler_;
-  build.response_stream = &response_stream_;
-  build.patch_targets = &susceptible_ids_;
-  build.apply_patch = [this](net::PhoneId id) { on_patch_applied(id); };
-  build.population = config_.population;
-  build.trace = trace_;
-  context_->attach(*gateway_, sending_env_, std::move(build));
-}
-
-void Simulation::seed_patient_zero() {
-  // Patient zero: uniformly random susceptible phones, infected at t=0.
-  auto picks = topology_stream_.sample_without_replacement(susceptible_ids_.size(),
-                                                           config_.initial_infected);
-  for (auto pick : picks) {
-    graph::PhoneId id = susceptible_ids_[static_cast<std::size_t>(pick)];
-    scheduler_.schedule_at(SimTime::zero(), des::EventType::kSeedInfection,
-                           [this, id] { phones_->force_infect(id); });
-  }
-}
-
-void Simulation::on_phone_infected(phone::PhoneId id, const phone::InfectionSource& source) {
-  ++infected_count_;
-  infections_.push(scheduler_.now(), static_cast<double>(infected_count_));
-  if (trace_ != nullptr) {
-    trace::Event event;
-    event.time = scheduler_.now();
-    event.kind = trace::EventKind::kInfection;
-    event.phone = id;
-    event.peer = source.sender;
-    event.message = source.message;
-    event.detail = phone::to_string(source.channel);
-    trace_->record(std::move(event));
-  }
-  context_->notify_infection(id, scheduler_.now());
-
-  std::unique_ptr<virus::Targeter> targeter;
-  if (config_.virus.targeting == virus::TargetingMode::kContactList) {
-    targeter = std::make_unique<virus::ContactListTargeter>(graph_->contacts(id), virus_stream_);
-  } else {
-    targeter = std::make_unique<virus::RandomDialTargeter>(
-        id, config_.population, config_.virus.valid_number_fraction, virus_stream_);
-  }
-  processes_[id] = std::make_unique<virus::SendingProcess>(sending_env_, config_.virus, *phones_,
-                                                           id, std::move(targeter));
-  processes_[id]->start();
-
-  if (config_.proximity) {
-    scheduler_.schedule_after(config_.virus.dormancy, des::EventType::kBluetoothScan,
-                              [this, id] { schedule_bluetooth_scan(id); });
-  }
-}
-
-void Simulation::on_patch_applied(graph::PhoneId id) {
-  bool was_infected = phones_->infected(id);
-  bool was_patched = phones_->patched(id);
-  phones_->apply_patch(id);
-  if (was_patched) return;
-  if (trace_ != nullptr) {
-    trace::Event event;
-    event.time = scheduler_.now();
-    event.kind = trace::EventKind::kPatchApplied;
-    event.phone = id;
-    trace_->record(std::move(event));
-  }
-  context_->notify_patch(id, scheduler_.now());
-  if (was_infected) {
-    ++patched_infected_;
-    if (processes_[id]) processes_[id]->stop();  // stop immediately, not at next attempt
-  } else if (phones_->state(id) == phone::HealthState::kImmunized) {
-    ++immunized_healthy_;
-  }
-}
-
-void Simulation::run_until(SimTime t) { scheduler_.run_until(t); }
 
 ReplicationResult Simulation::run() {
   if (ran_) throw std::logic_error("Simulation::run called twice");
   ran_ = true;
-  run_until(config_.horizon);
+  run_until(state_.config.horizon);
   return result();
 }
 
 ReplicationResult Simulation::result() const {
-  ReplicationResult r;
-  r.infections = infections_;
-  r.total_infected = infected_count_;
-  r.immunized_healthy = immunized_healthy_;
-  r.patched_infected = patched_infected_;
-  response::ResponseMetrics metrics = context_->metrics();
-  r.phones_blacklisted = metrics.phones_blacklisted;
-  r.phones_flagged = metrics.phones_flagged;
-  r.response_extras = std::move(metrics.extras);
-  r.bluetooth_push_attempts = bluetooth_push_attempts_;
-  r.gateway = gateway_->counters();
-  r.detected_at = context_->detector().detected_at();
-  r.metrics = collect_metrics();
+  ReplicationResult r = state_.result();
+  r.detected_at = slice().context().detector().detected_at();
   return r;
-}
-
-metrics::Snapshot Simulation::collect_metrics() const {
-  // Everything below is read-only: the registry is filled from
-  // counters the components kept while running, so collecting metrics
-  // can never perturb event order or RNG sequences (the golden tests
-  // rely on this).
-  metrics::Registry reg;
-  reg.counter("des.events_scheduled").add(scheduler_.scheduled_count());
-  reg.counter("des.events_executed").add(scheduler_.executed_count());
-  reg.counter("des.events_cancelled").add(scheduler_.cancelled_count());
-  reg.gauge("des.queue_depth_peak").set(scheduler_.peak_pending_count());
-  reg.counter("des.scheduler.cancelled_reclaimed").add(scheduler_.cancelled_reclaimed_count());
-
-  const net::GatewayCounters& gc = gateway_->counters();
-  reg.counter("net.messages_submitted").add(gc.messages_submitted);
-  reg.counter("net.infected_messages_submitted").add(gc.infected_messages_submitted);
-  reg.counter("net.messages_blocked").add(gc.messages_blocked);
-  reg.counter("net.recipients_delivered").add(gc.recipients_delivered);
-  reg.counter("net.invalid_recipients_dropped").add(gc.invalid_recipients_dropped);
-
-  reg.counter("core.infections").add(infected_count_);
-  reg.counter("core.phones_immunized_healthy").add(immunized_healthy_);
-  reg.counter("core.phones_patched_infected").add(patched_infected_);
-  reg.counter("core.bluetooth_push_attempts").add(bluetooth_push_attempts_);
-
-  std::uint64_t draws = topology_stream_.draw_count() + user_stream_.draw_count() +
-                        virus_stream_.draw_count() + net_stream_.draw_count() +
-                        response_stream_.draw_count() + mobility_stream_.draw_count() +
-                        proximity_stream_.draw_count();
-  reg.counter("rng.draws").add(draws);
-
-  context_->collect_metrics(reg);
-  return reg.snapshot();
 }
 
 bool prewarm_shared_graph(const ScenarioConfig& config, graph::GraphCache& cache) {

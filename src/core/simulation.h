@@ -1,68 +1,19 @@
-// One simulation replication: wires the whole system together.
-//
-// Simulation owns the scheduler, the RNG streams, the contact graph
-// (possibly shared with sibling replications through a GraphCache),
-// the struct-of-arrays phone population table, the gateway, the virus
-// sending processes and whatever response mechanisms the scenario
-// enables, then runs the event loop to the horizon. One Simulation =
-// one replication; the ReplicationRunner aggregates many.
+// One simulation replication on one core: a single EngineSlice over
+// the whole population, run to the horizon. One Simulation = one
+// replication; the runner aggregates many.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include <string>
-#include <utility>
-
+#include "core/engine_slice.h"
 #include "core/scenario.h"
-#include "core/simulation_context.h"
-#include "metrics/registry.h"
 #include "des/scheduler.h"
-#include "graph/contact_graph.h"
 #include "graph/graph_cache.h"
-#include "mobility/grid.h"
-#include "mobility/movement.h"
-#include "net/gateway.h"
-#include "phone/phone_table.h"
-#include "rng/stream.h"
-#include "stats/time_series.h"
-#include "trace/recorder.h"
 #include "trace/trace.h"
-#include "virus/sending_process.h"
 
 namespace mvsim::core {
 
-/// Everything a replication reports back.
-struct ReplicationResult {
-  /// Step series of the infected-phone count over time (the quantity
-  /// every figure in the paper plots).
-  stats::TimeSeries infections;
-  std::uint64_t total_infected = 0;
-  std::uint64_t immunized_healthy = 0;   ///< phones patched while healthy
-  std::uint64_t patched_infected = 0;    ///< infected phones silenced by a patch
-  std::uint64_t phones_blacklisted = 0;
-  std::uint64_t phones_flagged = 0;
-  /// Bluetooth infection offers made (dual-vector scenarios only);
-  /// this traffic never transits the gateway.
-  std::uint64_t bluetooth_push_attempts = 0;
-  /// Mechanism-specific counters beyond the standard fields above,
-  /// keyed by mechanism-chosen names (e.g. "phones_rate_limited").
-  std::vector<std::pair<std::string, std::uint64_t>> response_extras;
-  net::GatewayCounters gateway;
-  /// When the virus crossed the detectability threshold (infinity if
-  /// never, e.g. a virus contained before reaching it).
-  SimTime detected_at = SimTime::infinity();
-  /// Run telemetry (des/net/core/rng/response counters, see
-  /// docs/observability.md). Deterministic in (scenario, seed);
-  /// collection is observation-only and always on.
-  metrics::Snapshot metrics;
-  /// Wall-clock time this replication took (stamped by the runner;
-  /// 0 when the Simulation was driven directly).
-  double wall_seconds = 0.0;
-};
-
-class Simulation final : private phone::InfectionListener {
+class Simulation final : public ReplicationEngine {
  public:
   /// Validates `config`; the replication seed makes runs reproducible
   /// and replications independent. When `trace` is non-null the whole
@@ -77,11 +28,7 @@ class Simulation final : private phone::InfectionListener {
   /// event's type and wall-clock duration to it (see des::EventTimer).
   /// Like tracing this is observation-only: timing never draws
   /// randomness or schedules events, so profiled runs are bit-identical
-  /// to unprofiled ones.
-  /// `des_impl` selects the scheduler's queue structure (see
-  /// des::QueueImpl); both implementations fire bit-identical event
-  /// orders, so this is a performance A/B escape hatch, not a modeling
-  /// choice.
+  /// to unprofiled ones. The des::QueueImpl parameter is ignored.
   ///
   /// When `graph_cache` is non-null the contact graph is fetched from
   /// (or built into) it instead of being built privately. The cache
@@ -91,7 +38,7 @@ class Simulation final : private phone::InfectionListener {
   /// outlive the simulation.
   Simulation(const ScenarioConfig& config, std::uint64_t replication_seed,
              trace::TraceBuffer* trace = nullptr, des::EventTimer* event_timer = nullptr,
-             des::QueueImpl des_impl = des::QueueImpl::kWheel,
+             des::QueueImpl queue = des::QueueImpl::kWheel,
              graph::GraphCache* graph_cache = nullptr);
   ~Simulation() override;
   Simulation(const Simulation&) = delete;
@@ -99,7 +46,7 @@ class Simulation final : private phone::InfectionListener {
 
   /// Runs to the configured horizon and returns the result. May be
   /// called once.
-  ReplicationResult run();
+  ReplicationResult run() override;
 
   // ---- Fine-grained access for tests and interactive drivers ----
 
@@ -109,84 +56,25 @@ class Simulation final : private phone::InfectionListener {
 
   [[nodiscard]] ReplicationResult result() const;
 
-  /// The replication's telemetry so far (also embedded in result()).
-  [[nodiscard]] metrics::Snapshot collect_metrics() const;
-
-  [[nodiscard]] SimTime now() const { return scheduler_.now(); }
-  [[nodiscard]] std::uint64_t infected_count() const { return infected_count_; }
-  /// Infected phones silenced by a patch so far.
-  [[nodiscard]] std::uint64_t patched_infected() const { return patched_infected_; }
-  /// Healthy phones immunized so far.
-  [[nodiscard]] std::uint64_t immunized_healthy() const { return immunized_healthy_; }
-  [[nodiscard]] const graph::ContactGraph& contact_graph() const { return *graph_; }
+  [[nodiscard]] SimTime now() const { return slice().scheduler().now(); }
+  [[nodiscard]] std::uint64_t infected_count() const { return slice().infected_count(); }
+  [[nodiscard]] const graph::ContactGraph& contact_graph() const { return *state_.graph; }
   /// The struct-of-arrays population state (health, susceptibility,
   /// inbox counts), indexed by PhoneId.
-  [[nodiscard]] const phone::PhoneTable& phones() const { return *phones_; }
-  [[nodiscard]] std::size_t susceptible_count() const { return susceptible_ids_.size(); }
-  [[nodiscard]] const net::Gateway& gateway() const { return *gateway_; }
-  [[nodiscard]] des::Scheduler& scheduler() { return scheduler_; }
+  [[nodiscard]] const phone::PhoneTable& phones() const { return *state_.phones; }
+  [[nodiscard]] std::size_t susceptible_count() const { return slice().patch_targets().size(); }
   /// The response layer: detectability monitor + enabled mechanisms.
-  [[nodiscard]] const SimulationContext& responses() const { return *context_; }
+  [[nodiscard]] const SimulationContext& responses() const { return slice().context(); }
+
+  // ReplicationEngine
+  SimTime advance_to(SimTime target) override;
+  [[nodiscard]] bool done() const override { return !(now() < state_.config.horizon); }
+  [[nodiscard]] obs::RunSample sample() const override { return state_.sample(now()); }
 
  private:
-  void build_topology(graph::GraphCache* graph_cache);
-  void build_phones();
-  void build_responses();
-  void build_proximity_channel();
-  void seed_patient_zero();
-  /// InfectionListener: the PhoneTable's exactly-once infection
-  /// notification, carrying the provenance the trace layer records.
-  void on_phone_infected(phone::PhoneId id, const phone::InfectionSource& source) override;
-  void on_patch_applied(graph::PhoneId id);
-  void schedule_bluetooth_scan(graph::PhoneId id);
+  [[nodiscard]] EngineSlice& slice() const { return *state_.slices.front(); }
 
-  ScenarioConfig config_;
-  std::uint64_t replication_seed_;
-
-  // RNG streams — one per concern, all derived from the replication
-  // seed, so no component's draws perturb another's sequence.
-  rng::Stream topology_stream_;
-  rng::Stream user_stream_;
-  rng::Stream virus_stream_;
-  rng::Stream net_stream_;
-  rng::Stream response_stream_;
-  rng::Stream mobility_stream_;
-  rng::Stream proximity_stream_;
-
-  des::Scheduler scheduler_;
-  // Immutable once built; shared with sibling replications when a
-  // GraphCache is in play.
-  std::shared_ptr<const graph::ContactGraph> graph_;
-  std::unique_ptr<net::Gateway> gateway_;
-
-  phone::ConsentModel consent_;
-  phone::PhoneEnvironment phone_env_;
-  // unique_ptr for address stability: pending decision events capture
-  // the table pointer (same contract the old never-reallocated phone
-  // vector had).
-  std::unique_ptr<phone::PhoneTable> phones_;
-  std::vector<graph::PhoneId> susceptible_ids_;
-
-  virus::SendingEnvironment sending_env_;
-  std::vector<std::unique_ptr<virus::SendingProcess>> processes_;  // index = phone id
-
-  // The response layer, behind the mechanism-agnostic dispatch
-  // context; which mechanisms exist is the registry's business.
-  std::unique_ptr<SimulationContext> context_;
-
-  // Optional Bluetooth side channel (dual-vector viruses).
-  std::unique_ptr<mobility::MobilityGrid> proximity_grid_;
-  std::unique_ptr<mobility::MovementProcess> movement_;
-
-  stats::TimeSeries infections_;
-  std::uint64_t infected_count_ = 0;
-  std::uint64_t patched_infected_ = 0;
-  std::uint64_t immunized_healthy_ = 0;
-  std::uint64_t bluetooth_push_attempts_ = 0;
-  trace::TraceBuffer* trace_ = nullptr;  // non-owning, may be null
-  /// Turns gateway observer callbacks into trace events; only built
-  /// when trace_ is set.
-  std::unique_ptr<trace::GatewayRecorder> recorder_;
+  ReplicationState state_;
   bool ran_ = false;
 };
 

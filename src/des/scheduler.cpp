@@ -24,21 +24,13 @@ bool Scheduler::cancel(EventHandle handle) {
   const std::uint32_t id = static_cast<std::uint32_t>(handle.id_);
   EventRecord& rec = arena_[id];
   rec.live = false;
-  rec.fn.reset();  // drop captures now, whatever the queue impl
+  rec.fn.reset();  // drop captures now
   ++rec.generation;  // invalidate any copies of the handle
   --live_events_;
   ++cancelled_;
-  if (impl_ == QueueImpl::kWheel) {
-    // Eager reclamation: pull the entry out of its bucket and recycle
-    // the record immediately instead of letting it linger until its
-    // timestamp pops (the heap's lazy behavior, which let cancel-heavy
-    // workloads grow the queue without bound).
-    if (wheel_.remove(rec.at.to_minutes(), id)) {
-      arena_.release(id);
-      ++cancelled_reclaimed_;
-    }
-  }
-  // Heap: the entry stays; fire_next() discards it lazily when it pops.
+  // Eager reclamation: pull the entry out of its bucket and recycle the
+  // record immediately, so cancel-heavy workloads never grow the queue.
+  if (wheel_.remove(rec.at.to_minutes(), id)) arena_.release(id);
   return true;
 }
 
@@ -72,36 +64,15 @@ void Scheduler::fire(EventRecord& rec, std::uint32_t id) {
 }
 
 bool Scheduler::fire_next(const SimTime* limit) {
-  if (impl_ == QueueImpl::kWheel) {
-    const CalendarQueue::Entry* top = wheel_.peek();
-    if (top == nullptr) return false;
-    const std::uint32_t id = top->id;
-    EventRecord& rec = arena_[id];
-    if (limit != nullptr && rec.at > *limit) return false;
-    wheel_.pop_front();
-    now_ = rec.at;  // the exact SimTime, not the wheel's double key
-    fire(rec, id);
-    return true;
-  }
-  while (!heap_.empty()) {
-    const HeapEntry top = heap_.top();
-    EventRecord& rec = arena_[top.id];
-    if (!rec.live || rec.generation != top.generation) {
-      // Lazily discard a cancelled/stale entry and reclaim the slot.
-      heap_.pop();
-      if (!rec.live) {
-        arena_.release(top.id);
-        ++cancelled_reclaimed_;
-      }
-      continue;
-    }
-    if (limit != nullptr && top.at > *limit) return false;
-    heap_.pop();
-    now_ = top.at;
-    fire(rec, top.id);
-    return true;
-  }
-  return false;
+  const CalendarQueue::Entry* top = wheel_.peek();
+  if (top == nullptr) return false;
+  const std::uint32_t id = top->id;
+  EventRecord& rec = arena_[id];
+  if (limit != nullptr && rec.at > *limit) return false;
+  wheel_.pop_front();
+  now_ = rec.at;  // the exact SimTime, not the wheel's double key
+  fire(rec, id);
+  return true;
 }
 
 void Scheduler::run_until(SimTime until) {

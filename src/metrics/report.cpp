@@ -50,9 +50,6 @@ constexpr MetricDescriptor kSchema[] = {
      "Events pushed onto the scheduler queue."},
     {"des.queue_depth_peak", MetricKind::kGauge, "events", "des",
      "High-water mark of pending (live) events in the scheduler queue."},
-    {"des.scheduler.cancelled_reclaimed", MetricKind::kCounter, "events", "des",
-     "Cancelled events whose queue entry and pooled record were reclaimed (eagerly at cancel "
-     "under the calendar queue; lazily at pop under the legacy heap)."},
     {"net.infected_messages_submitted", MetricKind::kCounter, "messages", "net",
      "Infected MMS messages submitted to the gateway."},
     {"net.invalid_recipients_dropped", MetricKind::kCounter, "recipients", "net",

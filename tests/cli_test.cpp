@@ -193,35 +193,6 @@ TEST(Cli, RunRejectsBadFlags) {
   std::remove(path.c_str());
 }
 
-TEST(Cli, RunDesImplSelectsQueueAndMatches) {
-  // Both queue implementations must run, and — the scheduler's core
-  // determinism contract — produce byte-identical output for the same
-  // seed. The default (no flag) is the wheel.
-  std::string path = write_small_scenario();
-  CliResult wheel = invoke({"run", path, "--reps", "2", "--seed", "7", "--des-impl", "wheel"});
-  CliResult heap = invoke({"run", path, "--reps", "2", "--seed", "7", "--des-impl", "heap"});
-  CliResult dflt = invoke({"run", path, "--reps", "2", "--seed", "7"});
-  EXPECT_EQ(wheel.code, 0) << wheel.err;
-  EXPECT_EQ(heap.code, 0) << heap.err;
-  EXPECT_EQ(wheel.out, heap.out);
-  EXPECT_EQ(wheel.out, dflt.out);
-  std::remove(path.c_str());
-}
-
-TEST(Cli, RunRejectsBadDesImpl) {
-  std::string path = write_small_scenario();
-  CliResult r = invoke({"run", path, "--des-impl", "splay"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("--des-impl"), std::string::npos);
-  EXPECT_EQ(invoke({"run", path, "--des-impl"}).code, 1);
-  std::remove(path.c_str());
-}
-
-TEST(Cli, UsageMentionsDesImpl) {
-  CliResult r = invoke({"--help"});
-  EXPECT_NE(r.out.find("--des-impl"), std::string::npos);
-}
-
 TEST(Cli, RunUnknownPresetMentionsPresets) {
   CliResult r = invoke({"run", "virus9-baseline"});
   EXPECT_EQ(r.code, 1);

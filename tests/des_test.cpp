@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <utility>
 #include <vector>
 
@@ -11,6 +13,69 @@
 
 namespace mvsim::des {
 namespace {
+
+/// Reference oracle for the calendar queue: the simplest structure that
+/// meets the Scheduler's ordering contract — a binary min-heap over
+/// (time, schedule order) — with lazy cancellation. A handle is the
+/// event's schedule order; fired and cancelled events leave an empty
+/// callback behind.
+class HeapOracle {
+ public:
+  using Handle = std::size_t;
+
+  Handle schedule_at(SimTime at, std::function<void()> fn) {
+    const Handle handle = callbacks_.size();
+    callbacks_.push_back(std::move(fn));
+    heap_.push({at, handle});
+    return handle;
+  }
+  Handle schedule_after(SimTime delay, std::function<void()> fn) {
+    return schedule_at(now_ + delay, std::move(fn));
+  }
+  bool cancel(Handle handle) {
+    if (!callbacks_[handle]) return false;
+    callbacks_[handle] = nullptr;
+    ++cancelled_;
+    return true;
+  }
+  void run_until(SimTime until) {
+    while (!heap_.empty() && heap_.top().at <= until) fire_top();
+    now_ = until;
+  }
+  void run_to_quiescence() {
+    while (!heap_.empty()) fire_top();
+  }
+  [[nodiscard]] SimTime now() const { return now_; }
+  [[nodiscard]] std::uint64_t executed_count() const { return executed_; }
+  [[nodiscard]] std::uint64_t cancelled_count() const { return cancelled_; }
+
+ private:
+  struct Entry {
+    SimTime at;
+    Handle order;
+    // std::priority_queue is a max-heap, so invert to pop the minimum.
+    friend bool operator<(const Entry& a, const Entry& b) {
+      return a.at != b.at ? a.at > b.at : a.order > b.order;
+    }
+  };
+
+  void fire_top() {
+    const Entry top = heap_.top();
+    heap_.pop();
+    if (!callbacks_[top.order]) return;  // cancelled
+    now_ = top.at;
+    std::function<void()> fn = std::move(callbacks_[top.order]);
+    callbacks_[top.order] = nullptr;
+    ++executed_;
+    fn();
+  }
+
+  SimTime now_ = SimTime::zero();
+  std::priority_queue<Entry> heap_;
+  std::vector<std::function<void()>> callbacks_;
+  std::uint64_t executed_ = 0;
+  std::uint64_t cancelled_ = 0;
+};
 
 TEST(Scheduler, StartsAtTimeZero) {
   Scheduler sched;
@@ -210,22 +275,28 @@ TEST(Scheduler, ManyEventsStressOrdering) {
 // cancellation) under workloads that exercise the wheel's slice serving,
 // overflow list, width re-fit, and rotation logic.
 
-TEST(Scheduler, SameInstantFifoStormBothImpls) {
-  for (QueueImpl impl : {QueueImpl::kWheel, QueueImpl::kHeap}) {
-    Scheduler sched(impl);
-    std::vector<int> order;
-    order.reserve(5000);
-    // A huge same-time cohort lands in one wheel bucket and must come
-    // back in exact schedule order despite LIFO bucket chaining.
-    for (int i = 0; i < 5000; ++i) {
-      sched.schedule_at(SimTime::minutes(30.0), [&order, i] { order.push_back(i); });
-    }
-    sched.run_to_quiescence();
-    ASSERT_EQ(order.size(), 5000u);
-    for (int i = 0; i < 5000; ++i) {
-      ASSERT_EQ(order[static_cast<std::size_t>(i)], i) << "impl=" << static_cast<int>(impl);
-    }
+/// A huge same-time cohort, scheduled in order 0..n-1; returns the
+/// order it fired in.
+template <typename Queue>
+std::vector<int> fifo_storm(Queue& queue, int n) {
+  std::vector<int> order;
+  order.reserve(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    queue.schedule_at(SimTime::minutes(30.0), [&order, i] { order.push_back(i); });
   }
+  queue.run_to_quiescence();
+  return order;
+}
+
+TEST(Scheduler, SameInstantFifoStormBothImpls) {
+  // The cohort lands in one wheel bucket and must come back in exact
+  // schedule order despite LIFO bucket chaining — as the oracle does.
+  Scheduler wheel;
+  HeapOracle oracle;
+  std::vector<int> expected(5000);
+  for (int i = 0; i < 5000; ++i) expected[static_cast<std::size_t>(i)] = i;
+  EXPECT_EQ(fifo_storm(wheel, 5000), expected);
+  EXPECT_EQ(fifo_storm(oracle, 5000), expected);
 }
 
 TEST(Scheduler, FarHorizonEventsSpanManyRotations) {
@@ -273,16 +344,16 @@ TEST(Scheduler, CancelThenRescheduleReusesSlotSafely) {
 }
 
 TEST(Scheduler, RandomizedDifferentialWheelVsHeap) {
-  // Drive both implementations through an identical random mix of
-  // schedules and cancellations; the observable fire sequence (time,
-  // tag) must match element-for-element. This is the strongest
-  // equivalence check we have short of the golden-curve test.
-  Scheduler wheel(QueueImpl::kWheel);
-  Scheduler heap(QueueImpl::kHeap);
+  // Drive the calendar queue and the heap oracle through an identical
+  // random mix of schedules and cancellations; the observable fire
+  // sequence (time, tag) must match element-for-element. This is the
+  // strongest equivalence check we have short of the golden-curve test.
+  Scheduler wheel;
+  HeapOracle heap;
   std::vector<std::pair<double, int>> wheel_fired;
   std::vector<std::pair<double, int>> heap_fired;
   std::vector<EventHandle> wheel_handles;
-  std::vector<EventHandle> heap_handles;
+  std::vector<HeapOracle::Handle> heap_handles;
 
   std::uint64_t state = 0x9e3779b97f4a7c15ULL;
   auto next_rand = [&state] {
@@ -329,33 +400,25 @@ TEST(Scheduler, RandomizedDifferentialWheelVsHeap) {
   EXPECT_EQ(wheel.cancelled_count(), heap.cancelled_count());
 }
 
-TEST(Scheduler, CancelledReclaimedEagerOnWheelLazyOnHeap) {
-  // The wheel unlinks and recycles a cancelled record immediately; the
-  // heap can only discard it when it surfaces at the top. Same results,
-  // different reclamation timing — that difference is the metric's job.
-  Scheduler wheel(QueueImpl::kWheel);
-  Scheduler heap(QueueImpl::kHeap);
-  std::vector<EventHandle> wh;
-  std::vector<EventHandle> hh;
+TEST(Scheduler, CancelReclaimsRecordsEagerly) {
+  // cancel() unlinks the queue entry and recycles the pooled record at
+  // once, so the next schedules reuse the freed slots.
+  Scheduler sched;
+  std::vector<EventHandle> handles;
   for (int i = 0; i < 100; ++i) {
-    double t = static_cast<double>(i + 1);
-    wh.push_back(wheel.schedule_at(SimTime::minutes(t), [] {}));
-    hh.push_back(heap.schedule_at(SimTime::minutes(t), [] {}));
+    handles.push_back(sched.schedule_at(SimTime::minutes(static_cast<double>(i + 1)), [] {}));
   }
-  for (int i = 0; i < 100; i += 2) {
-    wheel.cancel(wh[static_cast<std::size_t>(i)]);
-    heap.cancel(hh[static_cast<std::size_t>(i)]);
+  for (std::size_t i = 0; i < handles.size(); i += 2) sched.cancel(handles[i]);
+  EXPECT_EQ(sched.cancelled_count(), 50u);
+  EXPECT_EQ(sched.pending_count(), 50u);
+  const std::uint64_t recycled_before = sched.arena_recycled_count();
+  for (int i = 0; i < 50; ++i) {
+    sched.schedule_at(SimTime::minutes(200.0 + static_cast<double>(i)), [] {});
   }
-  EXPECT_EQ(wheel.cancelled_count(), 50u);
-  EXPECT_EQ(wheel.cancelled_reclaimed_count(), 50u) << "wheel reclaims at cancel()";
-  EXPECT_EQ(heap.cancelled_count(), 50u);
-  EXPECT_EQ(heap.cancelled_reclaimed_count(), 0u) << "heap reclaims lazily at pop";
-  wheel.run_to_quiescence();
-  heap.run_to_quiescence();
-  EXPECT_EQ(wheel.cancelled_reclaimed_count(), 50u);
-  EXPECT_EQ(heap.cancelled_reclaimed_count(), 50u) << "drained heap has reclaimed everything";
-  EXPECT_EQ(wheel.executed_count(), 50u);
-  EXPECT_EQ(heap.executed_count(), 50u);
+  EXPECT_EQ(sched.arena_recycled_count() - recycled_before, 50u)
+      << "cancelled records are recycled at cancel()";
+  sched.run_to_quiescence();
+  EXPECT_EQ(sched.executed_count(), 100u);
 }
 
 TEST(Scheduler, SteadyStateSchedulesWithoutAllocating) {

@@ -35,6 +35,19 @@ namespace {
 using GraphParam = std::tuple<graph::PhoneId /*nodes*/, double /*mean degree*/,
                               std::uint64_t /*seed*/>;
 
+/// Test-name suffix for a graph parameter tuple, e.g. "n200_d8_s1".
+/// Built by appending: GCC 12's Release -Wrestrict misfires on chained
+/// string operator+.
+std::string graph_param_name(const GraphParam& param) {
+  std::string name = "n";
+  name += std::to_string(std::get<0>(param));
+  name += "_d";
+  name += std::to_string(static_cast<int>(std::get<1>(param)));
+  name += "_s";
+  name += std::to_string(std::get<2>(param));
+  return name;
+}
+
 class PowerLawProperties : public ::testing::TestWithParam<GraphParam> {};
 
 TEST_P(PowerLawProperties, SimpleReciprocalAndOnTarget) {
@@ -77,11 +90,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<graph::PhoneId>(200, 500, 1000),
                        ::testing::Values(8.0, 40.0, 80.0),
                        ::testing::Values<std::uint64_t>(1, 2)),
-    [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_d" +
-             std::to_string(static_cast<int>(std::get<1>(param_info.param))) + "_s" +
-             std::to_string(std::get<2>(param_info.param));
-    });
+    [](const auto& param_info) { return graph_param_name(param_info.param); });
 
 class ErdosRenyiProperties : public ::testing::TestWithParam<GraphParam> {};
 
@@ -103,11 +112,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<graph::PhoneId>(300, 1000),
                        ::testing::Values(5.0, 40.0, 80.0),
                        ::testing::Values<std::uint64_t>(3, 4)),
-    [](const auto& param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_d" +
-             std::to_string(static_cast<int>(std::get<1>(param_info.param))) + "_s" +
-             std::to_string(std::get<2>(param_info.param));
-    });
+    [](const auto& param_info) { return graph_param_name(param_info.param); });
 
 // ---- Consent solver: round-trips across the feasible target range. ----
 
