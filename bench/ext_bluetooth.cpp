@@ -4,7 +4,9 @@
 // viruses "that spread using the Bluetooth interface on a phone".
 // This bench runs that study: a Cabir-style proximity worm over a
 // mobility grid, and the subset of the six response mechanisms that
-// still function when there is no MMS gateway in the loop.
+// still function when there is no MMS gateway in the loop. The worm is
+// an ordinary scenario (core::bluetooth_worm_scenario): the dual-vector
+// virus with its MMS arm switched off.
 //
 // Headline finding: the provider's entire reception- and
 // dissemination-point arsenal (signature scan, detection algorithm,
@@ -14,24 +16,29 @@
 // for fast viruses.
 #include "bench_common.h"
 
-#include "mobility/bluetooth.h"
-
 using namespace mvsim;
 using namespace mvsim::bench;
 
 namespace {
 
-// Bluetooth experiments expose no event counter, so their harness cases
-// report wall-clock only (events = 0).
-mobility::BluetoothExperimentResult run_bt(Harness& harness, const std::string& label,
-                                           const mobility::BluetoothScenarioConfig& config) {
-  std::optional<mobility::BluetoothExperimentResult> result;
-  harness.run_case(label, [&config, &result] {
-    result.emplace(mobility::run_bluetooth_experiment(config, core::replications_from_env(10),
-                                                      0xB1'0E'00'07ULL));
-    return std::uint64_t{0};
-  });
-  return std::move(*result);
+core::ExperimentResult run_bt(Harness& harness, const std::string& label,
+                              const core::ScenarioConfig& config) {
+  core::RunnerOptions options = default_options();
+  options.master_seed = 0xB1'0E'00'07ULL;
+  return run_experiment_case(harness, label, config, options);
+}
+
+/// Without gateway visibility the provider learns of the outbreak
+/// out-of-band (handset AV telemetry, user complaints), modeled as a
+/// fixed detection time.
+core::ScenarioConfig with_patch_cycle(core::ScenarioConfig config, SimTime detection,
+                                      SimTime development, SimTime deployment) {
+  response::ImmunizationConfig immunization;
+  immunization.detection_time = detection;
+  immunization.development_time = development;
+  immunization.deployment_duration = deployment;
+  config.responses.immunization = immunization;
+  return config;
 }
 
 }  // namespace
@@ -40,28 +47,23 @@ int main() {
   std::cout << "mvsim EXT-BT: Bluetooth proximity worm (paper section 6 extension)\n";
   Harness harness("ext_bluetooth");
 
-  mobility::BluetoothScenarioConfig base;  // 1000 phones, 16x16 grid
-  mobility::BluetoothExperimentResult baseline = run_bt(harness, "Baseline", base);
+  const core::ScenarioConfig base = core::bluetooth_worm_scenario();  // 1000 phones, 16x16 grid
+  core::ExperimentResult baseline = run_bt(harness, "Baseline", base);
 
-  mobility::BluetoothScenarioConfig educated = base;
+  core::ScenarioConfig educated = base;
   response::UserEducationConfig education;
   education.eventual_acceptance = 0.20;
-  educated.user_education = education;
-  mobility::BluetoothExperimentResult with_education =
-      run_bt(harness, "User education 0.20", educated);
+  educated.responses.user_education = education;
+  core::ExperimentResult with_education = run_bt(harness, "User education 0.20", educated);
 
-  mobility::BluetoothScenarioConfig patched = base;
-  patched.immunization = mobility::BluetoothImmunizationConfig{};  // 24h detect + 24h dev + 6h
-  mobility::BluetoothExperimentResult with_patches = run_bt(harness, "Patch 24h+24h+6h", patched);
-
-  mobility::BluetoothScenarioConfig fast_patched = base;
-  mobility::BluetoothImmunizationConfig fast;
-  fast.detection_time = SimTime::hours(12.0);
-  fast.development_time = SimTime::hours(12.0);
-  fast.deployment_duration = SimTime::hours(1.0);
-  fast_patched.immunization = fast;
-  mobility::BluetoothExperimentResult with_fast_patches =
-      run_bt(harness, "Patch 12h+12h+1h", fast_patched);
+  core::ExperimentResult with_patches =
+      run_bt(harness, "Patch 24h+24h+6h",
+             with_patch_cycle(base, SimTime::hours(24.0), SimTime::hours(24.0),
+                              SimTime::hours(6.0)));
+  core::ExperimentResult with_fast_patches =
+      run_bt(harness, "Patch 12h+12h+1h",
+             with_patch_cycle(base, SimTime::hours(12.0), SimTime::hours(12.0),
+                              SimTime::hours(1.0)));
 
   std::cout << "== Bluetooth worm: infection curves ==\n";
   std::cout << "Hours,Baseline,User Education 0.20,Patch 24h+24h+6h,Patch 12h+12h+1h\n";
@@ -75,7 +77,9 @@ int main() {
   std::cout << "-- findings --\n";
   double base_final = baseline.final_infections.mean();
   report("MMS-only mechanisms (scan/detection/monitoring/blacklist) see no Bluetooth traffic",
-         "structural: the worm never transits a gateway, so those four cannot engage");
+         "structural: the worm never transits a gateway (" +
+             fmt(baseline.messages_submitted.mean()) + " MMS submitted/rep), so those four "
+             "cannot engage");
   report("the consent plateau carries over from the MMS model (1000 x 0.8 x 0.40 = 320)",
          "baseline final = " + fmt(base_final) + " infected");
   report("user education remains universally effective (paper section 5.2)",
@@ -91,10 +95,10 @@ int main() {
   std::cout << "-- density sweep (phones per cell) --\n";
   std::cout << "grid,phones_per_cell,final_infected,half_plateau_hours\n";
   for (std::uint32_t side : {8u, 16u, 32u}) {
-    mobility::BluetoothScenarioConfig config = base;
-    config.grid_width = side;
-    config.grid_height = side;
-    mobility::BluetoothExperimentResult result =
+    core::ScenarioConfig config = base;
+    config.proximity->grid_width = side;
+    config.proximity->grid_height = side;
+    core::ExperimentResult result =
         run_bt(harness, "Density " + std::to_string(side) + "x" + std::to_string(side), config);
     SimTime half = result.curve.mean_first_time_at_or_above(160.0);
     std::cout << side << "x" << side << ","

@@ -31,6 +31,7 @@ const char* to_string(virus::TargetingMode mode) {
   switch (mode) {
     case virus::TargetingMode::kContactList: return "contact_list";
     case virus::TargetingMode::kRandomDialing: return "random_dialing";
+    case virus::TargetingMode::kNone: return "none";
   }
   return "?";
 }
@@ -38,7 +39,8 @@ const char* to_string(virus::TargetingMode mode) {
 virus::TargetingMode targeting_from_string(const std::string& s, const std::string& path) {
   if (s == "contact_list") return virus::TargetingMode::kContactList;
   if (s == "random_dialing") return virus::TargetingMode::kRandomDialing;
-  fail(path, "unknown targeting mode '" + s + "' (contact_list | random_dialing)");
+  if (s == "none") return virus::TargetingMode::kNone;
+  fail(path, "unknown targeting mode '" + s + "' (contact_list | random_dialing | none)");
 }
 
 const char* to_string(virus::BudgetKind kind) {

@@ -1,7 +1,6 @@
 #include "core/engine_slice.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/topology_build.h"
 #include "response/registry.h"
@@ -60,9 +59,8 @@ void ReplicationState::populate(const graph::Partition* slice_partition) {
 
   // "800 are randomly designated as susceptible": sample without
   // replacement from the whole population.
-  auto susceptible_target = static_cast<std::uint64_t>(
-      std::llround(config.susceptible_fraction * static_cast<double>(config.population)));
-  auto chosen = topology_stream.sample_without_replacement(config.population, susceptible_target);
+  auto chosen =
+      topology_stream.sample_without_replacement(config.population, config.susceptible_count());
   std::vector<bool> susceptible(config.population, false);
   for (auto id : chosen) susceptible[static_cast<std::size_t>(id)] = true;
   std::vector<graph::PhoneId> susceptible_ids;
@@ -296,17 +294,24 @@ void EngineSlice::on_phone_infected(phone::PhoneId id, const phone::InfectionSou
 
   const ScenarioConfig& config = state_.config;
   std::unique_ptr<virus::Targeter> targeter;
-  if (config.virus.targeting == virus::TargetingMode::kContactList) {
-    targeter =
-        std::make_unique<virus::ContactListTargeter>(state_.graph->contacts(id), virus_stream_);
-  } else {
-    targeter = std::make_unique<virus::RandomDialTargeter>(
-        id, config.population, config.virus.valid_number_fraction, virus_stream_);
+  switch (config.virus.targeting) {
+    case virus::TargetingMode::kContactList:
+      targeter =
+          std::make_unique<virus::ContactListTargeter>(state_.graph->contacts(id), virus_stream_);
+      break;
+    case virus::TargetingMode::kRandomDialing:
+      targeter = std::make_unique<virus::RandomDialTargeter>(
+          id, config.population, config.virus.valid_number_fraction, virus_stream_);
+      break;
+    case virus::TargetingMode::kNone:  // Bluetooth-only worm: no MMS arm
+      break;
   }
-  auto& process = state_.processes[id];
-  process = std::make_unique<virus::SendingProcess>(sending_env_, config.virus, *state_.phones,
-                                                    id, std::move(targeter));
-  process->start();
+  if (targeter) {
+    auto& process = state_.processes[id];
+    process = std::make_unique<virus::SendingProcess>(sending_env_, config.virus, *state_.phones,
+                                                      id, std::move(targeter));
+    process->start();
+  }
 
   if (config.proximity) {
     scheduler_.schedule_after(config.virus.dormancy, des::EventType::kBluetoothScan,

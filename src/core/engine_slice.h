@@ -261,7 +261,8 @@ class EngineSlice final : public net::ShardRouter, private phone::InfectionListe
   std::unique_ptr<SimulationContext> context_;
   std::vector<graph::PhoneId> patch_targets_;
 
-  // Optional Bluetooth side channel (dual-vector viruses; serial only).
+  // Optional Bluetooth channel (dual-vector or Bluetooth-only viruses;
+  // serial only).
   std::unique_ptr<mobility::MobilityGrid> proximity_grid_;
   std::unique_ptr<mobility::MovementProcess> movement_;
 

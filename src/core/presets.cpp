@@ -79,6 +79,18 @@ ScenarioConfig fig7_blacklist_scenario(std::uint32_t threshold) {
   return config;
 }
 
+ScenarioConfig bluetooth_worm_scenario() {
+  ScenarioConfig config;
+  config.name = "bluetooth-worm";
+  config.virus = virus::VirusProfile{};
+  config.virus.name = "Bluetooth worm";
+  config.virus.targeting = virus::TargetingMode::kNone;
+  config.proximity = ProximityChannelConfig{};
+  config.read_delay_mean = SimTime::minutes(5.0);
+  config.horizon = SimTime::days(7.0);
+  return config;
+}
+
 ScenarioConfig market_share_scenario(double share, graph::PhoneId population) {
   ScenarioConfig config = baseline_scenario(virus::virus1());
   config.name = "ext/market-share";

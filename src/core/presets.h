@@ -48,6 +48,14 @@ namespace mvsim::core {
 /// threshold.
 [[nodiscard]] ScenarioConfig fig7_blacklist_scenario(std::uint32_t threshold);
 
+/// Bluetooth-only worm (paper §6 extension, EXT-BT): a Cabir-style
+/// worm that spreads only over the proximity channel (16x16 grid,
+/// 30 min dwell, hourly scans) — the dual-vector scenario with its MMS
+/// arm switched off. A Bluetooth push pops a dialog, so users decide
+/// within minutes (5 min mean) rather than at their next inbox read.
+/// Tracked over 7 days; no response mechanisms.
+[[nodiscard]] ScenarioConfig bluetooth_worm_scenario();
+
 /// Market-share experiment (extension): the virus targets a single
 /// platform holding `share` of the handset market, so only that
 /// fraction of phones is susceptible. On a sparse power-law contact

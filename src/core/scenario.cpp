@@ -1,5 +1,7 @@
 #include "core/scenario.h"
 
+#include <cmath>
+
 namespace mvsim::core {
 
 const char* to_string(TopologyConfig::Kind kind) {
@@ -36,9 +38,7 @@ ValidationErrors ScenarioConfig::validate() const {
   errors.require(susceptible_fraction > 0.0 && susceptible_fraction <= 1.0,
                  "susceptible_fraction must be in (0, 1]");
   errors.require(initial_infected >= 1, "initial_infected must be >= 1");
-  auto susceptible =
-      static_cast<std::uint32_t>(susceptible_fraction * static_cast<double>(population));
-  errors.require(initial_infected <= susceptible,
+  errors.require(initial_infected <= susceptible_count(),
                  "initial_infected exceeds the susceptible population");
   errors.require(topology.mean_degree < static_cast<double>(population),
                  "topology mean_degree must be < population");
@@ -49,6 +49,8 @@ ValidationErrors ScenarioConfig::validate() const {
   errors.require(decision_cutoff >= 1, "decision_cutoff must be >= 1");
   errors.require(delivery_delay_mean > SimTime::zero(), "delivery_delay_mean must be positive");
   errors.merge(virus.validate());
+  errors.require(virus.targeting != virus::TargetingMode::kNone || proximity.has_value(),
+                 "virus targeting 'none' needs a proximity channel, or the virus cannot spread");
   if (proximity) errors.merge(proximity->validate());
   errors.merge(responses.validate());
   errors.require(horizon > SimTime::zero() && horizon.is_finite(),
@@ -56,6 +58,11 @@ ValidationErrors ScenarioConfig::validate() const {
   errors.require(sample_step > SimTime::zero() && sample_step <= horizon,
                  "sample_step must be positive and <= horizon");
   return errors;
+}
+
+std::uint64_t ScenarioConfig::susceptible_count() const {
+  return static_cast<std::uint64_t>(
+      std::llround(susceptible_fraction * static_cast<double>(population)));
 }
 
 double ScenarioConfig::expected_unrestrained_plateau() const {

@@ -56,7 +56,8 @@ struct TopologyConfig {
 /// spread over both MMS and Bluetooth). Proximity traffic never
 /// transits the MMS gateway, so reception- and dissemination-point
 /// mechanisms cannot see or stop it — quantifying that blind spot is
-/// the point of the ext_dual_vector bench.
+/// the point of the ext_dual_vector bench. With virus targeting
+/// kNone it is the only vector (a Bluetooth-only worm, ext_bluetooth).
 struct ProximityChannelConfig {
   std::uint32_t grid_width = 16;
   std::uint32_t grid_height = 16;
@@ -104,6 +105,11 @@ struct ScenarioConfig {
   SimTime sample_step = SimTime::hours(1.0);
 
   [[nodiscard]] ValidationErrors validate() const;
+
+  /// How many phones run the vulnerable platform:
+  /// round(susceptible_fraction x population). Validation and the
+  /// population build both use it, so they agree on the count.
+  [[nodiscard]] std::uint64_t susceptible_count() const;
 
   /// Expected plateau of an unconstrained epidemic:
   /// population x susceptible_fraction x eventual_acceptance

@@ -9,6 +9,10 @@ namespace mvsim::response {
 
 ValidationErrors ImmunizationConfig::validate() const {
   ValidationErrors errors("ImmunizationConfig");
+  if (detection_time) {
+    errors.require(*detection_time >= SimTime::zero() && detection_time->is_finite(),
+                   "detection_time must be finite and >= 0");
+  }
   errors.require(development_time >= SimTime::zero() && development_time.is_finite(),
                  "development_time must be finite and >= 0");
   errors.require(deployment_duration >= SimTime::zero() && deployment_duration.is_finite(),
@@ -32,10 +36,15 @@ void Immunization::on_build(BuildContext& context) {
   targets_ = *context.patch_targets;
   apply_patch_ = context.apply_patch;
   trace_ = context.trace;
+  if (config_.detection_time) {
+    scheduler_->schedule_at(*config_.detection_time + config_.development_time,
+                            des::EventType::kResponseActivation, [this] { begin_deployment(); });
+  }
 }
 
 void Immunization::on_detectability_crossed(SimTime) {
   if (scheduler_ == nullptr) throw std::logic_error("Immunization: on_build never ran");
+  if (config_.detection_time) return;  // detected out-of-band instead
   scheduler_->schedule_after(config_.development_time, des::EventType::kResponseActivation,
                              [this] { begin_deployment(); });
 }

@@ -6,12 +6,18 @@
 // susceptible population uniformly over `deployment_duration` (more
 // distribution servers = shorter duration). A patch arriving at a
 // healthy phone immunizes it; arriving at an infected phone it stops
-// further dissemination (the SendingProcess observes
-// Phone::propagation_stopped()).
+// further dissemination (the SendingProcess and the Bluetooth scan
+// observe Phone::propagation_stopped()).
+//
+// "Detectable" normally means the gateway's detectability threshold
+// (response/detectability.h). A virus that never transits the gateway,
+// such as a Bluetooth-only worm, is instead detected out-of-band
+// (handset AV telemetry, user complaints) at a fixed `detection_time`.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "des/scheduler.h"
@@ -24,6 +30,9 @@
 namespace mvsim::response {
 
 struct ImmunizationConfig {
+  /// Out-of-band detection: when set, patch development starts at this
+  /// fixed time and the detectability crossing is ignored.
+  std::optional<SimTime> detection_time;
   /// Time to develop the patch after the virus becomes detectable
   /// (paper sweeps 24 h / 48 h).
   SimTime development_time = SimTime::hours(24.0);
@@ -47,11 +56,12 @@ class Immunization final : public ResponseMechanism {
   // ResponseMechanism
   [[nodiscard]] const char* name() const override { return "immunization"; }
   [[nodiscard]] std::uint32_t subscribed_hooks() const override {
-    return hook::kDetectabilityCrossed;
+    return config_.detection_time ? hook::kNone : hook::kDetectabilityCrossed;
   }
   /// Copies the context's patch-target list (the phones running the
   /// vulnerable platform; patching invulnerable phones would change
-  /// nothing) and its apply_patch callback — both must be set.
+  /// nothing) and its apply_patch callback — both must be set. With a
+  /// fixed detection_time it also schedules the rollout.
   void on_build(BuildContext& context) override;
   void on_detectability_crossed(SimTime now) override;
   void on_metrics(metrics::Registry& registry) const override;

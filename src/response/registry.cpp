@@ -75,6 +75,9 @@ void decode_immunization(const json::Value& value, const std::string& path,
                          ResponseSuiteConfig& suite) {
   util::ObjectDecoder d(value, path);
   ImmunizationConfig config;
+  if (d.has("detection_time")) {
+    config.detection_time = d.duration("detection_time", SimTime::zero());
+  }
   config.development_time = d.duration("development_time", config.development_time);
   config.deployment_duration = d.duration("deployment_duration", config.deployment_duration);
   d.finish();
@@ -84,6 +87,9 @@ void decode_immunization(const json::Value& value, const std::string& path,
 std::optional<json::Value> encode_immunization(const ResponseSuiteConfig& suite) {
   if (!suite.immunization) return std::nullopt;
   json::Object o;
+  if (suite.immunization->detection_time) {
+    o.set("detection_time", util::format_duration(*suite.immunization->detection_time));
+  }
   o.set("development_time", util::format_duration(suite.immunization->development_time));
   o.set("deployment_duration", util::format_duration(suite.immunization->deployment_duration));
   return json::Value(std::move(o));
@@ -219,7 +225,8 @@ const ResponseRegistry& ResponseRegistry::built_ins() {
     });
     r.register_mechanism(MechanismInfo{
         "immunization",
-        "patch developed after detectability, rolled out uniformly to susceptible phones",
+        "patch developed after detectability (or a fixed detection_time), rolled out uniformly "
+        "to susceptible phones",
         [](const ResponseSuiteConfig& s) { return s.immunization.has_value(); },
         [](const ResponseSuiteConfig& s) { return validate_optional(s.immunization); },
         [](const ResponseSuiteConfig& s) -> std::unique_ptr<ResponseMechanism> {

@@ -22,6 +22,9 @@ namespace mvsim::virus {
 enum class TargetingMode : std::uint8_t {
   kContactList,
   kRandomDialing,
+  /// No MMS arm at all: the virus spreads only over the scenario's
+  /// proximity (Bluetooth) channel, like a Cabir-style worm (§6).
+  kNone,
 };
 
 /// Self-imposed throttle on outgoing infected messages.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -179,6 +180,72 @@ TEST(ScenarioIo, DecodedScenarioIsValidated) {
   EXPECT_THROW((void)scenario_from_text(R"({"population": 1})"), std::invalid_argument);
   EXPECT_THROW((void)scenario_from_text(R"({"eventual_acceptance": 0.9})"),
                std::invalid_argument);
+}
+
+TEST(ScenarioIo, SusceptibleCountRoundsLikeThePopulationBuild) {
+  // 0.29 x 100 is 28.999... in binary: the population build samples
+  // round() = 29 susceptibles, so 29 patient zeros must validate.
+  core::ScenarioConfig config = scenario_from_text(
+      R"({"population": 100, "susceptible_fraction": 0.29, "initial_infected": 29,
+          "topology": {"mean_degree": 8}})");
+  EXPECT_EQ(config.susceptible_count(), 29u);
+  EXPECT_THROW((void)scenario_from_text(
+                   R"({"population": 100, "susceptible_fraction": 0.29,
+                       "initial_infected": 30, "topology": {"mean_degree": 8}})"),
+               std::invalid_argument);
+}
+
+TEST(ScenarioIo, TargetingNoneNeedsAProximityChannel) {
+  try {
+    (void)scenario_from_text(R"({"virus": {"targeting": "none"}})");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("proximity"), std::string::npos) << e.what();
+  }
+  core::ScenarioConfig config = scenario_from_text(
+      R"({"virus": {"targeting": "none"}, "proximity": {}})");
+  EXPECT_EQ(config.virus.targeting, virus::TargetingMode::kNone);
+  EXPECT_EQ(json::stringify(to_json(scenario_from_json(to_json(config))), 0),
+            json::stringify(to_json(config), 0));
+}
+
+TEST(ScenarioIo, ImmunizationDetectionTimeRoundTrips) {
+  core::ScenarioConfig config = scenario_from_text(
+      R"({"responses": {"immunization": {"detection_time": "12h"}}})");
+  ASSERT_TRUE(config.responses.immunization.has_value());
+  ASSERT_TRUE(config.responses.immunization->detection_time.has_value());
+  EXPECT_EQ(*config.responses.immunization->detection_time, SimTime::hours(12.0));
+  core::ScenarioConfig round = scenario_from_json(to_json(config));
+  ASSERT_TRUE(round.responses.immunization->detection_time.has_value());
+  EXPECT_EQ(*round.responses.immunization->detection_time, SimTime::hours(12.0));
+
+  core::ScenarioConfig unset = scenario_from_json(to_json(core::fig5_immunization_scenario(
+      SimTime::hours(24.0), SimTime::hours(6.0))));
+  EXPECT_FALSE(unset.responses.immunization->detection_time.has_value())
+      << "unset detection_time must stay unset through a round trip";
+  EXPECT_THROW((void)scenario_from_text(
+                   R"({"responses": {"immunization": {"detection_time": "-1h"}}})"),
+               std::invalid_argument);
+}
+
+TEST(ScenarioFiles, EveryShippedScenarioLoadsAndValidates) {
+  const std::filesystem::path dir = std::filesystem::path(MVSIM_SOURCE_DIR) / "scenarios";
+  int loaded = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") continue;
+    SCOPED_TRACE(entry.path().string());
+    core::ScenarioConfig config;
+    EXPECT_NO_THROW(config = load_scenario_file(entry.path().string()));
+    EXPECT_TRUE(config.validate().ok());
+    ++loaded;
+  }
+  EXPECT_GE(loaded, 4);
+}
+
+TEST(ScenarioFiles, BluetoothWormFileIsTheBenchBaseline) {
+  const std::string path = std::string(MVSIM_SOURCE_DIR) + "/scenarios/bluetooth_worm.json";
+  EXPECT_EQ(json::stringify(to_json(load_scenario_file(path)), 0),
+            json::stringify(to_json(core::bluetooth_worm_scenario()), 0));
 }
 
 TEST(ScenarioIo, FileRoundTrip) {

@@ -1,12 +1,17 @@
 // Unit + integration tests for src/mobility: grid occupancy, movement,
-// and the Bluetooth worm extension.
+// and the Bluetooth worm extension, which runs as an ordinary scenario
+// (core::bluetooth_worm_scenario) on the serial engine.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 
-#include "mobility/bluetooth.h"
+#include "core/presets.h"
+#include "core/runner.h"
+#include "core/simulation.h"
 #include "mobility/grid.h"
 #include "mobility/movement.h"
+#include "phone/consent.h"
 
 namespace mvsim::mobility {
 namespace {
@@ -99,61 +104,80 @@ TEST(MovementProcess, RejectsNonPositiveDwell) {
 
 // ---- Bluetooth worm ----
 
-BluetoothScenarioConfig small_bluetooth() {
-  BluetoothScenarioConfig config;
+core::ScenarioConfig small_bluetooth() {
+  core::ScenarioConfig config = core::bluetooth_worm_scenario();
   config.population = 200;
-  config.grid_width = 7;
-  config.grid_height = 7;
+  config.proximity->grid_width = 7;
+  config.proximity->grid_height = 7;
   config.horizon = SimTime::days(5.0);
   return config;
 }
 
+core::ExperimentResult run_bluetooth(const core::ScenarioConfig& config, int replications,
+                                     std::uint64_t master_seed) {
+  core::RunnerOptions options;
+  options.replications = replications;
+  options.master_seed = master_seed;
+  return core::run_experiment(config, options);
+}
+
+void set_patch_cycle(core::ScenarioConfig& config, SimTime detection, SimTime development,
+                     SimTime deployment) {
+  response::ImmunizationConfig immunization;
+  immunization.detection_time = detection;
+  immunization.development_time = development;
+  immunization.deployment_duration = deployment;
+  config.responses.immunization = immunization;
+}
+
 TEST(BluetoothConfig, DefaultsValidate) {
-  EXPECT_TRUE(BluetoothScenarioConfig{}.validate().ok());
-  EXPECT_DOUBLE_EQ(BluetoothScenarioConfig{}.expected_unrestrained_plateau(), 320.0);
+  EXPECT_TRUE(core::bluetooth_worm_scenario().validate().ok());
+  EXPECT_DOUBLE_EQ(core::bluetooth_worm_scenario().expected_unrestrained_plateau(), 320.0);
 }
 
 TEST(BluetoothConfig, ValidationCatchesBadFields) {
-  BluetoothScenarioConfig config = small_bluetooth();
-  config.grid_width = 0;
+  core::ScenarioConfig config = small_bluetooth();
+  config.proximity->grid_width = 0;
   EXPECT_FALSE(config.validate().ok());
   config = small_bluetooth();
-  config.scan_interval_mean = SimTime::zero();
+  config.proximity->scan_interval_mean = SimTime::zero();
   EXPECT_FALSE(config.validate().ok());
   config = small_bluetooth();
   config.eventual_acceptance = 0.9;
   EXPECT_FALSE(config.validate().ok());
   config = small_bluetooth();
-  BluetoothImmunizationConfig immunization;
-  immunization.detection_time = SimTime::minutes(-1.0);
-  config.immunization = immunization;
+  set_patch_cycle(config, SimTime::minutes(-1.0), SimTime::hours(24.0), SimTime::hours(6.0));
   EXPECT_FALSE(config.validate().ok());
+  config = small_bluetooth();
+  config.proximity.reset();
+  EXPECT_FALSE(config.validate().ok()) << "no MMS arm and no proximity channel cannot spread";
 }
 
-TEST(BluetoothSimulation, WormSpreadsThroughProximity) {
-  BluetoothSimulation sim(small_bluetooth(), 77);
-  BluetoothReplicationResult r = sim.run();
+TEST(BluetoothWorm, WormSpreadsThroughProximity) {
+  core::Simulation sim(small_bluetooth(), 77);
+  core::ReplicationResult r = sim.run();
   EXPECT_GT(r.total_infected, 10u) << "the worm spreads";
-  EXPECT_GT(r.push_attempts, r.total_infected) << "more offers than acceptances";
+  EXPECT_GT(r.bluetooth_push_attempts, r.total_infected) << "more offers than acceptances";
   // Plateau bounded by the consent model: 200 x 0.8 x 0.40 = 64.
   EXPECT_LE(r.total_infected, 80u);
+  EXPECT_EQ(r.gateway.messages_submitted, 0u) << "targeting 'none' has no MMS arm";
 }
 
-TEST(BluetoothSimulation, DeterministicGivenSeed) {
-  BluetoothScenarioConfig config = small_bluetooth();
-  BluetoothReplicationResult a = BluetoothSimulation(config, 42).run();
-  BluetoothReplicationResult b = BluetoothSimulation(config, 42).run();
+TEST(BluetoothWorm, DeterministicGivenSeed) {
+  core::ScenarioConfig config = small_bluetooth();
+  core::ReplicationResult a = core::Simulation(config, 42).run();
+  core::ReplicationResult b = core::Simulation(config, 42).run();
   EXPECT_EQ(a.total_infected, b.total_infected);
-  EXPECT_EQ(a.push_attempts, b.push_attempts);
+  EXPECT_EQ(a.bluetooth_push_attempts, b.bluetooth_push_attempts);
 }
 
-TEST(BluetoothSimulation, SparserWorldSpreadsSlower) {
-  BluetoothScenarioConfig dense = small_bluetooth();  // 7x7: ~4 phones/cell
-  BluetoothScenarioConfig sparse = small_bluetooth();
-  sparse.grid_width = 25;
-  sparse.grid_height = 25;  // 0.32 phones/cell: encounters are rare
-  BluetoothExperimentResult dense_result = run_bluetooth_experiment(dense, 4, 9);
-  BluetoothExperimentResult sparse_result = run_bluetooth_experiment(sparse, 4, 9);
+TEST(BluetoothWorm, SparserWorldSpreadsSlower) {
+  core::ScenarioConfig dense = small_bluetooth();  // 7x7: ~4 phones/cell
+  core::ScenarioConfig sparse = small_bluetooth();
+  sparse.proximity->grid_width = 25;
+  sparse.proximity->grid_height = 25;  // 0.32 phones/cell: encounters are rare
+  core::ExperimentResult dense_result = run_bluetooth(dense, 4, 9);
+  core::ExperimentResult sparse_result = run_bluetooth(sparse, 4, 9);
   // Compare early-growth speed (time to half the consent plateau of
   // 64): the final levels converge once both saturate, but a sparse
   // world takes distinctly longer to get there.
@@ -163,41 +187,65 @@ TEST(BluetoothSimulation, SparserWorldSpreadsSlower) {
       << "proximity spread is density-limited";
 }
 
-TEST(BluetoothSimulation, EducationLowersThePlateau) {
-  BluetoothScenarioConfig config = small_bluetooth();
-  BluetoothExperimentResult base = run_bluetooth_experiment(config, 4, 10);
+TEST(BluetoothWorm, EducationLowersThePlateau) {
+  core::ScenarioConfig config = small_bluetooth();
+  core::ExperimentResult base = run_bluetooth(config, 4, 10);
   response::UserEducationConfig education;
   education.eventual_acceptance = 0.10;
-  config.user_education = education;
-  BluetoothExperimentResult educated = run_bluetooth_experiment(config, 4, 10);
+  config.responses.user_education = education;
+  core::ExperimentResult educated = run_bluetooth(config, 4, 10);
   EXPECT_LT(educated.final_infections.mean(), 0.6 * base.final_infections.mean());
 }
 
-TEST(BluetoothSimulation, ImmunizationStopsTheWorm) {
-  BluetoothScenarioConfig config = small_bluetooth();
-  BluetoothExperimentResult base = run_bluetooth_experiment(config, 4, 11);
-  BluetoothImmunizationConfig immunization;
-  immunization.detection_time = SimTime::hours(6.0);
-  immunization.development_time = SimTime::hours(6.0);
-  immunization.deployment_duration = SimTime::hours(1.0);
-  config.immunization = immunization;
-  BluetoothExperimentResult patched = run_bluetooth_experiment(config, 4, 11);
+TEST(BluetoothWorm, ImmunizationStopsTheWorm) {
+  core::ScenarioConfig config = small_bluetooth();
+  core::ExperimentResult base = run_bluetooth(config, 4, 11);
+  set_patch_cycle(config, SimTime::hours(6.0), SimTime::hours(6.0), SimTime::hours(1.0));
+  core::ExperimentResult patched = run_bluetooth(config, 4, 11);
   EXPECT_LT(patched.final_infections.mean(), 0.8 * base.final_infections.mean());
   // After the rollout the curve must be flat: compare day 3 to final.
   EXPECT_NEAR(patched.curve.mean_at(SimTime::days(3.0)), patched.curve.final_mean(), 1.0);
 }
 
-TEST(BluetoothSimulation, RunTwiceThrows) {
-  BluetoothSimulation sim(small_bluetooth(), 1);
+TEST(BluetoothWorm, RunTwiceThrows) {
+  core::Simulation sim(small_bluetooth(), 1);
   (void)sim.run();
   EXPECT_THROW((void)sim.run(), std::logic_error);
 }
 
 TEST(BluetoothExperiment, AggregatesReplications) {
-  BluetoothExperimentResult result = run_bluetooth_experiment(small_bluetooth(), 3, 5);
+  core::ExperimentResult result = run_bluetooth(small_bluetooth(), 3, 5);
   EXPECT_EQ(result.curve.replication_count(), 3u);
   EXPECT_EQ(result.final_infections.count(), 3u);
-  EXPECT_THROW((void)run_bluetooth_experiment(small_bluetooth(), 0, 5), std::invalid_argument);
+  EXPECT_THROW((void)run_bluetooth(small_bluetooth(), 0, 5), std::invalid_argument);
+}
+
+// Analytic oracle (the well-mixed limit of Merler & Jurman's contact
+// process): on a 1x1 grid every phone is in radio range of every other,
+// so once each susceptible phone has been offered the worm past its
+// decision cutoff, each of the 799 susceptibles besides patient zero
+// has accepted with exactly the consent model's eventual probability,
+// 1 - prod_n (1 - AF/2^n). Ten-minute scans and a 5-day horizon give
+// every phone hundreds of offers; the 1000-day dwell only keeps the
+// (irrelevant) movement events out of the run.
+TEST(BluetoothWorm, WellMixedLimitMatchesConsentIdentity) {
+  core::ScenarioConfig config = core::bluetooth_worm_scenario();
+  config.proximity->grid_width = 1;
+  config.proximity->grid_height = 1;
+  config.proximity->dwell_mean = SimTime::days(1000.0);
+  config.proximity->scan_interval_mean = SimTime::minutes(10.0);
+  config.horizon = SimTime::days(5.0);
+  constexpr int kReps = 20;
+  core::ExperimentResult result = run_bluetooth(config, kReps, 0x0BAC1E);
+
+  const double eventual =
+      phone::ConsentModel(phone::kPaperAcceptanceFactor).eventual_acceptance_probability();
+  const double expected = 1.0 + 799.0 * eventual;
+  EXPECT_NEAR(expected, 320.0, 1.0);
+  const double standard_error =
+      result.final_infections.stddev() / std::sqrt(static_cast<double>(kReps));
+  EXPECT_NEAR(result.final_infections.mean(), expected, 3.0 * standard_error);
+  EXPECT_GT(standard_error, 0.0);
 }
 
 }  // namespace

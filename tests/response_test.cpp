@@ -297,6 +297,39 @@ TEST(Immunization, NoDetectionMeansNoPatches) {
   EXPECT_FALSE(immunization.deployment_started());
 }
 
+TEST(Immunization, FixedDetectionTimeIgnoresTheCrossing) {
+  des::Scheduler scheduler;
+  rng::Stream stream(10);
+  DetectabilityMonitor monitor(1);
+  ImmunizationConfig config;
+  config.detection_time = SimTime::hours(10.0);
+  config.development_time = SimTime::hours(2.0);
+  config.deployment_duration = SimTime::zero();
+  int patched = 0;
+  std::vector<net::PhoneId> targets = {0, 1, 2};
+  Immunization immunization(config);
+  EXPECT_EQ(immunization.subscribed_hooks(), hook::kNone);
+  BuildContext build;
+  build.scheduler = &scheduler;
+  build.response_stream = &stream;
+  build.patch_targets = &targets;
+  build.apply_patch = [&](net::PhoneId) { ++patched; };
+  immunization.on_build(build);
+  // A gateway crossing at t=0 would start development at once; with an
+  // out-of-band detection time it changes nothing.
+  immunization.on_detectability_crossed(SimTime::zero());
+  scheduler.run_until(SimTime::hours(11.9));
+  EXPECT_EQ(patched, 0);
+  scheduler.run_until(SimTime::hours(12.0));
+  EXPECT_EQ(patched, 3);
+  EXPECT_EQ(immunization.deployment_begins_at(), SimTime::hours(12.0));
+  scheduler.run_until(SimTime::days(5.0));
+  EXPECT_EQ(immunization.patches_applied(), 3u) << "one rollout, not two";
+
+  config.detection_time = SimTime::hours(-1.0);
+  EXPECT_FALSE(config.validate().ok());
+}
+
 TEST(Immunization, BuildRequiresCallbackAndTargets) {
   des::Scheduler scheduler;
   rng::Stream stream(9);
