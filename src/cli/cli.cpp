@@ -6,12 +6,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
+#include <variant>
 
 #include "analysis/diminishing_returns.h"
 #include "analysis/param_registry.h"
@@ -54,13 +58,12 @@ usage:
                            Chrome trace JSON, loadable in Perfetto)
       --trace-rep N        which replication to trace (default 0)
       --trace-cap N        trace event capacity (default 1048576; 0 = unbounded)
-      --profile PATH       time the event loop: write a per-event-type wall-clock
-                           profile as JSON ('-' = stdout; results bit-identical,
-                           see docs/observability.md)
+      --profile PATH       time the event loop and write the --metrics JSON report
+                           with its prof.* wall-clock histograms ('-' = stdout;
+                           results bit-identical; read it with profile-analyze)
       --shards N           partition the contact graph and run each replication on
                            N cooperating shard schedulers (default 1 = the serial
                            engine; N >= 2 changes results — see docs/parallelism.md;
-                           composes with --trace, --profile and --stats-stream;
                            proximity scenarios are rejected)
       --shard-window MIN   synchronization window in simulated minutes (default:
                            the scenario's delivery_delay_mean; model-relevant,
@@ -68,18 +71,16 @@ usage:
       --shard-workers N    threads per sharded replication (default 0 = one per
                            shard; results identical for any value)
       --progress           live progress on stderr (replications done, events/sec,
-                           ETA; with --shards also per-window progress); observation-only
+                           ETA; with --shards also per-window progress)
       --stats-stream PATH  append live time-series telemetry as NDJSON ('-' =
                            stdout): infected/patched/blocked counts, events/sec,
-                           queue depths, per-shard barrier waits; observation-only
-                           (schema in docs/observability.md)
+                           queue depths, per-shard barrier waits
       --stats-period MIN   simulated minutes between stats samples (default 30;
                            sharded runs sample at the first window barrier at or
                            past each mark)
       --manifest PATH      write the run manifest as JSON ('-' = stdout): scenario
                            content hash, seed, build provenance, wall-clock phases,
                            peak RSS, artifact paths and the outcome block
-                           (schema in docs/observability.md)
       --ledger PATH        append the manifest as one NDJSON line to an experiment
                            ledger (append-safe under concurrent runs)
       --quiet              suppress the human-readable summary
@@ -108,7 +109,8 @@ usage:
                            transmission-tree report from a --trace export
                            (generations, effective R, per-mechanism blocks)
   mvsim profile-analyze <file> [--top N]
-                           "where the time goes" report from a --profile export
+                           "where the time goes" report from the --profile (or
+                           --metrics) report of a profiled run
   mvsim preset <name>      print a preset scenario as JSON (edit & rerun)
   mvsim presets            list available presets
   mvsim mechanisms         list available response mechanisms (scenario "responses" keys)
@@ -117,180 +119,107 @@ usage:
   mvsim help               this text
 )";
 
-struct RunOptions {
-  std::string target;
-  int replications = 10;
-  std::uint64_t seed = 0xDEADBEEFULL;
-  int threads = 0;
-  std::string curve_csv;
-  std::string summary_json;
-  std::string metrics_path;
-  std::string trace_path;
-  int trace_replication = 0;
-  std::size_t trace_capacity = trace::TraceBuffer::kDefaultCapacity;
-  std::string profile_path;
-  std::uint32_t shards = 1;
-  double shard_window_minutes = 0.0;  // 0 = scenario delivery_delay_mean
-  int shard_workers = 0;
-  bool progress = false;
-  std::string stats_stream_path;
-  double stats_period_minutes = 30.0;
-  std::string manifest_path;
-  std::string ledger_path;
-  bool quiet = false;
+bool parse_double(const std::string& text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text.c_str(), &end);
+  return !text.empty() && end == text.c_str() + text.size();
+}
+
+/// One row of a verb's flag table. The target's type is the flag's
+/// kind: bool* is a switch (takes no value), std::string* keeps the
+/// value verbatim, an integer target takes an integer in [min, max],
+/// and double* takes a positive number (below `below` when that is
+/// nonzero). A rejected value prints "NAME: expected EXPECTED, got 'V'".
+struct Flag {
+  std::string_view name;
+  std::variant<bool*, std::string*, double*, int*, std::uint32_t*, std::uint64_t*> target;
+  const char* expected = "";
+  std::uint64_t min = 0;
+  std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  double below = 0.0;
 };
 
-bool parse_u64(const std::string& text, std::uint64_t& out) {
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc() && ptr == text.data() + text.size();
+Flag reps_flag(int& target) { return {"--reps", &target, "a positive integer", 1, 100000}; }
+Flag seed_flag(std::uint64_t& target) { return {"--seed", &target, "an integer"}; }
+Flag threads_flag(int& target) {
+  return {"--threads", &target, "an integer in [0, 1024]", 0, 1024};
+}
+Flag knee_fraction_flag(double& target) {
+  return {.name = "--knee-fraction", .target = &target, .expected = "a fraction in (0, 1)",
+          .below = 1.0};
 }
 
-bool looks_like_file(const std::string& target) {
-  return target.find('.') != std::string::npos || target.find('/') != std::string::npos;
+bool assign(const Flag& flag, const std::string& text) {
+  return std::visit(
+      [&](auto* target) {
+        using T = std::remove_pointer_t<decltype(target)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          *target = true;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          *target = text;
+        } else if constexpr (std::is_same_v<T, double>) {
+          double value = 0.0;
+          if (!parse_double(text, value) || !(value > 0.0) ||
+              (flag.below > 0.0 && value >= flag.below)) {
+            return false;
+          }
+          *target = value;
+        } else {
+          std::uint64_t value = 0;
+          const char* end = text.data() + text.size();
+          const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+          if (ec != std::errc() || ptr != end || value < flag.min || value > flag.max) {
+            return false;
+          }
+          *target = static_cast<T>(value);
+        }
+        return true;
+      },
+      flag.target);
 }
 
-int parse_run_options(const std::vector<std::string>& args, RunOptions& options,
-                      std::ostream& err) {
-  if (args.empty()) {
-    err << "run: missing scenario file or preset name\n";
-    return 1;
-  }
-  options.target = args[0];
-  for (std::size_t i = 1; i < args.size(); ++i) {
+/// Parses args[first..] against `flags`. Arguments that name no flag go
+/// to `positional`; a verb without positional arguments (nullptr)
+/// rejects them as "VERB: unknown option". Returns 0 or exit code 1.
+int parse_flags(const std::vector<std::string>& args, std::size_t first,
+                std::span<const Flag> flags, std::vector<std::string>* positional,
+                std::string_view verb, std::ostream& err) {
+  for (std::size_t i = first; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    auto next = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        err << flag << ": missing value\n";
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    if (arg == "--reps") {
-      const std::string* v = next("--reps");
-      if (v == nullptr) return 1;
-      std::uint64_t reps = 0;
-      if (!parse_u64(*v, reps) || reps == 0 || reps > 100000) {
-        err << "--reps: expected a positive integer, got '" << *v << "'\n";
+    const auto flag = std::find_if(flags.begin(), flags.end(),
+                                   [&](const Flag& f) { return f.name == arg; });
+    if (flag == flags.end()) {
+      if (positional == nullptr) {
+        err << verb << ": unknown option '" << arg << "'\n";
         return 1;
       }
-      options.replications = static_cast<int>(reps);
-    } else if (arg == "--seed") {
-      const std::string* v = next("--seed");
-      if (v == nullptr) return 1;
-      if (!parse_u64(*v, options.seed)) {
-        err << "--seed: expected an integer, got '" << *v << "'\n";
-        return 1;
-      }
-    } else if (arg == "--threads") {
-      const std::string* v = next("--threads");
-      if (v == nullptr) return 1;
-      std::uint64_t threads = 0;
-      if (!parse_u64(*v, threads) || threads > 1024) {
-        err << "--threads: expected an integer in [0, 1024], got '" << *v << "'\n";
-        return 1;
-      }
-      options.threads = static_cast<int>(threads);
-    } else if (arg == "--curve-csv") {
-      const std::string* v = next("--curve-csv");
-      if (v == nullptr) return 1;
-      options.curve_csv = *v;
-    } else if (arg == "--summary-json") {
-      const std::string* v = next("--summary-json");
-      if (v == nullptr) return 1;
-      options.summary_json = *v;
-    } else if (arg == "--metrics") {
-      const std::string* v = next("--metrics");
-      if (v == nullptr) return 1;
-      options.metrics_path = *v;
-    } else if (arg == "--trace") {
-      const std::string* v = next("--trace");
-      if (v == nullptr) return 1;
-      options.trace_path = *v;
-    } else if (arg == "--trace-rep") {
-      const std::string* v = next("--trace-rep");
-      if (v == nullptr) return 1;
-      std::uint64_t rep = 0;
-      if (!parse_u64(*v, rep) || rep > 100000) {
-        err << "--trace-rep: expected a replication index, got '" << *v << "'\n";
-        return 1;
-      }
-      options.trace_replication = static_cast<int>(rep);
-    } else if (arg == "--trace-cap") {
-      const std::string* v = next("--trace-cap");
-      if (v == nullptr) return 1;
-      std::uint64_t cap = 0;
-      if (!parse_u64(*v, cap)) {
-        err << "--trace-cap: expected an event count (0 = unbounded), got '" << *v << "'\n";
-        return 1;
-      }
-      options.trace_capacity =
-          cap == 0 ? std::numeric_limits<std::size_t>::max() : static_cast<std::size_t>(cap);
-    } else if (arg == "--profile") {
-      const std::string* v = next("--profile");
-      if (v == nullptr) return 1;
-      options.profile_path = *v;
-    } else if (arg == "--shards") {
-      const std::string* v = next("--shards");
-      if (v == nullptr) return 1;
-      std::uint64_t shards = 0;
-      if (!parse_u64(*v, shards) || shards == 0 || shards > 4096) {
-        err << "--shards: expected an integer in [1, 4096], got '" << *v << "'\n";
-        return 1;
-      }
-      options.shards = static_cast<std::uint32_t>(shards);
-    } else if (arg == "--shard-window") {
-      const std::string* v = next("--shard-window");
-      if (v == nullptr) return 1;
-      char* end = nullptr;
-      double minutes = std::strtod(v->c_str(), &end);
-      if (end != v->c_str() + v->size() || v->empty() || !(minutes > 0.0)) {
-        err << "--shard-window: expected a positive number of simulated minutes, got '" << *v
-            << "'\n";
-        return 1;
-      }
-      options.shard_window_minutes = minutes;
-    } else if (arg == "--shard-workers") {
-      const std::string* v = next("--shard-workers");
-      if (v == nullptr) return 1;
-      std::uint64_t workers = 0;
-      if (!parse_u64(*v, workers) || workers > 1024) {
-        err << "--shard-workers: expected an integer in [0, 1024], got '" << *v << "'\n";
-        return 1;
-      }
-      options.shard_workers = static_cast<int>(workers);
-    } else if (arg == "--progress") {
-      options.progress = true;
-    } else if (arg == "--stats-stream") {
-      const std::string* v = next("--stats-stream");
-      if (v == nullptr) return 1;
-      options.stats_stream_path = *v;
-    } else if (arg == "--stats-period") {
-      const std::string* v = next("--stats-period");
-      if (v == nullptr) return 1;
-      char* end = nullptr;
-      double minutes = std::strtod(v->c_str(), &end);
-      if (end != v->c_str() + v->size() || v->empty() || !(minutes > 0.0)) {
-        err << "--stats-period: expected a positive number of simulated minutes, got '" << *v
-            << "'\n";
-        return 1;
-      }
-      options.stats_period_minutes = minutes;
-    } else if (arg == "--manifest") {
-      const std::string* v = next("--manifest");
-      if (v == nullptr) return 1;
-      options.manifest_path = *v;
-    } else if (arg == "--ledger") {
-      const std::string* v = next("--ledger");
-      if (v == nullptr) return 1;
-      options.ledger_path = *v;
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else {
-      err << "run: unknown option '" << arg << "'\n";
+      positional->push_back(arg);
+    } else if (std::holds_alternative<bool*>(flag->target)) {
+      assign(*flag, arg);
+    } else if (i + 1 >= args.size()) {
+      err << arg << ": missing value\n";
+      return 1;
+    } else if (!assign(*flag, args[++i])) {
+      err << arg << ": expected " << flag->expected << ", got '" << args[i] << "'\n";
       return 1;
     }
   }
   return 0;
+}
+
+/// RunnerOptions with the CLI's defaults: 10 replications, seed
+/// 0xDEADBEEF, all cores, per-replication results not kept.
+core::RunnerOptions cli_runner() {
+  core::RunnerOptions runner;
+  runner.replications = 10;
+  runner.master_seed = 0xDEADBEEFULL;
+  runner.threads = 0;
+  runner.keep_replications = false;
+  return runner;
+}
+
+bool looks_like_file(const std::string& target) {
+  return target.find('.') != std::string::npos || target.find('/') != std::string::npos;
 }
 
 int resolve_scenario(const std::string& target, core::ScenarioConfig& config,
@@ -313,22 +242,20 @@ int resolve_scenario(const std::string& target, core::ScenarioConfig& config,
   }
 }
 
-int write_to(const std::string& path, const std::string& content, std::ostream& out,
-             std::ostream& err) {
+/// Renders into `path` ('-' = `out`). An unopenable path or a failed
+/// write (disk full, stream error mid-write) reports and returns 2.
+int write_to(const std::string& path, const std::function<void(std::ostream&)>& render,
+             std::ostream& out, std::ostream& err) {
   if (path == "-") {
-    out << content;
+    render(out);
     return 0;
   }
   std::ofstream file(path);
-  if (!file) {
-    err << "cannot write '" << path << "'\n";
-    return 2;
+  if (file) {
+    render(file);
+    file.flush();
   }
-  file << content;
-  file.flush();
   if (!file) {
-    // Opened but the write failed (disk full, stream error mid-write):
-    // same contract as an unopenable path — report and fail.
     err << "cannot write '" << path << "'\n";
     return 2;
   }
@@ -357,8 +284,21 @@ int probe_writable(const std::string& path, std::ostream& err) {
   return 0;
 }
 
-/// Renders ProgressUpdate lines on `err` as a carriage-return ticker;
-/// call finish() (newline) before printing anything else to `err`.
+/// Opens a live NDJSON sink ('-' = `out`) before the run starts, so an
+/// unwritable path fails fast instead of after minutes of simulation.
+/// nullptr after reporting the path.
+std::ostream* open_stream(const std::string& path, std::ofstream& file, std::ostream& out,
+                          std::ostream& err) {
+  if (path == "-") return &out;
+  file.open(path);
+  if (file) return &file;
+  err << "cannot write '" << path << "'\n";
+  return nullptr;
+}
+
+/// Renders a single experiment's ProgressUpdate lines on `err` as a
+/// carriage-return ticker; call finish() (newline) before printing
+/// anything else to `err`.
 class ProgressTicker {
  public:
   explicit ProgressTicker(std::ostream& err) : err_(&err) {}
@@ -381,11 +321,6 @@ class ProgressTicker {
                     update.label.c_str(), update.replications_done, update.replications_total,
                     update.window_fraction * 100.0, update.shards, update.events_per_sec,
                     update.eta_seconds);
-    } else if (update.config_count > 1) {
-      std::snprintf(line, sizeof line, "\r[%d/%d] %s: rep %d/%d, %.0f ev/s, ETA %.1fs   ",
-                    update.config_index + 1, update.config_count, update.label.c_str(),
-                    update.replications_done, update.replications_total, update.events_per_sec,
-                    update.eta_seconds);
     } else {
       std::snprintf(line, sizeof line, "\r%s: rep %d/%d, %.0f ev/s, ETA %.1fs   ",
                     update.label.c_str(), update.replications_done, update.replications_total,
@@ -405,173 +340,180 @@ class ProgressTicker {
   bool ticked_ = false;
 };
 
-/// JSONL for '-' (streams line by line) and .jsonl paths; Chrome trace
-/// JSON for everything else.
-bool trace_path_is_jsonl(const std::string& path) {
-  if (path == "-") return true;
-  constexpr std::string_view kExt = ".jsonl";
-  return path.size() >= kExt.size() &&
-         path.compare(path.size() - kExt.size(), kExt.size(), kExt) == 0;
-}
+/// One file `mvsim run` writes after the simulation: the manifest
+/// artifact kind, the path (empty = not requested) and its renderer.
+struct Artifact {
+  const char* kind;
+  const std::string& path;
+  std::function<void(const core::ExperimentResult&, std::ostream&)> render;
+};
 
 int command_run(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
-  RunOptions options;
-  if (int rc = parse_run_options(args, options, err); rc != 0) return rc;
-
-  core::ScenarioConfig scenario;
-  if (int rc = resolve_scenario(options.target, scenario, err); rc != 0) return rc;
-  const std::string scenario_hash = scenario_hash_of(scenario);
-
-  // Manifest and ledger are written after the run; probe their paths
-  // now so a typo'd directory fails in milliseconds, not minutes.
-  if (int rc = probe_writable(options.manifest_path, err); rc != 0) return rc;
-  if (int rc = probe_writable(options.ledger_path, err); rc != 0) return rc;
-
-  if (options.trace_replication >= options.replications) {
-    err << "--trace-rep: replication " << options.trace_replication << " does not exist (only "
-        << options.replications << " replication(s))\n";
+  if (args.empty()) {
+    err << "run: missing scenario file or preset name\n";
     return 1;
   }
+  core::RunnerOptions runner = cli_runner();
+  std::string curve_csv, summary_json, metrics_path, trace_path, profile_path;
+  std::string stats_stream_path, manifest_path, ledger_path;
+  std::uint64_t trace_capacity = trace::TraceBuffer::kDefaultCapacity;  // 0 = unbounded
+  double shard_window_minutes = 0.0;  // 0 = scenario delivery_delay_mean
+  double stats_period_minutes = 30.0;
+  bool progress = false;
+  bool quiet = false;
+  const Flag flags[] = {
+      reps_flag(runner.replications),
+      seed_flag(runner.master_seed),
+      threads_flag(runner.threads),
+      {"--curve-csv", &curve_csv},
+      {"--summary-json", &summary_json},
+      {"--metrics", &metrics_path},
+      {"--trace", &trace_path},
+      {"--trace-rep", &runner.trace_replication, "a replication index", 0, 100000},
+      {"--trace-cap", &trace_capacity, "an event count (0 = unbounded)"},
+      {"--profile", &profile_path},
+      {"--shards", &runner.shards, "an integer in [1, 4096]", 1, 4096},
+      {"--shard-window", &shard_window_minutes, "a positive number of simulated minutes"},
+      {"--shard-workers", &runner.shard_workers, "an integer in [0, 1024]", 0, 1024},
+      {"--progress", &progress},
+      {"--stats-stream", &stats_stream_path},
+      {"--stats-period", &stats_period_minutes, "a positive number of simulated minutes"},
+      {"--manifest", &manifest_path},
+      {"--ledger", &ledger_path},
+      {"--quiet", &quiet},
+  };
+  if (int rc = parse_flags(args, 1, flags, nullptr, "run", err); rc != 0) return rc;
+  if (runner.trace_replication >= runner.replications) {
+    err << "--trace-rep: replication " << runner.trace_replication << " does not exist (only "
+        << runner.replications << " replication(s))\n";
+    return 1;
+  }
+
+  core::ScenarioConfig scenario;
+  if (int rc = resolve_scenario(args[0], scenario, err); rc != 0) return rc;
+  const std::string scenario_hash = scenario_hash_of(scenario);
+
   std::unique_ptr<trace::TraceBuffer> trace_buffer;
-  core::RunnerOptions runner;
-  runner.replications = options.replications;
-  runner.master_seed = options.seed;
-  runner.keep_replications = false;
-  runner.threads = options.threads;
-  if (!options.trace_path.empty()) {
-    trace_buffer = std::make_unique<trace::TraceBuffer>(options.trace_capacity);
+  metrics::ReportInfo info{scenario.name, runner.replications, 0, runner.master_seed};
+  const auto json_report = [&](const core::ExperimentResult& result, std::ostream& os) {
+    os << json::stringify(metrics::report_to_json(info, result.metrics), 2) << '\n';
+  };
+  const Artifact artifacts[] = {
+      {"summary-json", summary_json,
+       [&](const core::ExperimentResult& result, std::ostream& os) {
+         os << json::stringify(config::results_to_json(scenario, result), 2) << '\n';
+       }},
+      {"curve-csv", curve_csv,
+       [](const core::ExperimentResult& result, std::ostream& os) {
+         config::write_curve_csv(result, os);
+       }},
+      {"metrics", metrics_path,
+       [&](const core::ExperimentResult& result, std::ostream& os) {
+         if (metrics_path.ends_with(".csv")) {
+           metrics::write_report_csv(info, result.metrics, os);
+         } else {
+           json_report(result, os);
+         }
+       }},
+      // The profile is the metrics report of a profiled run.
+      {"profile", profile_path, json_report},
+      {"trace", trace_path,
+       [&](const core::ExperimentResult&, std::ostream& os) {
+         // JSONL for '-' (streams line by line) and .jsonl paths;
+         // Chrome trace JSON for everything else.
+         if (trace_path == "-" || trace_path.ends_with(".jsonl")) {
+           trace::write_jsonl(*trace_buffer, os);
+         } else {
+           trace::write_chrome_trace(*trace_buffer, os);
+         }
+       }},
+  };
+  // Every output is written after the run; probe the paths now so a
+  // typo'd directory fails in milliseconds, not minutes.
+  for (const Artifact& artifact : artifacts) {
+    if (int rc = probe_writable(artifact.path, err); rc != 0) return rc;
+  }
+  if (int rc = probe_writable(manifest_path, err); rc != 0) return rc;
+  if (int rc = probe_writable(ledger_path, err); rc != 0) return rc;
+
+  if (!trace_path.empty()) {
+    trace_buffer = std::make_unique<trace::TraceBuffer>(
+        trace_capacity == 0 ? std::numeric_limits<std::size_t>::max()
+                            : static_cast<std::size_t>(trace_capacity));
     runner.trace = trace_buffer.get();
-    runner.trace_replication = options.trace_replication;
   }
-  runner.profile = !options.profile_path.empty();
-  runner.shards = options.shards;
-  if (options.shard_window_minutes > 0.0) {
-    runner.shard_window = SimTime::minutes(options.shard_window_minutes);
-  }
-  runner.shard_workers = options.shard_workers;
-  // The stream sink is opened (and its header written) before the run
-  // starts, so an unwritable path fails fast instead of after minutes
-  // of simulation.
+  runner.profile = !profile_path.empty();
+  if (shard_window_minutes > 0.0) runner.shard_window = SimTime::minutes(shard_window_minutes);
   std::ofstream stats_file;
   std::unique_ptr<obs::RunStream> stats_stream;
-  if (!options.stats_stream_path.empty()) {
-    std::ostream* sink = &out;
-    if (options.stats_stream_path != "-") {
-      stats_file.open(options.stats_stream_path);
-      if (!stats_file) {
-        err << "cannot write '" << options.stats_stream_path << "'\n";
-        return 2;
-      }
-      sink = &stats_file;
-    }
+  if (!stats_stream_path.empty()) {
+    std::ostream* sink = open_stream(stats_stream_path, stats_file, out, err);
+    if (sink == nullptr) return 2;
     stats_stream = std::make_unique<obs::RunStream>(*sink);
-    obs::StreamInfo stream_info;
-    stream_info.scenario = scenario.name;
-    stream_info.scenario_hash = scenario_hash;
-    stream_info.replications = options.replications;
-    stream_info.shards = options.shards;
-    stats_stream->write_header(stream_info);
+    stats_stream->write_header({scenario.name, scenario_hash, runner.replications, runner.shards});
     runner.stats_stream = stats_stream.get();
-    runner.stats_period = SimTime::minutes(options.stats_period_minutes);
+    runner.stats_period = SimTime::minutes(stats_period_minutes);
   }
   ProgressTicker ticker(err);
-  if (options.progress) {
+  if (progress) {
     runner.progress = [&ticker](const core::ProgressUpdate& update) { ticker(update); };
   }
   const auto run_started = std::chrono::steady_clock::now();
-  core::ExperimentResult result = core::run_experiment(scenario, runner);
+  const core::ExperimentResult result = core::run_experiment(scenario, runner);
   const auto run_finished = std::chrono::steady_clock::now();
   ticker.finish();
+  info.threads = result.threads_used;
 
-  std::vector<obs::ManifestArtifact> artifacts;
-  if (!options.stats_stream_path.empty()) {
-    artifacts.push_back({"stats-stream", options.stats_stream_path});
-  }
-
-  if (!options.quiet) {
+  if (!quiet) {
     out << "scenario: " << scenario.name << "\n"
-        << "replications: " << options.replications << " (seed " << options.seed << ")\n"
+        << "replications: " << runner.replications << " (seed " << runner.master_seed << ")\n"
         << "final infections: " << result.final_infections.mean() << " +/- "
         << result.final_infections.ci95_half_width() << " (expected unrestrained plateau "
         << scenario.expected_unrestrained_plateau() << ")\n"
         << "messages submitted: " << result.messages_submitted.mean()
         << ", blocked: " << result.messages_blocked.mean() << "\n";
   }
-  if (!options.summary_json.empty()) {
-    std::string text = json::stringify(config::results_to_json(scenario, result), 2) + "\n";
-    if (int rc = write_to(options.summary_json, text, out, err); rc != 0) return rc;
-    artifacts.push_back({"summary-json", options.summary_json});
+  std::vector<obs::ManifestArtifact> written;
+  if (!stats_stream_path.empty()) written.push_back({"stats-stream", stats_stream_path});
+  for (const Artifact& artifact : artifacts) {
+    if (artifact.path.empty()) continue;
+    const auto render = [&](std::ostream& os) { artifact.render(result, os); };
+    if (int rc = write_to(artifact.path, render, out, err); rc != 0) return rc;
+    written.push_back({artifact.kind, artifact.path});
   }
-  if (!options.curve_csv.empty()) {
-    std::ostringstream csv;
-    config::write_curve_csv(result, csv);
-    if (int rc = write_to(options.curve_csv, csv.str(), out, err); rc != 0) return rc;
-    artifacts.push_back({"curve-csv", options.curve_csv});
+  if (!quiet && trace_buffer != nullptr && trace_buffer->dropped() > 0) {
+    err << "trace: capacity " << trace_buffer->capacity() << " reached, dropped "
+        << trace_buffer->dropped() << " event(s); raise --trace-cap (0 = unbounded)\n";
   }
-  if (!options.metrics_path.empty()) {
-    metrics::ReportInfo info;
-    info.scenario = scenario.name;
-    info.replications = options.replications;
-    info.threads = result.threads_used;
-    info.master_seed = options.seed;
-    std::string text;
-    bool csv = options.metrics_path.size() >= 4 &&
-               options.metrics_path.compare(options.metrics_path.size() - 4, 4, ".csv") == 0;
-    if (csv) {
-      std::ostringstream report;
-      metrics::write_report_csv(info, result.metrics, report);
-      text = report.str();
-    } else {
-      text = json::stringify(metrics::report_to_json(info, result.metrics), 2) + "\n";
-    }
-    if (int rc = write_to(options.metrics_path, text, out, err); rc != 0) return rc;
-    artifacts.push_back({"metrics", options.metrics_path});
+  if (manifest_path.empty() && ledger_path.empty()) return 0;
+  core::ManifestInputs inputs;
+  inputs.scenario_hash = scenario_hash;
+  inputs.seed = runner.master_seed;
+  inputs.shards = runner.shards;
+  inputs.shard_window_min = shard_window_minutes;
+  inputs.phases.run_seconds = std::chrono::duration<double>(run_finished - run_started).count();
+  inputs.phases.write_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - run_finished).count();
+  inputs.artifacts = std::move(written);
+  const obs::RunManifest manifest = core::build_run_manifest(scenario, inputs, result);
+  if (!manifest_path.empty()) {
+    const auto render = [&](std::ostream& os) {
+      os << json::stringify(obs::to_json(manifest), 2) << '\n';
+    };
+    if (int rc = write_to(manifest_path, render, out, err); rc != 0) return rc;
   }
-  if (!options.profile_path.empty()) {
-    metrics::ReportInfo info;
-    info.scenario = scenario.name;
-    info.replications = options.replications;
-    info.threads = result.threads_used;
-    info.master_seed = options.seed;
-    std::string text = json::stringify(prof::profile_to_json(info, result.metrics), 2) + "\n";
-    if (int rc = write_to(options.profile_path, text, out, err); rc != 0) return rc;
-    artifacts.push_back({"profile", options.profile_path});
-  }
-  if (trace_buffer != nullptr) {
-    std::ostringstream text;
-    if (trace_path_is_jsonl(options.trace_path)) {
-      trace::write_jsonl(*trace_buffer, text);
-    } else {
-      trace::write_chrome_trace(*trace_buffer, text);
-    }
-    if (int rc = write_to(options.trace_path, text.str(), out, err); rc != 0) return rc;
-    artifacts.push_back({"trace", options.trace_path});
-    if (!options.quiet && trace_buffer->dropped() > 0) {
-      err << "trace: capacity " << trace_buffer->capacity() << " reached, dropped "
-          << trace_buffer->dropped() << " event(s); raise --trace-cap (0 = unbounded)\n";
-    }
-  }
-  if (!options.manifest_path.empty() || !options.ledger_path.empty()) {
-    core::ManifestInputs inputs;
-    inputs.scenario_hash = scenario_hash;
-    inputs.seed = options.seed;
-    inputs.shards = options.shards;
-    inputs.shard_window_min = options.shard_window_minutes;
-    inputs.phases.run_seconds = std::chrono::duration<double>(run_finished - run_started).count();
-    inputs.phases.write_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - run_finished).count();
-    inputs.artifacts = std::move(artifacts);
-    obs::RunManifest manifest = core::build_run_manifest(scenario, inputs, result);
-    if (!options.manifest_path.empty()) {
-      std::string text = json::stringify(obs::to_json(manifest), 2) + "\n";
-      if (int rc = write_to(options.manifest_path, text, out, err); rc != 0) return rc;
-    }
-    if (!options.ledger_path.empty() && !obs::append_to_ledger(options.ledger_path, manifest)) {
-      err << "cannot write '" << options.ledger_path << "'\n";
-      return 2;
-    }
+  if (!ledger_path.empty() && !obs::append_to_ledger(ledger_path, manifest)) {
+    err << "cannot write '" << ledger_path << "'\n";
+    return 2;
   }
   return 0;
+}
+
+void write_trace_report(const std::string& path, std::ostream& out) {
+  const trace::LoadedTrace loaded = trace::read_trace_file(path);
+  trace::TreeStats stats = trace::analyze(loaded.events);
+  stats.dropped = loaded.meta.dropped;
+  trace::write_report(stats, out);
 }
 
 int command_trace_analyze(const std::vector<std::string>& args, std::ostream& out,
@@ -581,10 +523,7 @@ int command_trace_analyze(const std::vector<std::string>& args, std::ostream& ou
     return 1;
   }
   try {
-    trace::LoadedTrace loaded = trace::read_trace_file(args[0]);
-    trace::TreeStats stats = trace::analyze(loaded.events);
-    stats.dropped = loaded.meta.dropped;
-    trace::write_report(stats, out);
+    write_trace_report(args[0], out);
     return 0;
   } catch (const std::exception& e) {
     err << e.what() << '\n';
@@ -592,36 +531,45 @@ int command_trace_analyze(const std::vector<std::string>& args, std::ostream& ou
   }
 }
 
+json::Value read_json_file(const std::string& path) {
+  std::ifstream file(path);
+  if (!file) throw std::runtime_error("cannot read '" + path + "'");
+  std::ostringstream text;
+  text << file.rdbuf();
+  return json::parse(text.str());
+}
+
+/// Reads a `--metrics` JSON report (a `--profile` file is one) back
+/// into its run identity and snapshot.
+metrics::Snapshot read_metrics_report(const std::string& path, metrics::ReportInfo& info) {
+  const json::Value doc = read_json_file(path);
+  const json::Object& root = doc.as_object();
+  if (root.find("schema_version") == nullptr) {
+    throw std::runtime_error("'" + path + "' is not an mvsim metrics report (no schema_version)");
+  }
+  info.scenario = root.at("scenario").as_string();
+  info.replications = static_cast<int>(root.at("replications").as_number());
+  info.threads = static_cast<int>(root.at("threads").as_number());
+  return metrics::snapshot_from_json(doc);
+}
+
 int command_profile_analyze(const std::vector<std::string>& args, std::ostream& out,
                             std::ostream& err) {
-  std::string path;
   int top_n = 0;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--top") {
-      if (i + 1 >= args.size()) {
-        err << "--top: missing value\n";
-        return 1;
-      }
-      std::uint64_t value = 0;
-      if (!parse_u64(args[i + 1], value) || value == 0 || value > 1000) {
-        err << "--top: expected a positive integer, got '" << args[i + 1] << "'\n";
-        return 1;
-      }
-      top_n = static_cast<int>(value);
-      ++i;
-    } else if (path.empty()) {
-      path = args[i];
-    } else {
-      err << "profile-analyze: unexpected argument '" << args[i] << "'\n";
-      return 1;
-    }
-  }
-  if (path.empty()) {
-    err << "profile-analyze: expected a profile file (from `mvsim run --profile`)\n";
+  std::vector<std::string> paths;
+  const Flag flags[] = {{"--top", &top_n, "a positive integer", 1, 1000}};
+  if (int rc = parse_flags(args, 0, flags, &paths, "profile-analyze", err); rc != 0) return rc;
+  if (paths.size() != 1) {
+    err << "profile-analyze: "
+        << (paths.empty() ? "expected the --profile or --metrics report of a profiled run"
+                          : "unexpected argument '" + paths[1] + "'")
+        << '\n';
     return 1;
   }
   try {
-    prof::write_profile_report(prof::read_profile_file(path), out, top_n);
+    metrics::ReportInfo info;
+    const metrics::Snapshot snapshot = read_metrics_report(paths[0], info);
+    prof::write_profile_report(info, snapshot, out, top_n);
     return 0;
   } catch (const std::exception& e) {
     err << e.what() << '\n';
@@ -632,68 +580,31 @@ int command_profile_analyze(const std::vector<std::string>& args, std::ostream& 
 int command_compare(const std::vector<std::string>& args, std::ostream& out,
                     std::ostream& err) {
   std::vector<std::string> targets;
-  int replications = 10;
-  std::uint64_t seed = 0xDEADBEEFULL;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--reps" || args[i] == "--seed") {
-      if (i + 1 >= args.size()) {
-        err << args[i] << ": missing value\n";
-        return 1;
-      }
-      std::uint64_t value = 0;
-      if (!parse_u64(args[i + 1], value)) {
-        err << args[i] << ": expected an integer, got '" << args[i + 1] << "'\n";
-        return 1;
-      }
-      if (args[i] == "--reps") {
-        if (value == 0) {
-          err << "--reps: must be positive\n";
-          return 1;
-        }
-        replications = static_cast<int>(value);
-      } else {
-        seed = value;
-      }
-      ++i;
-    } else {
-      targets.push_back(args[i]);
-    }
-  }
+  core::RunnerOptions runner = cli_runner();
+  const Flag flags[] = {reps_flag(runner.replications), seed_flag(runner.master_seed)};
+  if (int rc = parse_flags(args, 0, flags, &targets, "compare", err); rc != 0) return rc;
   if (targets.size() < 2) {
     err << "compare: need at least two scenarios or presets\n";
     return 1;
   }
 
-  struct Row {
-    std::string name;
-    double final_mean;
-    double final_ci;
-    double messages;
-  };
-  std::vector<Row> rows;
+  // The table is printed only once every target has run.
+  std::string table = "scenario,final_infected,ci95,pct_of_first,messages_per_rep\n";
+  double baseline = 0.0;
   for (const std::string& target : targets) {
     core::ScenarioConfig scenario;
     if (int rc = resolve_scenario(target, scenario, err); rc != 0) return rc;
-    core::RunnerOptions runner;
-    runner.replications = replications;
-    runner.master_seed = seed;
-    runner.keep_replications = false;
-    runner.threads = 0;
-    core::ExperimentResult result = core::run_experiment(scenario, runner);
-    rows.push_back({scenario.name, result.final_infections.mean(),
-                    result.final_infections.ci95_half_width(),
-                    result.messages_submitted.mean()});
-  }
-
-  double baseline = rows.front().final_mean;
-  out << "scenario,final_infected,ci95,pct_of_first,messages_per_rep\n";
-  for (const Row& row : rows) {
+    const core::ExperimentResult result = core::run_experiment(scenario, runner);
+    const double final_mean = result.final_infections.mean();
+    if (&target == &targets.front()) baseline = final_mean;
     char line[256];
-    std::snprintf(line, sizeof line, "%s,%.1f,%.1f,%.1f%%,%.0f\n", row.name.c_str(),
-                  row.final_mean, row.final_ci,
-                  baseline > 0.0 ? 100.0 * row.final_mean / baseline : 0.0, row.messages);
-    out << line;
+    std::snprintf(line, sizeof line, "%s,%.1f,%.1f,%.1f%%,%.0f\n", scenario.name.c_str(),
+                  final_mean, result.final_infections.ci95_half_width(),
+                  baseline > 0.0 ? 100.0 * final_mean / baseline : 0.0,
+                  result.messages_submitted.mean());
+    table += line;
   }
+  out << table;
   return 0;
 }
 
@@ -753,12 +664,6 @@ int command_validate(const std::vector<std::string>& args, std::ostream& out,
   }
 }
 
-bool parse_double(const std::string& text, double& out) {
-  char* end = nullptr;
-  out = std::strtod(text.c_str(), &end);
-  return !text.empty() && end == text.c_str() + text.size();
-}
-
 /// Formats a sweep value the way per-point scenario names embed it
 /// (compact, round-trippable for the ladders the paper uses).
 std::string format_value(double value) {
@@ -797,88 +702,31 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
     err << "sweep: missing scenario file or preset name\n";
     return 1;
   }
-  const std::string target = args[0];
   std::string param_name;
-  std::vector<double> values;
-  int replications = 10;
-  std::uint64_t seed = 0xDEADBEEFULL;
-  int threads = 0;
+  std::string values_text;
+  core::RunnerOptions runner = cli_runner();
   std::string ledger_path;
   std::string stream_path;
   double knee_fraction = 0.2;
   bool progress = false;
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    auto next = [&](const char* flag) -> const std::string* {
-      if (i + 1 >= args.size()) {
-        err << flag << ": missing value\n";
-        return nullptr;
-      }
-      return &args[++i];
-    };
-    if (arg == "--param") {
-      const std::string* v = next("--param");
-      if (v == nullptr) return 1;
-      param_name = *v;
-    } else if (arg == "--values") {
-      const std::string* v = next("--values");
-      if (v == nullptr) return 1;
-      std::string token;
-      std::istringstream list(*v);
-      while (std::getline(list, token, ',')) {
-        double value = 0.0;
-        if (!parse_double(token, value)) {
-          err << "--values: expected comma-separated numbers, got '" << token << "'\n";
-          return 1;
-        }
-        values.push_back(value);
-      }
-    } else if (arg == "--reps") {
-      const std::string* v = next("--reps");
-      if (v == nullptr) return 1;
-      std::uint64_t reps = 0;
-      if (!parse_u64(*v, reps) || reps == 0 || reps > 100000) {
-        err << "--reps: expected a positive integer, got '" << *v << "'\n";
-        return 1;
-      }
-      replications = static_cast<int>(reps);
-    } else if (arg == "--seed") {
-      const std::string* v = next("--seed");
-      if (v == nullptr) return 1;
-      if (!parse_u64(*v, seed)) {
-        err << "--seed: expected an integer, got '" << *v << "'\n";
-        return 1;
-      }
-    } else if (arg == "--threads") {
-      const std::string* v = next("--threads");
-      if (v == nullptr) return 1;
-      std::uint64_t count = 0;
-      if (!parse_u64(*v, count) || count > 1024) {
-        err << "--threads: expected an integer in [0, 1024], got '" << *v << "'\n";
-        return 1;
-      }
-      threads = static_cast<int>(count);
-    } else if (arg == "--ledger") {
-      const std::string* v = next("--ledger");
-      if (v == nullptr) return 1;
-      ledger_path = *v;
-    } else if (arg == "--stream") {
-      const std::string* v = next("--stream");
-      if (v == nullptr) return 1;
-      stream_path = *v;
-    } else if (arg == "--knee-fraction") {
-      const std::string* v = next("--knee-fraction");
-      if (v == nullptr) return 1;
-      if (!parse_double(*v, knee_fraction) || !(knee_fraction > 0.0) || knee_fraction >= 1.0) {
-        err << "--knee-fraction: expected a fraction in (0, 1), got '" << *v << "'\n";
-        return 1;
-      }
-    } else if (arg == "--progress") {
-      progress = true;
-    } else {
-      err << "sweep: unknown option '" << arg << "'\n";
+  const Flag flags[] = {
+      {"--param", &param_name},       {"--values", &values_text},
+      reps_flag(runner.replications), seed_flag(runner.master_seed),
+      threads_flag(runner.threads),   {"--ledger", &ledger_path},
+      {"--stream", &stream_path},     knee_fraction_flag(knee_fraction),
+      {"--progress", &progress},
+  };
+  if (int rc = parse_flags(args, 1, flags, nullptr, "sweep", err); rc != 0) return rc;
+  std::vector<double> values;
+  std::string token;
+  std::istringstream list(values_text);
+  while (std::getline(list, token, ',')) {
+    double value = 0.0;
+    if (!parse_double(token, value)) {
+      err << "--values: expected comma-separated numbers, got '" << token << "'\n";
       return 1;
     }
+    values.push_back(value);
   }
   if (param_name.empty()) {
     err << "sweep: --param is required (see `mvsim sweep --list-params`)\n";
@@ -898,37 +746,18 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
   }
 
   core::ScenarioConfig base;
-  if (int rc = resolve_scenario(target, base, err); rc != 0) return rc;
-  const std::string base_hash = scenario_hash_of(base);
+  if (int rc = resolve_scenario(args[0], base, err); rc != 0) return rc;
   if (int rc = probe_writable(ledger_path, err); rc != 0) return rc;
 
   std::ofstream stream_file;
   std::unique_ptr<obs::SweepStream> stream;
   if (!stream_path.empty()) {
-    std::ostream* sink = &out;
-    if (stream_path != "-") {
-      stream_file.open(stream_path);
-      if (!stream_file) {
-        err << "cannot write '" << stream_path << "'\n";
-        return 2;
-      }
-      sink = &stream_file;
-    }
+    std::ostream* sink = open_stream(stream_path, stream_file, out, err);
+    if (sink == nullptr) return 2;
     stream = std::make_unique<obs::SweepStream>(*sink);
-    obs::SweepStreamHeader header;
-    header.parameter = param_name;
-    header.scenario = base.name;
-    header.scenario_hash = base_hash;
-    header.points = static_cast<int>(values.size());
-    header.replications = replications;
-    stream->write_header(header);
+    stream->write_header({param_name, base.name, scenario_hash_of(base),
+                          static_cast<int>(values.size()), runner.replications});
   }
-
-  core::RunnerOptions runner;
-  runner.replications = replications;
-  runner.master_seed = seed;
-  runner.keep_replications = false;
-  runner.threads = threads;
 
   auto make_scenario = [&](double value) {
     core::ScenarioConfig scenario = base;
@@ -941,51 +770,36 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
   std::string ledger_error;
   analysis::SweepHooks hooks;
   hooks.point_started = [&](std::size_t index, std::size_t count, double value,
-                            const core::ScenarioConfig& config) {
-    (void)config;
+                            const core::ScenarioConfig&) {
     if (progress) {
       err << "[" << index + 1 << "/" << count << "] " << param_name << " = "
           << format_value(value) << "...\n";
     }
     if (stream != nullptr) {
-      obs::SweepPointRecord record;
-      record.type = "point-started";
-      record.index = static_cast<int>(index);
-      record.count = static_cast<int>(count);
-      record.value = value;
-      stream->write_point(record);
+      stream->write_point({"point-started", static_cast<int>(index), static_cast<int>(count),
+                           value});
     }
   };
   hooks.point_finished = [&](std::size_t index, std::size_t count, double value,
                              const core::ScenarioConfig& config,
                              const core::ExperimentResult& result, double wall_seconds) {
+    const int i = static_cast<int>(index);
+    const int n = static_cast<int>(count);
     if (stream != nullptr) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_started)
-              .count();
-      obs::SweepPointRecord record;
-      record.type = "point-finished";
-      record.index = static_cast<int>(index);
-      record.count = static_cast<int>(count);
-      record.value = value;
-      record.wall_seconds = wall_seconds;
-      record.eta_seconds =
-          elapsed / static_cast<double>(index + 1) * static_cast<double>(count - index - 1);
-      record.final_infected_mean = result.final_infections.mean();
-      record.total_events = result.metrics.counter_value("des.events_executed");
-      stream->write_point(record);
+      const std::chrono::duration<double> elapsed =
+          std::chrono::steady_clock::now() - sweep_started;
+      stream->write_point({.type = "point-finished", .index = i, .count = n, .value = value,
+                           .wall_seconds = wall_seconds,
+                           .eta_seconds = elapsed.count() / (i + 1) * (n - i - 1),
+                           .final_infected_mean = result.final_infections.mean(),
+                           .total_events = result.metrics.counter_value("des.events_executed")});
     }
     if (!ledger_path.empty() && ledger_error.empty()) {
       core::ManifestInputs inputs;
       inputs.scenario_hash = scenario_hash_of(config);
-      inputs.seed = seed;
+      inputs.seed = runner.master_seed;
       inputs.phases.run_seconds = wall_seconds;
-      obs::SweepInfo info;
-      info.parameter = param_name;
-      info.value = value;
-      info.index = static_cast<int>(index);
-      info.count = static_cast<int>(count);
-      inputs.sweep = std::move(info);
+      inputs.sweep = obs::SweepInfo{param_name, value, i, n};
       obs::RunManifest manifest = core::build_run_manifest(config, inputs, result);
       if (!obs::append_to_ledger(ledger_path, manifest)) ledger_error = ledger_path;
     }
@@ -999,8 +813,8 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
   }
 
   out << "sweep: " << base.name << " over " << param_name << " [" << param->unit << "], "
-      << values.size() << " point(s) x " << replications << " replication(s) (seed " << seed
-      << ")\n";
+      << values.size() << " point(s) x " << runner.replications << " replication(s) (seed "
+      << runner.master_seed << ")\n";
   for (const analysis::SweepPoint& point : sweep.points) {
     char line[160];
     std::snprintf(line, sizeof line, "  %-14s %10.1f +/- %-8.1f (blocked %.1f)\n",
@@ -1028,11 +842,7 @@ void report_artifacts(const obs::RunManifest& manifest, std::ostream& out) {
     if (artifact.path == "-") continue;  // went to stdout, nothing on disk
     try {
       if (artifact.kind == "metrics") {
-        std::ifstream file(artifact.path);
-        if (!file) throw std::runtime_error("cannot read '" + artifact.path + "'");
-        std::ostringstream text;
-        text << file.rdbuf();
-        const json::Value doc = json::parse(text.str());
+        const json::Value doc = read_json_file(artifact.path);
         const json::Value* derived =
             doc.is_object() ? doc.as_object().find("derived") : nullptr;
         if (derived == nullptr || !derived->is_object()) {
@@ -1043,14 +853,14 @@ void report_artifacts(const obs::RunManifest& manifest, std::ostream& out) {
           out << "  " << key << ": " << json::stringify(value, 0) << '\n';
         }
       } else if (artifact.kind == "trace") {
-        trace::LoadedTrace loaded = trace::read_trace_file(artifact.path);
-        trace::TreeStats stats = trace::analyze(loaded.events);
-        stats.dropped = loaded.meta.dropped;
-        out << "\n-- trace (" << artifact.path << ") --\n";
-        trace::write_report(stats, out);
+        std::ostringstream report;
+        write_trace_report(artifact.path, report);
+        out << "\n-- trace (" << artifact.path << ") --\n" << report.str();
       } else if (artifact.kind == "profile") {
+        metrics::ReportInfo info;
+        const metrics::Snapshot snapshot = read_metrics_report(artifact.path, info);
         out << "\n-- profile (" << artifact.path << ", top 5) --\n";
-        prof::write_profile_report(prof::read_profile_file(artifact.path), out, 5);
+        prof::write_profile_report(info, snapshot, out, 5);
       }
     } catch (const std::exception& e) {
       out << "\n-- " << artifact.kind << " (" << artifact.path << "): skipped: " << e.what()
@@ -1059,50 +869,9 @@ void report_artifacts(const obs::RunManifest& manifest, std::ostream& out) {
   }
 }
 
-void report_manifest(const obs::RunManifest& manifest, std::ostream& out) {
-  char line[256];
-  out << "run: " << manifest.scenario << " (scenario " << manifest.scenario_hash << ")\n"
-      << "  seed " << manifest.seed << ", " << manifest.replications << " replication(s), "
-      << manifest.threads << " thread(s), " << manifest.shards << " shard(s)\n"
-      << "  build " << manifest.build.git_sha << " (" << manifest.build.compiler << ", "
-      << manifest.build.build_type << ")\n";
-  std::snprintf(line, sizeof line, "  phases: run %.2fs, write %.2fs; peak RSS %.1f MiB\n",
-                manifest.phases.run_seconds, manifest.phases.write_seconds,
-                static_cast<double>(manifest.peak_rss) / (1024.0 * 1024.0));
-  out << line;
-  if (manifest.sweep.has_value()) {
-    out << "  sweep: " << manifest.sweep->parameter << " = " << format_value(manifest.sweep->value)
-        << " (point " << manifest.sweep->index + 1 << "/" << manifest.sweep->count << ")\n";
-  }
-  const obs::RunOutcome& o = manifest.outcome;
-  std::snprintf(line, sizeof line,
-                "outcome:\n"
-                "  final infected    %.1f +/- %.1f\n"
-                "  peak infected     %.1f (at %.1f h)\n"
-                "  patched           %.1f\n"
-                "  messages blocked  %.1f\n"
-                "  total events      %llu\n",
-                o.final_infected_mean, o.final_infected_ci95, o.peak_infected_mean,
-                o.time_to_peak_h, o.patched_mean, o.messages_blocked_mean,
-                static_cast<unsigned long long>(o.total_events));
-  out << line;
-  if (!manifest.artifacts.empty()) {
-    out << "artifacts:\n";
-    for (const obs::ManifestArtifact& artifact : manifest.artifacts) {
-      out << "  " << artifact.kind << " " << artifact.path << '\n';
-    }
-  }
-}
-
 int report_ledger(const std::string& path, double knee_fraction, std::ostream& out,
                   std::ostream& err) {
-  std::vector<obs::RunManifest> manifests;
-  try {
-    manifests = obs::read_ledger_file(path);
-  } catch (const std::exception& e) {
-    err << e.what() << '\n';
-    return 2;
-  }
+  const std::vector<obs::RunManifest> manifests = obs::read_ledger_file(path);
   if (manifests.empty()) {
     err << "ledger: '" << path << "' holds no runs\n";
     return 1;
@@ -1147,73 +916,41 @@ int command_report(const std::vector<std::string>& args, std::ostream& out, std:
     err << "report: expected a manifest path, --ledger PATH, or --compare A B\n";
     return 1;
   }
-  if (args[0] == "--compare") {
-    std::vector<std::string> paths;
-    double threshold = 0.05;
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      if (args[i] == "--threshold") {
-        if (i + 1 >= args.size()) {
-          err << "--threshold: missing value\n";
-          return 1;
-        }
-        if (!parse_double(args[++i], threshold) || !(threshold > 0.0)) {
-          err << "--threshold: expected a positive fraction, got '" << args[i] << "'\n";
-          return 1;
-        }
-      } else {
-        paths.push_back(args[i]);
+  std::vector<std::string> paths;
+  try {
+    if (args[0] == "--compare") {
+      double threshold = 0.05;
+      const Flag flags[] = {{"--threshold", &threshold, "a positive fraction"}};
+      if (int rc = parse_flags(args, 1, flags, &paths, "report", err); rc != 0) return rc;
+      if (paths.size() != 2) {
+        err << "report --compare: expected exactly two manifest paths\n";
+        return 1;
       }
-    }
-    if (paths.size() != 2) {
-      err << "report --compare: expected exactly two manifest paths\n";
-      return 1;
-    }
-    try {
       const obs::RunManifest baseline = obs::read_manifest_file(paths[0]);
       const obs::RunManifest current = obs::read_manifest_file(paths[1]);
       const obs::OutcomeComparison comparison =
           obs::compare_outcomes(baseline, current, threshold);
       out << obs::render_comparison(baseline, current, comparison, threshold);
       return comparison.regressions > 0 ? 1 : 0;
-    } catch (const std::exception& e) {
-      err << e.what() << '\n';
-      return 2;
     }
-  }
-  if (args[0] == "--ledger") {
-    std::string path;
-    double knee_fraction = 0.2;
-    for (std::size_t i = 1; i < args.size(); ++i) {
-      if (args[i] == "--knee-fraction") {
-        if (i + 1 >= args.size()) {
-          err << "--knee-fraction: missing value\n";
-          return 1;
-        }
-        if (!parse_double(args[++i], knee_fraction) || !(knee_fraction > 0.0) ||
-            knee_fraction >= 1.0) {
-          err << "--knee-fraction: expected a fraction in (0, 1), got '" << args[i] << "'\n";
-          return 1;
-        }
-      } else if (path.empty()) {
-        path = args[i];
-      } else {
-        err << "report --ledger: unexpected argument '" << args[i] << "'\n";
+    if (args[0] == "--ledger") {
+      double knee_fraction = 0.2;
+      const Flag flags[] = {knee_fraction_flag(knee_fraction)};
+      if (int rc = parse_flags(args, 1, flags, &paths, "report", err); rc != 0) return rc;
+      if (paths.size() != 1) {
+        err << "report --ledger: "
+            << (paths.empty() ? "missing ledger path" : "unexpected argument '" + paths[1] + "'")
+            << '\n';
         return 1;
       }
+      return report_ledger(paths[0], knee_fraction, out, err);
     }
-    if (path.empty()) {
-      err << "report --ledger: missing ledger path\n";
+    if (args.size() != 1) {
+      err << "report: expected a single manifest path (or --ledger / --compare)\n";
       return 1;
     }
-    return report_ledger(path, knee_fraction, out, err);
-  }
-  if (args.size() != 1) {
-    err << "report: expected a single manifest path (or --ledger / --compare)\n";
-    return 1;
-  }
-  try {
     const obs::RunManifest manifest = obs::read_manifest_file(args[0]);
-    report_manifest(manifest, out);
+    out << obs::render_manifest(manifest);
     report_artifacts(manifest, out);
     return 0;
   } catch (const std::exception& e) {

@@ -1,13 +1,6 @@
 // Command-line driver, implemented as a library so it is unit-testable
-// (the tools/mvsim binary is a three-line main).
-//
-// Commands:
-//   mvsim run <scenario.json | preset-name> [--reps N] [--seed N]
-//         [--curve-csv PATH] [--summary-json PATH] [--quiet]
-//   mvsim preset <name>         print a preset as scenario JSON
-//   mvsim presets               list preset names
-//   mvsim validate <file>       parse + validate a scenario file
-//   mvsim help
+// (the tools/mvsim binary is a three-line main). `mvsim help` lists
+// every verb and flag.
 #pragma once
 
 #include <iosfwd>

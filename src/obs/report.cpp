@@ -1,6 +1,7 @@
 #include "obs/report.h"
 
 #include <cstdio>
+#include <sstream>
 
 namespace mvsim::obs {
 
@@ -99,6 +100,45 @@ std::string render_comparison(const RunManifest& baseline, const RunManifest& cu
   }
   out += line;
   return out;
+}
+
+std::string render_manifest(const RunManifest& manifest) {
+  std::ostringstream out;
+  char line[256];
+  out << "run: " << manifest.scenario << " (scenario " << manifest.scenario_hash << ")\n"
+      << "  seed " << manifest.seed << ", " << manifest.replications << " replication(s), "
+      << manifest.threads << " thread(s), " << manifest.shards << " shard(s)\n"
+      << "  build " << manifest.build.git_sha << " (" << manifest.build.compiler << ", "
+      << manifest.build.build_type << ")\n";
+  std::snprintf(line, sizeof line, "  phases: run %.2fs, write %.2fs; peak RSS %.1f MiB\n",
+                manifest.phases.run_seconds, manifest.phases.write_seconds,
+                static_cast<double>(manifest.peak_rss) / (1024.0 * 1024.0));
+  out << line;
+  if (manifest.sweep.has_value()) {
+    std::snprintf(line, sizeof line, "  sweep: %s = %g (point %d/%d)\n",
+                  manifest.sweep->parameter.c_str(), manifest.sweep->value,
+                  manifest.sweep->index + 1, manifest.sweep->count);
+    out << line;
+  }
+  const RunOutcome& o = manifest.outcome;
+  std::snprintf(line, sizeof line,
+                "outcome:\n"
+                "  final infected    %.1f +/- %.1f\n"
+                "  peak infected     %.1f (at %.1f h)\n"
+                "  patched           %.1f\n"
+                "  messages blocked  %.1f\n"
+                "  total events      %llu\n",
+                o.final_infected_mean, o.final_infected_ci95, o.peak_infected_mean,
+                o.time_to_peak_h, o.patched_mean, o.messages_blocked_mean,
+                static_cast<unsigned long long>(o.total_events));
+  out << line;
+  if (!manifest.artifacts.empty()) {
+    out << "artifacts:\n";
+    for (const ManifestArtifact& artifact : manifest.artifacts) {
+      out << "  " << artifact.kind << " " << artifact.path << '\n';
+    }
+  }
+  return out.str();
 }
 
 }  // namespace mvsim::obs

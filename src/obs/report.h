@@ -1,4 +1,5 @@
-// Cross-run outcome comparison (`mvsim report --compare`).
+// Manifest rendering for `mvsim report`: the single-run summary and
+// the cross-run outcome comparison (`mvsim report --compare`).
 //
 // tools/bench_compare.py diffs two perf reports with normalized
 // changes and OK/IMPROVED/REGRESSED verdicts; this is the same
@@ -47,5 +48,10 @@ struct OutcomeComparison {
                                             const RunManifest& current,
                                             const OutcomeComparison& comparison,
                                             double threshold);
+
+/// The single-run summary `mvsim report <manifest>` prints: run
+/// identity and provenance, wall-clock phases, the outcome block and
+/// the artifact list.
+[[nodiscard]] std::string render_manifest(const RunManifest& manifest);
 
 }  // namespace mvsim::obs

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -14,30 +12,14 @@ namespace mvsim::prof {
 
 namespace {
 
-constexpr int kProfileVersion = 1;
-
-/// Shared histogram summary fields; `unit` suffixes the keys so the
-/// document reads without a legend ("total_ms", "p90_us", ...).
-void set_histogram_summary(json::Object& out, const metrics::HistogramSample& h,
-                           const char* unit) {
-  auto key = [unit](const char* stem) { return std::string(stem) + "_" + unit; };
-  out.set("count", json::Value(h.count));
-  out.set(key("total"), json::Value(h.sum));
-  out.set(key("mean"), json::Value(h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0));
-  out.set(key("p50"), json::Value(histogram_quantile(h, 0.50)));
-  out.set(key("p90"), json::Value(histogram_quantile(h, 0.90)));
-  out.set(key("max"), json::Value(h.max));
-}
-
-double number_or_zero(const json::Object& object, const std::string& key) {
-  const json::Value* value = object.find(key);
-  return value != nullptr && value->is_number() ? value->as_number() : 0.0;
-}
-
 std::string fmt(double v, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);
   return buf;
+}
+
+double mean_of(const metrics::HistogramSample& h) {
+  return h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0;
 }
 
 }  // namespace
@@ -64,8 +46,8 @@ double histogram_quantile(const metrics::HistogramSample& histogram, double q) {
   return histogram.max;
 }
 
-json::Value profile_to_json(const metrics::ReportInfo& info,
-                            const metrics::Snapshot& snapshot) {
+void write_profile_report(const metrics::ReportInfo& info, const metrics::Snapshot& snapshot,
+                          std::ostream& out, int top_n) {
   struct EventRow {
     const char* name;
     const metrics::HistogramSample* histogram;
@@ -74,156 +56,77 @@ json::Value profile_to_json(const metrics::ReportInfo& info,
   double event_wall_ms = 0.0;
   for (std::size_t i = 0; i < des::kEventTypeCount; ++i) {
     const des::EventType type = static_cast<des::EventType>(i);
-    const metrics::HistogramSample* h =
-        snapshot.find_histogram(event_metric_name(type));
+    const metrics::HistogramSample* h = snapshot.find_histogram(event_metric_name(type));
     if (h == nullptr) continue;
     rows.push_back({des::to_string(type), h});
     event_wall_ms += h->sum / 1000.0;  // histogram is microseconds
   }
   if (rows.empty()) {
     throw std::invalid_argument(
-        "profile_to_json: snapshot has no prof.* series (was the run profiled?)");
+        "no profile data: the metrics report has no prof.* histograms (run with --profile)");
   }
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const EventRow& a, const EventRow& b) {
-                     return a.histogram->sum > b.histogram->sum;
-                   });
+  std::stable_sort(rows.begin(), rows.end(), [](const EventRow& a, const EventRow& b) {
+    return a.histogram->sum > b.histogram->sum;
+  });
 
-  json::Object root;
-  root.set("type", json::Value("mvsim-profile"));
-  root.set("profile_version", json::Value(kProfileVersion));
-  root.set("scenario", json::Value(info.scenario));
-  root.set("replications", json::Value(info.replications));
-  root.set("threads", json::Value(info.threads));
-  root.set("master_seed", json::Value(info.master_seed));
+  out << "profile: " << info.scenario << " (" << info.replications << " replication(s), "
+      << info.threads << " thread(s))\n";
 
-  const metrics::HistogramSample* wall =
-      snapshot.find_histogram("timing.replication_wall_ms");
-  root.set("replication_wall_ms",
-           wall != nullptr ? json::Value(wall->sum) : json::Value(nullptr));
-  root.set("event_wall_ms", json::Value(event_wall_ms));
-
-  json::Object phases;
+  bool phase_header = false;
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
     const Phase phase = static_cast<Phase>(i);
     const metrics::HistogramSample* h = snapshot.find_histogram(phase_metric_name(phase));
     if (h == nullptr) continue;
-    json::Object entry;
-    set_histogram_summary(entry, *h, "ms");
-    phases.set(to_string(phase), json::Value(std::move(entry)));
+    if (!phase_header) out << "-- phases (wall-clock across replications) --\n";
+    phase_header = true;
+    char line[160];
+    std::snprintf(line, sizeof line, "  %-10s %10.2f ms total, %8.2f ms mean\n",
+                  to_string(phase), h->sum, mean_of(*h));
+    out << line;
   }
-  root.set("phases", json::Value(std::move(phases)));
 
   // Sharded runs only: the per-shard lockstep-window distribution. A
-  // serial profile's histogram exists but is empty — omit it there.
-  if (const metrics::HistogramSample* shard_windows =
-          snapshot.find_histogram("prof.shard.window_us");
-      shard_windows != nullptr && shard_windows->count > 0) {
-    json::Object entry;
-    set_histogram_summary(entry, *shard_windows, "us");
-    root.set("shard_windows", json::Value(std::move(entry)));
-  }
-
-  json::Array events;
-  for (const EventRow& row : rows) {
-    const metrics::HistogramSample& h = *row.histogram;
-    json::Object entry;
-    entry.set("name", json::Value(row.name));
-    entry.set("count", json::Value(h.count));
-    entry.set("total_ms", json::Value(h.sum / 1000.0));
-    entry.set("mean_us",
-              json::Value(h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0));
-    entry.set("p50_us", json::Value(histogram_quantile(h, 0.50)));
-    entry.set("p90_us", json::Value(histogram_quantile(h, 0.90)));
-    entry.set("max_us", json::Value(h.max));
-    entry.set("share",
-              json::Value(event_wall_ms > 0.0 ? (h.sum / 1000.0) / event_wall_ms : 0.0));
-    events.emplace_back(std::move(entry));
-  }
-  root.set("events", json::Value(std::move(events)));
-  return json::Value(std::move(root));
-}
-
-json::Value read_profile_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw std::runtime_error("cannot open profile file '" + path + "'");
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  json::Value doc = json::parse(buffer.str());
-  const json::Object& root = doc.as_object();
-  const json::Value* type = root.find("type");
-  if (type == nullptr || !type->is_string() || type->as_string() != "mvsim-profile") {
-    throw std::runtime_error("'" + path + "' is not an mvsim profile (missing type marker)");
-  }
-  if (root.at("profile_version").as_number() > kProfileVersion) {
-    throw std::runtime_error("'" + path + "' uses a newer profile_version than this build");
-  }
-  return doc;
-}
-
-void write_profile_report(const json::Value& profile, std::ostream& out, int top_n) {
-  const json::Object& root = profile.as_object();
-  out << "profile: " << root.at("scenario").as_string() << " ("
-      << root.at("replications").as_number() << " replication(s), "
-      << root.at("threads").as_number() << " thread(s))\n";
-
-  const json::Object& phases = root.at("phases").as_object();
-  if (!phases.empty()) {
-    out << "-- phases (wall-clock across replications) --\n";
-    for (const auto& [name, value] : phases.entries()) {
-      const json::Object& phase = value.as_object();
-      char line[160];
-      std::snprintf(line, sizeof line, "  %-10s %10.2f ms total, %8.2f ms mean\n",
-                    name.c_str(), number_or_zero(phase, "total_ms"),
-                    number_or_zero(phase, "mean_ms"));
-      out << line;
-    }
-  }
-
-  if (const json::Value* shard_windows = root.find("shard_windows");
-      shard_windows != nullptr && shard_windows->is_object()) {
-    const json::Object& windows = shard_windows->as_object();
-    const double mean = number_or_zero(windows, "mean_us");
-    const double max = number_or_zero(windows, "max_us");
+  // serial profile's histogram exists but is empty.
+  if (const metrics::HistogramSample* windows = snapshot.find_histogram("prof.shard.window_us");
+      windows != nullptr && windows->count > 0) {
+    const double mean = mean_of(*windows);
     out << "-- shard windows (per-shard lockstep window wall-clock) --\n";
     char line[200];
     std::snprintf(line, sizeof line,
                   "  %10.0f windows, %8.2f us p50, %8.2f us p90, %8.2f us max, "
                   "imbalance %.2fx\n",
-                  number_or_zero(windows, "count"), number_or_zero(windows, "p50_us"),
-                  number_or_zero(windows, "p90_us"), max, mean > 0.0 ? max / mean : 0.0);
+                  static_cast<double>(windows->count), histogram_quantile(*windows, 0.50),
+                  histogram_quantile(*windows, 0.90), windows->max,
+                  mean > 0.0 ? windows->max / mean : 0.0);
     out << line;
   }
 
-  const json::Array& events = root.at("events").as_array();
-  const double event_wall_ms = number_or_zero(root, "event_wall_ms");
   out << "-- where the time goes (event loop) --\n";
   out << "  event type                     count   total ms  share    mean us     p90 us\n";
   int printed = 0;
-  for (const json::Value& value : events) {
+  for (const EventRow& row : rows) {
     if (top_n > 0 && printed >= top_n) break;
-    const json::Object& event = value.as_object();
-    if (event.at("count").as_number() == 0.0 && event_wall_ms > 0.0) continue;
+    const metrics::HistogramSample& h = *row.histogram;
+    if (h.count == 0 && event_wall_ms > 0.0) continue;
+    const double total_ms = h.sum / 1000.0;
     char line[200];
-    std::snprintf(line, sizeof line, "  %-26s %10.0f %10.2f %5.1f%% %10.2f %10.2f\n",
-                  event.at("name").as_string().c_str(), event.at("count").as_number(),
-                  number_or_zero(event, "total_ms"), 100.0 * number_or_zero(event, "share"),
-                  number_or_zero(event, "mean_us"), number_or_zero(event, "p90_us"));
+    std::snprintf(line, sizeof line, "  %-26s %10.0f %10.2f %5.1f%% %10.2f %10.2f\n", row.name,
+                  static_cast<double>(h.count), total_ms,
+                  100.0 * (event_wall_ms > 0.0 ? total_ms / event_wall_ms : 0.0), mean_of(h),
+                  histogram_quantile(h, 0.90));
     out << line;
     ++printed;
   }
   // Event time is a decomposition of the run phase (the event loop),
   // not of the whole replication (build dominates small runs); fall
-  // back to replication wall-clock for profiles without phase data.
-  const json::Value* run_phase = phases.find("run");
-  double denominator = 0.0;
+  // back to replication wall-clock for reports without phase data.
+  const metrics::HistogramSample* run_phase =
+      snapshot.find_histogram(phase_metric_name(Phase::kRun));
+  double denominator = run_phase != nullptr ? run_phase->sum : 0.0;
   const char* denominator_label = "run-phase";
-  if (run_phase != nullptr && run_phase->is_object()) {
-    denominator = number_or_zero(run_phase->as_object(), "total_ms");
-  }
   if (denominator <= 0.0) {
-    const json::Value* wall = root.find("replication_wall_ms");
-    if (wall != nullptr && wall->is_number()) denominator = wall->as_number();
+    const metrics::HistogramSample* wall = snapshot.find_histogram("timing.replication_wall_ms");
+    denominator = wall != nullptr ? wall->sum : 0.0;
     denominator_label = "replication";
   }
   if (denominator > 0.0) {

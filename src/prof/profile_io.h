@@ -1,29 +1,17 @@
-// Profile document IO: the `mvsim run --profile` JSON and the
-// `mvsim profile-analyze` "where the time goes" report.
+// The `mvsim profile-analyze` "where the time goes" report.
 //
-// A profile document is a self-describing view over the experiment's
-// merged metrics snapshot: run identity, the three phase histograms,
-// and one entry per event type with count / total / mean / estimated
-// p50/p90 / share-of-event-time. Schema (profile_version 1, only
-// grows):
-//   { "type": "mvsim-profile", "profile_version": 1,
-//     "scenario": ..., "replications": N, "threads": T,
-//     "master_seed": S,
-//     "replication_wall_ms": <sum over replications>,
-//     "event_wall_ms": <sum over event types>,
-//     "phases": { "<name>": {count,total_ms,mean_ms,p50_ms,p90_ms,max_ms} },
-//     "shard_windows": {count,total_us,mean_us,p50_us,p90_us,max_us},
-//        (sharded runs only; omitted when no shard windows were timed)
-//     "events": [ {"name","count","total_ms","mean_us","p50_us",
-//                  "p90_us","max_us","share"} ... sorted by total desc ] }
+// A profile is not a file format of its own: `mvsim run --profile PATH`
+// writes the ordinary `--metrics` JSON report of a profiled run, whose
+// `prof.*` histograms (see profiler.h) carry the phase, event-type and
+// shard-window wall-clock. This report renders those histograms
+// directly from a metrics::Snapshot, so it reads any metrics report of
+// a profiled run.
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "metrics/registry.h"
 #include "metrics/report.h"
-#include "util/json.h"
 
 namespace mvsim::prof {
 
@@ -34,20 +22,13 @@ namespace mvsim::prof {
 /// table, and cheap enough to compute per report.
 [[nodiscard]] double histogram_quantile(const metrics::HistogramSample& histogram, double q);
 
-/// Builds the profile document from an experiment's merged snapshot
-/// (must contain the `prof.*` series, i.e. the run had profiling on).
-/// Throws std::invalid_argument when the snapshot has no profile data.
-[[nodiscard]] json::Value profile_to_json(const metrics::ReportInfo& info,
-                                          const metrics::Snapshot& snapshot);
-
-/// Parses a profile document produced by profile_to_json (validates
-/// the "type" marker and version). Throws std::runtime_error on
-/// malformed input.
-[[nodiscard]] json::Value read_profile_file(const std::string& path);
-
-/// The human-readable top-N table: phases, then event types sorted by
-/// total time descending (top_n <= 0 prints all), then the coverage
-/// line (event time as a fraction of the run phase).
-void write_profile_report(const json::Value& profile, std::ostream& out, int top_n = 0);
+/// The human-readable top-N table: phases, the shard-window line
+/// (sharded runs only), event types sorted by total time descending
+/// (top_n <= 0 prints all), then the coverage line (event time as a
+/// fraction of the run phase). Throws std::invalid_argument when the
+/// snapshot has no `prof.*` event histograms (the run was not
+/// profiled).
+void write_profile_report(const metrics::ReportInfo& info, const metrics::Snapshot& snapshot,
+                          std::ostream& out, int top_n = 0);
 
 }  // namespace mvsim::prof

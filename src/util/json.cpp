@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace mvsim::json {
 
@@ -352,19 +353,25 @@ void write_number(double v, std::string& out) {
     out += buf;
     return;
   }
+  // The shortest %g precision that round-trips. std::to_chars gives
+  // the shortest round-trip digit count D, and no precision below D can
+  // round-trip; %.*g rounds to nearest, which near a power of two may
+  // need a digit more than D, so the search starts at D instead of 1.
   char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Trim to the shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[40];
-    std::snprintf(candidate, sizeof candidate, "%.*g", precision, v);
-    double reparsed = 0.0;
-    std::sscanf(candidate, "%lf", &reparsed);
-    if (reparsed == v) {
-      out += candidate;
+  const char* const mantissa_end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific).ptr;
+  int precision = 0;
+  for (const char* c = buf; c != mantissa_end && *c != 'e'; ++c) {
+    if (std::isdigit(static_cast<unsigned char>(*c))) ++precision;
+  }
+  for (; precision < 17; ++precision) {
+    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
+    if (std::strtod(buf, nullptr) == v) {
+      out += buf;
       return;
     }
   }
+  std::snprintf(buf, sizeof buf, "%.17g", v);
   out += buf;
 }
 

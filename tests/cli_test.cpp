@@ -222,6 +222,18 @@ TEST(Cli, CompareNeedsTwoTargets) {
   EXPECT_EQ(invoke({"compare", "a", "b", "--reps", "0"}).code, 1);
 }
 
+TEST(Cli, CompareBoundsRepsLikeRun) {
+  // 2^32 + 1 once truncated to 1 replication, and 3e9 to a negative
+  // count; both are usage errors now, before anything runs.
+  for (const char* reps : {"4294967297", "3000000000", "100001"}) {
+    CliResult r = invoke({"compare", "virus1-baseline", "virus2-baseline", "--reps", reps});
+    EXPECT_EQ(r.code, 1) << reps;
+    EXPECT_NE(r.err.find("--reps: expected a positive integer"), std::string::npos)
+        << reps << ": " << r.err;
+    EXPECT_TRUE(r.out.empty()) << reps << ": " << r.out;
+  }
+}
+
 TEST(Cli, RunThreadsFlagParses) {
   std::string path = write_small_scenario();
   EXPECT_EQ(invoke({"run", path, "--reps", "2", "--threads", "2", "--quiet"}).code, 0);
@@ -299,9 +311,14 @@ TEST(Cli, RunShardsComposesWithTraceProfileAndStatsStream) {
   ASSERT_TRUE(profile_file.good());
   std::ostringstream profile_text;
   profile_text << profile_file.rdbuf();
-  json::Value profile_doc = json::parse(profile_text.str());
-  EXPECT_NE(profile_doc.as_object().find("shard_windows"), nullptr)
-      << "sharded profiles must carry the per-window straggler summary";
+  const metrics::Snapshot profile =
+      metrics::snapshot_from_json(json::parse(profile_text.str()));
+  const metrics::HistogramSample* windows = profile.find_histogram("prof.shard.window_us");
+  ASSERT_NE(windows, nullptr);
+  EXPECT_GT(windows->count, 0u) << "sharded profiles must carry the per-window straggler series";
+  CliResult profiled = invoke({"profile-analyze", profile_path});
+  ASSERT_EQ(profiled.code, 0) << profiled.err;
+  EXPECT_NE(profiled.out.find("shard windows"), std::string::npos) << profiled.out;
 
   std::ifstream stats_file(stats_path);
   ASSERT_TRUE(stats_file.good());
@@ -471,11 +488,15 @@ TEST(Cli, RunWritesProfileJsonAndProfileAnalyzeReadsIt) {
   content << file.rdbuf();
   json::Value doc = json::parse(content.str());
   const json::Object& root = doc.as_object();
-  EXPECT_EQ(root.at("type").as_string(), "mvsim-profile");
+  // The profile is the ordinary metrics report of a profiled run.
+  EXPECT_DOUBLE_EQ(root.at("schema_version").as_number(), 1.0);
   EXPECT_EQ(root.at("scenario").as_string(), "cli-test");
   EXPECT_DOUBLE_EQ(root.at("replications").as_number(), 2.0);
-  EXPECT_FALSE(root.at("events").as_array().empty());
-  EXPECT_GT(root.at("event_wall_ms").as_number(), 0.0);
+  const metrics::Snapshot snapshot = metrics::snapshot_from_json(doc);
+  const metrics::HistogramSample* sends = snapshot.find_histogram("prof.event.virus_send");
+  ASSERT_NE(sends, nullptr);
+  EXPECT_GT(sends->count, 0u);
+  EXPECT_NE(snapshot.find_histogram("prof.phase.run_ms"), nullptr);
 
   CliResult analyzed = invoke({"profile-analyze", profile_path, "--top", "3"});
   EXPECT_EQ(analyzed.code, 0) << analyzed.err;
@@ -489,13 +510,65 @@ TEST(Cli, ProfileAnalyzeRejectsBadInput) {
   EXPECT_EQ(invoke({"profile-analyze", "/no/such/profile.json"}).code, 2);
   EXPECT_EQ(invoke({"profile-analyze", "p.json", "--top", "0"}).code, 1);
   EXPECT_EQ(invoke({"profile-analyze", "p.json", "--top", "lots"}).code, 1);
-  // A JSON file without the profile type marker is rejected cleanly.
-  std::string path = ::testing::TempDir() + "/mvsim_cli_not_a_profile.json";
+  EXPECT_EQ(invoke({"profile-analyze", "a.json", "b.json"}).code, 1);
+  // A JSON file that is not a metrics report is rejected cleanly.
+  std::string path = ::testing::TempDir() + "/mvsim_cli_not_a_profile_" +
+                     std::to_string(static_cast<long long>(::getpid())) + ".json";
   std::ofstream(path) << R"({"type": "something-else"})";
   CliResult r = invoke({"profile-analyze", path});
   EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("not an mvsim profile"), std::string::npos);
+  EXPECT_NE(r.err.find("not an mvsim metrics report"), std::string::npos) << r.err;
+  // So is the metrics report of a run that was not profiled.
+  std::string scenario_path = write_small_scenario();
+  ASSERT_EQ(invoke({"run", scenario_path, "--reps", "1", "--quiet", "--metrics", path}).code, 0);
+  CliResult unprofiled = invoke({"profile-analyze", path});
+  EXPECT_EQ(unprofiled.code, 2);
+  EXPECT_NE(unprofiled.err.find("no profile data"), std::string::npos) << unprofiled.err;
+  EXPECT_TRUE(unprofiled.out.empty()) << unprofiled.out;
   std::remove(path.c_str());
+  std::remove(scenario_path.c_str());
+}
+
+TEST(Cli, ProfileAnalyzeReadsTheMetricsReportOfAProfiledRun) {
+  // --profile writes the --metrics report, so profile-analyze renders
+  // the same table from either file of one profiled run.
+  std::string scenario_path = write_small_scenario();
+  const std::string stem = ::testing::TempDir() + "/mvsim_cli_profiled_" +
+                           std::to_string(static_cast<long long>(::getpid()));
+  const std::string profile_path = stem + "_profile.json";
+  const std::string metrics_path = stem + "_metrics.json";
+  CliResult r = invoke({"run", scenario_path, "--reps", "2", "--quiet", "--profile",
+                        profile_path, "--metrics", metrics_path});
+  ASSERT_EQ(r.code, 0) << r.err;
+  CliResult from_profile = invoke({"profile-analyze", profile_path});
+  CliResult from_metrics = invoke({"profile-analyze", metrics_path});
+  ASSERT_EQ(from_profile.code, 0) << from_profile.err;
+  ASSERT_EQ(from_metrics.code, 0) << from_metrics.err;
+  EXPECT_NE(from_profile.out.find("coverage:"), std::string::npos) << from_profile.out;
+  EXPECT_EQ(from_profile.out, from_metrics.out);
+  std::remove(scenario_path.c_str());
+  std::remove(profile_path.c_str());
+  std::remove(metrics_path.c_str());
+}
+
+TEST(Cli, ReportStitchesTheProfileTopFiveFromTheManifest) {
+  std::string scenario_path = write_small_scenario();
+  const std::string stem = ::testing::TempDir() + "/mvsim_cli_stitch_" +
+                           std::to_string(static_cast<long long>(::getpid()));
+  const std::string profile_path = stem + "_profile.json";
+  const std::string manifest_path = stem + "_manifest.json";
+  CliResult r = invoke({"run", scenario_path, "--reps", "2", "--quiet", "--profile",
+                        profile_path, "--manifest", manifest_path});
+  ASSERT_EQ(r.code, 0) << r.err;
+  CliResult report = invoke({"report", manifest_path});
+  ASSERT_EQ(report.code, 0) << report.err;
+  EXPECT_NE(report.out.find("-- profile (" + profile_path + ", top 5) --"), std::string::npos)
+      << report.out;
+  EXPECT_NE(report.out.find("where the time goes"), std::string::npos) << report.out;
+  EXPECT_EQ(report.out.find("skipped"), std::string::npos) << report.out;
+  std::remove(scenario_path.c_str());
+  std::remove(profile_path.c_str());
+  std::remove(manifest_path.c_str());
 }
 
 TEST(Cli, RunProgressTicksOnStderr) {
@@ -518,10 +591,14 @@ TEST(Cli, RunReportsUnwritableOutputPaths) {
   const char* kUnwritable = "/no/such/dir/mvsim_out.json";
   for (const char* flag : {"--metrics", "--trace", "--profile", "--curve-csv", "--summary-json",
                            "--stats-stream", "--manifest", "--ledger"}) {
-    CliResult r = invoke({"run", path, "--reps", "1", "--quiet", flag, kUnwritable});
+    CliResult r =
+        invoke({"run", path, "--reps", "1", "--quiet", "--progress", flag, kUnwritable});
     EXPECT_EQ(r.code, 2) << flag;
     EXPECT_NE(r.err.find("cannot write"), std::string::npos) << flag << ": " << r.err;
     EXPECT_NE(r.err.find(kUnwritable), std::string::npos) << flag << ": " << r.err;
+    // Probed before the first replication: no progress tick precedes
+    // the failure.
+    EXPECT_EQ(r.err.find("rep "), std::string::npos) << flag << ": " << r.err;
   }
   std::remove(path.c_str());
 }

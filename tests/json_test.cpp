@@ -1,6 +1,12 @@
 // Unit tests for src/util/json.h: value model, parser, writer.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "util/json.h"
 
 namespace mvsim::json {
@@ -129,6 +135,70 @@ TEST(JsonStringify, NumbersRoundTripShortest) {
   EXPECT_EQ(stringify(Value(1.0 / 3.0), 0),
             stringify(parse(stringify(Value(1.0 / 3.0), 0)), 0))
       << "serialized doubles reparse to the same value";
+}
+
+/// The number writer before it asked std::to_chars for the shortest
+/// digit count: %.*g from precision 1 up, reparsed with sscanf until it
+/// round-trips. Kept as the reference the writer must match byte for
+/// byte.
+std::string reference_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  if (v == std::floor(v) && std::abs(v) < 1e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+    return buf;
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  for (int precision = 1; precision < 17; ++precision) {
+    char candidate[40];
+    std::snprintf(candidate, sizeof candidate, "%.*g", precision, v);
+    double reparsed = 0.0;
+    std::sscanf(candidate, "%lf", &reparsed);
+    if (reparsed == v) return candidate;
+  }
+  return buf;
+}
+
+TEST(JsonStringify, NumbersMatchTheReferenceWriterByteForByte) {
+  std::mt19937_64 rng(20070625);
+  std::vector<double> values;
+  // Simulated minutes: exponential delays, as the stats stream and the
+  // trace carry them.
+  std::exponential_distribution<double> minutes(1.0 / 60.0);
+  for (int i = 0; i < 250000; ++i) values.push_back(minutes(rng));
+  // Magnitudes across 10^-300 .. 10^300, both signs.
+  std::uniform_real_distribution<double> mantissa(1.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-300, 300);
+  for (int i = 0; i < 250000; ++i) {
+    const double v = mantissa(rng) * std::pow(10.0, exponent(rng));
+    values.push_back(i % 2 == 0 ? v : -v);
+  }
+  // Values rounded to four decimals (config and report figures).
+  std::uniform_real_distribution<double> plain(0.0, 1000.0);
+  for (int i = 0; i < 250000; ++i) values.push_back(std::round(plain(rng) * 1e4) / 1e4);
+  // Powers of two and their neighbours, where the shortest digit count
+  // and the nearest %.*g rounding can disagree.
+  for (int e = -1074; e <= 1023; ++e) {
+    double up = std::ldexp(1.0, e);
+    double down = up;
+    values.push_back(up);
+    for (int k = 0; k < 60; ++k) {
+      up = std::nextafter(up, HUGE_VAL);
+      down = std::nextafter(down, 0.0);
+      values.push_back(up);
+      values.push_back(down);
+    }
+  }
+  std::size_t mismatches = 0;
+  for (double v : values) {
+    const std::string expected = reference_number(v);
+    const std::string actual = stringify(Value(v), 0);
+    if (actual != expected && ++mismatches <= 10) {
+      ADD_FAILURE() << "wrote " << actual << ", reference " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
 }
 
 TEST(JsonStringify, EscapesStrings) {

@@ -1,6 +1,6 @@
 // Tests for the hot-path profiler (src/prof): metric-name catalogue,
 // scoped phase timers, merge commutativity, scheduler integration and
-// the profile document writer. The observation-only guarantee itself
+// the profile-analyze report. The observation-only guarantee itself
 // (profiling does not perturb results) is pinned by golden_test.cpp.
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "metrics/report.h"
 #include "prof/profile_io.h"
 #include "prof/profiler.h"
+#include "util/json.h"
 
 namespace mvsim {
 namespace {
@@ -207,47 +208,89 @@ TEST(ProfileIo, HistogramQuantileHandlesEmptyAndOverflow) {
   EXPECT_DOUBLE_EQ(prof::histogram_quantile(overflow, 0.99), 12.0);
 }
 
-// ---- Profile document ---------------------------------------------------
+// ---- Profile report ------------------------------------------------------
 
-TEST(ProfileIo, ProfileToJsonRequiresProfilingData) {
+TEST(ProfileIo, ProfileReportRequiresProfilingData) {
   metrics::ReportInfo info;
   info.scenario = "empty";
   info.replications = 1;
   info.threads = 1;
   metrics::Snapshot no_prof_data;
-  EXPECT_THROW((void)prof::profile_to_json(info, no_prof_data), std::invalid_argument);
+  std::ostringstream report;
+  EXPECT_THROW(prof::write_profile_report(info, no_prof_data, report), std::invalid_argument);
+  EXPECT_TRUE(report.str().empty()) << "nothing is printed for a report without profile data";
 }
 
-TEST(ProfileIo, ProfileDocumentCarriesPhasesEventsAndIdentity) {
+TEST(ProfileIo, ProfileReportRanksEventsFromTheSnapshot) {
   prof::Profiler profiler;
   profiler.record_event(des::EventType::kVirusSend, 10.0);
   profiler.record_event(des::EventType::kPhoneRead, 30.0);
-  profiler.record_phase(prof::Phase::kRun, 5.0);
+  profiler.record_phase(prof::Phase::kRun, 0.08);
 
   metrics::ReportInfo info;
   info.scenario = "prof-test";
   info.replications = 3;
   info.threads = 2;
   info.master_seed = 7;
-  json::Value profile = prof::profile_to_json(info, profiler.snapshot());
-  const json::Object& root = profile.as_object();
+  std::ostringstream full;
+  prof::write_profile_report(info, profiler.snapshot(), full);
+  const std::string text = full.str();
+  EXPECT_NE(text.find("profile: prof-test (3 replication(s), 2 thread(s))"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("-- phases"), std::string::npos) << text;
+  // Sorting is by total time descending, so the read (30us) outranks
+  // the send (10us); zero-count event types are not listed.
+  const std::size_t read = text.find("phone_read");
+  const std::size_t send = text.find("virus_send");
+  ASSERT_NE(read, std::string::npos) << text;
+  ASSERT_NE(send, std::string::npos) << text;
+  EXPECT_LT(read, send);
+  EXPECT_NE(text.find("75.0%"), std::string::npos) << "phone_read share of 0.04 ms: " << text;
+  EXPECT_EQ(text.find("message_delivery"), std::string::npos) << text;
+  EXPECT_EQ(text.find("shard windows"), std::string::npos) << "serial: no window line";
+  EXPECT_NE(text.find("coverage: 0.04 ms attributed to events of 0.08 ms run-phase wall-clock "
+                      "(50.0%)"),
+            std::string::npos)
+      << text;
 
-  EXPECT_EQ(root.at("type").as_string(), "mvsim-profile");
-  EXPECT_EQ(root.at("scenario").as_string(), "prof-test");
-  EXPECT_DOUBLE_EQ(root.at("replications").as_number(), 3.0);
-  // The eager catalogue puts every event type in the document; sorting
-  // is by total time descending, so the read (30us) outranks the send
-  // (10us) and both outrank the zero-count rest.
-  const json::Array& events = root.at("events").as_array();
-  ASSERT_EQ(events.size(), des::kEventTypeCount);
-  EXPECT_EQ(events[0].as_object().at("name").as_string(), "phone_read");
-  EXPECT_EQ(events[1].as_object().at("name").as_string(), "virus_send");
-  EXPECT_DOUBLE_EQ(root.at("event_wall_ms").as_number(), 0.04);
+  std::ostringstream top1;
+  prof::write_profile_report(info, profiler.snapshot(), top1, 1);
+  EXPECT_NE(top1.str().find("phone_read"), std::string::npos);
+  EXPECT_EQ(top1.str().find("virus_send"), std::string::npos) << "--top 1 must truncate";
+}
 
+TEST(ProfileIo, ProfileReportPrintsTheShardWindowLine) {
+  prof::Profiler profiler;
+  profiler.record_event(des::EventType::kVirusSend, 10.0);
+  profiler.record_shard_window(100.0);
+  profiler.record_shard_window(300.0);
+  metrics::ReportInfo info;
+  info.scenario = "sharded";
   std::ostringstream report;
-  prof::write_profile_report(profile, report, 1);
-  EXPECT_NE(report.str().find("phone_read"), std::string::npos);
-  EXPECT_EQ(report.str().find("virus_send"), std::string::npos) << "--top 1 must truncate";
+  prof::write_profile_report(info, profiler.snapshot(), report);
+  EXPECT_NE(report.str().find("-- shard windows"), std::string::npos) << report.str();
+  EXPECT_NE(report.str().find("imbalance 1.50x"), std::string::npos) << report.str();
+}
+
+TEST(ProfileIo, ProfileReportReadsTheMetricsReportRoundTrip) {
+  // profile-analyze reads the `--metrics` JSON back through
+  // snapshot_from_json; the table must not change across that trip.
+  prof::Profiler profiler;
+  profiler.record_event(des::EventType::kPhoneRead, 12.345);
+  profiler.record_event(des::EventType::kVirusSend, 0.1);
+  profiler.record_phase(prof::Phase::kBuild, 1.25);
+  profiler.record_phase(prof::Phase::kRun, 0.5);
+  metrics::ReportInfo info;
+  info.scenario = "round-trip";
+  info.replications = 1;
+  info.threads = 1;
+  const metrics::Snapshot snapshot = profiler.snapshot();
+  const metrics::Snapshot reloaded = metrics::snapshot_from_json(
+      json::parse(json::stringify(metrics::report_to_json(info, snapshot), 2)));
+  std::ostringstream direct, via_json;
+  prof::write_profile_report(info, snapshot, direct);
+  prof::write_profile_report(info, reloaded, via_json);
+  EXPECT_EQ(direct.str(), via_json.str());
 }
 
 }  // namespace
