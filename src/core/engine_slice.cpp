@@ -262,6 +262,7 @@ void EngineSlice::attach() {
 
   if (trace_ != nullptr && !sharded()) {
     context_->detector().on_detected([this](SimTime at) {
+      if (trace_->drop_if_full()) return;
       trace::Event event;
       event.time = at;
       event.kind = trace::EventKind::kDetectabilityCrossed;
@@ -279,7 +280,7 @@ std::uint64_t EngineSlice::trace_message_id(graph::PhoneId sender, std::uint64_t
 
 void EngineSlice::on_phone_infected(phone::PhoneId id, const phone::InfectionSource& source) {
   infection_times_.push_back(scheduler_.now());
-  if (trace_ != nullptr) {
+  if (trace_ != nullptr && !trace_->drop_if_full()) {
     trace::Event event;
     event.time = scheduler_.now();
     event.kind = trace::EventKind::kInfection;
@@ -343,7 +344,7 @@ void EngineSlice::on_patch_applied(graph::PhoneId id) {
   bool was_patched = phones.patched(id);
   phones.apply_patch(id);
   if (was_patched) return;
-  if (trace_ != nullptr) {
+  if (trace_ != nullptr && !trace_->drop_if_full()) {
     trace::Event event;
     event.time = scheduler_.now();
     event.kind = trace::EventKind::kPatchApplied;
@@ -416,7 +417,7 @@ void EngineSlice::flush_staged() {
       // Cross-shard deliveries bypass this gateway, so its recorder
       // never sees them; record the delivery here, under the ORIGIN
       // shard's message id, so the merged trace links the hop.
-      if (trace_ != nullptr) {
+      if (trace_ != nullptr && !trace_->drop_if_full()) {
         trace::Event event;
         event.time = scheduler_.now();
         event.kind = trace::EventKind::kMessageDelivered;

@@ -57,8 +57,9 @@ inline constexpr std::size_t kEventTypeCount =
 }
 
 /// Sink for per-event wall-clock measurements. The scheduler calls
-/// record_event() after each executed callback when a timer is
-/// attached (see Scheduler::set_event_timer); prof::Profiler is the
+/// record_event() after each executed event when a timer is attached,
+/// with the time since the previous event boundary (see
+/// Scheduler::set_event_timer); prof::Profiler is the
 /// production implementation. Implementations must not schedule
 /// events or draw randomness — timing is observation-only.
 class EventTimer {

@@ -49,18 +49,16 @@ void Scheduler::fire(EventRecord& rec, std::uint32_t id) {
   // The callback runs in place: record addresses are chunk-stable and
   // the slot is only recycled after the invoke, so the callback may
   // freely schedule (even growing the arena) or cancel other events.
-  if (timer_ != nullptr) {
-    const auto started = std::chrono::steady_clock::now();
-    rec.fn();
-    timer_->record_event(
-        type, std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() -
-                                                        started)
-                  .count());
-  } else {
-    rec.fn();
-  }
+  rec.fn();
   rec.fn.reset();
   arena_.release(id);
+  if (timer_ != nullptr) stamp_event(type);
+}
+
+void Scheduler::stamp_event(EventType type) {
+  const auto now = std::chrono::steady_clock::now();
+  timer_->record_event(type, std::chrono::duration<double, std::micro>(now - stamp_).count());
+  stamp_ = now;
 }
 
 bool Scheduler::fire_next(const SimTime* limit) {
@@ -80,12 +78,14 @@ void Scheduler::run_until(SimTime until) {
     throw std::invalid_argument("Scheduler::run_until: horizon " + until.to_string() +
                                 " is before now " + now_.to_string());
   }
+  seed_stamp();
   while (fire_next(&until)) {
   }
   now_ = until;
 }
 
 void Scheduler::run_to_quiescence() {
+  seed_stamp();
   while (fire_next(nullptr)) {
   }
 }

@@ -19,6 +19,7 @@
 // see docs/architecture.md, "Scheduler internals & event lifetime".
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -111,9 +112,12 @@ class Scheduler {
   }
 
   /// Attach (or detach, with nullptr) a per-event wall-clock sink.
-  /// While attached, every executed callback is timed and reported as
-  /// record_event(type, microseconds). Costs two clock reads per event,
-  /// so leave it off except under `--profile`.
+  /// While attached, the clock is read once after every executed event
+  /// and the gap since the previous reading is reported as
+  /// record_event(type, microseconds): the event's pop, dispatch,
+  /// callback and release. Each run_until / run_to_quiescence call
+  /// takes a fresh first reading, so time spent between run calls is
+  /// never charged to an event.
   void set_event_timer(EventTimer* timer) { timer_ = timer; }
 
   /// Cancel a pending event. Returns true if the event was still
@@ -182,6 +186,12 @@ class Scheduler {
   bool fire_next(const SimTime* limit);
   /// Fires one record in place: invalidates handles, invokes, recycles.
   void fire(EventRecord& rec, std::uint32_t id);
+  /// Timed path: charges the time since stamp_ to `type` and restamps.
+  void stamp_event(EventType type);
+  /// Restarts the event-boundary clock (no-op without a timer).
+  void seed_stamp() {
+    if (timer_ != nullptr) stamp_ = std::chrono::steady_clock::now();
+  }
 
   SimTime now_ = SimTime::zero();
   CalendarQueue wheel_;
@@ -194,6 +204,7 @@ class Scheduler {
   std::uint64_t scheduled_ = 0;
   std::uint64_t heap_fallbacks_ = 0;
   EventTimer* timer_ = nullptr;  // non-owning, may be null
+  std::chrono::steady_clock::time_point stamp_{};  // last event boundary
 };
 
 }  // namespace mvsim::des

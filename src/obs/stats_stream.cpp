@@ -48,32 +48,36 @@ void RunStream::write_header(const StreamInfo& info) {
 void RunStream::write_sample(const RunSample& sample) {
   // Every sample record carries every schema field — serial runs emit
   // zero mailboxes and an empty shards array rather than omitting the
-  // keys, so consumers parse one shape regardless of engine.
-  json::Object record;
-  record.set("type", json::Value("sample"));
-  record.set("rep", json::Value(sample.replication));
-  record.set("t_min", json::Value(sample.time.to_minutes()));
-  record.set("infected", json::Value(sample.infected));
-  record.set("patched", json::Value(sample.patched));
-  record.set("blocked", json::Value(sample.messages_blocked));
-  record.set("events", json::Value(sample.events_executed));
-  record.set("events_per_sec", json::Value(sample.events_per_sec));
-  record.set("queue", json::Value(sample.queue_depth));
-  record.set("mailbox_sent", json::Value(sample.mailbox_sent));
-  record.set("mailbox_received", json::Value(sample.mailbox_received));
-  json::Array shards;
-  for (const ShardSample& shard : sample.shards) {
-    json::Object entry;
-    entry.set("shard", json::Value(shard.shard));
-    entry.set("events", json::Value(shard.events_executed));
-    entry.set("queue", json::Value(shard.queue_depth));
-    entry.set("barrier_wait_ms", json::Value(shard.barrier_wait_ms));
-    shards.push_back(json::Value(std::move(entry)));
-  }
-  record.set("shards", json::Value(std::move(shards)));
-
+  // keys, so consumers parse one shape regardless of engine. The line
+  // is appended straight into a reused buffer: the same bytes
+  // json::stringify would give for the record's json::Object.
   std::lock_guard<std::mutex> lock(mutex_);
-  *out_ << json::stringify(json::Value(std::move(record)), 0) << '\n';
+  line_.assign(R"({"type":"sample","rep":)");
+  json::append_number(sample.replication, line_);
+  const auto field = [this](const char* key, double value) {
+    line_ += key;
+    json::append_number(value, line_);
+  };
+  field(R"(,"t_min":)", sample.time.to_minutes());
+  field(R"(,"infected":)", static_cast<double>(sample.infected));
+  field(R"(,"patched":)", static_cast<double>(sample.patched));
+  field(R"(,"blocked":)", static_cast<double>(sample.messages_blocked));
+  field(R"(,"events":)", static_cast<double>(sample.events_executed));
+  field(R"(,"events_per_sec":)", sample.events_per_sec);
+  field(R"(,"queue":)", static_cast<double>(sample.queue_depth));
+  field(R"(,"mailbox_sent":)", static_cast<double>(sample.mailbox_sent));
+  field(R"(,"mailbox_received":)", static_cast<double>(sample.mailbox_received));
+  line_ += R"(,"shards":[)";
+  for (std::size_t i = 0; i < sample.shards.size(); ++i) {
+    const ShardSample& shard = sample.shards[i];
+    field(i == 0 ? R"({"shard":)" : R"(,{"shard":)", shard.shard);
+    field(R"(,"events":)", static_cast<double>(shard.events_executed));
+    field(R"(,"queue":)", static_cast<double>(shard.queue_depth));
+    field(R"(,"barrier_wait_ms":)", shard.barrier_wait_ms);
+    line_ += '}';
+  }
+  line_ += "]}\n";
+  out_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
   out_->flush();
   ++samples_written_;
 }

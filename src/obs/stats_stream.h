@@ -103,6 +103,7 @@ class RunStream {
   std::ostream* out_;
   std::mutex mutex_;
   std::uint64_t samples_written_ = 0;
+  std::string line_;  // write_sample's reused line buffer (guarded by mutex_)
 };
 
 }  // namespace mvsim::obs

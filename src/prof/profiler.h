@@ -3,8 +3,9 @@
 //
 // One Profiler belongs to one replication (same ownership discipline
 // as metrics::Registry: per-thread, no locks). It implements
-// des::EventTimer, so attaching it to a Scheduler times every executed
-// event and attributes the cost to the event's type; ScopedPhase
+// des::EventTimer, so attaching it to a Scheduler charges every
+// executed event's type with the wall-clock gap since the previous
+// event boundary (one clock read per event); ScopedPhase
 // attributes coarser spans (simulation build, event loop, result
 // collection). All measurements land in metrics::Registry histograms
 // under `prof.*` names, which buys three properties for free:
@@ -58,7 +59,7 @@ class Profiler final : public des::EventTimer {
   Profiler();
 
   /// des::EventTimer: one executed scheduler event of `type` took
-  /// `micros` microseconds of wall-clock.
+  /// `micros` microseconds of wall-clock, pop and dispatch included.
   void record_event(des::EventType type, double micros) override;
 
   /// One completed phase span of `millis` milliseconds.

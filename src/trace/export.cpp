@@ -67,6 +67,41 @@ json::Object event_fields(const Event& event) {
   return fields;
 }
 
+/// One JSONL event line: the bytes json::stringify gives for
+/// event_fields(event) plus the newline, appended without building the
+/// json::Object.
+void append_event_line(const Event& event, std::string& out) {
+  out += R"({"t":)";
+  json::append_number(event.time.to_minutes(), out);
+  out += R"(,"kind":)";
+  json::append_string(to_string(event.kind), out);
+  if (event.phone != kInvalidPhoneId) {
+    out += R"(,"phone":)";
+    json::append_number(event.phone, out);
+  }
+  if (event.peer != kInvalidPhoneId) {
+    out += R"(,"peer":)";
+    json::append_number(event.peer, out);
+  }
+  if (event.message != kInvalidMessageId) {
+    out += R"(,"msg":)";
+    json::append_number(static_cast<double>(event.message), out);
+  }
+  if (event.value != 0) {
+    out += R"(,"value":)";
+    json::append_number(event.value, out);
+  }
+  if (event.shard != kNoShard) {
+    out += R"(,"shard":)";
+    json::append_number(event.shard, out);
+  }
+  if (!event.detail.empty()) {
+    out += R"(,"detail":)";
+    json::append_string(event.detail, out);
+  }
+  out += "}\n";
+}
+
 Event event_from_fields(const json::Object& fields, const char* where) {
   Event event;
   const json::Value* t = fields.find("t");
@@ -158,10 +193,18 @@ void write_jsonl(const TraceBuffer& buffer, std::ostream& out) {
   meta.set("version", json::Value(kFormatVersion));
   meta.set("capacity", json::Value(exported_capacity(buffer)));
   meta.set("dropped", json::Value(buffer.dropped()));
-  out << json::stringify(json::Value(std::move(meta)), 0) << '\n';
+  std::string lines = json::stringify(json::Value(std::move(meta)), 0);
+  lines += '\n';
+  // Lines go out in blocks of about 64 KiB.
+  constexpr std::size_t kBlockBytes = std::size_t{1} << 16;
   for (const Event& event : buffer.events()) {
-    out << json::stringify(json::Value(event_fields(event)), 0) << '\n';
+    append_event_line(event, lines);
+    if (lines.size() >= kBlockBytes) {
+      out.write(lines.data(), static_cast<std::streamsize>(lines.size()));
+      lines.clear();
+    }
   }
+  out.write(lines.data(), static_cast<std::streamsize>(lines.size()));
 }
 
 void write_chrome_trace(const TraceBuffer& buffer, std::ostream& out) {

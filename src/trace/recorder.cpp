@@ -19,6 +19,7 @@ Event message_event(EventKind kind, const net::MmsMessage& message, SimTime now)
 }  // namespace
 
 void GatewayRecorder::on_submitted(const net::MmsMessage& message, SimTime now) {
+  if (buffer_->drop_if_full()) return;
   Event event = message_event(EventKind::kMessageSent, message, now);
   event.message += message_id_base_;
   buffer_->record(std::move(event));
@@ -26,6 +27,7 @@ void GatewayRecorder::on_submitted(const net::MmsMessage& message, SimTime now) 
 
 void GatewayRecorder::on_blocked(const net::MmsMessage& message, const char* blocked_by,
                                  SimTime now) {
+  if (buffer_->drop_if_full()) return;
   Event event = message_event(EventKind::kMessageBlocked, message, now);
   event.message += message_id_base_;
   event.detail = blocked_by;
@@ -34,6 +36,7 @@ void GatewayRecorder::on_blocked(const net::MmsMessage& message, const char* blo
 
 void GatewayRecorder::on_delivered(net::PhoneId recipient, const net::MmsMessage& message,
                                    SimTime now) {
+  if (buffer_->drop_if_full()) return;
   Event event;
   event.time = now;
   event.kind = EventKind::kMessageDelivered;

@@ -37,10 +37,7 @@ bool event_kind_from_string(std::string_view text, EventKind& out) {
 TraceBuffer::TraceBuffer(std::size_t capacity) : capacity_(capacity) {}
 
 void TraceBuffer::record(Event event) {
-  if (events_.size() >= capacity_) {
-    ++dropped_;
-    return;
-  }
+  if (drop_if_full()) return;
   if (shard_ != kNoShard) event.shard = shard_;
   events_.push_back(std::move(event));
 }
@@ -129,7 +126,7 @@ void TraceBuffer::write_csv(std::ostream& out) const {
 
 void record_action(TraceBuffer* buffer, SimTime now, const char* mechanism, const char* action,
                    PhoneId phone) {
-  if (buffer == nullptr) return;
+  if (buffer == nullptr || buffer->drop_if_full()) return;
   Event event;
   event.time = now;
   event.kind = EventKind::kMechanismAction;

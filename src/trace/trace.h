@@ -104,6 +104,18 @@ class TraceBuffer {
 
   void record(Event event);
 
+  /// True once the buffer holds capacity() events: every further
+  /// record() only counts a drop.
+  [[nodiscard]] bool full() const { return events_.size() >= capacity_; }
+  /// Hot-path guard for recording sites: when full, counts the drop
+  /// record() would have counted and returns true, so the caller can
+  /// skip building the Event at all.
+  bool drop_if_full() {
+    if (!full()) return false;
+    ++dropped_;
+    return true;
+  }
+
   /// Stamps every subsequently recorded event with `shard` (one buffer
   /// per shard in sharded runs; the default kNoShard leaves events
   /// untouched, so serial traces are unchanged).

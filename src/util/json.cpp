@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace mvsim::json {
 
@@ -317,7 +316,9 @@ class Parser {
   int column_ = 1;
 };
 
-void write_escaped(const std::string& s, std::string& out) {
+}  // namespace
+
+void append_string(std::string_view s, std::string& out) {
   out += '"';
   for (char c : s) {
     switch (c) {
@@ -341,23 +342,24 @@ void write_escaped(const std::string& s, std::string& out) {
   out += '"';
 }
 
-void write_number(double v, std::string& out) {
+void append_number(double v, std::string& out) {
   if (!std::isfinite(v)) {
     // JSON has no Infinity/NaN; null is the conventional stand-in.
     out += "null";
     return;
   }
+  char buf[40];
   if (v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-    out += buf;
+    // std::to_chars with a precision formats as printf does ("%.0f").
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, 0).ptr);
     return;
   }
   // The shortest %g precision that round-trips. std::to_chars gives
   // the shortest round-trip digit count D, and no precision below D can
   // round-trip; %.*g rounds to nearest, which near a power of two may
   // need a digit more than D, so the search starts at D instead of 1.
-  char buf[40];
+  // The precision overloads of to_chars/from_chars are printf's "%.*g"
+  // and strtod without the locale and varargs overhead.
   const char* const mantissa_end =
       std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific).ptr;
   int precision = 0;
@@ -365,15 +367,19 @@ void write_number(double v, std::string& out) {
     if (std::isdigit(static_cast<unsigned char>(*c))) ++precision;
   }
   for (; precision < 17; ++precision) {
-    std::snprintf(buf, sizeof buf, "%.*g", precision, v);
-    if (std::strtod(buf, nullptr) == v) {
-      out += buf;
+    char* const end =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, precision).ptr;
+    double reparsed = 0.0;
+    std::from_chars(buf, end, reparsed);
+    if (reparsed == v) {
+      out.append(buf, end);
       return;
     }
   }
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17).ptr);
 }
+
+namespace {
 
 void write_value(const Value& value, int indent, int depth, std::string& out) {
   auto newline_indent = [&](int d) {
@@ -384,8 +390,8 @@ void write_value(const Value& value, int indent, int depth, std::string& out) {
   switch (value.kind()) {
     case Kind::kNull: out += "null"; break;
     case Kind::kBool: out += value.as_bool() ? "true" : "false"; break;
-    case Kind::kNumber: write_number(value.as_number(), out); break;
-    case Kind::kString: write_escaped(value.as_string(), out); break;
+    case Kind::kNumber: append_number(value.as_number(), out); break;
+    case Kind::kString: append_string(value.as_string(), out); break;
     case Kind::kArray: {
       const Array& array = value.as_array();
       if (array.empty()) {
@@ -414,7 +420,7 @@ void write_value(const Value& value, int indent, int depth, std::string& out) {
         if (!first) out += ',';
         first = false;
         newline_indent(depth + 1);
-        write_escaped(key, out);
+        append_string(key, out);
         out += indent > 0 ? ": " : ":";
         write_value(entry, indent, depth + 1, out);
       }

@@ -112,4 +112,12 @@ class ParseError : public std::runtime_error {
 /// Serializes. `indent` spaces per level; 0 = compact single line.
 [[nodiscard]] std::string stringify(const Value& value, int indent = 2);
 
+/// The writers stringify() uses for scalars, for callers that append
+/// records straight into a buffer instead of building a Value tree.
+/// append_number writes the shortest "%.*g" text that parses back to
+/// `v` (integers below 10^15 without a fraction; non-finite as null);
+/// append_string writes a quoted, escaped string.
+void append_number(double v, std::string& out);
+void append_string(std::string_view s, std::string& out);
+
 }  // namespace mvsim::json

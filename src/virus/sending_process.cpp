@@ -201,7 +201,7 @@ void SendingProcess::schedule_reboot() {
 
 void SendingProcess::on_reboot() {
   if (!running_) return;
-  if (env_.trace != nullptr) {
+  if (env_.trace != nullptr && !env_.trace->drop_if_full()) {
     trace::Event event;
     event.time = env_.scheduler->now();
     event.kind = trace::EventKind::kReboot;

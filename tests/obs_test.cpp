@@ -8,8 +8,10 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -134,6 +136,83 @@ TEST(RunStreamTest, ShardedSampleValuesRoundTrip) {
   EXPECT_EQ(shards[0].as_object().at("events").as_number(), 700.0);
   EXPECT_DOUBLE_EQ(shards[0].as_object().at("barrier_wait_ms").as_number(), 0.25);
   EXPECT_EQ(shards[1].as_object().at("queue").as_number(), 12.0);
+}
+
+/// The sample writer before it appended lines directly: a json::Object
+/// tree, stringified. Kept as the reference the direct writer must
+/// match byte for byte.
+std::string reference_sample_line(const RunSample& sample) {
+  json::Object record;
+  record.set("type", json::Value("sample"));
+  record.set("rep", json::Value(sample.replication));
+  record.set("t_min", json::Value(sample.time.to_minutes()));
+  record.set("infected", json::Value(sample.infected));
+  record.set("patched", json::Value(sample.patched));
+  record.set("blocked", json::Value(sample.messages_blocked));
+  record.set("events", json::Value(sample.events_executed));
+  record.set("events_per_sec", json::Value(sample.events_per_sec));
+  record.set("queue", json::Value(sample.queue_depth));
+  record.set("mailbox_sent", json::Value(sample.mailbox_sent));
+  record.set("mailbox_received", json::Value(sample.mailbox_received));
+  json::Array shards;
+  for (const ShardSample& shard : sample.shards) {
+    json::Object entry;
+    entry.set("shard", json::Value(shard.shard));
+    entry.set("events", json::Value(shard.events_executed));
+    entry.set("queue", json::Value(shard.queue_depth));
+    entry.set("barrier_wait_ms", json::Value(shard.barrier_wait_ms));
+    shards.push_back(json::Value(std::move(entry)));
+  }
+  record.set("shards", json::Value(std::move(shards)));
+  return json::stringify(json::Value(std::move(record)), 0) + "\n";
+}
+
+TEST(RunStreamTest, DirectWriterMatchesTheTreeRendererByteForByte) {
+  std::mt19937_64 rng(20070625);
+  std::exponential_distribution<double> minutes(1.0 / 600.0);
+  std::exponential_distribution<double> wait_ms(2.0);
+  std::uniform_real_distribution<double> rate(0.0, 2e7);
+  std::uniform_int_distribution<int> shard_count(0, 6);
+  // Counters from small to past 2^53, where the double conversion
+  // rounds and the writer switches from integer to %g form.
+  const auto count = [&rng] {
+    const int bits = static_cast<int>(rng() % 60);
+    return bits == 0 ? std::uint64_t{0} : rng() >> (64 - bits);
+  };
+  std::ostringstream out;
+  RunStream stream(out);
+  std::string expected;
+  for (int i = 0; i < 20000; ++i) {
+    RunSample sample;
+    sample.replication = static_cast<int>(rng() % 100000);
+    // Whole-minute sample marks and arbitrary barrier times.
+    sample.time = SimTime::minutes(i % 2 == 0 ? std::floor(minutes(rng)) : minutes(rng));
+    sample.infected = count();
+    sample.patched = count();
+    sample.messages_blocked = count();
+    sample.events_executed = count();
+    sample.events_per_sec = i % 7 == 0 ? 0.0 : rate(rng);
+    sample.queue_depth = count();
+    sample.mailbox_sent = count();
+    sample.mailbox_received = count();
+    const int shards = shard_count(rng);
+    for (int k = 0; k < shards; ++k) {
+      ShardSample shard;
+      shard.shard = static_cast<std::uint32_t>(k);
+      shard.events_executed = count();
+      shard.queue_depth = count();
+      shard.barrier_wait_ms = k % 3 == 0 ? 0.0 : wait_ms(rng);
+      sample.shards.push_back(shard);
+    }
+    stream.write_sample(sample);
+    expected += reference_sample_line(sample);
+  }
+  std::istringstream actual_lines(out.str());
+  std::istringstream expected_lines(expected);
+  std::string a;
+  std::string e;
+  while (std::getline(expected_lines, e) && std::getline(actual_lines, a)) ASSERT_EQ(a, e);
+  EXPECT_EQ(out.str().size(), expected.size());
 }
 
 TEST(RunStreamTest, ConcurrentWritersInterleaveWholeLines) {

@@ -9,7 +9,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
+#include "core/presets.h"
+#include "core/runner.h"
 #include "des/scheduler.h"
 #include "metrics/report.h"
 #include "prof/profile_io.h"
@@ -166,6 +169,57 @@ TEST(Profiler, SchedulerAttributesExecutedEventsToTheirTypes) {
       snapshot.find_histogram(prof::event_metric_name(des::EventType::kGeneric));
   ASSERT_NE(generic, nullptr);
   EXPECT_EQ(generic->count, 1u);
+}
+
+/// Sum of every prof.event.* histogram, in milliseconds.
+double event_ms(const metrics::Snapshot& snapshot) {
+  double micros = 0.0;
+  for (std::size_t i = 0; i < des::kEventTypeCount; ++i) {
+    const metrics::HistogramSample* h =
+        snapshot.find_histogram(prof::event_metric_name(static_cast<des::EventType>(i)));
+    if (h != nullptr) micros += h->sum;
+  }
+  return micros / 1000.0;
+}
+
+TEST(Profiler, TimeBetweenRunCallsIsNotChargedToEvents) {
+  // Each run call restarts the event-boundary clock, so what happens
+  // between two run calls (stats samples, shard barriers) never lands
+  // on the next event.
+  prof::Profiler profiler;
+  des::Scheduler scheduler;
+  scheduler.set_event_timer(&profiler);
+  for (int i = 1; i <= 4; ++i) {
+    scheduler.schedule_at(SimTime::minutes(static_cast<double>(i)), des::EventType::kVirusSend,
+                          [] {});
+  }
+  scheduler.run_until(SimTime::minutes(2.0));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  scheduler.run_until(SimTime::minutes(10.0));
+
+  const metrics::Snapshot snapshot = profiler.snapshot();
+  const metrics::HistogramSample* send =
+      snapshot.find_histogram(prof::event_metric_name(des::EventType::kVirusSend));
+  ASSERT_NE(send, nullptr);
+  EXPECT_EQ(send->count, 4u);
+  EXPECT_LT(event_ms(snapshot), 20.0);
+}
+
+TEST(Profiler, BoundaryTimingCoversTheRunPhase) {
+  // One clock read per event boundary charges every event its pop and
+  // dispatch too, so the event histograms add up to the whole event
+  // loop of a serial replication.
+  core::RunnerOptions options;
+  options.replications = 1;
+  options.profile = true;
+  const core::ExperimentResult result =
+      core::run_experiment(core::baseline_scenario(virus::virus1()), options);
+  const metrics::HistogramSample* run =
+      result.metrics.find_histogram(prof::phase_metric_name(prof::Phase::kRun));
+  ASSERT_NE(run, nullptr);
+  ASSERT_GT(run->sum, 0.0);
+  EXPECT_GE(event_ms(result.metrics), 0.98 * run->sum)
+      << event_ms(result.metrics) << " ms of events in a " << run->sum << " ms run phase";
 }
 
 // ---- Quantile estimation ------------------------------------------------

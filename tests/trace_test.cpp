@@ -3,6 +3,9 @@
 // the JSONL / Chrome trace_event exporters (lossless round-trips).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <random>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -16,6 +19,7 @@
 #include "trace/analysis.h"
 #include "trace/export.h"
 #include "trace/trace.h"
+#include "util/json.h"
 
 namespace mvsim::trace {
 namespace {
@@ -87,6 +91,7 @@ TEST(TraceBufferTest, CsvExport) {
 TEST(TraceBufferTest, BoundedCaptureDropsAndCounts) {
   TraceBuffer buffer(3);
   for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(buffer.full(), i >= 3) << "event " << i;
     buffer.record(make_event(static_cast<double>(i), EventKind::kInfection,
                              static_cast<PhoneId>(i)));
   }
@@ -97,9 +102,42 @@ TEST(TraceBufferTest, BoundedCaptureDropsAndCounts) {
   // The kept prefix is the *earliest* events — the ones that explain
   // how the outbreak started.
   EXPECT_EQ(buffer.events().back().phone, 2u);
+  EXPECT_TRUE(buffer.drop_if_full());
+  EXPECT_EQ(buffer.recorded(), 6u) << "drop_if_full() counts the drop it reports";
   buffer.clear();
   EXPECT_EQ(buffer.dropped(), 0u);
+  EXPECT_FALSE(buffer.full());
+  EXPECT_FALSE(buffer.drop_if_full());
+  EXPECT_EQ(buffer.recorded(), 0u);
   EXPECT_EQ(buffer.capacity(), 3u) << "clear() keeps the capacity";
+
+  // Recording sites skip building an event once the buffer is full.
+  // The kept events must still be a prefix of the unbounded trace of
+  // the same run, and the drop count must make up the rest exactly.
+  // Gateway scanning, blacklisting and immunization put blocks,
+  // mechanism actions and patches behind the cap too.
+  core::ScenarioConfig config = traced_scenario();
+  config.responses.gateway_scan = response::GatewayScanConfig{};
+  config.responses.blacklist = response::BlacklistConfig{};
+  config.responses.blacklist->message_threshold = 30;
+  config.responses.immunization = response::ImmunizationConfig{};
+  config.responses.immunization->development_time = SimTime::hours(6.0);
+  TraceBuffer full = TraceBuffer::unbounded();
+  (void)core::Simulation(config, 404, &full).run();
+  for (EventKind kind :
+       {EventKind::kMessageBlocked, EventKind::kMechanismAction, EventKind::kPatchApplied}) {
+    ASSERT_GT(full.count(kind), 0u) << to_string(kind);
+  }
+  for (std::size_t cap : {std::size_t{0}, std::size_t{1}, std::size_t{37}, full.events().size() / 2}) {
+    TraceBuffer capped(cap);
+    (void)core::Simulation(config, 404, &capped).run();
+    ASSERT_EQ(capped.events().size(), cap);
+    EXPECT_EQ(capped.recorded(), full.recorded()) << "cap " << cap;
+    EXPECT_EQ(capped.dropped(), full.recorded() - cap) << "cap " << cap;
+    for (std::size_t i = 0; i < cap; ++i) {
+      ASSERT_EQ(capped.events()[i], full.events()[i]) << "cap " << cap << ", event " << i;
+    }
+  }
 }
 
 TEST(TraceBufferTest, MergeShardsOrdersByTimeThenShardAndConservesCounts) {
@@ -329,6 +367,86 @@ TEST(Export, JsonlRoundTripIsLossless) {
   ASSERT_EQ(loaded.events.size(), buffer.events().size());
   for (std::size_t i = 0; i < loaded.events.size(); ++i) {
     EXPECT_EQ(loaded.events[i], buffer.events()[i]) << "event " << i;
+  }
+}
+
+/// The JSONL writer before it appended lines directly: a meta record
+/// and one json::Object tree per event, stringified. Kept as the
+/// reference the direct writer must match byte for byte.
+std::string reference_jsonl(const TraceBuffer& buffer) {
+  json::Object meta;
+  meta.set("type", json::Value("mvsim-trace"));
+  meta.set("version", json::Value(1));
+  meta.set("capacity",
+           json::Value(buffer.capacity() == std::numeric_limits<std::size_t>::max()
+                           ? std::uint64_t{0}
+                           : static_cast<std::uint64_t>(buffer.capacity())));
+  meta.set("dropped", json::Value(buffer.dropped()));
+  std::string out = json::stringify(json::Value(std::move(meta)), 0) + "\n";
+  for (const Event& event : buffer.events()) {
+    json::Object fields;
+    fields.set("t", json::Value(event.time.to_minutes()));
+    fields.set("kind", json::Value(to_string(event.kind)));
+    if (event.phone != kInvalidPhoneId) fields.set("phone", json::Value(event.phone));
+    if (event.peer != kInvalidPhoneId) fields.set("peer", json::Value(event.peer));
+    if (event.message != kInvalidMessageId) {
+      fields.set("msg", json::Value(static_cast<double>(event.message)));
+    }
+    if (event.value != 0) fields.set("value", json::Value(event.value));
+    if (event.shard != kNoShard) fields.set("shard", json::Value(event.shard));
+    if (!event.detail.empty()) fields.set("detail", json::Value(event.detail));
+    out += json::stringify(json::Value(std::move(fields)), 0) + "\n";
+  }
+  return out;
+}
+
+TEST(Export, JsonlWriterMatchesTheTreeRendererByteForByte) {
+  std::mt19937_64 rng(20070625);
+  std::exponential_distribution<double> minutes(1.0 / 600.0);
+  const EventKind kinds[] = {EventKind::kMessageSent,     EventKind::kMessageBlocked,
+                             EventKind::kMessageDelivered, EventKind::kInfection,
+                             EventKind::kPatchApplied,     EventKind::kReboot,
+                             EventKind::kDetectabilityCrossed, EventKind::kMechanismAction};
+  // Details that need escaping: quotes, backslashes, control bytes and
+  // multi-byte UTF-8 next to the plain mechanism and channel names.
+  const std::string details[] = {"",
+                                 "mms",
+                                 "blacklist",
+                                 "monitoring:flagged",
+                                 "quote\"d\\back",
+                                 "tab\tnew\nline\r",
+                                 std::string("ctl\x01\x1f\b\f", 7),
+                                 "caf\xc3\xa9 \xe2\x9c\x93"};
+  // One chance in four that a field holds its sentinel (and is omitted).
+  const auto sentinel = [&rng] { return rng() % 4 == 0; };
+  TraceBuffer buffer(40000);
+  for (int i = 0; i < 50000; ++i) {
+    Event event;
+    event.time = SimTime::minutes(i % 5 == 0 ? std::floor(minutes(rng)) : minutes(rng));
+    event.kind = kinds[rng() % 8];
+    if (!sentinel()) event.phone = static_cast<PhoneId>(rng() % 2000000);
+    if (!sentinel()) event.peer = static_cast<PhoneId>(rng() % 2000000);
+    if (!sentinel()) {
+      // Gateway sequences, offset by the origin shard's stride.
+      event.message = (rng() % 1000000) + (rng() % 64) * kShardMessageStride;
+    }
+    if (!sentinel()) event.value = static_cast<std::uint32_t>(rng() % 40);
+    if (!sentinel()) event.shard = static_cast<std::uint32_t>(rng() % 64);
+    event.detail = details[rng() % 8];
+    buffer.record(std::move(event));
+  }
+  ASSERT_EQ(buffer.dropped(), 10000u);
+  TraceBuffer empty = TraceBuffer::unbounded();
+  for (const TraceBuffer* traced : {&buffer, &empty}) {
+    std::ostringstream out;
+    write_jsonl(*traced, out);
+    const std::string expected = reference_jsonl(*traced);
+    std::istringstream actual_lines(out.str());
+    std::istringstream expected_lines(expected);
+    std::string a;
+    std::string e;
+    while (std::getline(expected_lines, e) && std::getline(actual_lines, a)) ASSERT_EQ(a, e);
+    EXPECT_EQ(out.str().size(), expected.size());
   }
 }
 
