@@ -78,7 +78,8 @@ int main() {
   double base_final = baseline.final_infections.mean();
   report("MMS-only mechanisms (scan/detection/monitoring/blacklist) see no Bluetooth traffic",
          "structural: the worm never transits a gateway (" +
-             fmt(baseline.messages_submitted.mean()) + " MMS submitted/rep), so those four "
+             fmt(baseline.per_replication("net.messages_submitted").mean()) +
+             " MMS submitted/rep), so those four "
              "cannot engage");
   report("the consent plateau carries over from the MMS model (1000 x 0.8 x 0.40 = 320)",
          "baseline final = " + fmt(base_final) + " infected");

@@ -65,7 +65,7 @@ int main() {
   report("against the dual-vector virus the same scan only amputates the MMS arm",
          "dual + 6h scan -> " + fmt(dual_scan) + " infected (" +
              fmt(100.0 * dual_scan / dual_base) + "% of its baseline); Bluetooth pushes/rep = " +
-             fmt(runs[3].result.bluetooth_push_attempts.mean()));
+             fmt(runs[3].result.per_replication("core.bluetooth_push_attempts").mean()));
   report("infection-point mechanisms still work: they protect the phone, not the channel",
          "dual + patching -> " + fmt(runs[4].result.final_infections.mean()) +
              ", dual + education -> " + fmt(runs[5].result.final_infections.mean()));

@@ -49,7 +49,8 @@ int main() {
         run_experiment_case(harness, profile.name + " baseline", core::baseline_scenario(profile));
     std::cout << "    " << profile.name << ": "
               << fmt(100.0 * with.final_infections.mean() / base.final_infections.mean())
-              << "% (phones flagged: " << fmt(with.phones_flagged.mean()) << ")\n";
+              << "% (phones flagged: "
+              << fmt(with.per_replication("response.monitoring.phones_flagged").mean()) << ")\n";
   }
   harness.write_report();
   return 0;

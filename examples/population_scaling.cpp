@@ -36,7 +36,8 @@ int main() {
                 result.final_infections.mean(),
                 100.0 * result.final_infections.mean() / susceptible,
                 half.is_finite() ? half.to_hours() : -1.0,
-                result.messages_submitted.mean() / static_cast<double>(population));
+                result.per_replication("net.messages_submitted").mean() /
+                    static_cast<double>(population));
   }
   std::printf(
       "\nPenetration stays at ~40%% of the susceptible population at every size\n"

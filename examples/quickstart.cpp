@@ -44,7 +44,8 @@ int main() {
             << result.final_infections.ci95_half_width() << " of "
             << scenario.expected_unrestrained_plateau() << " expected ("
             << result.curve.replication_count() << " replications)\n";
-  std::cout << "Infected MMS messages sent: " << result.messages_submitted.mean()
+  std::cout << "Infected MMS messages sent: "
+            << result.per_replication("net.messages_submitted").mean()
             << " per replication\n";
   return 0;
 }

@@ -10,6 +10,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <sstream>
@@ -35,6 +36,7 @@
 #include "trace/analysis.h"
 #include "trace/export.h"
 #include "trace/trace.h"
+#include "util/checked_integer.h"
 #include "util/json.h"
 
 namespace mvsim::cli {
@@ -470,8 +472,8 @@ int command_run(const std::vector<std::string>& args, std::ostream& out, std::os
         << "final infections: " << result.final_infections.mean() << " +/- "
         << result.final_infections.ci95_half_width() << " (expected unrestrained plateau "
         << scenario.expected_unrestrained_plateau() << ")\n"
-        << "messages submitted: " << result.messages_submitted.mean()
-        << ", blocked: " << result.messages_blocked.mean() << "\n";
+        << "messages submitted: " << result.per_replication("net.messages_submitted").mean()
+        << ", blocked: " << result.per_replication("net.messages_blocked").mean() << "\n";
   }
   std::vector<obs::ManifestArtifact> written;
   if (!stats_stream_path.empty()) written.push_back({"stats-stream", stats_stream_path});
@@ -547,9 +549,17 @@ metrics::Snapshot read_metrics_report(const std::string& path, metrics::ReportIn
   if (root.find("schema_version") == nullptr) {
     throw std::runtime_error("'" + path + "' is not an mvsim metrics report (no schema_version)");
   }
+  const auto count_at = [&](const char* key) {
+    const double n = root.at(key).as_number();
+    const std::optional<int> value = n < 0 ? std::nullopt : util::checked_integer<int>(n);
+    if (!value) {
+      throw std::runtime_error("'" + path + "': '" + key + "' is not a nonnegative integer");
+    }
+    return *value;
+  };
   info.scenario = root.at("scenario").as_string();
-  info.replications = static_cast<int>(root.at("replications").as_number());
-  info.threads = static_cast<int>(root.at("threads").as_number());
+  info.replications = count_at("replications");
+  info.threads = count_at("threads");
   return metrics::snapshot_from_json(doc);
 }
 
@@ -601,7 +611,7 @@ int command_compare(const std::vector<std::string>& args, std::ostream& out,
     std::snprintf(line, sizeof line, "%s,%.1f,%.1f,%.1f%%,%.0f\n", scenario.name.c_str(),
                   final_mean, result.final_infections.ci95_half_width(),
                   baseline > 0.0 ? 100.0 * final_mean / baseline : 0.0,
-                  result.messages_submitted.mean());
+                  result.per_replication("net.messages_submitted").mean());
     table += line;
   }
   out << table;
@@ -821,7 +831,7 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
                   format_value(point.parameter).c_str(),
                   point.result.final_infections.mean(),
                   point.result.final_infections.ci95_half_width(),
-                  point.result.messages_blocked.mean());
+                  point.result.per_replication("net.messages_blocked").mean());
     out << line;
   }
   const double baseline_final = sweep.points.front().result.final_infections.mean();

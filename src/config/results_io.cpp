@@ -28,13 +28,28 @@ json::Value results_to_json(const core::ScenarioConfig& scenario,
   o.set("expected_unrestrained_plateau",
         json::Value(scenario.expected_unrestrained_plateau()));
   o.set("final_infections", accumulator_to_json(result.final_infections));
-  o.set("messages_submitted", accumulator_to_json(result.messages_submitted));
-  o.set("messages_blocked", accumulator_to_json(result.messages_blocked));
-  o.set("phones_flagged", accumulator_to_json(result.phones_flagged));
-  o.set("phones_blacklisted", accumulator_to_json(result.phones_blacklisted));
-  o.set("patches_applied", accumulator_to_json(result.patches_applied));
-  for (const auto& [name, acc] : result.response_extras) {
-    o.set(name, accumulator_to_json(acc));
+  // Summary key -> per-replication counter, in output order.
+  // patches_applied is no single counter (see ExperimentResult); the
+  // rate-limiter rows appear only when that mechanism ran.
+  struct CounterRow {
+    const char* key;
+    const char* metric;
+    bool optional = false;
+  };
+  static constexpr CounterRow kCounterRows[] = {
+      {"messages_submitted", "net.messages_submitted"},
+      {"messages_blocked", "net.messages_blocked"},
+      {"phones_flagged", "response.monitoring.phones_flagged"},
+      {"phones_blacklisted", "response.blacklist.phones_blacklisted"},
+      {"patches_applied", nullptr},
+      {"phones_rate_limited", "response.rate_limiter.phones_limited", true},
+      {"rate_limit_windows_capped", "response.rate_limiter.windows_capped", true},
+  };
+  for (const CounterRow& row : kCounterRows) {
+    const stats::Accumulator& acc =
+        row.metric == nullptr ? result.patches_applied : result.per_replication(row.metric);
+    if (row.optional && acc.count() == 0) continue;
+    o.set(row.key, accumulator_to_json(acc));
   }
 
   // Time landmarks the paper's prose quotes: when the mean curve

@@ -110,32 +110,7 @@ ReplicationResult ReplicationState::result() const {
     r.infections.push(best_at, static_cast<double>(cumulative));
   }
 
-  for (const auto& slice : slices) {
-    r.total_infected += slice->infected_count();
-    r.immunized_healthy += slice->immunized_healthy();
-    r.patched_infected += slice->patched_infected();
-    r.bluetooth_push_attempts += slice->bluetooth_push_attempts();
-
-    response::ResponseMetrics m = slice->context().metrics();
-    r.phones_blacklisted += m.phones_blacklisted;
-    r.phones_flagged += m.phones_flagged;
-    for (auto& [name, value] : m.extras) {
-      auto it = std::find_if(r.response_extras.begin(), r.response_extras.end(),
-                             [&name = name](const auto& e) { return e.first == name; });
-      if (it == r.response_extras.end()) {
-        r.response_extras.emplace_back(std::move(name), value);
-      } else {
-        it->second += value;
-      }
-    }
-
-    const net::GatewayCounters& gc = slice->gateway().counters();
-    r.gateway.messages_submitted += gc.messages_submitted;
-    r.gateway.infected_messages_submitted += gc.infected_messages_submitted;
-    r.gateway.messages_blocked += gc.messages_blocked;
-    r.gateway.recipients_delivered += gc.recipients_delivered;
-    r.gateway.invalid_recipients_dropped += gc.invalid_recipients_dropped;
-  }
+  for (const auto& slice : slices) r.total_infected += slice->infected_count();
   r.metrics = collect_metrics();
   return r;
 }

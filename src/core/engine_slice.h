@@ -51,23 +51,14 @@ struct ReplicationResult {
   /// every figure in the paper plots).
   stats::TimeSeries infections;
   std::uint64_t total_infected = 0;
-  std::uint64_t immunized_healthy = 0;   ///< phones patched while healthy
-  std::uint64_t patched_infected = 0;    ///< infected phones silenced by a patch
-  std::uint64_t phones_blacklisted = 0;
-  std::uint64_t phones_flagged = 0;
-  /// Bluetooth infection offers made (dual-vector scenarios only);
-  /// this traffic never transits the gateway.
-  std::uint64_t bluetooth_push_attempts = 0;
-  /// Mechanism-specific counters beyond the standard fields above,
-  /// keyed by mechanism-chosen names (e.g. "phones_rate_limited").
-  std::vector<std::pair<std::string, std::uint64_t>> response_extras;
-  net::GatewayCounters gateway;
   /// When the virus crossed the detectability threshold (infinity if
   /// never, e.g. a virus contained before reaching it).
   SimTime detected_at = SimTime::infinity();
   /// Run telemetry (des/net/core/rng/response counters, see
-  /// docs/observability.md). Deterministic in (scenario, seed);
-  /// collection is observation-only and always on.
+  /// docs/observability.md): the one place the replication's counters
+  /// live, read by name (`net.messages_blocked`,
+  /// `core.phones_immunized_healthy`, ...). Deterministic in
+  /// (scenario, seed); collection is observation-only and always on.
   metrics::Snapshot metrics;
   /// Wall-clock time this replication took (stamped by the runner;
   /// 0 when the engine was driven directly).
@@ -130,8 +121,8 @@ struct ReplicationState {
   [[nodiscard]] EngineSlice& owner_of(graph::PhoneId id) const;
 
   /// The replication's result, merged over the slices (infection
-  /// instants K-way merged, lowest slice first on ties; counters
-  /// summed). `detected_at` is the engine's to fill in.
+  /// instants K-way merged, lowest slice first on ties; metrics
+  /// merged). `detected_at` is the engine's to fill in.
   [[nodiscard]] ReplicationResult result() const;
   /// The topology draws plus every slice's telemetry.
   [[nodiscard]] metrics::Snapshot collect_metrics() const;

@@ -35,7 +35,7 @@ obs::RunManifest build_run_manifest(const ScenarioConfig& config, const Manifest
     }
   }
   outcome.patched_mean = result.patches_applied.mean();
-  outcome.messages_blocked_mean = result.messages_blocked.mean();
+  outcome.messages_blocked_mean = result.per_replication("net.messages_blocked").mean();
   outcome.total_events = result.metrics.counter_value("des.events_executed");
   return manifest;
 }

@@ -231,6 +231,12 @@ metrics::Snapshot merge_metrics(const std::vector<ReplicationResult>& slots,
 
 }  // namespace
 
+const stats::Accumulator& ExperimentResult::per_replication(std::string_view name) const {
+  static const stats::Accumulator kEmpty;
+  auto it = per_replication_.find(name);
+  return it == per_replication_.end() ? kEmpty : it->second;
+}
+
 ExperimentResult run_experiment(const ScenarioConfig& config, const RunnerOptions& options) {
   if (options.replications < 1) {
     throw std::invalid_argument("run_experiment: replications must be >= 1");
@@ -322,30 +328,23 @@ ExperimentResult run_experiment(const ScenarioConfig& config, const RunnerOption
   ExperimentResult result(stats::AggregatedSeries(config.sample_step, config.horizon));
   result.metrics = merge_metrics(slots, experiment_wall_seconds);
   result.threads_used = thread_count;
+  // Every counter any replication reported, each replication adding
+  // its value (0 when absent) in replication order.
+  for (const ReplicationResult& r : slots) {
+    for (const metrics::CounterSample& c : r.metrics.counters) {
+      result.per_replication_.try_emplace(c.name);
+    }
+  }
   for (ReplicationResult& r : slots) {
     result.curve.add_replication(r.infections);
     result.final_infections.add(static_cast<double>(r.total_infected));
-    result.messages_submitted.add(static_cast<double>(r.gateway.messages_submitted));
-    result.messages_blocked.add(static_cast<double>(r.gateway.messages_blocked));
-    result.phones_blacklisted.add(static_cast<double>(r.phones_blacklisted));
-    result.phones_flagged.add(static_cast<double>(r.phones_flagged));
-    result.patches_applied.add(static_cast<double>(r.immunized_healthy + r.patched_infected));
-    result.bluetooth_push_attempts.add(static_cast<double>(r.bluetooth_push_attempts));
-    for (const auto& [name, value] : r.response_extras) {
-      auto it = std::find_if(result.response_extras.begin(), result.response_extras.end(),
-                             [&name = name](const auto& e) { return e.first == name; });
-      if (it == result.response_extras.end()) {
-        result.response_extras.emplace_back(name, stats::Accumulator());
-        it = std::prev(result.response_extras.end());
-      }
-      it->second.add(static_cast<double>(value));
+    for (auto& [name, acc] : result.per_replication_) {
+      acc.add(static_cast<double>(r.metrics.counter_value(name)));
     }
+    result.patches_applied.add(
+        static_cast<double>(r.metrics.counter_value("core.phones_immunized_healthy") +
+                            r.metrics.counter_value("core.phones_patched_infected")));
     if (options.keep_replications) result.replications.push_back(std::move(r));
-  }
-  // A replication that never reported a name counts as 0 for it, so
-  // every extra aggregates over the same replication count.
-  for (auto& [name, acc] : result.response_extras) {
-    while (acc.count() < static_cast<std::size_t>(options.replications)) acc.add(0.0);
   }
   return result;
 }

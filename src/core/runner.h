@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -18,21 +20,17 @@ class RunStream;
 
 namespace mvsim::core {
 
+struct RunnerOptions;
+
 struct ExperimentResult {
   /// Mean infected-count curve across replications (plus spread).
   stats::AggregatedSeries curve;
   /// Distribution of per-replication totals at the horizon.
   stats::Accumulator final_infections;
-  stats::Accumulator messages_submitted;
-  stats::Accumulator messages_blocked;
-  stats::Accumulator phones_blacklisted;
-  stats::Accumulator phones_flagged;
+  /// Phones patched per replication: `core.phones_immunized_healthy`
+  /// plus `core.phones_patched_infected` (repeat patches not counted,
+  /// unlike `response.immunization.patches_applied`).
   stats::Accumulator patches_applied;
-  stats::Accumulator bluetooth_push_attempts;
-  /// Mechanism-specific counters (ReplicationResult::response_extras),
-  /// aggregated by name in first-seen order. A replication that omits a
-  /// name contributes 0 for it.
-  std::vector<std::pair<std::string, stats::Accumulator>> response_extras;
   /// Replication snapshots merged in replication order, plus the
   /// runner's own `timing.*` series. All non-timing metrics are
   /// deterministic in (config, master_seed) and thread-count-invariant;
@@ -48,6 +46,15 @@ struct ExperimentResult {
   std::vector<ReplicationResult> replications;
 
   explicit ExperimentResult(stats::AggregatedSeries aggregated) : curve(std::move(aggregated)) {}
+
+  /// Distribution over replications of the counter `name` in each
+  /// replication's snapshot, added in replication order; a replication
+  /// without the counter contributes 0. Empty when no replication has it.
+  [[nodiscard]] const stats::Accumulator& per_replication(std::string_view name) const;
+
+ private:
+  friend ExperimentResult run_experiment(const ScenarioConfig&, const RunnerOptions&);
+  std::map<std::string, stats::Accumulator, std::less<>> per_replication_;
 };
 
 /// One live progress observation, delivered after each replication

@@ -88,12 +88,6 @@ const response::ResponseMechanism* SimulationContext::find(std::string_view name
   return nullptr;
 }
 
-response::ResponseMetrics SimulationContext::metrics() const {
-  response::ResponseMetrics metrics;
-  for (const auto& mechanism : mechanisms_) mechanism->contribute_metrics(metrics);
-  return metrics;
-}
-
 void SimulationContext::on_submitted(const net::MmsMessage& message, SimTime now) {
   count_dispatch(submitted_subs_.size());
   for (auto* mechanism : submitted_subs_) mechanism->on_message_submitted(message, now);

@@ -65,9 +65,6 @@ class SimulationContext final : public net::GatewayObserver {
   /// nullptr when no enabled mechanism has that name.
   [[nodiscard]] const response::ResponseMechanism* find(std::string_view name) const;
 
-  /// Aggregates every mechanism's contribute_metrics().
-  [[nodiscard]] response::ResponseMetrics metrics() const;
-
   /// Publishes the dispatch layer's own telemetry (`core.dispatch.*`)
   /// and every mechanism's `response.<name>.*` counters (via the
   /// on_metrics hook) into `registry`. Observation-only.

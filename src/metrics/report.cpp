@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
+#include "util/checked_integer.h"
 #include "util/csv.h"
 
 namespace mvsim::metrics {
@@ -186,8 +189,14 @@ json::Value counts_to_json(const std::vector<std::uint64_t>& counts) {
   return json::Value(std::move(array));
 }
 
-std::uint64_t as_u64(const json::Value& value) {
-  return static_cast<std::uint64_t>(value.as_number());
+/// `value` as a count; `field` names it in the error for a negative,
+/// fractional or out-of-range number.
+std::uint64_t as_u64(const json::Value& value, const std::string& field) {
+  const std::optional<std::uint64_t> n = util::checked_integer<std::uint64_t>(value.as_number());
+  if (!n) {
+    throw std::runtime_error("metrics report: '" + field + "' is not a nonnegative integer");
+  }
+  return *n;
 }
 
 /// Compact bound label for CSV bucket rows: "le_100", "le_2.5".
@@ -263,11 +272,12 @@ Snapshot snapshot_from_json(const json::Value& value) {
   const json::Object& root = value.as_object();
   Snapshot snapshot;
   for (const auto& [name, v] : root.at("counters").as_object().entries()) {
-    snapshot.counters.push_back({name, as_u64(v)});
+    snapshot.counters.push_back({name, as_u64(v, name)});
   }
   for (const auto& [name, v] : root.at("gauges").as_object().entries()) {
     const json::Object& o = v.as_object();
-    snapshot.gauges.push_back({name, as_u64(o.at("value")), as_u64(o.at("peak"))});
+    snapshot.gauges.push_back(
+        {name, as_u64(o.at("value"), name + ".value"), as_u64(o.at("peak"), name + ".peak")});
   }
   for (const auto& [name, v] : root.at("histograms").as_object().entries()) {
     const json::Object& o = v.as_object();
@@ -277,9 +287,9 @@ Snapshot snapshot_from_json(const json::Value& value) {
       h.upper_bounds.push_back(b.as_number());
     }
     for (const json::Value& c : o.at("bucket_counts").as_array()) {
-      h.bucket_counts.push_back(as_u64(c));
+      h.bucket_counts.push_back(as_u64(c, name + ".bucket_counts"));
     }
-    h.count = as_u64(o.at("count"));
+    h.count = as_u64(o.at("count"), name + ".count");
     h.sum = o.at("sum").as_number();
     h.min = o.at("min").as_number();
     h.max = o.at("max").as_number();

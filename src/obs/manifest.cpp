@@ -6,11 +6,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/version.h"
+#include "util/checked_integer.h"
 
 namespace mvsim::obs {
 
@@ -143,6 +145,15 @@ double number_at(const json::Object& object, const std::string& key) {
   return value->as_number();
 }
 
+/// A nonnegative integer field that fits T.
+template <typename T>
+T count_at(const json::Object& object, const std::string& key) {
+  const double n = number_at(object, key);
+  const std::optional<T> value = n < 0 ? std::nullopt : util::checked_integer<T>(n);
+  if (!value) fail("field '" + key + "' is not a nonnegative integer");
+  return *value;
+}
+
 std::string string_at(const json::Object& object, const std::string& key) {
   const json::Value* value = object.find(key);
   if (value == nullptr || !value->is_string()) fail("missing string field '" + key + "'");
@@ -155,7 +166,7 @@ RunManifest manifest_from_json(const json::Value& value) {
   if (!value.is_object()) fail("document is not a JSON object");
   const json::Object& root = value.as_object();
   if (string_at(root, "type") != "mvsim-manifest") fail("not an mvsim-manifest document");
-  const int version = static_cast<int>(number_at(root, "version"));
+  const int version = count_at<int>(root, "version");
   if (version != RunManifest::kVersion) {
     fail("unsupported manifest version " + std::to_string(version));
   }
@@ -163,9 +174,9 @@ RunManifest manifest_from_json(const json::Value& value) {
   manifest.scenario = string_at(root, "scenario");
   manifest.scenario_hash = string_at(root, "scenario_hash");
   manifest.seed = string_at(root, "seed");
-  manifest.replications = static_cast<int>(number_at(root, "replications"));
-  manifest.threads = static_cast<int>(number_at(root, "threads"));
-  manifest.shards = static_cast<std::uint32_t>(number_at(root, "shards"));
+  manifest.replications = count_at<int>(root, "replications");
+  manifest.threads = count_at<int>(root, "threads");
+  manifest.shards = count_at<std::uint32_t>(root, "shards");
   manifest.shard_window_min = number_at(root, "shard_window_min");
   const json::Value* build = root.find("build");
   if (build == nullptr || !build->is_object()) fail("missing build block");
@@ -176,7 +187,7 @@ RunManifest manifest_from_json(const json::Value& value) {
   if (phases == nullptr || !phases->is_object()) fail("missing phases block");
   manifest.phases.run_seconds = number_at(phases->as_object(), "run_seconds");
   manifest.phases.write_seconds = number_at(phases->as_object(), "write_seconds");
-  manifest.peak_rss = static_cast<std::uint64_t>(number_at(root, "peak_rss_bytes"));
+  manifest.peak_rss = count_at<std::uint64_t>(root, "peak_rss_bytes");
   const json::Value* artifacts = root.find("artifacts");
   if (artifacts == nullptr || !artifacts->is_array()) fail("missing artifacts array");
   for (const json::Value& entry : artifacts->as_array()) {
@@ -195,15 +206,15 @@ RunManifest manifest_from_json(const json::Value& value) {
   manifest.outcome.time_to_peak_h = number_at(o, "time_to_peak_h");
   manifest.outcome.patched_mean = number_at(o, "patched_mean");
   manifest.outcome.messages_blocked_mean = number_at(o, "messages_blocked_mean");
-  manifest.outcome.total_events = static_cast<std::uint64_t>(number_at(o, "total_events"));
+  manifest.outcome.total_events = count_at<std::uint64_t>(o, "total_events");
   const json::Value* sweep = root.find("sweep");
   if (sweep != nullptr && !sweep->is_null()) {
     if (!sweep->is_object()) fail("sweep block is neither null nor an object");
     SweepInfo info;
     info.parameter = string_at(sweep->as_object(), "parameter");
     info.value = number_at(sweep->as_object(), "value");
-    info.index = static_cast<int>(number_at(sweep->as_object(), "index"));
-    info.count = static_cast<int>(number_at(sweep->as_object(), "count"));
+    info.index = count_at<int>(sweep->as_object(), "index");
+    info.count = count_at<int>(sweep->as_object(), "count");
     manifest.sweep = std::move(info);
   }
   return manifest;

@@ -29,10 +29,6 @@ void Blacklist::on_message_submitted(const net::MmsMessage& message, SimTime now
   }
 }
 
-void Blacklist::contribute_metrics(ResponseMetrics& metrics) const {
-  metrics.phones_blacklisted += blacklisted_.size();
-}
-
 void Blacklist::on_metrics(metrics::Registry& registry) const {
   registry.counter("response.blacklist.phones_blacklisted").add(blacklisted_.size());
 }

@@ -47,7 +47,6 @@ class Blacklist final : public ResponseMechanism, public net::OutgoingMmsPolicy 
   void on_build(BuildContext& context) override;
   void on_message_submitted(const net::MmsMessage& message, SimTime now) override;
   [[nodiscard]] net::OutgoingMmsPolicy* as_outgoing_policy() override { return this; }
-  void contribute_metrics(ResponseMetrics& metrics) const override;
   void on_metrics(metrics::Registry& registry) const override;
 
   // OutgoingMmsPolicy — blacklisting blocks, never merely delays.

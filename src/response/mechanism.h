@@ -7,15 +7,13 @@
 // core's SimulationContext dispatches in registration order. The core
 // never names a concrete mechanism type: mechanisms expose their
 // gateway-filter and sending-policy roles through the as_*() adapters
-// and report counters through contribute_metrics(), so adding a
-// mechanism is a response-layer-only change (see response/registry.h
-// and DESIGN.md, "How to add a response mechanism").
+// and report counters through on_metrics(), so adding a mechanism is a
+// response-layer-only change (see response/registry.h and DESIGN.md,
+// "How to add a response mechanism").
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "des/scheduler.h"
@@ -55,15 +53,6 @@ struct BuildContext {
   /// off. Observation-only: mechanisms may record state transitions
   /// (see trace::record_action) but must never branch on it.
   trace::TraceBuffer* trace = nullptr;
-};
-
-/// Counters mechanisms report into the replication result. Standard
-/// fields keep the core's result struct mechanism-agnostic; anything
-/// else goes into `extras` under a mechanism-chosen name.
-struct ResponseMetrics {
-  std::uint64_t phones_blacklisted = 0;
-  std::uint64_t phones_flagged = 0;
-  std::vector<std::pair<std::string, std::uint64_t>> extras;
 };
 
 /// Bit flags naming the notification hooks a mechanism can subscribe
@@ -149,13 +138,11 @@ class ResponseMechanism {
   /// by every SendingProcess in mechanism order.
   [[nodiscard]] virtual net::OutgoingMmsPolicy* as_outgoing_policy() { return nullptr; }
 
-  /// Add this mechanism's counters to the replication result.
-  virtual void contribute_metrics(ResponseMetrics& metrics) const { (void)metrics; }
-
   /// Publish this mechanism's runtime counters into the telemetry
-  /// registry under `response.<name()>.*`. Called once per replication
-  /// when the result is collected; register every counter the
-  /// mechanism owns even if it is still zero, so the emitted set of
+  /// registry under `response.<name()>.*` — the only way a mechanism
+  /// reports a count; readers find it there by name. Called once per
+  /// replication when the result is collected; register every counter
+  /// the mechanism owns even if it is still zero, so the emitted set of
   /// names depends only on which mechanisms are enabled. Names must be
   /// listed in metrics::schema() and docs/observability.md.
   virtual void on_metrics(metrics::Registry& registry) const { (void)registry; }

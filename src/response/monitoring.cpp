@@ -48,10 +48,6 @@ bool Monitoring::is_flagged(net::PhoneId phone) const {
   return it != records_.end() && it->second.flagged;
 }
 
-void Monitoring::contribute_metrics(ResponseMetrics& metrics) const {
-  metrics.phones_flagged += flagged_total_;
-}
-
 void Monitoring::on_metrics(metrics::Registry& registry) const {
   registry.counter("response.monitoring.phones_flagged").add(flagged_total_);
 }

@@ -75,12 +75,6 @@ void RateLimiter::on_tick(SimTime now) {
   }
 }
 
-void RateLimiter::contribute_metrics(ResponseMetrics& metrics) const {
-  metrics.extras.emplace_back("phones_rate_limited",
-                              static_cast<std::uint64_t>(limited_phones_.size()));
-  metrics.extras.emplace_back("rate_limit_windows_capped", windows_capped_);
-}
-
 void RateLimiter::on_metrics(metrics::Registry& registry) const {
   registry.counter("response.rate_limiter.phones_limited").add(limited_phones_.size());
   registry.counter("response.rate_limiter.windows_capped").add(windows_capped_);

@@ -59,7 +59,6 @@ class RateLimiter final : public ResponseMechanism, public net::OutgoingMmsPolic
   void on_tick(SimTime now) override;
   [[nodiscard]] SimTime tick_period() const override { return config_.window; }
   [[nodiscard]] net::OutgoingMmsPolicy* as_outgoing_policy() override { return this; }
-  void contribute_metrics(ResponseMetrics& metrics) const override;
   void on_metrics(metrics::Registry& registry) const override;
 
   // OutgoingMmsPolicy — holds until the window rolls over, never cuts.

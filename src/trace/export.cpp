@@ -2,10 +2,13 @@
 
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
+#include "util/checked_integer.h"
 #include "util/json.h"
 
 namespace mvsim::trace {
@@ -102,6 +105,18 @@ void append_event_line(const Event& event, std::string& out) {
   out += "}\n";
 }
 
+/// The integer field `key` of `fields`, or `fallback` when absent.
+template <typename T>
+T integer_field(const json::Object& fields, const char* key, T fallback, const char* where) {
+  const json::Value* v = fields.find(key);
+  if (v == nullptr) return fallback;
+  const std::optional<T> n = util::checked_integer<T>(v->as_number());
+  if (!n) {
+    throw std::runtime_error(std::string(where) + ": \"" + key + "\" is not a nonnegative integer");
+  }
+  return *n;
+}
+
 Event event_from_fields(const json::Object& fields, const char* where) {
   Event event;
   const json::Value* t = fields.find("t");
@@ -114,33 +129,19 @@ Event event_from_fields(const json::Object& fields, const char* where) {
     throw std::runtime_error(std::string(where) + ": unknown event kind '" +
                              kind->as_string() + "'");
   }
-  if (const json::Value* v = fields.find("phone")) {
-    event.phone = static_cast<PhoneId>(v->as_number());
-  }
-  if (const json::Value* v = fields.find("peer")) {
-    event.peer = static_cast<PhoneId>(v->as_number());
-  }
-  if (const json::Value* v = fields.find("msg")) {
-    event.message = static_cast<std::uint64_t>(v->as_number());
-  }
-  if (const json::Value* v = fields.find("value")) {
-    event.value = static_cast<std::uint32_t>(v->as_number());
-  }
-  if (const json::Value* v = fields.find("shard")) {
-    event.shard = static_cast<std::uint32_t>(v->as_number());
-  }
+  event.phone = integer_field<PhoneId>(fields, "phone", event.phone, where);
+  event.peer = integer_field<PhoneId>(fields, "peer", event.peer, where);
+  event.message = integer_field<std::uint64_t>(fields, "msg", event.message, where);
+  event.value = integer_field<std::uint32_t>(fields, "value", event.value, where);
+  event.shard = integer_field<std::uint32_t>(fields, "shard", event.shard, where);
   if (const json::Value* v = fields.find("detail")) event.detail = v->as_string();
   return event;
 }
 
 TraceMeta meta_from_object(const json::Object& object) {
   TraceMeta meta;
-  if (const json::Value* v = object.find("capacity")) {
-    meta.capacity = static_cast<std::uint64_t>(v->as_number());
-  }
-  if (const json::Value* v = object.find("dropped")) {
-    meta.dropped = static_cast<std::uint64_t>(v->as_number());
-  }
+  meta.capacity = integer_field<std::uint64_t>(object, "capacity", meta.capacity, "trace header");
+  meta.dropped = integer_field<std::uint64_t>(object, "dropped", meta.dropped, "trace header");
   return meta;
 }
 

@@ -1,9 +1,6 @@
 #include "trace/trace.h"
 
-#include <ostream>
 #include <utility>
-
-#include "util/csv.h"
 
 namespace mvsim::trace {
 
@@ -110,18 +107,6 @@ SimTime TraceBuffer::last_time(EventKind kind) const {
     if (e.kind == kind) last = e.time;
   }
   return last;
-}
-
-void TraceBuffer::write_csv(std::ostream& out) const {
-  CsvWriter csv(out);
-  csv.header({"hours", "kind", "phone", "peer", "message", "value", "detail", "shard"});
-  for (const Event& e : events_) {
-    csv.row(e.time.to_hours(), to_string(e.kind),
-            e.phone == kInvalidPhoneId ? std::string() : std::to_string(e.phone),
-            e.peer == kInvalidPhoneId ? std::string() : std::to_string(e.peer),
-            e.message == kInvalidMessageId ? std::string() : std::to_string(e.message), e.value,
-            e.detail, e.shard == kNoShard ? std::string() : std::to_string(e.shard));
-  }
 }
 
 void record_action(TraceBuffer* buffer, SimTime now, const char* mechanism, const char* action,

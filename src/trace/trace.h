@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 #include <span>
 #include <string>
@@ -144,11 +143,6 @@ class TraceBuffer {
   /// First event of `kind`; SimTime::infinity() if none occurred.
   [[nodiscard]] SimTime first_time(EventKind kind) const;
   [[nodiscard]] SimTime last_time(EventKind kind) const;
-
-  /// hours,kind,phone,peer,message,value,detail,shard rows (events are
-  /// already in time order — the simulation records them as they
-  /// happen). Sentinel fields are left empty.
-  void write_csv(std::ostream& out) const;
 
   /// Forgets events and the drop count; keeps the capacity.
   void clear() {

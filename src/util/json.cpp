@@ -163,8 +163,13 @@ class Parser {
     skip_whitespace();
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (++depth_ > kMaxDepth) fail("nesting too deep");
+        Value container = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return container;
+      }
       case '"': return Value(parse_string());
       case 't':
         if (consume_keyword("true")) return Value(true);
@@ -310,10 +315,15 @@ class Parser {
     return Value(result);
   }
 
+  /// Deeper documents are rejected: the descent recurses once per
+  /// level, so unbounded nesting would overflow the stack.
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
   int line_ = 1;
   int column_ = 1;
+  int depth_ = 0;
 };
 
 }  // namespace

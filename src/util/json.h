@@ -106,7 +106,8 @@ class ParseError : public std::runtime_error {
 };
 
 /// Parses a complete JSON document (trailing whitespace allowed,
-/// trailing garbage rejected).
+/// trailing garbage rejected; arrays and objects nested more than 256
+/// deep rejected).
 [[nodiscard]] Value parse(std::string_view text);
 
 /// Serializes. `indent` spaces per level; 0 = compact single line.

@@ -8,12 +8,13 @@
 // consumer.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 
+#include "util/checked_integer.h"
 #include "util/duration.h"
 #include "util/json.h"
 #include "util/sim_time.h"
@@ -49,32 +50,15 @@ class ObjectDecoder {
   }
 
   std::uint32_t uint32(const std::string& key, std::uint32_t fallback) {
-    const json::Value* v = optional(key);
-    if (v == nullptr) return fallback;
-    if (!v->is_number()) decode_fail(member(key), "expected a number");
-    double n = v->as_number();
-    if (n < 0 || n != std::floor(n) || n > 4294967295.0) {
-      decode_fail(member(key), "expected a nonnegative integer");
-    }
-    return static_cast<std::uint32_t>(n);
+    return whole<std::uint32_t>(key, fallback, "expected a nonnegative integer");
   }
 
   std::uint64_t uint64(const std::string& key, std::uint64_t fallback) {
-    const json::Value* v = optional(key);
-    if (v == nullptr) return fallback;
-    if (!v->is_number()) decode_fail(member(key), "expected a number");
-    double n = v->as_number();
-    if (n < 0 || n != std::floor(n)) decode_fail(member(key), "expected a nonnegative integer");
-    return static_cast<std::uint64_t>(n);
+    return whole<std::uint64_t>(key, fallback, "expected a nonnegative integer");
   }
 
   int integer(const std::string& key, int fallback) {
-    const json::Value* v = optional(key);
-    if (v == nullptr) return fallback;
-    if (!v->is_number() || v->as_number() != std::floor(v->as_number())) {
-      decode_fail(member(key), "expected an integer");
-    }
-    return static_cast<int>(v->as_number());
+    return whole<int>(key, fallback, "expected an integer");
   }
 
   bool boolean(const std::string& key, bool fallback) {
@@ -116,6 +100,18 @@ class ObjectDecoder {
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
+  /// An integer member of type T; `why` is the error for a fraction or
+  /// a value outside T's range.
+  template <typename T>
+  T whole(const std::string& key, T fallback, const char* why) {
+    const json::Value* v = optional(key);
+    if (v == nullptr) return fallback;
+    if (!v->is_number()) decode_fail(member(key), "expected a number");
+    const std::optional<T> n = checked_integer<T>(v->as_number());
+    if (!n) decode_fail(member(key), why);
+    return *n;
+  }
+
   const json::Object* object_;
   std::string path_;
   std::set<std::string> visited_;

@@ -1,9 +1,8 @@
 // Unit + integration tests for src/analysis: sweeps, the §5.3
-// diminishing-returns analysis, §6 strategy combinations, sensitivity.
+// diminishing-returns analysis, §6 strategy combinations.
 #include <gtest/gtest.h>
 
 #include "analysis/diminishing_returns.h"
-#include "analysis/sensitivity.h"
 #include "analysis/strategy.h"
 #include "analysis/sweep.h"
 #include "core/presets.h"
@@ -251,42 +250,6 @@ TEST(Strategy, MaxZeroMeansBaselineOnly) {
   StrategyStudy study = evaluate_strategies(base, kit, 0, fast_options());
   ASSERT_EQ(study.outcomes.size(), 1u);
   EXPECT_EQ(study.outcomes[0].name, "none");
-}
-
-TEST(Sensitivity, StandardKnobsCoverTheScenario) {
-  core::ScenarioConfig v1 = core::baseline_scenario(virus::virus1());
-  auto knobs = standard_perturbations(v1);
-  // read delay, delivery delay, degree, min gap, extra gap (no
-  // piggyback knob for Virus 1).
-  EXPECT_EQ(knobs.size(), 5u);
-  core::ScenarioConfig v4 = core::baseline_scenario(virus::virus4());
-  EXPECT_EQ(standard_perturbations(v4).size(), 5u)
-      << "Virus 4 swaps extra-gap (zero) for the legit-traffic knob";
-}
-
-TEST(Sensitivity, OatReportsPlateauInsensitivity) {
-  core::ScenarioConfig base = small_v3();
-  base.horizon = SimTime::hours(25.0);
-  std::vector<Perturbation> knobs = {
-      {"read_delay_mean",
-       [](core::ScenarioConfig& c, double f) { c.read_delay_mean = c.read_delay_mean * f; }},
-  };
-  auto rows = one_at_a_time(base, knobs, fast_options());
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0].parameter, "read_delay_mean");
-  // Virus 3 saturates within the horizon regardless of read delay in
-  // the halved/doubled band: final levels stay near the plateau.
-  EXPECT_NEAR(rows[0].low_final, rows[0].high_final, 0.25 * rows[0].base_final);
-  EXPECT_NEAR(rows[0].elasticity, 0.0, 0.3);
-  std::string table = to_table(rows);
-  EXPECT_NE(table.find("read_delay_mean"), std::string::npos);
-}
-
-TEST(Sensitivity, Validation) {
-  core::ScenarioConfig base = small_v3();
-  EXPECT_THROW((void)one_at_a_time(base, {}, fast_options()), std::invalid_argument);
-  std::vector<Perturbation> broken = {{"x", nullptr}};
-  EXPECT_THROW((void)one_at_a_time(base, broken, fast_options()), std::invalid_argument);
 }
 
 }  // namespace

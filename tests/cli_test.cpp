@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "cli/cli.h"
 #include "cli/preset_registry.h"
@@ -853,6 +855,163 @@ TEST(Cli, ValidateRejectsUnparsableJson) {
   std::ofstream(path) << "{ not json";
   CliResult r = invoke({"validate", path});
   EXPECT_EQ(r.code, 2);
+  std::remove(path.c_str());
+}
+
+// ---- Hostile input: every reading verb exits 2, never with a signal ----
+
+/// A per-process temp path (ctest may run tests concurrently).
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + "/mvsim_cli_" + std::to_string(static_cast<long long>(::getpid())) +
+         "_" + name;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream file(path);
+  std::ostringstream text;
+  text << file.rdbuf();
+  return text.str();
+}
+
+/// Writes `text` to a temp file named `name` and returns its path.
+std::string write_temp(const std::string& name, const std::string& text) {
+  const std::string path = temp_path(name);
+  std::ofstream(path) << text;
+  return path;
+}
+
+/// Replaces the first `from` in `text` with `to`; fails the test when
+/// `from` is absent.
+std::string replace_first(std::string text, const std::string& from, const std::string& to) {
+  const std::size_t at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+/// 50,000 nested arrays: deep enough to overflow the stack of an
+/// unbounded recursive-descent parser.
+std::string write_deep_json() {
+  return write_temp("deep.json", std::string(50000, '[') + std::string(50000, ']') + "\n");
+}
+
+void expect_too_deep(const std::vector<std::string>& args) {
+  CliResult r = invoke(args);
+  EXPECT_EQ(r.code, 2) << r.err;
+  EXPECT_NE(r.err.find("nesting too deep"), std::string::npos) << r.err;
+}
+
+TEST(Cli, RunRejectsDeeplyNestedJson) {
+  const std::string path = write_deep_json();
+  expect_too_deep({"run", path, "--reps", "1", "--quiet"});
+  std::remove(path.c_str());
+}
+
+TEST(Cli, ValidateRejectsDeeplyNestedJson) {
+  const std::string path = write_deep_json();
+  expect_too_deep({"validate", path});
+  std::remove(path.c_str());
+}
+
+TEST(Cli, ProfileAnalyzeRejectsDeeplyNestedJson) {
+  const std::string path = write_deep_json();
+  expect_too_deep({"profile-analyze", path});
+  std::remove(path.c_str());
+}
+
+TEST(Cli, TraceAnalyzeRejectsDeeplyNestedJson) {
+  const std::string path = write_deep_json();
+  expect_too_deep({"trace-analyze", path});
+  std::remove(path.c_str());
+}
+
+TEST(Cli, ReportRejectsDeeplyNestedJson) {
+  const std::string path = write_deep_json();
+  expect_too_deep({"report", path});
+  std::remove(path.c_str());
+}
+
+TEST(Cli, ReportLedgerRejectsDeeplyNestedJson) {
+  const std::string path = write_deep_json();
+  expect_too_deep({"report", "--ledger", path});
+  std::remove(path.c_str());
+}
+
+TEST(Cli, ValidateRejectsOutOfRangeIntegers) {
+  const std::string preset = invoke({"preset", "virus1-baseline"}).out;
+  const std::string threshold =
+      write_temp("threshold.json", replace_first(preset, "\"detectability_threshold\": 5",
+                                                 "\"detectability_threshold\": 1e300"));
+  CliResult r = invoke({"validate", threshold});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("$.responses.detectability_threshold: expected a nonnegative integer"),
+            std::string::npos)
+      << r.err;
+  const std::string cutoff = write_temp(
+      "cutoff.json",
+      replace_first(preset, "\"decision_cutoff\": 40", "\"decision_cutoff\": 1e300"));
+  r = invoke({"validate", cutoff});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("$.decision_cutoff: expected an integer"), std::string::npos) << r.err;
+  std::remove(threshold.c_str());
+  std::remove(cutoff.c_str());
+}
+
+TEST(Cli, ReportRejectsOutOfRangeManifestCounts) {
+  const std::string scenario_path = write_small_scenario();
+  const std::string manifest_path = temp_path("manifest.json");
+  ASSERT_EQ(invoke({"run", scenario_path, "--reps", "1", "--quiet", "--manifest", manifest_path})
+                .code,
+            0);
+  const std::string huge = write_temp(
+      "huge_manifest.json",
+      replace_first(read_file(manifest_path), "\"replications\": 1", "\"replications\": 1e308"));
+  CliResult r = invoke({"report", huge});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("'replications' is not a nonnegative integer"), std::string::npos) << r.err;
+  std::remove(scenario_path.c_str());
+  std::remove(manifest_path.c_str());
+  std::remove(huge.c_str());
+}
+
+TEST(Cli, ProfileAnalyzeRejectsNegativeCounters) {
+  const std::string scenario_path = write_small_scenario();
+  const std::string profile_path = temp_path("profile.json");
+  ASSERT_EQ(invoke({"run", scenario_path, "--reps", "1", "--quiet", "--profile", profile_path})
+                .code,
+            0);
+  const std::string report = read_file(profile_path);
+  const std::string key = "\"net.messages_blocked\": ";
+  const std::size_t at = report.find(key);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t end = report.find_first_of(",\n", at + key.size());
+  std::string negative = report;
+  negative.replace(at + key.size(), end - at - key.size(), "-5");
+  const std::string path = write_temp("negative.json", negative);
+  CliResult r = invoke({"profile-analyze", path});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("'net.messages_blocked' is not a nonnegative integer"), std::string::npos)
+      << r.err;
+  std::remove(scenario_path.c_str());
+  std::remove(profile_path.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(Cli, TraceAnalyzeRejectsOutOfRangeIds) {
+  const std::string scenario_path = write_small_scenario();
+  const std::string trace_path = temp_path("trace.jsonl");
+  ASSERT_EQ(
+      invoke({"run", scenario_path, "--reps", "1", "--quiet", "--trace", trace_path}).code, 0);
+  std::string trace = read_file(trace_path);
+  const std::size_t at = trace.find("\"phone\":");
+  ASSERT_NE(at, std::string::npos);
+  trace.replace(at, trace.find_first_of(",}", at) - at, "\"phone\":1e300");
+  const std::string path = write_temp("huge_phone.jsonl", trace);
+  CliResult r = invoke({"trace-analyze", path});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("\"phone\" is not a nonnegative integer"), std::string::npos) << r.err;
+  std::remove(scenario_path.c_str());
+  std::remove(trace_path.c_str());
   std::remove(path.c_str());
 }
 

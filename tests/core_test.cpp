@@ -144,7 +144,7 @@ TEST(Simulation, RunReturnsConsistentResult) {
   Simulation sim(small_scenario(), 3);
   ReplicationResult r = sim.run();
   EXPECT_EQ(r.total_infected, static_cast<std::uint64_t>(r.infections.final_value()));
-  EXPECT_GE(r.gateway.messages_submitted, r.total_infected - 1)
+  EXPECT_GE(r.metrics.counter_value("net.messages_submitted"), r.total_infected - 1)
       << "every infection after patient zero took at least one message";
   EXPECT_TRUE(r.detected_at.is_finite());
 }
@@ -160,7 +160,8 @@ TEST(Simulation, DeterministicGivenSeed) {
   Simulation a(config, 42), b(config, 42);
   ReplicationResult ra = a.run(), rb = b.run();
   EXPECT_EQ(ra.total_infected, rb.total_infected);
-  EXPECT_EQ(ra.gateway.messages_submitted, rb.gateway.messages_submitted);
+  EXPECT_EQ(ra.metrics.counter_value("net.messages_submitted"),
+            rb.metrics.counter_value("net.messages_submitted"));
   ASSERT_EQ(ra.infections.points().size(), rb.infections.points().size());
   for (std::size_t i = 0; i < ra.infections.points().size(); ++i) {
     EXPECT_EQ(ra.infections.points()[i].time, rb.infections.points()[i].time);
@@ -173,7 +174,8 @@ TEST(Simulation, DifferentSeedsDiffer) {
   ReplicationResult rb = Simulation(config, 2).run();
   // Messages submitted is a high-entropy statistic; equality would be
   // astronomically unlikely for independent runs.
-  EXPECT_NE(ra.gateway.messages_submitted, rb.gateway.messages_submitted);
+  EXPECT_NE(ra.metrics.counter_value("net.messages_submitted"),
+            rb.metrics.counter_value("net.messages_submitted"));
 }
 
 TEST(Simulation, InvalidConfigThrowsOnConstruction) {
@@ -240,11 +242,11 @@ TEST(Simulation, DualVectorSpreadsWithoutGatewayTraffic) {
   Simulation dual(config, 31);
   ReplicationResult result = dual.run();
   EXPECT_GT(result.total_infected, 10u) << "Bluetooth keeps spreading";
-  EXPECT_GT(result.bluetooth_push_attempts, 100u);
+  EXPECT_GT(result.metrics.counter_value("core.bluetooth_push_attempts"), 100u);
   // Everything the gateway saw was blocked (except the very first
   // message, which races the zero-delay activation event); the
   // infections happened essentially entirely off-network.
-  EXPECT_LE(result.gateway.recipients_delivered, 1u);
+  EXPECT_LE(result.metrics.counter_value("net.recipients_delivered"), 1u);
 }
 
 TEST(Simulation, DualVectorDeterministicGivenSeed) {
@@ -253,12 +255,13 @@ TEST(Simulation, DualVectorDeterministicGivenSeed) {
   ReplicationResult a = Simulation(config, 99).run();
   ReplicationResult b = Simulation(config, 99).run();
   EXPECT_EQ(a.total_infected, b.total_infected);
-  EXPECT_EQ(a.bluetooth_push_attempts, b.bluetooth_push_attempts);
+  EXPECT_EQ(a.metrics.counter_value("core.bluetooth_push_attempts"),
+            b.metrics.counter_value("core.bluetooth_push_attempts"));
 }
 
 TEST(Simulation, SingleVectorReportsNoBluetoothActivity) {
   Simulation sim(small_scenario(), 5);
-  EXPECT_EQ(sim.run().bluetooth_push_attempts, 0u);
+  EXPECT_EQ(sim.run().metrics.counter_value("core.bluetooth_push_attempts"), 0u);
 }
 
 TEST(Simulation, PatchSilencesBothVectors) {
@@ -298,10 +301,11 @@ TEST(EventTrace, RecordsInfectionsPatchesAndDetection) {
 
   EXPECT_EQ(trace.count(trace::EventKind::kInfection), r.total_infected);
   EXPECT_EQ(trace.count(trace::EventKind::kPatchApplied),
-            r.immunized_healthy + r.patched_infected);
+            r.metrics.counter_value("core.phones_immunized_healthy") +
+                r.metrics.counter_value("core.phones_patched_infected"));
   EXPECT_EQ(trace.count(trace::EventKind::kDetectabilityCrossed), 1u);
   EXPECT_EQ(trace.count(trace::EventKind::kMessageSent),
-            r.gateway.messages_submitted);
+            r.metrics.counter_value("net.messages_submitted"));
   EXPECT_EQ(trace.first_time(trace::EventKind::kInfection), SimTime::zero())
       << "patient zero at t=0";
   EXPECT_EQ(trace.first_time(trace::EventKind::kDetectabilityCrossed), r.detected_at);
@@ -388,7 +392,8 @@ TEST(Runner, DeterministicGivenMasterSeed) {
   ExperimentResult a = run_experiment(small_scenario(), options);
   ExperimentResult b = run_experiment(small_scenario(), options);
   EXPECT_DOUBLE_EQ(a.final_infections.mean(), b.final_infections.mean());
-  EXPECT_DOUBLE_EQ(a.messages_submitted.mean(), b.messages_submitted.mean());
+  EXPECT_DOUBLE_EQ(a.per_replication("net.messages_submitted").mean(),
+                   b.per_replication("net.messages_submitted").mean());
 }
 
 TEST(Runner, ReplicationsAreIndependent) {
@@ -398,8 +403,8 @@ TEST(Runner, ReplicationsAreIndependent) {
   // If replications shared RNG state wrongly, totals would be equal.
   bool any_different = false;
   for (std::size_t i = 1; i < result.replications.size(); ++i) {
-    if (result.replications[i].gateway.messages_submitted !=
-        result.replications[0].gateway.messages_submitted) {
+    if (result.replications[i].metrics.counter_value("net.messages_submitted") !=
+        result.replications[0].metrics.counter_value("net.messages_submitted")) {
       any_different = true;
     }
   }
@@ -428,13 +433,14 @@ TEST(Runner, ParallelExecutionIsBitIdentical) {
   ExperimentResult b = run_experiment(config, parallel);
   EXPECT_DOUBLE_EQ(a.final_infections.mean(), b.final_infections.mean());
   EXPECT_DOUBLE_EQ(a.final_infections.variance(), b.final_infections.variance());
-  EXPECT_DOUBLE_EQ(a.messages_submitted.mean(), b.messages_submitted.mean());
+  EXPECT_DOUBLE_EQ(a.per_replication("net.messages_submitted").mean(),
+                   b.per_replication("net.messages_submitted").mean());
   ASSERT_EQ(a.replications.size(), b.replications.size());
   for (std::size_t i = 0; i < a.replications.size(); ++i) {
     EXPECT_EQ(a.replications[i].total_infected, b.replications[i].total_infected)
         << "replication " << i << " must not depend on scheduling";
-    EXPECT_EQ(a.replications[i].gateway.messages_submitted,
-              b.replications[i].gateway.messages_submitted);
+    EXPECT_EQ(a.replications[i].metrics.counter_value("net.messages_submitted"),
+              b.replications[i].metrics.counter_value("net.messages_submitted"));
   }
 }
 
@@ -459,7 +465,8 @@ TEST(GraphCacheIntegration, CachedRunIsBitIdenticalToUncached) {
   ReplicationResult a = plain.run();
   ReplicationResult b = cached.run();
   EXPECT_EQ(a.total_infected, b.total_infected);
-  EXPECT_EQ(a.gateway.messages_submitted, b.gateway.messages_submitted);
+  EXPECT_EQ(a.metrics.counter_value("net.messages_submitted"),
+            b.metrics.counter_value("net.messages_submitted"));
   EXPECT_EQ(a.metrics.counter_value("rng.draws"), b.metrics.counter_value("rng.draws"));
   EXPECT_EQ(a.metrics.counter_value("des.events_executed"),
             b.metrics.counter_value("des.events_executed"));

@@ -1,4 +1,4 @@
-// Unit tests for src/des: scheduler ordering, cancellation, sampler.
+// Unit tests for src/des: scheduler ordering, cancellation, arena.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "des/sampler.h"
 #include "des/scheduler.h"
 
 namespace mvsim::des {
@@ -443,32 +442,6 @@ TEST(Scheduler, SteadyStateSchedulesWithoutAllocating) {
   EXPECT_GT(sched.arena_recycled_count(), recycled_before) << "slots must be recycled";
   EXPECT_EQ(sched.callback_heap_fallback_count(), 0u)
       << "every hot-path callback must fit the inline buffer";
-}
-
-TEST(PeriodicSampler, SamplesOnGridIncludingZeroAndHorizon) {
-  Scheduler sched;
-  int value = 0;
-  sched.schedule_at(SimTime::minutes(25.0), [&] { value = 7; });
-  PeriodicSampler sampler(sched, SimTime::minutes(10.0), SimTime::minutes(40.0),
-                          [&] { return static_cast<double>(value); });
-  sched.run_until(SimTime::minutes(40.0));
-  const auto& samples = sampler.samples();
-  ASSERT_EQ(samples.size(), 5u);
-  EXPECT_EQ(samples.front().first, SimTime::zero());
-  EXPECT_EQ(samples.back().first, SimTime::minutes(40.0));
-  EXPECT_DOUBLE_EQ(samples[2].second, 0.0);  // t=20, before the change
-  EXPECT_DOUBLE_EQ(samples[3].second, 7.0);  // t=30, after the change
-}
-
-TEST(PeriodicSampler, RejectsBadArguments) {
-  Scheduler sched;
-  EXPECT_THROW(PeriodicSampler(sched, SimTime::zero(), SimTime::hours(1.0), [] { return 0.0; }),
-               std::invalid_argument);
-  EXPECT_THROW(PeriodicSampler(sched, SimTime::minutes(1.0), SimTime::minutes(-1.0),
-                               [] { return 0.0; }),
-               std::invalid_argument);
-  EXPECT_THROW(PeriodicSampler(sched, SimTime::minutes(1.0), SimTime::hours(1.0), nullptr),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -67,12 +67,12 @@ std::uint64_t hash_result(const ExperimentResult& result) {
     h.add_double(point.stddev);
   }
   h.add_double(result.final_infections.mean());
-  h.add_double(result.messages_submitted.mean());
-  h.add_double(result.messages_blocked.mean());
-  h.add_double(result.phones_blacklisted.mean());
-  h.add_double(result.phones_flagged.mean());
+  h.add_double(result.per_replication("net.messages_submitted").mean());
+  h.add_double(result.per_replication("net.messages_blocked").mean());
+  h.add_double(result.per_replication("response.blacklist.phones_blacklisted").mean());
+  h.add_double(result.per_replication("response.monitoring.phones_flagged").mean());
   h.add_double(result.patches_applied.mean());
-  h.add_double(result.bluetooth_push_attempts.mean());
+  h.add_double(result.per_replication("core.bluetooth_push_attempts").mean());
   for (const ReplicationResult& r : result.replications) {
     // Every infection step: any event reordering or extra RNG draw
     // anywhere in the pipeline perturbs these.
@@ -81,16 +81,14 @@ std::uint64_t hash_result(const ExperimentResult& result) {
       h.add_double(point.value);
     }
     h.add_u64(r.total_infected);
-    h.add_u64(r.immunized_healthy);
-    h.add_u64(r.patched_infected);
-    h.add_u64(r.phones_blacklisted);
-    h.add_u64(r.phones_flagged);
-    h.add_u64(r.bluetooth_push_attempts);
-    h.add_u64(r.gateway.messages_submitted);
-    h.add_u64(r.gateway.infected_messages_submitted);
-    h.add_u64(r.gateway.messages_blocked);
-    h.add_u64(r.gateway.recipients_delivered);
-    h.add_u64(r.gateway.invalid_recipients_dropped);
+    for (const char* counter :
+         {"core.phones_immunized_healthy", "core.phones_patched_infected",
+          "response.blacklist.phones_blacklisted", "response.monitoring.phones_flagged",
+          "core.bluetooth_push_attempts", "net.messages_submitted",
+          "net.infected_messages_submitted", "net.messages_blocked", "net.recipients_delivered",
+          "net.invalid_recipients_dropped"}) {
+      h.add_u64(r.metrics.counter_value(counter));
+    }
     h.add_time(r.detected_at);
   }
   return h.digest();
@@ -385,7 +383,8 @@ TEST(GoldenResults, PresetCurvesUnperturbedByManifest) {
     EXPECT_EQ(manifest.replications, kReplications);
     EXPECT_DOUBLE_EQ(manifest.outcome.final_infected_mean, result.final_infections.mean());
     EXPECT_DOUBLE_EQ(manifest.outcome.patched_mean, result.patches_applied.mean());
-    EXPECT_DOUBLE_EQ(manifest.outcome.messages_blocked_mean, result.messages_blocked.mean());
+    EXPECT_DOUBLE_EQ(manifest.outcome.messages_blocked_mean,
+                     result.per_replication("net.messages_blocked").mean());
     EXPECT_EQ(manifest.outcome.total_events,
               result.metrics.counter_value("des.events_executed"));
     EXPECT_GE(manifest.outcome.peak_infected_mean, 0.0);

@@ -142,8 +142,10 @@ TEST(DetectionStudy, HigherAccuracySlowsVirus2More) {
   // The strict detector blocks a larger *fraction* of traffic (its
   // absolute count is lower only because it suppresses the epidemic
   // that generates the traffic).
-  double strict_fraction = strict.messages_blocked.mean() / strict.messages_submitted.mean();
-  double lax_fraction = lax.messages_blocked.mean() / lax.messages_submitted.mean();
+  double strict_fraction = strict.per_replication("net.messages_blocked").mean() /
+      strict.per_replication("net.messages_submitted").mean();
+  double lax_fraction = lax.per_replication("net.messages_blocked").mean() /
+      lax.per_replication("net.messages_submitted").mean();
   EXPECT_GT(strict_fraction, lax_fraction);
   EXPECT_GT(strict.final_infections.mean(), 0.0) << "the detector slows, not stops";
 }
@@ -203,7 +205,9 @@ TEST(ImmunizationStudy, PatchedPopulationEndsUpImmunizedOrSilenced) {
       EXPECT_TRUE(phones.patched(id)) << "susceptible phone " << id << " missed the rollout";
     }
   }
-  EXPECT_EQ(r.immunized_healthy + r.patched_infected, 200u);
+  EXPECT_EQ(r.metrics.counter_value("core.phones_immunized_healthy") +
+                r.metrics.counter_value("core.phones_patched_infected"),
+            200u);
 }
 
 TEST(MonitoringStudy, ForcedWaitSlowsVirus3) {
@@ -228,7 +232,7 @@ TEST(MonitoringStudy, ForcedWaitSlowsVirus3) {
       << "monitoring buys hours against the rapid virus";
   EXPECT_LE(wait60.curve.mean_at(SimTime::hours(12.0)), wait15.curve.mean_at(SimTime::hours(12.0)))
       << "longer forced waits slow the spread at least as much";
-  EXPECT_GT(wait15.phones_flagged.mean(), 0.0);
+  EXPECT_GT(wait15.per_replication("response.monitoring.phones_flagged").mean(), 0.0);
 }
 
 TEST(MonitoringStudy, SelfThrottledVirusesSlipUnderMonitoring) {
@@ -237,7 +241,7 @@ TEST(MonitoringStudy, SelfThrottledVirusesSlipUnderMonitoring) {
     ScenarioConfig config = scaled_scenario(profile);
     config.responses.monitoring = response::MonitoringConfig{};
     ExperimentResult result = run(config, 3);
-    EXPECT_DOUBLE_EQ(result.phones_flagged.mean(), 0.0)
+    EXPECT_DOUBLE_EQ(result.per_replication("response.monitoring.phones_flagged").mean(), 0.0)
         << profile.name << " sends at most ~2 messages/hour, under the 5/hour threshold";
   }
   // Virus 2's burst can be flagged, but a 30-minute forced wait barely
@@ -266,7 +270,7 @@ TEST(BlacklistStudy, LowThresholdSuppressesVirus3) {
 
   EXPECT_LT(strict.final_infections.mean(), 0.5 * base.final_infections.mean());
   EXPECT_LT(strict.final_infections.mean(), lax.final_infections.mean());
-  EXPECT_GT(strict.phones_blacklisted.mean(), 0.0);
+  EXPECT_GT(strict.per_replication("response.blacklist.phones_blacklisted").mean(), 0.0);
 }
 
 TEST(BlacklistStudy, Virus2EvadesBlacklisting) {

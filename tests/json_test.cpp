@@ -109,6 +109,25 @@ TEST(JsonParse, RejectsMalformedDocuments) {
   EXPECT_THROW((void)parse("\"\\ud800\""), ParseError) << "surrogate";
 }
 
+TEST(JsonParse, NestingLimitIs256) {
+  const auto nested = [](int depth, char open, const std::string& inner, char close) {
+    return std::string(static_cast<std::size_t>(depth), open) + inner +
+           std::string(static_cast<std::size_t>(depth), close);
+  };
+  EXPECT_NO_THROW((void)parse(nested(256, '[', "", ']')));
+  EXPECT_NO_THROW((void)parse("{\"a\":" + nested(255, '[', "1", ']') + "}"));
+  try {
+    (void)parse(nested(257, '[', "", ']'));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "JSON parse error at 1:257: nesting too deep");
+  }
+  EXPECT_THROW((void)parse("{\"a\":" + nested(256, '[', "1", ']') + "}"), ParseError);
+  // Far past the limit the parser still fails cleanly instead of
+  // exhausting the stack.
+  EXPECT_THROW((void)parse(nested(50000, '[', "", ']')), ParseError);
+}
+
 TEST(JsonStringify, CompactAndPretty) {
   Object o;
   o.set("n", Value(1));

@@ -326,8 +326,6 @@ TEST(MetricsEndToEnd, ReplicationSnapshotsMatchReplicationResults) {
   core::ReplicationResult result = sim.run();
   const Snapshot& m = result.metrics;
   EXPECT_EQ(m.counter_value("core.infections"), result.total_infected);
-  EXPECT_EQ(m.counter_value("net.messages_submitted"), result.gateway.messages_submitted);
-  EXPECT_EQ(m.counter_value("net.recipients_delivered"), result.gateway.recipients_delivered);
   EXPECT_GT(m.counter_value("des.events_executed"), 0u);
   EXPECT_GE(m.counter_value("des.events_scheduled"), m.counter_value("des.events_executed"));
   EXPECT_GT(m.counter_value("rng.draws"), 0u);

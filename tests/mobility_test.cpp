@@ -157,10 +157,12 @@ TEST(BluetoothWorm, WormSpreadsThroughProximity) {
   core::Simulation sim(small_bluetooth(), 77);
   core::ReplicationResult r = sim.run();
   EXPECT_GT(r.total_infected, 10u) << "the worm spreads";
-  EXPECT_GT(r.bluetooth_push_attempts, r.total_infected) << "more offers than acceptances";
+  EXPECT_GT(r.metrics.counter_value("core.bluetooth_push_attempts"), r.total_infected)
+      << "more offers than acceptances";
   // Plateau bounded by the consent model: 200 x 0.8 x 0.40 = 64.
   EXPECT_LE(r.total_infected, 80u);
-  EXPECT_EQ(r.gateway.messages_submitted, 0u) << "targeting 'none' has no MMS arm";
+  EXPECT_EQ(r.metrics.counter_value("net.messages_submitted"), 0u)
+      << "targeting 'none' has no MMS arm";
 }
 
 TEST(BluetoothWorm, DeterministicGivenSeed) {
@@ -168,7 +170,8 @@ TEST(BluetoothWorm, DeterministicGivenSeed) {
   core::ReplicationResult a = core::Simulation(config, 42).run();
   core::ReplicationResult b = core::Simulation(config, 42).run();
   EXPECT_EQ(a.total_infected, b.total_infected);
-  EXPECT_EQ(a.bluetooth_push_attempts, b.bluetooth_push_attempts);
+  EXPECT_EQ(a.metrics.counter_value("core.bluetooth_push_attempts"),
+            b.metrics.counter_value("core.bluetooth_push_attempts"));
 }
 
 TEST(BluetoothWorm, SparserWorldSpreadsSlower) {

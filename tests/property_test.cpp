@@ -300,8 +300,10 @@ TEST_P(DeterminismProperty, SameSeedSameTrajectory) {
   core::Simulation a(config, 4242), b(config, 4242);
   core::ReplicationResult ra = a.run(), rb = b.run();
   EXPECT_EQ(ra.total_infected, rb.total_infected) << profile.name;
-  EXPECT_EQ(ra.gateway.messages_submitted, rb.gateway.messages_submitted) << profile.name;
-  EXPECT_EQ(ra.gateway.recipients_delivered, rb.gateway.recipients_delivered) << profile.name;
+  EXPECT_EQ(ra.metrics.counter_value("net.messages_submitted"),
+            rb.metrics.counter_value("net.messages_submitted")) << profile.name;
+  EXPECT_EQ(ra.metrics.counter_value("net.recipients_delivered"),
+            rb.metrics.counter_value("net.recipients_delivered")) << profile.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllViruses, DeterminismProperty, ::testing::Values(0, 1, 2, 3),

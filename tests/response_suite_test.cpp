@@ -8,7 +8,6 @@
 // its own (enabling the others does not bleed into them).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 
 #include "core/presets.h"
 #include "core/simulation.h"
@@ -124,27 +123,25 @@ TEST(ResponseSuiteSimulation, CountersDoNotInterfere) {
   const auto& blacklist = mechanism_as<response::Blacklist>(simulation, "blacklist");
   const auto& limiter = mechanism_as<response::RateLimiter>(simulation, "rate_limiter");
 
-  // Standard result fields map 1:1 onto the owning mechanism's counters.
-  EXPECT_EQ(result.phones_flagged, monitoring.flagged_count());
-  EXPECT_EQ(result.phones_blacklisted, blacklist.blacklisted_count());
-
-  // The rate limiter reports through extras without displacing anyone.
-  auto extra = std::find_if(result.response_extras.begin(), result.response_extras.end(),
-                            [](const auto& e) { return e.first == "phones_rate_limited"; });
-  ASSERT_NE(extra, result.response_extras.end());
-  EXPECT_EQ(extra->second, limiter.phones_limited());
+  // Each mechanism's published counter is its own count, and the rate
+  // limiter's sits beside the others without displacing any.
+  const metrics::Snapshot& m = result.metrics;
+  EXPECT_EQ(m.counter_value("response.monitoring.phones_flagged"), monitoring.flagged_count());
+  EXPECT_EQ(m.counter_value("response.blacklist.phones_blacklisted"),
+            blacklist.blacklisted_count());
+  EXPECT_EQ(m.counter_value("response.rate_limiter.phones_limited"), limiter.phones_limited());
 
   // Virus 3 is loud enough to trip every dissemination-point counter.
-  EXPECT_GT(result.phones_flagged, 0u);
-  EXPECT_GT(result.phones_blacklisted, 0u);
-  EXPECT_GT(extra->second, 0u);
+  EXPECT_GT(monitoring.flagged_count(), 0u);
+  EXPECT_GT(blacklist.blacklisted_count(), 0u);
+  EXPECT_GT(limiter.phones_limited(), 0u);
 
   // Both gateway filters act once active, and their per-mechanism stop
   // counts add up to exactly the gateway's blocked total — nothing is
   // double-counted across the filter chain.
-  EXPECT_GT(result.gateway.messages_blocked, 0u);
-  EXPECT_EQ(scan.messages_stopped() + detection.messages_stopped(),
-            result.gateway.messages_blocked);
+  const std::uint64_t blocked = m.counter_value("net.messages_blocked");
+  EXPECT_GT(blocked, 0u);
+  EXPECT_EQ(scan.messages_stopped() + detection.messages_stopped(), blocked);
 }
 
 TEST(ResponseSuiteSimulation, SuiteRunBeatsEveryCurveMilestone) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "des/scheduler.h"
+#include "metrics/registry.h"
 #include "net/gateway.h"
 #include "response/blacklist.h"
 #include "response/detectability.h"
@@ -547,16 +548,17 @@ TEST(RateLimiter, TickPrunesStaleRecords) {
   EXPECT_EQ(limiter.phones_limited(), 1u);
 }
 
-TEST(RateLimiter, ContributesExtrasMetrics) {
+TEST(RateLimiter, PublishesMetrics) {
   RateLimiterConfig config;
   config.max_messages_per_window = 1;
   RateLimiter limiter(config);
   limiter.on_message_submitted(infected(3), SimTime::minutes(1.0));
-  ResponseMetrics metrics;
-  limiter.contribute_metrics(metrics);
-  ASSERT_EQ(metrics.extras.size(), 2u);
-  EXPECT_EQ(metrics.extras[0].first, "phones_rate_limited");
-  EXPECT_EQ(metrics.extras[0].second, 1u);
+  metrics::Registry registry;
+  limiter.on_metrics(registry);
+  const metrics::Snapshot snapshot = registry.snapshot();
+  ASSERT_EQ(snapshot.counters.size(), 2u);
+  EXPECT_EQ(snapshot.counter_value("response.rate_limiter.phones_limited"), 1u);
+  EXPECT_NE(snapshot.find_counter("response.rate_limiter.windows_capped"), nullptr);
 }
 
 TEST(RateLimiter, ConfigValidation) {

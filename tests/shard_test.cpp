@@ -167,8 +167,8 @@ std::uint64_t fingerprint(const core::ReplicationResult& r) {
     mix(static_cast<std::uint64_t>(point.value));
   }
   mix(r.total_infected);
-  mix(r.gateway.messages_submitted);
-  mix(r.gateway.recipients_delivered);
+  mix(r.metrics.counter_value("net.messages_submitted"));
+  mix(r.metrics.counter_value("net.recipients_delivered"));
   mix(r.metrics.counter_value("rng.draws"));
   mix(static_cast<std::uint64_t>(r.detected_at.is_finite() ? r.detected_at.to_minutes() : -1.0));
   return h;

@@ -72,22 +72,6 @@ TEST(TraceBufferTest, CountsAndTimeQueries) {
   EXPECT_EQ(buffer.recorded(), 0u);
 }
 
-TEST(TraceBufferTest, CsvExport) {
-  TraceBuffer buffer;
-  Event infection = make_event(1.0, EventKind::kInfection, 7);
-  infection.peer = 3;
-  infection.message = 12;
-  infection.detail = "mms";
-  buffer.record(infection);
-  buffer.record(make_event(2.0, EventKind::kDetectabilityCrossed, kInvalidPhoneId));
-  std::ostringstream out;
-  buffer.write_csv(out);
-  EXPECT_EQ(out.str(),
-            "hours,kind,phone,peer,message,value,detail,shard\n"
-            "1,infection,7,3,12,0,mms,\n"
-            "2,detected,,,,0,,\n");
-}
-
 TEST(TraceBufferTest, BoundedCaptureDropsAndCounts) {
   TraceBuffer buffer(3);
   for (int i = 0; i < 5; ++i) {
@@ -331,16 +315,16 @@ TEST(Analysis, AgreesWithSimulationTotals) {
   EXPECT_EQ(stats.infections, result.total_infected);
   EXPECT_EQ(stats.seeds, 1u);
   EXPECT_EQ(stats.orphans, 0u) << "an unbounded trace loses no infectors";
-  EXPECT_EQ(stats.messages_sent, result.gateway.messages_submitted);
-  EXPECT_EQ(stats.messages_blocked, result.gateway.messages_blocked);
+  EXPECT_EQ(stats.messages_sent, result.metrics.counter_value("net.messages_submitted"));
+  EXPECT_EQ(stats.messages_blocked, result.metrics.counter_value("net.messages_blocked"));
   EXPECT_EQ(stats.detected_at, result.detected_at);
-  if (result.gateway.messages_blocked > 0) {
+  if (result.metrics.counter_value("net.messages_blocked") > 0) {
     ASSERT_FALSE(stats.mechanism_blocks.empty());
     std::uint64_t attributed = 0;
     for (const MechanismBlockRow& row : stats.mechanism_blocks) {
       attributed += row.messages_blocked;
     }
-    EXPECT_EQ(attributed, result.gateway.messages_blocked)
+    EXPECT_EQ(attributed, result.metrics.counter_value("net.messages_blocked"))
         << "every block must be attributed to exactly one mechanism";
   }
 }
@@ -353,7 +337,8 @@ TEST(Export, JsonlRoundTripIsLossless) {
   infection.detail = "mms";
   buffer.record(infection);
   Event blocked = make_event(2.75, EventKind::kMessageBlocked, 3);
-  blocked.message = 13;
+  // Ids above 2^53 still read back exactly (the reader's range is u64).
+  blocked.message = (std::uint64_t{1} << 60) + 4096;
   blocked.value = 4;
   blocked.detail = "blacklist";
   buffer.record(blocked);

@@ -1,10 +1,13 @@
-// Unit tests for src/util: SimTime, CSV writer, validation helper.
+// Unit tests for src/util: SimTime, CSV writer, validation helper,
+// checked integer conversion.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "util/csv.h"
-#include "util/logging.h"
+#include "util/checked_integer.h"
 #include "util/sim_time.h"
 #include "util/validation.h"
 
@@ -116,22 +119,24 @@ TEST(ValidationErrors, MergeCombinesContexts) {
   EXPECT_EQ(outer.problems()[0], "Inner: bad field");
 }
 
-TEST(Logger, RespectsLevel) {
-  Logger& logger = Logger::global();
-  LogLevel old_level = logger.level();
-  logger.set_level(LogLevel::kError);
-  logger.reset_counter();
-  MVSIM_INFO() << "hidden";
-  EXPECT_EQ(logger.lines_emitted(), 0);
-  MVSIM_ERROR() << "shown";
-  EXPECT_EQ(logger.lines_emitted(), 1);
-  logger.set_level(old_level);
-}
-
-TEST(Logger, LevelNames) {
-  EXPECT_STREQ(to_string(LogLevel::kTrace), "TRACE");
-  EXPECT_STREQ(to_string(LogLevel::kError), "ERROR");
-  EXPECT_STREQ(to_string(LogLevel::kOff), "OFF");
+TEST(CheckedInteger, AcceptsExactlyTheIntegersInRange) {
+  EXPECT_EQ(util::checked_integer<int>(-7.0), -7);
+  EXPECT_EQ(util::checked_integer<int>(2147483647.0), 2147483647);
+  EXPECT_FALSE(util::checked_integer<int>(2147483648.0));
+  EXPECT_EQ(util::checked_integer<int>(-2147483648.0), std::numeric_limits<int>::min());
+  EXPECT_FALSE(util::checked_integer<int>(-2147483649.0));
+  EXPECT_EQ(util::checked_integer<std::uint32_t>(4294967295.0), 4294967295u);
+  EXPECT_FALSE(util::checked_integer<std::uint32_t>(4294967296.0));
+  EXPECT_FALSE(util::checked_integer<std::uint32_t>(-1.0));
+  // Above 2^53 every double is an integer; all below 2^64 are kept.
+  const std::uint64_t big = (std::uint64_t{1} << 63) + 4096;
+  EXPECT_EQ(util::checked_integer<std::uint64_t>(static_cast<double>(big)), big);
+  EXPECT_FALSE(util::checked_integer<std::uint64_t>(18446744073709551616.0));
+  EXPECT_FALSE(util::checked_integer<std::uint64_t>(-5.0));
+  EXPECT_FALSE(util::checked_integer<std::uint64_t>(1e300));
+  EXPECT_FALSE(util::checked_integer<int>(2.5));
+  EXPECT_FALSE(util::checked_integer<int>(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_FALSE(util::checked_integer<int>(std::numeric_limits<double>::infinity()));
 }
 
 }  // namespace
