@@ -8,8 +8,8 @@ namespace mvsim::des {
 
 namespace {
 /// Strict (at, seq) order — the scheduler's determinism contract. A
-/// function object (not a function pointer) so std::sort/upper_bound
-/// inline the comparison.
+/// function object (not a function pointer) so upper_bound and the
+/// insertion pass inline the comparison.
 struct EntryEarlier {
   bool operator()(const CalendarQueue::Entry& a, const CalendarQueue::Entry& b) const {
     if (a.at != b.at) return a.at < b.at;
@@ -17,6 +17,21 @@ struct EntryEarlier {
   }
 };
 constexpr EntryEarlier entry_earlier{};
+
+/// Sorts [first, first + n) by (at, seq); linear when the run is
+/// nearly sorted, which is what the counting pass hands it.
+void insertion_sort(CalendarQueue::Entry* first, std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i) {
+    if (!entry_earlier(first[i], first[i - 1])) continue;
+    const CalendarQueue::Entry moving = first[i];
+    std::size_t j = i;
+    do {
+      first[j] = first[j - 1];
+      --j;
+    } while (j > 0 && entry_earlier(moving, first[j - 1]));
+    first[j] = moving;
+  }
+}
 }  // namespace
 
 CalendarQueue::CalendarQueue()
@@ -174,14 +189,7 @@ const CalendarQueue::Entry* CalendarQueue::peek_slow() {
       node = next;
     }
     if (!slice_.empty()) {
-      // Inserts arrive in seq order and bucket pushes are LIFO, so the
-      // extracted run is usually already sorted once reversed; fall
-      // back to a real sort only when interleaved times broke the
-      // pattern.
-      std::reverse(slice_.begin(), slice_.end());
-      if (!std::is_sorted(slice_.begin(), slice_.end(), entry_earlier)) {
-        std::sort(slice_.begin(), slice_.end(), entry_earlier);
-      }
+      order_slice();
       slice_active_ = true;
       slice_abs_ = current_abs_;
       slice_pos_ = 0;
@@ -202,6 +210,47 @@ const CalendarQueue::Entry* CalendarQueue::peek_slow() {
       probes = 0;
     }
   }
+}
+
+void CalendarQueue::order_slice() {
+  const std::size_t n = slice_.size();
+  if (n <= kInsertionSortMax) {
+    // Extraction is LIFO, so reversing puts same-instant entries back
+    // in seq order before the insertion pass.
+    std::reverse(slice_.begin(), slice_.end());
+    insertion_sort(slice_.data(), n);
+    return;
+  }
+  // Counting pass: sub-slice k of n holds the entries whose offset into
+  // the slice, (at * inv_width_ - current_abs_) * n, lies in [k, k + 1).
+  // It is computed as at * scale - base with one multiply per entry;
+  // that rounding can put an offset on n or a hair below 0, hence the
+  // clamp. The keys only need to be monotone in `at`: sub-slices come
+  // out in time order, and the insertion pass repairs the (at, seq)
+  // order inside each one exactly, whatever the rounding did.
+  const double count = static_cast<double>(n);
+  const double scale = inv_width_ * count;
+  const double base = static_cast<double>(current_abs_) * count;
+  const double top = count - 1.0;
+  sub_key_.resize(n);
+  sub_start_.resize(n + 1);
+  std::fill(sub_start_.begin(), sub_start_.end(), 0u);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double offset = std::clamp(slice_[i].at * scale - base, 0.0, top);
+    const auto key = static_cast<std::uint32_t>(offset);
+    sub_key_[i] = key;
+    ++sub_start_[key + 1];
+  }
+  for (std::size_t k = 1; k <= n; ++k) sub_start_[k] += sub_start_[k - 1];
+  // Scatter walking the extraction backwards. Bucket chains list a
+  // slice's entries newest first (link() pushes, rebuild() keeps chain
+  // order), so this visits same-instant entries in seq order and the
+  // stable scatter keeps them there: the insertion pass only moves
+  // entries whose times are out of order within a sub-slice.
+  scatter_.resize(n);
+  for (std::size_t i = n; i-- > 0;) scatter_[sub_start_[sub_key_[i]]++] = slice_[i];
+  slice_.swap(scatter_);
+  insertion_sort(slice_.data(), n);
 }
 
 const CalendarQueue::Entry* CalendarQueue::scan_overflow() {
@@ -257,7 +306,11 @@ void CalendarQueue::rebuild(std::size_t new_bucket_count) {
   cursor_valid_ = false;
 
   // Collect every pending entry: bucket lists, the overflow list, and
-  // the unserved tail of the serving buffer.
+  // the unserved tail of the serving buffer (backwards, so it reads like
+  // a LIFO chain). The relink below walks the collection backwards, so
+  // entries that shared a chain keep their relative order: a slice's
+  // same-instant entries stay in reverse seq order, which is what lets
+  // order_slice() serve their ties without moving them.
   rebuild_scratch_.clear();
   rebuild_scratch_.reserve(size_);
   for (std::uint32_t h : heads_) {
@@ -271,7 +324,7 @@ void CalendarQueue::rebuild(std::size_t new_bucket_count) {
     rebuild_scratch_.push_back(Entry{n.at, n.seq, n.id});
   }
   if (slice_active_) {
-    for (std::size_t i = slice_pos_; i < slice_.size(); ++i) {
+    for (std::size_t i = slice_.size(); i-- > slice_pos_;) {
       rebuild_scratch_.push_back(slice_[i]);
     }
     slice_.clear();
@@ -311,7 +364,8 @@ void CalendarQueue::rebuild(std::size_t new_bucket_count) {
   overflow_head_ = 0;
   overflow_size_ = 0;
   calendar_size_ = 0;
-  for (const Entry& entry : rebuild_scratch_) {
+  for (auto it = rebuild_scratch_.rbegin(); it != rebuild_scratch_.rend(); ++it) {
+    const Entry& entry = *it;
     if (!in_calendar_range(entry.at)) {
       insert_overflow(entry.at, entry.seq, entry.id);
       continue;

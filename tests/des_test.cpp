@@ -2,13 +2,36 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <queue>
 #include <utility>
 #include <vector>
 
+#include "des/calendar_queue.h"
 #include "des/scheduler.h"
+
+// Counting global allocator: this binary's allocation witness. Every
+// operator new in des_test (the array and nothrow forms forward here)
+// bumps the counter, so a test can require that a stretch of scheduler
+// work performs no heap allocation at all, scratch buffers included.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocations{0};
+}  // namespace
+
+// Out of line, so GCC's -Wmismatched-new-delete does not pair an
+// inlined malloc with a caller's operator delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept { std::free(block); }
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept { std::free(block); }
 
 namespace mvsim::des {
 namespace {
@@ -442,6 +465,239 @@ TEST(Scheduler, SteadyStateSchedulesWithoutAllocating) {
   EXPECT_GT(sched.arena_recycled_count(), recycled_before) << "slots must be recycled";
   EXPECT_EQ(sched.callback_heap_fallback_count(), 0u)
       << "every hot-path callback must fit the inline buffer";
+}
+
+// ---------------------------------------------------------------------------
+// Dense slices. The calendar width is fitted to the whole pending span,
+// so a served slice holds tens to hundreds of entries; the queue puts
+// them in (at, seq) order with a counting pass and one insertion pass.
+// These tests drive that path at the densities the workloads see.
+
+/// Hold-model workload for DenseSlicesMatchHeapOracle, run identically
+/// on either queue. 1000 "hold" events each reschedule one successor at
+/// an exponential delay (mean 10 min), so about 100 entries share every
+/// 1-minute slice. Leaves ride along: integer-minute ties, far 24-h
+/// events (they stretch the span the width is fitted to, keeping slices
+/// dense after a rebuild), and near "victims" that a later callback
+/// cancels while their slice is being served. For a stretch of fires
+/// holds branch, pushing the pending count past 2048, so grow()
+/// rebuilds from inside a callback, mid-serve. The log records each
+/// fire as (time, tag) and each cancel as (-1 or -2 for its outcome,
+/// tag).
+template <typename Queue, typename Handle>
+class DenseSliceRun {
+ public:
+  using Log = std::vector<std::pair<double, int>>;
+
+  Log run() {
+    for (int i = 0; i < 1000; ++i) add(SimTime::minutes(exp_delay()), kHold);
+    for (int step = 0; fires_ < kFires; ++step) {
+      // Partial drains that stop inside a slice, then inserts from
+      // outside any callback: they land in (or before) the slice the
+      // stopped run_until left extracted.
+      const double stride = 0.37 + 0.01 * static_cast<double>(step % 13);
+      queue_.run_until(queue_.now() + SimTime::minutes(stride));
+      add(queue_.now() + SimTime::minutes(0.0005 * static_cast<double>(step % 5)), kLeaf);
+      if (step % 3 == 0) cancel(static_cast<std::size_t>(next() % handles_.size()));
+    }
+    queue_.run_to_quiescence();
+    return log_;
+  }
+
+  [[nodiscard]] const Queue& queue() const { return queue_; }
+
+ private:
+  enum Kind : std::uint8_t { kHold, kLeaf };
+  static constexpr int kFires = 40000;
+
+  std::uint64_t next() {
+    state_ ^= state_ << 13;
+    state_ ^= state_ >> 7;
+    state_ ^= state_ << 17;
+    return state_;
+  }
+  double exp_delay() {
+    const double u = (static_cast<double>(next() >> 11) + 0.5) * 0x1.0p-53;
+    return -10.0 * std::log(u);
+  }
+  void add(SimTime at, Kind kind) {
+    const int tag = static_cast<int>(handles_.size());
+    kinds_.push_back(kind);
+    handles_.push_back(queue_.schedule_at(at, [this, tag] { fire(tag); }));
+  }
+  void cancel(std::size_t index) {
+    const bool cancelled = queue_.cancel(handles_[index]);
+    log_.emplace_back(cancelled ? -2.0 : -1.0, static_cast<int>(index));
+  }
+  void fire(int tag) {
+    const SimTime now = queue_.now();
+    log_.emplace_back(now.to_minutes(), tag);
+    ++fires_;
+    // Holds stop rescheduling once the quota is met, so the final
+    // run_to_quiescence() drains.
+    if (kinds_[static_cast<std::size_t>(tag)] != kHold || fires_ >= kFires) return;
+    add(now + SimTime::minutes(exp_delay()), kHold);
+    if (fires_ > 5000 && fires_ <= 9000 && fires_ % 2 == 0) {
+      add(now + SimTime::minutes(exp_delay()), kHold);  // branch: grow mid-serve
+    }
+    switch (next() % 32) {
+      case 1:
+        add(SimTime::minutes(std::floor(now.to_minutes()) + 1.0 +
+                             static_cast<double>(next() % 3)),
+            kLeaf);
+        break;
+      case 2:
+        victims_.push_back(handles_.size());
+        add(now + SimTime::minutes(0.05 * static_cast<double>(next() % 7)), kLeaf);
+        break;
+      case 3:
+        if (!victims_.empty()) {
+          cancel(victims_.back());
+          victims_.pop_back();
+        }
+        break;
+      case 4:
+        add(now + SimTime::minutes(24.0 * 60.0), kLeaf);
+        break;
+      default:
+        break;
+    }
+  }
+
+  Queue queue_;
+  std::uint64_t state_ = 0x2545F4914F6CDD1DULL;
+  int fires_ = 0;
+  std::vector<Handle> handles_;
+  std::vector<Kind> kinds_;
+  std::vector<std::size_t> victims_;
+  Log log_;
+};
+
+TEST(Scheduler, DenseSlicesMatchHeapOracle) {
+  DenseSliceRun<Scheduler, EventHandle> wheel;
+  DenseSliceRun<HeapOracle, HeapOracle::Handle> heap;
+  const auto wheel_log = wheel.run();
+  const auto heap_log = heap.run();
+  ASSERT_EQ(wheel_log.size(), heap_log.size());
+  for (std::size_t i = 0; i < wheel_log.size(); ++i) {
+    ASSERT_EQ(wheel_log[i], heap_log[i]) << "diverged at log entry " << i;
+  }
+  EXPECT_EQ(wheel.queue().executed_count(), heap.queue().executed_count());
+  EXPECT_EQ(wheel.queue().cancelled_count(), heap.queue().cancelled_count());
+  EXPECT_GT(wheel.queue().peak_pending_count(), 2048u) << "the branching stretch must grow()";
+
+  // The slices really were dense (before the rebuild the width is one
+  // minute, so minute 30 is one slice), and the interesting paths were
+  // taken: same-instant ties and cancels that found their entry.
+  std::size_t in_minute_30 = 0;
+  std::size_t ties = 0;
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < wheel_log.size(); ++i) {
+    const double at = wheel_log[i].first;
+    if (at >= 30.0 && at < 31.0) ++in_minute_30;
+    if (i > 0 && at >= 0.0 && at == wheel_log[i - 1].first) ++ties;
+    if (at == -2.0) ++hits;
+  }
+  EXPECT_GE(in_minute_30, 64u);
+  EXPECT_GT(ties, 100u);
+  EXPECT_GT(hits, 100u);
+}
+
+TEST(CalendarQueue, CountingPassClampsAnOffsetThatRoundsToTheSliceEnd) {
+  // The counting pass keys an entry of slice s by at * (inv * n) - s * n
+  // (clamped to [0, n - 1]), where n is the slice size. Find an `at`
+  // inside slice s whose key rounds to n itself, put it in a slice of n
+  // entries, and require exact (at, seq) order back. Without the clamp
+  // the key indexes one past the sub-slice table, which a bounds-checked
+  // build (-D_GLIBCXX_ASSERTIONS) stops here.
+  CalendarQueue queue;
+  std::uint64_t seq = 0;
+  std::uint32_t id = 0;
+  for (int i = 0; i <= 2048; ++i) queue.insert(0.37 * i, seq++, id++);  // fits a width
+  ASSERT_EQ(queue.rebuild_count(), 1u);
+  while (!queue.empty()) queue.pop_front();
+  const double width = queue.bucket_width();
+  ASSERT_NE(width, 1.0);
+  const double inv = 1.0 / width;
+
+  constexpr std::size_t kSliceSize = 40;  // above the insertion-sort cutoff
+  const double n = static_cast<double>(kSliceSize);
+  double edge = 0.0;
+  double slice = 0.0;
+  for (double s = 2000.0; s < 200000.0 && edge == 0.0; s += 1.0) {
+    // The last `at` whose slice index is still s.
+    double at = (s + 1.0) * width;
+    while (std::floor(at * inv) > s) at = std::nextafter(at, 0.0);
+    if (std::floor(at * inv) == s && at * (inv * n) - s * n >= n) {
+      edge = at;
+      slice = s;
+    }
+  }
+  ASSERT_NE(edge, 0.0) << "no slice end rounds up at this width";
+
+  std::vector<CalendarQueue::Entry> expected;
+  for (std::size_t k = 0; k + 1 < kSliceSize; ++k) {
+    const double at = (slice + (static_cast<double>(k) + 0.5) / n) * width;
+    ASSERT_EQ(std::floor(at * inv), slice);
+    expected.push_back({at, seq, id});
+    queue.insert(at, seq++, id++);
+    if (k == kSliceSize / 2) {  // the edge entry arrives mid-slice
+      expected.push_back({edge, seq, id});
+      queue.insert(edge, seq++, id++);
+    }
+  }
+  std::sort(expected.begin(), expected.end(), [](const auto& a, const auto& b) {
+    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
+  });
+  ASSERT_EQ(queue.size(), kSliceSize);
+  for (const CalendarQueue::Entry& want : expected) {
+    const CalendarQueue::Entry* got = queue.peek();
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->at, want.at);
+    EXPECT_EQ(got->seq, want.seq);
+    EXPECT_EQ(got->id, want.id);
+    queue.pop_front();
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
+/// A self-rescheduling hold event: trivially copyable, so it lives in
+/// EventFn's inline buffer and rescheduling it allocates nothing.
+struct HoldEvent {
+  Scheduler* sched;
+  std::uint64_t* rng;
+  void operator()() const {
+    std::uint64_t& x = *rng;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const double u = (static_cast<double>(x >> 11) + 0.5) * 0x1.0p-53;
+    sched->schedule_after(SimTime::minutes(-10.0 * std::log(u)), *this);
+  }
+};
+
+TEST(Scheduler, DenseSlicesServeWithoutHeapAllocations) {
+  // 800 pending holds at a mean delay of 10 min: ~80 entries per
+  // 1-minute slice, below the 2048-entry grow trigger so the width stays
+  // one minute. The warm-up sizes every pool and scratch buffer: they
+  // settle once they hold the densest slice seen, and at 80 +- 9 entries
+  // a slice that outgrows them again is a five-sigma event. After it,
+  // 10^5 further events must not allocate even once.
+  Scheduler sched;
+  std::uint64_t rng = 0x9E3779B97F4A7C15ULL;
+  for (int i = 0; i < 800; ++i) HoldEvent{&sched, &rng}();
+  sched.run_until(SimTime::minutes(400.0));  // warm-up: ~32,000 events
+
+  const std::uint64_t executed_before = sched.executed_count();
+  const std::uint64_t allocations_before = g_heap_allocations.load();
+  sched.run_until(SimTime::minutes(1700.0));
+  const std::uint64_t allocations = g_heap_allocations.load() - allocations_before;
+  const std::uint64_t executed = sched.executed_count() - executed_before;
+
+  EXPECT_GE(executed, 100000u);
+  EXPECT_GE(executed / 1300, 64u) << "events per 1-minute slice";
+  EXPECT_EQ(allocations, 0u) << "the steady state must not touch the heap";
+  EXPECT_EQ(sched.pending_count(), 800u);
 }
 
 }  // namespace
