@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "mobility/grid.h"
+
 namespace mvsim::core {
 
 const char* to_string(TopologyConfig::Kind kind) {
@@ -27,6 +29,8 @@ ValidationErrors TopologyConfig::validate() const {
 ValidationErrors ProximityChannelConfig::validate() const {
   ValidationErrors errors("ProximityChannelConfig");
   errors.require(grid_width >= 1 && grid_height >= 1, "grid dimensions must be positive");
+  errors.require(std::uint64_t{grid_width} * grid_height < mobility::kCellLimit,
+                 "grid_width * grid_height must be < 2^32 cells");
   errors.require(dwell_mean > SimTime::zero(), "dwell_mean must be positive");
   errors.require(scan_interval_mean > SimTime::zero(), "scan_interval_mean must be positive");
   return errors;

@@ -11,9 +11,27 @@ MobilityGrid::MobilityGrid(std::uint32_t width, std::uint32_t height, PhoneId ph
   if (width == 0 || height == 0) {
     throw std::invalid_argument("MobilityGrid: dimensions must be positive");
   }
-  cells_.resize(static_cast<std::size_t>(width) * height);
+  const std::uint64_t cells = std::uint64_t{width} * height;
+  if (cells >= kCellLimit) {
+    throw std::invalid_argument("MobilityGrid: a " + std::to_string(width) + "x" +
+                                std::to_string(height) + " grid has 2^32 or more cells");
+  }
+  cells_.resize(cells);
   cell_of_.resize(phone_count, kNowhere);
   slot_of_.resize(phone_count, 0);
+  neighbours_.resize(cells * 4);
+  CellId* next = neighbours_.data();
+  for (std::uint32_t y = 0; y < height; ++y) {
+    const CellId row = y * width;
+    const CellId up = (y + 1 == height ? 0 : y + 1) * width;
+    const CellId down = (y == 0 ? height - 1 : y - 1) * width;
+    for (std::uint32_t x = 0; x < width; ++x) {
+      *next++ = row + (x + 1 == width ? 0 : x + 1);
+      *next++ = row + (x == 0 ? width - 1 : x - 1);
+      *next++ = up + x;
+      *next++ = down + x;
+    }
+  }
 }
 
 void MobilityGrid::place(PhoneId phone, CellId cell) {
@@ -37,25 +55,20 @@ void MobilityGrid::place_all_uniform(rng::Stream& stream) {
 }
 
 void MobilityGrid::move_to_random_neighbour(PhoneId phone, rng::Stream& stream) {
-  CellId cell = cell_of(phone);
-  std::uint32_t x = cell % width_;
-  std::uint32_t y = cell / width_;
-  switch (stream.uniform_index(4)) {
-    case 0: x = (x + 1) % width_; break;
-    case 1: x = (x + width_ - 1) % width_; break;
-    case 2: y = (y + 1) % height_; break;
-    default: y = (y + height_ - 1) % height_; break;
-  }
+  const CellId cell = cell_of(phone);
+  const CellId next = neighbours_[std::size_t{cell} * 4 + stream.uniform_index(4)];
   remove_from_cell(phone);
-  insert_into_cell(phone, y * width_ + x);
+  insert_into_cell(phone, next);
 }
 
 CellId MobilityGrid::cell_of(PhoneId phone) const {
-  if (phone >= phone_count() || cell_of_[phone] == kNowhere) {
-    throw std::out_of_range("MobilityGrid::cell_of: phone " + std::to_string(phone) +
-                            " not placed");
-  }
+  if (phone >= phone_count() || cell_of_[phone] == kNowhere) throw_not_placed(phone);
   return cell_of_[phone];
+}
+
+void MobilityGrid::throw_not_placed(PhoneId phone) {
+  throw std::out_of_range("MobilityGrid::cell_of: phone " + std::to_string(phone) +
+                          " not placed");
 }
 
 std::span<const PhoneId> MobilityGrid::phones_in(CellId cell) const {

@@ -73,14 +73,14 @@ void Stream::refill() {
   cursor_ = 0;
 }
 
-std::uint64_t Stream::uniform_index(std::uint64_t n) {
-  if (n == 0) throw std::invalid_argument("uniform_index: n must be > 0");
-  // Lemire-style rejection to remove modulo bias.
+void Stream::throw_empty_index_range() {
+  throw std::invalid_argument("uniform_index: n must be > 0");
+}
+
+std::uint64_t Stream::uniform_index_tail(std::uint64_t n, std::uint64_t r) {
   const std::uint64_t threshold = (~n + 1) % n;  // = 2^64 mod n
-  for (;;) {
-    std::uint64_t r = next_raw();
-    if (r >= threshold) return r % n;
-  }
+  while (r < threshold) r = next_raw();
+  return r % n;
 }
 
 bool Stream::bernoulli(double p) {

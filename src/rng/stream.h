@@ -78,8 +78,24 @@ class Stream {
   }
   /// Uniform in [lo, hi).
   [[nodiscard]] double uniform(double lo, double hi) { return lo + (hi - lo) * uniform01(); }
-  /// Uniform integer in [0, n). Requires n > 0.
-  [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n);
+  /// Uniform integer in [0, n). Requires n > 0; n == 0 throws
+  /// std::invalid_argument without consuming a word.
+  ///
+  /// Unbiased by rejection: a raw word r is rejected only when
+  /// r < 2^64 mod n, and is otherwise mapped to r % n. That threshold
+  /// is always < n, so a word r >= n is accepted without computing it
+  /// (one division), and a power of two has threshold 0 and keeps r's
+  /// low bits (no division). Only r < n, which has probability n/2^64,
+  /// reaches the out-of-line tail; it computes the threshold and draws
+  /// exactly the words the plain rejection loop would, so values and
+  /// draw_count() are those of that loop.
+  [[nodiscard]] std::uint64_t uniform_index(std::uint64_t n) {
+    if (n == 0) throw_empty_index_range();
+    const std::uint64_t r = next_raw();
+    if ((n & (n - 1)) == 0) return r & (n - 1);
+    if (r >= n) return r % n;
+    return uniform_index_tail(n, r);
+  }
   /// True with probability p (clamped to [0,1]).
   [[nodiscard]] bool bernoulli(double p);
   /// Exponential with the given mean. Requires mean > 0.
@@ -119,6 +135,9 @@ class Stream {
 
  private:
   void refill();
+  [[noreturn]] static void throw_empty_index_range();
+  /// The rejection loop of uniform_index() for a first word r < n.
+  std::uint64_t uniform_index_tail(std::uint64_t n, std::uint64_t r);
 
   Xoshiro256 engine_;
   std::uint64_t buf_[kBatchSize];

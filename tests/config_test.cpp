@@ -209,6 +209,24 @@ TEST(ScenarioIo, TargetingNoneNeedsAProximityChannel) {
             json::stringify(to_json(config), 0));
 }
 
+TEST(ScenarioIo, GridWhoseCellCountOverflowsIsRejected) {
+  // 65536 x 65536 = 2^32 cells: one more than a CellId can number.
+  try {
+    (void)scenario_from_text(R"({"proximity": {"grid_width": 65536, "grid_height": 65536}})");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("grid_width * grid_height"), std::string::npos)
+        << e.what();
+  }
+  core::ProximityChannelConfig proximity;
+  proximity.grid_width = 65535;
+  proximity.grid_height = 65537;  // 2^32 - 1 cells
+  EXPECT_TRUE(proximity.validate().ok());
+  proximity.grid_width = ~0U;
+  proximity.grid_height = 2;
+  EXPECT_FALSE(proximity.validate().ok());
+}
+
 TEST(ScenarioIo, ImmunizationDetectionTimeRoundTrips) {
   core::ScenarioConfig config = scenario_from_text(
       R"({"responses": {"immunization": {"detection_time": "12h"}}})");

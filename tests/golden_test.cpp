@@ -103,6 +103,17 @@ ScenarioConfig dual_vector_scenario() {
   return config;
 }
 
+ScenarioConfig dual_vector_wide_scenario() {
+  // The same worm on a non-square 24x5 torus: the square default cannot
+  // tell a move that wraps x at the width from one that wraps at the
+  // height, this grid can.
+  ScenarioConfig config = dual_vector_scenario();
+  config.name = "golden/dual-vector-24x5";
+  config.proximity->grid_width = 24;
+  config.proximity->grid_height = 5;
+  return config;
+}
+
 ScenarioConfig defense_in_depth_scenario() {
   // All six paper mechanisms at default parameters against Virus 3,
   // as in examples/defense_in_depth.
@@ -144,6 +155,7 @@ const GoldenCase kCases[] = {
      0x2d757cb846fecd19ULL},
     {"fig7-blacklist", [] { return fig7_blacklist_scenario(10); }, 0xaaf59c7917668736ULL},
     {"dual-vector", dual_vector_scenario, 0x182aa062cd5b1f93ULL},
+    {"dual-vector-24x5", dual_vector_wide_scenario, 0xe9b719e67d84d9bdULL},
     {"defense-in-depth", defense_in_depth_scenario, 0x3143da29b28f8fbeULL},
 };
 

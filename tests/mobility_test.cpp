@@ -28,6 +28,9 @@ TEST(MobilityGrid, PlaceAndQuery) {
 
 TEST(MobilityGrid, RejectsBadArguments) {
   EXPECT_THROW(MobilityGrid(0, 4, 10), std::invalid_argument);
+  // 2^32 or more cells cannot all be numbered by a CellId.
+  EXPECT_THROW(MobilityGrid(65536, 65536, 10), std::invalid_argument);
+  EXPECT_THROW(MobilityGrid(~0U, 2, 10), std::invalid_argument);
   MobilityGrid grid(4, 4, 10);
   EXPECT_THROW(grid.place(10, 0), std::out_of_range);
   EXPECT_THROW(grid.place(0, 16), std::out_of_range);
@@ -67,6 +70,37 @@ TEST(MobilityGrid, MoveToNeighbourPreservesOccupancyInvariant) {
   std::size_t total = 0;
   for (CellId c = 0; c < grid.cell_count(); ++c) total += grid.occupancy(c);
   EXPECT_EQ(total, 50u) << "no phone lost or duplicated across 2000 moves";
+}
+
+// A move must land where modular torus arithmetic puts it: direction
+// uniform_index(4) in the order +x, -x, +y, -y. The stream is cloned
+// before each move so the reference sees the very word the move draws.
+TEST(MobilityGrid, NeighbourTableMatchesTorusArithmetic) {
+  const std::pair<std::uint32_t, std::uint32_t> shapes[] = {{1, 1}, {1, 5}, {5, 1},
+                                                            {2, 2}, {7, 3}, {16, 16}};
+  for (const auto& [width, height] : shapes) {
+    constexpr PhoneId kPhones = 40;
+    MobilityGrid grid(width, height, kPhones);
+    rng::Stream stream(width * 100 + height);
+    grid.place_all_uniform(stream);
+    for (int step = 0; step < 4000; ++step) {
+      const PhoneId phone = static_cast<PhoneId>(step) % kPhones;
+      const CellId cell = grid.cell_of(phone);
+      std::uint32_t x = cell % width;
+      std::uint32_t y = cell / width;
+      rng::Stream clone = stream;
+      switch (clone.uniform_index(4)) {
+        case 0: x = (x + 1) % width; break;
+        case 1: x = (x + width - 1) % width; break;
+        case 2: y = (y + 1) % height; break;
+        default: y = (y + height - 1) % height; break;
+      }
+      grid.move_to_random_neighbour(phone, stream);
+      ASSERT_EQ(grid.cell_of(phone), y * width + x)
+          << width << "x" << height << " grid, step " << step << ", from cell " << cell;
+      ASSERT_EQ(stream.draw_count(), clone.draw_count());
+    }
+  }
 }
 
 TEST(MobilityGrid, SampleCoLocatedExcludesSelf) {

@@ -106,6 +106,46 @@ TEST(Stream, UniformIndexZeroThrows) {
   EXPECT_THROW((void)s.uniform_index(0), std::invalid_argument);
 }
 
+// The plain rejection loop, computing 2^64 mod n on every call: the
+// reference uniform_index() must reproduce word for word.
+std::uint64_t reference_uniform_index(Stream& s, std::uint64_t n) {
+  const std::uint64_t threshold = (~n + 1) % n;  // = 2^64 mod n
+  for (;;) {
+    std::uint64_t r = s.next_raw();
+    if (r >= threshold) return r % n;
+  }
+}
+
+TEST(Stream, UniformIndexMatchesRejectionReference) {
+  constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  const std::uint64_t ranges[] = {1,          2,          3,          4,
+                                  7,          10,         64,         kTwo32 - 1,
+                                  kTwo32,     kTwo32 + 1, kTwo63 - 1, kTwo63,
+                                  kTwo63 + 1, 0xC000000000000001ULL,  ~std::uint64_t{0}};
+  constexpr int kDraws = 100000;
+  for (std::uint64_t n : ranges) {
+    Stream fast(0x5eed + n);
+    Stream reference(0x5eed + n);
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(fast.uniform_index(n), reference_uniform_index(reference, n))
+          << "n = " << n << ", draw " << i;
+    }
+    EXPECT_EQ(fast.draw_count(), reference.draw_count()) << "n = " << n;
+    if ((~n + 1) % n >= (std::uint64_t{1} << 62)) {
+      // A quarter or more of the words fall below 2^64 mod n and are
+      // redrawn, so the rejection tail really ran.
+      EXPECT_GT(fast.draw_count(), std::uint64_t{kDraws}) << "n = " << n;
+    }
+  }
+
+  Stream empty(11);
+  (void)empty.uniform_index(10);
+  const std::uint64_t before = empty.draw_count();
+  EXPECT_THROW((void)empty.uniform_index(0), std::invalid_argument);
+  EXPECT_EQ(empty.draw_count(), before) << "an empty range consumes no word";
+}
+
 TEST(Stream, BernoulliEdgeCases) {
   Stream s(12);
   for (int i = 0; i < 100; ++i) {

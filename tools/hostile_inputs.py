@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Feed hostile files to every mvsim reading verb; each must exit 2.
 
-Writes a 50,000-deep nested JSON document and one out-of-range integer
-file per reader (manifest, metrics report, trace, scenario), then runs
-`run`, `validate`, `profile-analyze`, `trace-analyze`, `report` and
-`report --ledger` on them. Any other exit code, a signal included,
+Writes a 50,000-deep nested JSON document, one out-of-range integer
+file per reader (manifest, metrics report, trace, scenario) and a
+scenario whose 65536 x 65536 grid has more cells than a CellId can
+number, then runs `run`, `validate`, `profile-analyze`, `trace-analyze`,
+`report` and `report --ledger` on them. Any other exit code, a signal included,
 fails the script.
 
 Usage: python3 tools/hostile_inputs.py path/to/mvsim [work-dir]
@@ -66,9 +67,12 @@ def main():
     cutoff = write("scenario-cutoff.json",
                    replace_once(scenario, r'"decision_cutoff": \d+',
                                 '"decision_cutoff": 1e300', "cutoff"))
+    grid = json.loads(scenario)
+    grid["proximity"] = {"grid_width": 65536, "grid_height": 65536}
+    grid = write("scenario-grid.json", json.dumps(grid))
 
-    cases = [["run", f, "--reps", "1", "--quiet"] for f in (deep, threshold, cutoff)]
-    cases += [["validate", f] for f in (deep, threshold, cutoff)]
+    cases = [["run", f, "--reps", "1", "--quiet"] for f in (deep, threshold, cutoff, grid)]
+    cases += [["validate", f] for f in (deep, threshold, cutoff, grid)]
     cases += [["profile-analyze", f] for f in (deep, metrics)]
     cases += [["trace-analyze", f] for f in (deep, trace)]
     cases += [["report", f] for f in (deep, manifest)]
