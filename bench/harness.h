@@ -1,10 +1,10 @@
 // Unified bench harness: every bench binary (figure reproductions,
-// scaling studies, microbenchmarks) registers its workloads as cases
+// scaling studies, the shard sweep) registers its workloads as cases
 // and ends with write_report(), so each run leaves behind one
 // machine-readable BENCH_<name>.json with median-of-N wall-clock and
-// events/sec per case. tools/bench_compare.py diffs two such files and
-// fails past a regression threshold; docs/observability.md documents
-// the schema.
+// events/sec per case. These reports describe a bench run; they are
+// not a regression gate (perfbench/ is the repository's one benchmark).
+// docs/observability.md documents the schema.
 //
 // Control knobs (environment):
 //   MVSIM_BENCH_WARMUP  discarded runs per case (default: the binary's)
@@ -55,7 +55,7 @@ class Harness {
 
   /// Attaches a scalar fact to the report (emitted under "notes", e.g.
   /// peak RSS or bytes-per-phone). Notes carry capacity/memory facts
-  /// that are not wall-clock series; bench_compare ignores them.
+  /// that are not wall-clock series.
   /// Setting an existing key overwrites it.
   void set_note(const std::string& key, double value);
 

@@ -1,6 +1,8 @@
 #include "analysis/param_registry.h"
 
-#include <cstdint>
+#include <optional>
+
+#include "util/checked_integer.h"
 
 namespace mvsim::analysis {
 
@@ -9,65 +11,85 @@ namespace {
 // Each apply function enables the mechanism with defaults when the
 // base scenario lacks it, then sets the swept knob.
 
-void apply_scan_delay(core::ScenarioConfig& config, double hours) {
+/// Sets an integer knob; false (knob untouched) when `value` is
+/// fractional or out of the knob's range, where a cast would run a
+/// different value than the sweep reports.
+template <typename T>
+bool set_integer(T& knob, double value) {
+  const std::optional<T> n = util::checked_integer<T>(value);
+  if (!n) return false;
+  knob = *n;
+  return true;
+}
+
+bool apply_scan_delay(core::ScenarioConfig& config, double hours) {
   if (!config.responses.gateway_scan) config.responses.gateway_scan.emplace();
   config.responses.gateway_scan->activation_delay = SimTime::hours(hours);
+  return true;
 }
 
-void apply_detection_accuracy(core::ScenarioConfig& config, double accuracy) {
+bool apply_detection_accuracy(core::ScenarioConfig& config, double accuracy) {
   if (!config.responses.gateway_detection) config.responses.gateway_detection.emplace();
   config.responses.gateway_detection->accuracy = accuracy;
+  return true;
 }
 
-void apply_detection_period(core::ScenarioConfig& config, double hours) {
+bool apply_detection_period(core::ScenarioConfig& config, double hours) {
   if (!config.responses.gateway_detection) config.responses.gateway_detection.emplace();
   config.responses.gateway_detection->analysis_period = SimTime::hours(hours);
+  return true;
 }
 
-void apply_education_acceptance(core::ScenarioConfig& config, double acceptance) {
+bool apply_education_acceptance(core::ScenarioConfig& config, double acceptance) {
   if (!config.responses.user_education) config.responses.user_education.emplace();
   config.responses.user_education->eventual_acceptance = acceptance;
+  return true;
 }
 
-void apply_immunization_development(core::ScenarioConfig& config, double hours) {
+bool apply_immunization_development(core::ScenarioConfig& config, double hours) {
   if (!config.responses.immunization) config.responses.immunization.emplace();
   config.responses.immunization->development_time = SimTime::hours(hours);
+  return true;
 }
 
-void apply_immunization_deployment(core::ScenarioConfig& config, double hours) {
+bool apply_immunization_deployment(core::ScenarioConfig& config, double hours) {
   if (!config.responses.immunization) config.responses.immunization.emplace();
   config.responses.immunization->deployment_duration = SimTime::hours(hours);
+  return true;
 }
 
-void apply_monitoring_wait(core::ScenarioConfig& config, double minutes) {
+bool apply_monitoring_wait(core::ScenarioConfig& config, double minutes) {
   if (!config.responses.monitoring) config.responses.monitoring.emplace();
   config.responses.monitoring->forced_wait = SimTime::minutes(minutes);
+  return true;
 }
 
-void apply_monitoring_threshold(core::ScenarioConfig& config, double messages) {
+bool apply_monitoring_threshold(core::ScenarioConfig& config, double messages) {
   if (!config.responses.monitoring) config.responses.monitoring.emplace();
-  config.responses.monitoring->window_message_threshold = static_cast<std::uint32_t>(messages);
+  return set_integer(config.responses.monitoring->window_message_threshold, messages);
 }
 
-void apply_blacklist_threshold(core::ScenarioConfig& config, double messages) {
+bool apply_blacklist_threshold(core::ScenarioConfig& config, double messages) {
   if (!config.responses.blacklist) config.responses.blacklist.emplace();
-  config.responses.blacklist->message_threshold = static_cast<std::uint32_t>(messages);
+  return set_integer(config.responses.blacklist->message_threshold, messages);
 }
 
-void apply_detectability(core::ScenarioConfig& config, double messages) {
-  config.responses.detectability_threshold = static_cast<std::uint64_t>(messages);
+bool apply_detectability(core::ScenarioConfig& config, double messages) {
+  return set_integer(config.responses.detectability_threshold, messages);
 }
 
-void apply_population(core::ScenarioConfig& config, double phones) {
-  config.population = static_cast<graph::PhoneId>(phones);
+bool apply_population(core::ScenarioConfig& config, double phones) {
+  return set_integer(config.population, phones);
 }
 
-void apply_susceptible_fraction(core::ScenarioConfig& config, double fraction) {
+bool apply_susceptible_fraction(core::ScenarioConfig& config, double fraction) {
   config.susceptible_fraction = fraction;
+  return true;
 }
 
-void apply_eventual_acceptance(core::ScenarioConfig& config, double acceptance) {
+bool apply_eventual_acceptance(core::ScenarioConfig& config, double acceptance) {
   config.eventual_acceptance = acceptance;
+  return true;
 }
 
 }  // namespace

@@ -24,7 +24,9 @@ struct SweepableParam {
   const char* name;         ///< e.g. "gateway_scan.activation_delay_h"
   const char* unit;         ///< e.g. "hours"
   const char* description;  ///< one line for `mvsim sweep --list-params`
-  void (*apply)(core::ScenarioConfig&, double);
+  /// Sets the knob to the value; false when the knob is an integer
+  /// and the value is fractional or out of its range.
+  bool (*apply)(core::ScenarioConfig&, double);
 };
 
 /// All sweepable parameters, in stable listing order.

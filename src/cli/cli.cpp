@@ -728,6 +728,7 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
   };
   if (int rc = parse_flags(args, 1, flags, nullptr, "sweep", err); rc != 0) return rc;
   std::vector<double> values;
+  std::vector<std::string> value_texts;
   std::string token;
   std::istringstream list(values_text);
   while (std::getline(list, token, ',')) {
@@ -737,6 +738,7 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
       return 1;
     }
     values.push_back(value);
+    value_texts.push_back(token);
   }
   if (param_name.empty()) {
     err << "sweep: --param is required (see `mvsim sweep --list-params`)\n";
@@ -757,6 +759,21 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
 
   core::ScenarioConfig base;
   if (int rc = resolve_scenario(args[0], base, err); rc != 0) return rc;
+
+  // Build and validate every point before the first one runs, so a bad
+  // value late in the ladder costs no run time and leaves no ledger line.
+  std::vector<core::ScenarioConfig> scenarios;
+  scenarios.reserve(values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    core::ScenarioConfig& scenario = scenarios.emplace_back(base);
+    if (!param->apply(scenario, values[i])) {
+      err << "sweep: " << param_name << " takes a whole number of " << param->unit
+          << " in range, got '" << value_texts[i] << "'\n";
+      return 1;
+    }
+    scenario.name = base.name + "/" + param_name + "=" + format_value(values[i]);
+    scenario.validate().throw_if_invalid();
+  }
   if (int rc = probe_writable(ledger_path, err); rc != 0) return rc;
 
   std::ofstream stream_file;
@@ -769,12 +786,9 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
                           static_cast<int>(values.size()), runner.replications});
   }
 
-  auto make_scenario = [&](double value) {
-    core::ScenarioConfig scenario = base;
-    param->apply(scenario, value);
-    scenario.name = base.name + "/" + param_name + "=" + format_value(value);
-    return scenario;
-  };
+  // run_sweep asks for each point's scenario once, in order.
+  std::size_t next_point = 0;
+  auto make_scenario = [&](double) { return scenarios[next_point++]; };
 
   const auto sweep_started = std::chrono::steady_clock::now();
   std::string ledger_error;

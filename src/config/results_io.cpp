@@ -3,8 +3,8 @@
 #include <cstdio>
 #include <ostream>
 
-#include "config/duration.h"
 #include "util/csv.h"
+#include "util/duration.h"
 
 namespace mvsim::config {
 
@@ -24,7 +24,7 @@ json::Value results_to_json(const core::ScenarioConfig& scenario,
   json::Object o;
   o.set("scenario", json::Value(scenario.name));
   o.set("replications", json::Value(result.curve.replication_count()));
-  o.set("horizon", json::Value(format_duration(scenario.horizon)));
+  o.set("horizon", json::Value(util::format_duration(scenario.horizon)));
   o.set("expected_unrestrained_plateau",
         json::Value(scenario.expected_unrestrained_plateau()));
   o.set("final_infections", accumulator_to_json(result.final_infections));

@@ -6,8 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "config/duration.h"
 #include "response/registry.h"
+#include "util/duration.h"
 #include "util/json_decode.h"
 
 namespace mvsim::config {
@@ -173,22 +173,22 @@ json::Value to_json(const virus::VirusProfile& profile) {
   if (profile.targeting == virus::TargetingMode::kRandomDialing) {
     o.set("valid_number_fraction", Value(profile.valid_number_fraction));
   }
-  o.set("min_message_gap", Value(format_duration(profile.min_message_gap)));
-  o.set("extra_gap_mean", Value(format_duration(profile.extra_gap_mean)));
+  o.set("min_message_gap", Value(util::format_duration(profile.min_message_gap)));
+  o.set("extra_gap_mean", Value(util::format_duration(profile.extra_gap_mean)));
   o.set("recipients_per_message", Value(profile.recipients_per_message));
   o.set("budget", Value(to_string(profile.budget)));
   if (profile.budget != virus::BudgetKind::kUnlimited) {
     o.set("budget_limit", Value(profile.budget_limit));
-    o.set("budget_window", Value(format_duration(profile.budget_window)));
+    o.set("budget_window", Value(util::format_duration(profile.budget_window)));
   }
   if (profile.align_first_burst) o.set("align_first_burst", Value(true));
   if (profile.one_pass_per_window) o.set("one_pass_per_window", Value(true));
   if (profile.dormancy > SimTime::zero()) {
-    o.set("dormancy", Value(format_duration(profile.dormancy)));
+    o.set("dormancy", Value(util::format_duration(profile.dormancy)));
   }
   o.set("trigger", Value(to_string(profile.trigger)));
   if (profile.trigger == virus::SendTrigger::kPiggyback) {
-    o.set("legit_traffic_gap_mean", Value(format_duration(profile.legit_traffic_gap_mean)));
+    o.set("legit_traffic_gap_mean", Value(util::format_duration(profile.legit_traffic_gap_mean)));
   }
   return Value(std::move(o));
 }
@@ -229,22 +229,22 @@ json::Value to_json(const core::ScenarioConfig& config) {
   o.set("initial_infected", Value(config.initial_infected));
   o.set("topology", to_json(config.topology));
   o.set("eventual_acceptance", Value(config.eventual_acceptance));
-  o.set("read_delay_mean", Value(format_duration(config.read_delay_mean)));
+  o.set("read_delay_mean", Value(util::format_duration(config.read_delay_mean)));
   o.set("decision_cutoff", Value(config.decision_cutoff));
-  o.set("delivery_delay_mean", Value(format_duration(config.delivery_delay_mean)));
+  o.set("delivery_delay_mean", Value(util::format_duration(config.delivery_delay_mean)));
   o.set("virus", to_json(config.virus));
   if (config.proximity) {
     Object proximity;
     proximity.set("grid_width", Value(config.proximity->grid_width));
     proximity.set("grid_height", Value(config.proximity->grid_height));
-    proximity.set("dwell_mean", Value(format_duration(config.proximity->dwell_mean)));
+    proximity.set("dwell_mean", Value(util::format_duration(config.proximity->dwell_mean)));
     proximity.set("scan_interval_mean",
-                  Value(format_duration(config.proximity->scan_interval_mean)));
+                  Value(util::format_duration(config.proximity->scan_interval_mean)));
     o.set("proximity", Value(std::move(proximity)));
   }
   o.set("responses", to_json(config.responses));
-  o.set("horizon", Value(format_duration(config.horizon)));
-  o.set("sample_step", Value(format_duration(config.sample_step)));
+  o.set("horizon", Value(util::format_duration(config.horizon)));
+  o.set("sample_step", Value(util::format_duration(config.sample_step)));
   return Value(std::move(o));
 }
 

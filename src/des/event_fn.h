@@ -4,7 +4,7 @@
 // callable is stored in a fixed inline buffer whenever it fits, so
 // scheduling an event copies a few words instead of touching the heap;
 // oversized callables fall back to a heap box (the scheduler counts
-// those — see Scheduler::callback_heap_fallback_count — so benches can
+// those — see Scheduler::callback_heap_fallback_count — so tests can
 // prove the fast path stays allocation-free). Move-only, like the
 // event records that own it.
 #pragma once

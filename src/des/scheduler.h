@@ -151,7 +151,7 @@ class Scheduler {
   /// telemetry report exposes as `des.queue_depth_peak`.
   [[nodiscard]] std::size_t peak_pending_count() const { return peak_pending_; }
 
-  // ---- Allocation introspection (see bench/micro_scheduler.cpp) ----
+  // ---- Allocation introspection (see Scheduler.SteadyStateSchedulesWithoutAllocating) ----
 
   /// Chunks backing the event pool; constant in steady state.
   [[nodiscard]] std::size_t arena_chunk_count() const { return arena_.chunk_count(); }

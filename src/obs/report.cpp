@@ -24,7 +24,7 @@ constexpr MetricSpec kMetrics[] = {
     {"messages_blocked_mean", &RunOutcome::messages_blocked_mean, Direction::kNeutral},
 };
 
-// Normalized change, < 0 = worse (bench_compare's convention). The
+// Normalized change, < 0 = worse whatever the metric's direction. The
 // zero cases are principled, not arbitrary: driving a lower-is-better
 // metric to 0 from a positive baseline is a full win (+1), letting a
 // higher-is-better metric rise from a 0 baseline likewise; two zeros

@@ -1,13 +1,11 @@
 // Manifest rendering for `mvsim report`: the single-run summary and
 // the cross-run outcome comparison (`mvsim report --compare`).
 //
-// tools/bench_compare.py diffs two perf reports with normalized
-// changes and OK/IMPROVED/REGRESSED verdicts; this is the same
-// semantics applied to simulation outcomes. Each outcome metric has a
-// direction (fewer infections is better, more patches is better, a
-// later peak is better), changes are normalized so negative always
-// means "got worse", and a change past the threshold flips the
-// verdict. Neutral metrics (event counts, gateway blocks without
+// The comparison gives each outcome metric an OK/IMPROVED/REGRESSED
+// verdict. Each metric has a direction (fewer infections is better,
+// more patches is better, a later peak is better), changes are
+// normalized so negative always means "got worse", and a change past
+// the threshold flips the verdict. Neutral metrics (event counts, gateway blocks without
 // context) are reported but never regress.
 #pragma once
 

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/cli.h"
@@ -758,6 +759,36 @@ TEST(Cli, SweepListParamsAndBadFlags) {
                                  "--ledger", "/no/such/dir/ledger.ndjson"});
   EXPECT_EQ(unwritable.code, 2);
   EXPECT_NE(unwritable.err.find("cannot write"), std::string::npos);
+
+  // An integer knob takes only whole values in its range, and a bad
+  // value anywhere in the ladder fails the sweep before any point runs
+  // or reaches the ledger.
+  const std::string ledger_path = ::testing::TempDir() + "/mvsim_cli_sweep_bad_" +
+                                  std::to_string(static_cast<long long>(::getpid())) +
+                                  ".ndjsonl";
+  std::remove(ledger_path.c_str());
+  for (const auto& [bad, named] :
+       {std::pair{"10.9,20", "'10.9'"}, std::pair{"1e10,20", "'1e10'"}}) {
+    CliResult integral = invoke({"sweep", path, "--param", "blacklist.message_threshold",
+                                 "--values", bad, "--ledger", ledger_path});
+    // Fatal: without the check, the population case below would try
+    // to build ~1.4e9 phones.
+    ASSERT_EQ(integral.code, 1) << bad << ": " << integral.err;
+    EXPECT_NE(integral.err.find("blacklist.message_threshold"), std::string::npos)
+        << integral.err;
+    EXPECT_NE(integral.err.find(named), std::string::npos) << integral.err;
+    EXPECT_TRUE(integral.out.empty()) << integral.out;
+  }
+  CliResult huge_population =
+      invoke({"sweep", path, "--param", "population", "--values", "100,1e10"});
+  EXPECT_EQ(huge_population.code, 1);
+  EXPECT_NE(huge_population.err.find("'1e10'"), std::string::npos) << huge_population.err;
+  CliResult late_invalid = invoke({"sweep", path, "--param", "gateway_scan.activation_delay_h",
+                                   "--values", "6,12,-1", "--ledger", ledger_path});
+  EXPECT_EQ(late_invalid.code, 2);
+  EXPECT_TRUE(late_invalid.out.empty()) << late_invalid.out;
+  EXPECT_FALSE(std::ifstream(ledger_path).good()) << "no point may reach the ledger";
+  std::remove(ledger_path.c_str());
   std::remove(path.c_str());
 }
 

@@ -7,48 +7,48 @@
 #include <fstream>
 #include <sstream>
 
-#include "config/duration.h"
 #include "config/results_io.h"
 #include "config/scenario_io.h"
 #include "core/presets.h"
 #include "core/runner.h"
+#include "util/duration.h"
 
 namespace mvsim::config {
 namespace {
 
 TEST(Duration, ParsesEveryUnit) {
-  EXPECT_EQ(parse_duration("90s"), SimTime::seconds(90.0));
-  EXPECT_EQ(parse_duration("30min"), SimTime::minutes(30.0));
-  EXPECT_EQ(parse_duration("30m"), SimTime::minutes(30.0));
-  EXPECT_EQ(parse_duration("6h"), SimTime::hours(6.0));
-  EXPECT_EQ(parse_duration("6hr"), SimTime::hours(6.0));
-  EXPECT_EQ(parse_duration("1.5d"), SimTime::days(1.5));
-  EXPECT_EQ(parse_duration("2 days"), SimTime::days(2.0));
-  EXPECT_EQ(parse_duration("  45 min  "), SimTime::minutes(45.0));
-  EXPECT_EQ(parse_duration("0h"), SimTime::zero());
+  EXPECT_EQ(util::parse_duration("90s"), SimTime::seconds(90.0));
+  EXPECT_EQ(util::parse_duration("30min"), SimTime::minutes(30.0));
+  EXPECT_EQ(util::parse_duration("30m"), SimTime::minutes(30.0));
+  EXPECT_EQ(util::parse_duration("6h"), SimTime::hours(6.0));
+  EXPECT_EQ(util::parse_duration("6hr"), SimTime::hours(6.0));
+  EXPECT_EQ(util::parse_duration("1.5d"), SimTime::days(1.5));
+  EXPECT_EQ(util::parse_duration("2 days"), SimTime::days(2.0));
+  EXPECT_EQ(util::parse_duration("  45 min  "), SimTime::minutes(45.0));
+  EXPECT_EQ(util::parse_duration("0h"), SimTime::zero());
 }
 
 TEST(Duration, RejectsGarbage) {
-  EXPECT_THROW((void)parse_duration(""), std::invalid_argument);
-  EXPECT_THROW((void)parse_duration("30"), std::invalid_argument);
-  EXPECT_THROW((void)parse_duration("fast"), std::invalid_argument);
-  EXPECT_THROW((void)parse_duration("30 fortnights"), std::invalid_argument);
-  EXPECT_THROW((void)parse_duration("h30"), std::invalid_argument);
+  EXPECT_THROW((void)util::parse_duration(""), std::invalid_argument);
+  EXPECT_THROW((void)util::parse_duration("30"), std::invalid_argument);
+  EXPECT_THROW((void)util::parse_duration("fast"), std::invalid_argument);
+  EXPECT_THROW((void)util::parse_duration("30 fortnights"), std::invalid_argument);
+  EXPECT_THROW((void)util::parse_duration("h30"), std::invalid_argument);
 }
 
 TEST(Duration, FormatsWithNaturalUnits) {
-  EXPECT_EQ(format_duration(SimTime::days(2.0)), "2d");
-  EXPECT_EQ(format_duration(SimTime::hours(6.0)), "6h");
-  EXPECT_EQ(format_duration(SimTime::minutes(30.0)), "30min");
-  EXPECT_EQ(format_duration(SimTime::seconds(90.0)), "90s");
-  EXPECT_EQ(format_duration(SimTime::hours(36.0)), "36h") << "1.5d is not integral in days";
-  EXPECT_EQ(format_duration(SimTime::zero()), "0min");
+  EXPECT_EQ(util::format_duration(SimTime::days(2.0)), "2d");
+  EXPECT_EQ(util::format_duration(SimTime::hours(6.0)), "6h");
+  EXPECT_EQ(util::format_duration(SimTime::minutes(30.0)), "30min");
+  EXPECT_EQ(util::format_duration(SimTime::seconds(90.0)), "90s");
+  EXPECT_EQ(util::format_duration(SimTime::hours(36.0)), "36h") << "1.5d is not integral in days";
+  EXPECT_EQ(util::format_duration(SimTime::zero()), "0min");
 }
 
 TEST(Duration, FormatParseRoundTrip) {
   for (SimTime t : {SimTime::minutes(1.0), SimTime::minutes(90.0), SimTime::hours(24.0),
                     SimTime::days(18.0), SimTime::seconds(10.0)}) {
-    EXPECT_EQ(parse_duration(format_duration(t)), t);
+    EXPECT_EQ(util::parse_duration(util::format_duration(t)), t);
   }
 }
 
