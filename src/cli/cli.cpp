@@ -69,7 +69,7 @@ usage:
                            proximity scenarios are rejected)
       --shard-window MIN   synchronization window in simulated minutes (default:
                            the scenario's delivery_delay_mean; model-relevant,
-                           like --shards)
+                           like --shards; at most 10^6 windows per horizon)
       --shard-workers N    threads per sharded replication (default 0 = one per
                            shard; results identical for any value)
       --progress           live progress on stderr (replications done, events/sec,
@@ -79,7 +79,7 @@ usage:
                            queue depths, per-shard barrier waits
       --stats-period MIN   simulated minutes between stats samples (default 30;
                            sharded runs sample at the first window barrier at or
-                           past each mark)
+                           past each mark; at most 10^6 samples per horizon)
       --manifest PATH      write the run manifest as JSON ('-' = stdout): scenario
                            content hash, seed, build provenance, wall-clock phases,
                            peak RSS, artifact paths and the outcome block
@@ -393,6 +393,23 @@ int command_run(const std::vector<std::string>& args, std::ostream& out, std::os
 
   core::ScenarioConfig scenario;
   if (int rc = resolve_scenario(args[0], scenario, err); rc != 0) return rc;
+  // A period that cuts the horizon too finely would stream or window
+  // without bound; refuse it before any replication runs or byte is written.
+  const auto check_steps = [&](const char* flag, double minutes, const char* unit) {
+    if (core::within_step_limit(scenario.horizon, SimTime::minutes(minutes))) return true;
+    err << flag << ": " << minutes << " min cuts the " << scenario.horizon.to_minutes()
+        << " min horizon into more than " << core::kMaxStepsPerReplication << ' ' << unit
+        << ", the per-replication limit\n";
+    return false;
+  };
+  if (!stats_stream_path.empty() &&
+      !check_steps("--stats-period", stats_period_minutes, "samples")) {
+    return 1;
+  }
+  if (runner.shards > 1 && shard_window_minutes > 0.0 &&
+      !check_steps("--shard-window", shard_window_minutes, "windows")) {
+    return 1;
+  }
   const std::string scenario_hash = scenario_hash_of(scenario);
 
   std::unique_ptr<trace::TraceBuffer> trace_buffer;

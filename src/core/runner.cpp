@@ -10,6 +10,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/sharded_simulation.h"
@@ -268,6 +269,14 @@ ExperimentResult run_experiment(const ScenarioConfig& config, const RunnerOption
     }
   }
   config.validate().throw_if_invalid();
+  if (options.stats_stream != nullptr && !within_step_limit(config.horizon, options.stats_period)) {
+    throw std::invalid_argument("run_experiment: " + step_limit_message("stats_period", "samples"));
+  }
+  // The sharded engine re-checks its window, but only inside a worker.
+  if (options.shards > 1 &&
+      !within_step_limit(config.horizon, resolve_shard_window(config, options.shard_window))) {
+    throw std::invalid_argument("run_experiment: " + step_limit_message("shard_window", "windows"));
+  }
 
   auto experiment_started = std::chrono::steady_clock::now();
 

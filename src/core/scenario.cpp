@@ -1,6 +1,7 @@
 #include "core/scenario.h"
 
 #include <cmath>
+#include <string>
 
 #include "mobility/grid.h"
 
@@ -59,9 +60,18 @@ ValidationErrors ScenarioConfig::validate() const {
   errors.merge(responses.validate());
   errors.require(horizon > SimTime::zero() && horizon.is_finite(),
                  "horizon must be finite and positive");
-  errors.require(sample_step > SimTime::zero() && sample_step <= horizon,
-                 "sample_step must be positive and <= horizon");
+  if (errors.require(sample_step > SimTime::zero() && sample_step <= horizon,
+                     "sample_step must be positive and <= horizon") &&
+      !within_step_limit(horizon, sample_step)) {
+    errors.add(step_limit_message("sample_step", "curve points"));
+  }
   return errors;
+}
+
+std::string step_limit_message(const char* period, const char* steps) {
+  const std::string limit = std::to_string(kMaxStepsPerReplication);
+  return std::string(period) + " must be >= horizon / " + limit + " (at most " + limit + " " +
+         steps + " per replication)";
 }
 
 std::uint64_t ScenarioConfig::susceptible_count() const {

@@ -69,6 +69,23 @@ struct ProximityChannelConfig {
   [[nodiscard]] ValidationErrors validate() const;
 };
 
+/// The most fixed-period steps one replication may take over its
+/// horizon: curve points (`sample_step`), stats-stream samples
+/// (`stats_period`) and shard windows each. A finer period would make a
+/// run allocate or loop without bound — below half an ulp of the
+/// current time a period cannot advance the clock at all.
+inline constexpr std::uint64_t kMaxStepsPerReplication = 1'000'000;
+
+/// True when `step` (positive) cuts `horizon` into at most
+/// kMaxStepsPerReplication steps.
+[[nodiscard]] inline bool within_step_limit(SimTime horizon, SimTime step) {
+  return horizon / step <= static_cast<double>(kMaxStepsPerReplication);
+}
+
+/// "<period> must be >= horizon / 1000000 (at most 1000000 <steps> per
+/// replication)": the one wording of a within_step_limit failure.
+[[nodiscard]] std::string step_limit_message(const char* period, const char* steps);
+
 struct ScenarioConfig {
   std::string name = "scenario";
 

@@ -6,6 +6,7 @@
 #include <exception>
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace mvsim::core {
@@ -20,10 +21,6 @@ double ms_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-SimTime resolve_window(const ScenarioConfig& config, const ShardingOptions& options) {
-  return options.window > SimTime::zero() ? options.window : config.delivery_delay_mean;
-}
-
 /// Rejects what the sharded engine cannot run, before any graph is
 /// built; returns `config` for the member initializer.
 const ScenarioConfig& checked(const ScenarioConfig& config, const ShardingOptions& options) {
@@ -36,13 +33,21 @@ const ScenarioConfig& checked(const ScenarioConfig& config, const ShardingOption
         "ShardedSimulation: proximity (Bluetooth) scenarios are not shardable — "
         "proximity contacts ignore the graph partition; run with --shards 1");
   }
-  if (!(resolve_window(config, options) > SimTime::zero())) {
+  const SimTime window = resolve_shard_window(config, options.window);
+  if (!(window > SimTime::zero())) {
     throw std::invalid_argument("ShardedSimulation: window must be positive");
+  }
+  if (!within_step_limit(config.horizon, window)) {
+    throw std::invalid_argument("ShardedSimulation: " + step_limit_message("window", "windows"));
   }
   return config;
 }
 
 }  // namespace
+
+SimTime resolve_shard_window(const ScenarioConfig& config, SimTime window) {
+  return window > SimTime::zero() ? window : config.delivery_delay_mean;
+}
 
 /// Persistent worker pool for one run: worker j owns slices j, j+W,
 /// j+2W, ... (static assignment keeps per-slice cache state warm and
@@ -121,7 +126,7 @@ ShardedSimulation::ShardedSimulation(const ScenarioConfig& config,
                                      const ShardingOptions& options, des::QueueImpl /*queue*/,
                                      graph::GraphCache* graph_cache)
     : options_(options),
-      window_(resolve_window(config, options)),
+      window_(resolve_shard_window(config, options.window)),
       state_(checked(config, options), replication_seed, graph_cache),
       partition_(graph::Partition::degree_balanced(*state_.graph, options.shards)),
       mailbox_(options.shards) {

@@ -68,6 +68,10 @@ struct ShardingOptions {
   bool profile = false;
 };
 
+/// The window a sharded run uses: `window` when positive, else the
+/// scenario's delivery_delay_mean.
+[[nodiscard]] SimTime resolve_shard_window(const ScenarioConfig& config, SimTime window);
+
 class ShardedSimulation final : public ReplicationEngine {
  public:
   /// Called at each window barrier (from the coordinating thread):

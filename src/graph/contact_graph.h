@@ -33,7 +33,8 @@ class ContactGraph {
   /// on self-loops, duplicate edges (in either orientation) or
   /// endpoints >= node_count. Generators avoid this path (they stream
   /// edges through CsrBuilder instead of materializing a list); it
-  /// remains the construction route for deserialization and tests.
+  /// remains the construction route for deserialization and tests,
+  /// and pays CsrBuilder::finish's transient 2E-entry transpose scratch.
   ContactGraph(PhoneId node_count, std::span<const Edge> edges);
 
   /// An empty graph (no edges) over `node_count` phones.
@@ -53,7 +54,8 @@ class ContactGraph {
   [[nodiscard]] double average_degree() const;
 
   /// Heap footprint of the CSR arrays, for the bytes-per-phone budget
-  /// the scaling bench reports.
+  /// the scaling bench reports: exactly (n+1)·4 + 2E·4 bytes, whatever
+  /// buffer CsrBuilder::finish transposed through.
   [[nodiscard]] std::size_t memory_bytes() const {
     return offsets_.capacity() * sizeof(std::uint32_t) + adjacency_.capacity() * sizeof(PhoneId);
   }
@@ -62,7 +64,8 @@ class ContactGraph {
   friend class CsrBuilder;
 
   /// Adopts fully-built CSR arrays (CsrBuilder::finish has already
-  /// enforced the simple-graph invariants).
+  /// ordered every contact list by its transpose and enforced the
+  /// simple-graph invariants).
   ContactGraph(std::vector<std::uint32_t> offsets, std::vector<PhoneId> adjacency)
       : offsets_(std::move(offsets)), adjacency_(std::move(adjacency)) {}
 

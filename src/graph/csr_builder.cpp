@@ -11,23 +11,15 @@ CsrBuilder::CsrBuilder(PhoneId node_count) : node_count_(node_count) {
   offsets_.assign(static_cast<std::size_t>(node_count) + 1, 0);
 }
 
-void CsrBuilder::check_edge(PhoneId a, PhoneId b) const {
+void CsrBuilder::bad_edge(PhoneId a, PhoneId b) const {
   if (a >= node_count_ || b >= node_count_) {
     throw std::invalid_argument("ContactGraph: edge endpoint out of range (" + std::to_string(a) +
                                 "," + std::to_string(b) + ")");
   }
-  if (a == b) {
-    throw std::invalid_argument("ContactGraph: self-loop at phone " + std::to_string(a));
-  }
+  throw std::invalid_argument("ContactGraph: self-loop at phone " + std::to_string(a));
 }
 
-void CsrBuilder::count_edge(PhoneId a, PhoneId b) {
-  if (filling_) throw std::logic_error("CsrBuilder: count_edge after begin_fill");
-  check_edge(a, b);
-  ++offsets_[a + 1ULL];
-  ++offsets_[b + 1ULL];
-  ++edge_count_;
-}
+void CsrBuilder::order_error(const char* what) { throw std::logic_error(what); }
 
 void CsrBuilder::begin_fill() {
   if (filling_) throw std::logic_error("CsrBuilder: begin_fill called twice");
@@ -40,19 +32,7 @@ void CsrBuilder::begin_fill() {
   cursor_.assign(offsets_.begin(), offsets_.end() - 1);
 }
 
-void CsrBuilder::fill_edge(PhoneId a, PhoneId b) {
-  if (!filling_) throw std::logic_error("CsrBuilder: fill_edge before begin_fill");
-  check_edge(a, b);
-  std::uint32_t slot_a = cursor_[a]++;
-  std::uint32_t slot_b = cursor_[b]++;
-  if (slot_a >= offsets_[a + 1ULL] || slot_b >= offsets_[b + 1ULL]) {
-    throw std::logic_error("CsrBuilder: fill sequence does not match count sequence");
-  }
-  adjacency_[slot_a] = b;
-  adjacency_[slot_b] = a;
-}
-
-ContactGraph CsrBuilder::finish() && {
+ContactGraph CsrBuilder::finish(std::vector<PhoneId> scratch) && {
   if (!filling_) {
     // A graph counted but never filled is only valid when empty.
     begin_fill();
@@ -61,13 +41,29 @@ ContactGraph CsrBuilder::finish() && {
     if (cursor_[p] != offsets_[p + 1ULL]) {
       throw std::logic_error("CsrBuilder: fill sequence does not match count sequence");
     }
-    auto begin = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[p]);
-    auto end = adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[p + 1ULL]);
-    std::sort(begin, end);
-    if (std::adjacent_find(begin, end) != end) {
-      throw std::invalid_argument("ContactGraph: duplicate edge at phone " + std::to_string(p));
+  }
+  // Transpose: source s lands in each neighbour t's list in ascending
+  // order of s, so every list is sorted. Adjacency is symmetric (each
+  // fill_edge placed both directions), so t receives exactly its degree
+  // in entries. A duplicate edge (s, t) puts t twice in s's list, which
+  // appends s to t's list twice in a row; the first source caught that
+  // way is the smallest phone with a duplicate.
+  scratch.resize(adjacency_.size());
+  cursor_.assign(offsets_.begin(), offsets_.end() - 1);
+  for (PhoneId s = 0; s < node_count_; ++s) {
+    const std::uint32_t end = offsets_[s + 1ULL];
+    for (std::uint32_t i = offsets_[s]; i < end; ++i) {
+      const PhoneId t = adjacency_[i];
+      std::uint32_t& slot = cursor_[t];
+      if (slot != offsets_[t] && scratch[slot - 1] == s) {
+        throw std::invalid_argument("ContactGraph: duplicate edge at phone " + std::to_string(s));
+      }
+      scratch[slot++] = s;
     }
   }
+  // Copy back rather than adopt `scratch`: its capacity is the caller's,
+  // and the graph keeps the exact-size array.
+  std::copy(scratch.begin(), scratch.end(), adjacency_.begin());
   cursor_ = {};
   return ContactGraph(std::move(offsets_), std::move(adjacency_));
 }

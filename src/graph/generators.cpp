@@ -114,21 +114,38 @@ class FlatEdgeSet {
   std::size_t used_ = 0;  ///< occupied + tombstoned (governs rehash)
 };
 
+/// Builds the graph from a flat endpoint sequence (edge i is
+/// endpoints[2i], endpoints[2i+1]): count and fill straight from the
+/// buffer, then hand the spent buffer to finish() as its transpose
+/// target, so the build needs no memory beyond the buffer and the CSR.
+ContactGraph build_from_endpoints(PhoneId node_count, std::vector<PhoneId> endpoints) {
+  CsrBuilder builder(node_count);
+  for (std::size_t i = 0; i + 1 < endpoints.size(); i += 2) {
+    builder.count_edge(endpoints[i], endpoints[i + 1]);
+  }
+  builder.begin_fill();
+  for (std::size_t i = 0; i + 1 < endpoints.size(); i += 2) {
+    builder.fill_edge(endpoints[i], endpoints[i + 1]);
+  }
+  return std::move(builder).finish(std::move(endpoints));
+}
+
 /// The power-law generator's working edge set: an insertion-ordered,
-/// orientation-preserving packed edge sequence (8 bytes/edge — the
-/// repair pass reads edge endpoints asymmetrically, so orientation
-/// matters) plus flat membership. Replaces the former
-/// vector<Edge> + unordered_set pair (~48 bytes/edge) and is streamed
-/// straight into CsrBuilder at the end — the O(E) ContactGraph::Edge
-/// vector never exists.
+/// orientation-preserving flat endpoint sequence (two PhoneIds, 8
+/// bytes, per edge — the repair pass reads edge endpoints
+/// asymmetrically, so orientation matters) plus flat membership.
+/// build() streams it into CsrBuilder and then hands the sequence over
+/// as the transpose buffer — the O(E) ContactGraph::Edge vector never
+/// exists and the ordering pass allocates nothing.
 class EdgeStore {
  public:
-  explicit EdgeStore(std::size_t expected) : seen_(expected) { packed_.reserve(expected); }
+  explicit EdgeStore(std::size_t expected) : seen_(expected) { ends_.reserve(2 * expected); }
 
   bool try_add(PhoneId a, PhoneId b) {
     if (a == b) return false;
     if (!seen_.insert(edge_key(a, b))) return false;
-    packed_.push_back(pack(a, b));
+    ends_.push_back(a);
+    ends_.push_back(b);
     return true;
   }
 
@@ -137,42 +154,34 @@ class EdgeStore {
   }
 
   void replace(std::size_t index, PhoneId a, PhoneId b) {
-    seen_.erase(edge_key(first(packed_[index]), second(packed_[index])));
+    seen_.erase(edge_key(this->a(index), this->b(index)));
     seen_.insert(edge_key(a, b));
-    packed_[index] = pack(a, b);
+    ends_[2 * index] = a;
+    ends_[2 * index + 1] = b;
   }
 
   void remove(std::size_t index) {
-    seen_.erase(edge_key(first(packed_[index]), second(packed_[index])));
-    packed_[index] = packed_.back();
-    packed_.pop_back();
+    seen_.erase(edge_key(a(index), b(index)));
+    ends_[2 * index] = ends_[ends_.size() - 2];
+    ends_[2 * index + 1] = ends_.back();
+    ends_.resize(ends_.size() - 2);
   }
 
-  [[nodiscard]] std::size_t size() const { return packed_.size(); }
-  [[nodiscard]] bool empty() const { return packed_.empty(); }
-  [[nodiscard]] PhoneId a(std::size_t index) const { return first(packed_[index]); }
-  [[nodiscard]] PhoneId b(std::size_t index) const { return second(packed_[index]); }
+  [[nodiscard]] std::size_t size() const { return ends_.size() / 2; }
+  [[nodiscard]] bool empty() const { return ends_.empty(); }
+  [[nodiscard]] PhoneId a(std::size_t index) const { return ends_[2 * index]; }
+  [[nodiscard]] PhoneId b(std::size_t index) const { return ends_[2 * index + 1]; }
 
   /// Streams the accumulated edges into a ContactGraph; frees the
   /// membership table before allocating the CSR so the two never
-  /// coexist at full size.
+  /// coexist at full size. Consumes the edge sequence.
   [[nodiscard]] ContactGraph build(PhoneId node_count) {
     seen_.free_memory();
-    CsrBuilder builder(node_count);
-    for (std::uint64_t e : packed_) builder.count_edge(first(e), second(e));
-    builder.begin_fill();
-    for (std::uint64_t e : packed_) builder.fill_edge(first(e), second(e));
-    return std::move(builder).finish();
+    return build_from_endpoints(node_count, std::move(ends_));
   }
 
  private:
-  static std::uint64_t pack(PhoneId a, PhoneId b) {
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  }
-  static PhoneId first(std::uint64_t e) { return static_cast<PhoneId>(e >> 32); }
-  static PhoneId second(std::uint64_t e) { return static_cast<PhoneId>(e & 0xFFFF'FFFFu); }
-
-  std::vector<std::uint64_t> packed_;
+  std::vector<PhoneId> ends_;
   FlatEdgeSet seen_;
 };
 
@@ -402,7 +411,8 @@ ContactGraph generate_erdos_renyi(PhoneId node_count, double target_mean_degree,
   // stream, the fill pass on the real one — both see the identical
   // draw sequence and the caller-visible stream advances exactly as a
   // single pass would, so no edge list is ever materialized and the
-  // RNG telemetry is unchanged.
+  // RNG telemetry is unchanged. With no spent buffer to offer, finish()
+  // allocates a transient 2E-entry transpose scratch.
   CsrBuilder builder(node_count);
   {
     rng::Stream counting = stream;
@@ -427,7 +437,8 @@ ContactGraph generate_barabasi_albert(PhoneId node_count, std::uint32_t edges_pe
   // The repeated-endpoints trick: sampling a uniform entry of this list
   // IS degree-proportional sampling. Consecutive pairs of the list are
   // exactly the accepted edges in insertion order, so it doubles as the
-  // edge sequence for the CSR build and no separate edge vector exists.
+  // edge sequence for the CSR build and no separate edge vector exists;
+  // once spent it is also finish()'s transpose buffer.
   FlatEdgeSet seen(static_cast<std::size_t>(node_count) * m);
   std::vector<PhoneId> endpoints;
   endpoints.reserve(2ULL * node_count * m);
@@ -452,22 +463,15 @@ ContactGraph generate_barabasi_albert(PhoneId node_count, std::uint32_t edges_pe
     }
   }
   seen.free_memory();
-  CsrBuilder builder(node_count);
-  for (std::size_t i = 0; i + 1 < endpoints.size(); i += 2) {
-    builder.count_edge(endpoints[i], endpoints[i + 1]);
-  }
-  builder.begin_fill();
-  for (std::size_t i = 0; i + 1 < endpoints.size(); i += 2) {
-    builder.fill_edge(endpoints[i], endpoints[i + 1]);
-  }
-  return std::move(builder).finish();
+  return build_from_endpoints(node_count, std::move(endpoints));
 }
 
 ContactGraph generate_regular_ring(PhoneId node_count, std::uint32_t k) {
   if (node_count < 3) throw std::invalid_argument("generate_regular_ring: node_count must be >= 3");
   if (k % 2 != 0) throw std::invalid_argument("generate_regular_ring: k must be even");
   if (k >= node_count) throw std::invalid_argument("generate_regular_ring: k must be < node_count");
-  // Deterministic sequence: emit it twice straight into the builder.
+  // Deterministic sequence: emit it twice straight into the builder
+  // (finish() allocates its transient transpose scratch).
   auto emit = [&](auto&& sink) {
     for (PhoneId p = 0; p < node_count; ++p) {
       for (std::uint32_t offset = 1; offset <= k / 2; ++offset) {

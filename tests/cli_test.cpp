@@ -282,6 +282,11 @@ TEST(Cli, RunRejectsBadShardFlags) {
   EXPECT_EQ(invoke({"run", path, "--shard-window", "0"}).code, 1);
   EXPECT_EQ(invoke({"run", path, "--shard-window", "-5"}).code, 1);
   EXPECT_EQ(invoke({"run", path, "--shard-workers", "many"}).code, 1);
+  CliResult too_fine = invoke({"run", path, "--shards", "2", "--shard-window", "1e-12"});
+  EXPECT_EQ(too_fine.code, 1);
+  EXPECT_TRUE(too_fine.out.empty()) << too_fine.out;
+  EXPECT_NE(too_fine.err.find("--shard-window"), std::string::npos) << too_fine.err;
+  EXPECT_NE(too_fine.err.find("1000000"), std::string::npos) << too_fine.err;
   std::remove(path.c_str());
 }
 
@@ -348,6 +353,11 @@ TEST(Cli, RunStatsStreamOnStdoutAndBadFlags) {
   EXPECT_EQ(invoke({"run", path, "--stats-stream"}).code, 1);
   EXPECT_EQ(invoke({"run", path, "--stats-stream", "-", "--stats-period", "0"}).code, 1);
   EXPECT_EQ(invoke({"run", path, "--stats-stream", "-", "--stats-period", "soon"}).code, 1);
+  CliResult too_fine = invoke({"run", path, "--stats-stream", "-", "--stats-period", "1e-9"});
+  EXPECT_EQ(too_fine.code, 1);
+  EXPECT_TRUE(too_fine.out.empty()) << "no header before the refusal";
+  EXPECT_NE(too_fine.err.find("--stats-period"), std::string::npos) << too_fine.err;
+  EXPECT_NE(too_fine.err.find("1000000"), std::string::npos) << too_fine.err;
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "core/presets.h"
 #include "core/runner.h"
@@ -64,6 +65,12 @@ TEST(ScenarioConfig, ValidationCatchesBadFields) {
   config = small_scenario();
   config.sample_step = config.horizon + SimTime::hours(1.0);
   EXPECT_FALSE(config.validate().ok());
+
+  config = small_scenario();
+  config.sample_step = SimTime::minutes(1e-9);  // 2.88e12 curve points over 48 h
+  EXPECT_FALSE(config.validate().ok());
+  EXPECT_NE(config.validate().to_string().find("sample_step"), std::string::npos);
+  EXPECT_NE(config.validate().to_string().find("1000000"), std::string::npos);
 
   config = small_scenario();
   config.read_delay_mean = SimTime::zero();

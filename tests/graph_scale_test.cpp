@@ -7,7 +7,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "graph/contact_graph.h"
@@ -139,6 +141,54 @@ TEST(StreamedCsr, BuilderRejectsDuplicateEdges) {
   builder.fill_edge(0, 1);
   builder.fill_edge(1, 0);
   EXPECT_THROW(std::move(builder).finish(), std::invalid_argument);
+
+  // Duplicates buried in a larger list, each in both orientations and
+  // out of id order: the message names the smallest phone that has a
+  // duplicate (7, from the 7-12 pair), not the first one emitted (9).
+  std::vector<ContactGraph::Edge> edges;
+  for (PhoneId p = 0; p < 20; ++p) edges.push_back({p, static_cast<PhoneId>((p + 1) % 20)});
+  edges.insert(edges.begin() + 3, {15, 9});
+  edges.insert(edges.begin() + 8, {12, 7});
+  edges.insert(edges.begin() + 14, {9, 15});
+  edges.push_back({7, 12});
+  try {
+    ContactGraph g(20, edges);
+    FAIL() << "duplicate edges must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "ContactGraph: duplicate edge at phone 7");
+  }
+}
+
+TEST(StreamedCsr, FinishGivesOneGraphWhateverTheScratchBuffer) {
+  // An unsorted fill: the Erdős–Rényi edges shuffled, with every other
+  // edge reversed, so each contact list leaves the fill pass out of order.
+  rng::Stream s(11);
+  const ContactGraph reference = generate_erdos_renyi(600, 9.0, s);
+  std::vector<ContactGraph::Edge> edges = extract_edges(reference);
+  s.shuffle(std::span<ContactGraph::Edge>(edges));
+  for (std::size_t i = 0; i < edges.size(); i += 2) std::swap(edges[i].a, edges[i].b);
+
+  const auto build = [&](std::vector<PhoneId> scratch) {
+    CsrBuilder builder(reference.node_count());
+    for (const auto& e : edges) builder.count_edge(e.a, e.b);
+    builder.begin_fill();
+    for (const auto& e : edges) builder.fill_edge(e.a, e.b);
+    return std::move(builder).finish(std::move(scratch));
+  };
+  std::vector<PhoneId> spare;
+  spare.reserve(3 * edges.size());
+  spare.assign(2 * edges.size(), kInvalidPhoneId);
+  const ContactGraph graphs[] = {
+      build({}),                                         // no buffer
+      build(std::vector<PhoneId>(2 * edges.size(), 0)),  // exact size
+      build(std::move(spare)),                           // spare capacity
+  };
+  const std::size_t expected_bytes =
+      (reference.node_count() + 1ULL) * sizeof(std::uint32_t) + 2 * edges.size() * sizeof(PhoneId);
+  for (const ContactGraph& g : graphs) {
+    EXPECT_EQ(graph_fingerprint(g), graph_fingerprint(reference));
+    EXPECT_EQ(g.memory_bytes(), expected_bytes);
+  }
 }
 
 TEST(StreamedCsr, EmptyBuilderYieldsEmptyGraph) {

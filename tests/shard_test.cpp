@@ -296,6 +296,38 @@ TEST(ShardedRunner, RejectsProximityAndBadShardCounts) {
   EXPECT_THROW(core::run_experiment(config, too_many), std::invalid_argument);
 }
 
+TEST(ShardedRunner, RejectsPeriodsPastTheStepLimit) {
+  // A period finer than horizon / kMaxStepsPerReplication would window
+  // or stream without bound; both engines refuse it up front.
+  core::ScenarioConfig config = small_scenario();
+  const SimTime too_fine =
+      config.horizon / (2.0 * static_cast<double>(core::kMaxStepsPerReplication));
+  core::RunnerOptions options;
+  options.replications = 1;
+  options.shards = 2;
+  options.shard_window = too_fine;
+  EXPECT_THROW(core::run_experiment(config, options), std::invalid_argument);
+  core::ShardingOptions sharding;
+  sharding.shards = 2;
+  sharding.window = too_fine;
+  EXPECT_THROW(core::ShardedSimulation(config, 1, sharding), std::invalid_argument);
+
+  // The default window is the scenario's mean delivery delay.
+  core::ScenarioConfig fast_delivery = config;
+  fast_delivery.delivery_delay_mean = too_fine;
+  options.shard_window = SimTime::zero();
+  EXPECT_THROW(core::run_experiment(fast_delivery, options), std::invalid_argument);
+
+  std::ostringstream sink;
+  obs::RunStream stream(sink);
+  core::RunnerOptions streamed;
+  streamed.replications = 1;
+  streamed.stats_stream = &stream;
+  streamed.stats_period = SimTime::minutes(1e-9);
+  EXPECT_THROW(core::run_experiment(config, streamed), std::invalid_argument);
+  EXPECT_TRUE(sink.str().empty());
+}
+
 // ---- Shard-aware observability ------------------------------------------
 
 std::string sharded_trace_jsonl(const core::ScenarioConfig& config, std::uint32_t shards,

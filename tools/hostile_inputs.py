@@ -2,9 +2,10 @@
 """Feed hostile files to every mvsim reading verb; each must exit 2.
 
 Writes a 50,000-deep nested JSON document, one out-of-range integer
-file per reader (manifest, metrics report, trace, scenario) and a
+file per reader (manifest, metrics report, trace, scenario), a
 scenario whose 65536 x 65536 grid has more cells than a CellId can
-number, then runs `run`, `validate`, `profile-analyze`, `trace-analyze`,
+number and one whose sample_step cuts its 18-day horizon into 2.6e13
+curve points, then runs `run`, `validate`, `profile-analyze`, `trace-analyze`,
 `report` and `report --ledger` on them. Any other exit code, a signal included,
 fails the script.
 
@@ -70,9 +71,13 @@ def main():
     grid = json.loads(scenario)
     grid["proximity"] = {"grid_width": 65536, "grid_height": 65536}
     grid = write("scenario-grid.json", json.dumps(grid))
+    sample_step = write("scenario-sample-step.json",
+                        replace_once(scenario, r'"sample_step": "[^"]*"',
+                                     '"sample_step": "0.000000001m"', "sample_step"))
 
-    cases = [["run", f, "--reps", "1", "--quiet"] for f in (deep, threshold, cutoff, grid)]
-    cases += [["validate", f] for f in (deep, threshold, cutoff, grid)]
+    scenarios = (deep, threshold, cutoff, grid, sample_step)
+    cases = [["run", f, "--reps", "1", "--quiet"] for f in scenarios]
+    cases += [["validate", f] for f in scenarios]
     cases += [["profile-analyze", f] for f in (deep, metrics)]
     cases += [["trace-analyze", f] for f in (deep, trace)]
     cases += [["report", f] for f in (deep, manifest)]
