@@ -10,13 +10,8 @@
 #include <utility>
 
 #include "core/runner.h"
+#include "obs/manifest.h"
 #include "util/json.h"
-
-// Stamped by the build (bench/CMakeLists.txt, `git rev-parse`) so two
-// BENCH files can be attributed to the commits that produced them.
-#ifndef MVSIM_GIT_SHA
-#define MVSIM_GIT_SHA "unknown"
-#endif
 
 namespace mvsim::bench {
 
@@ -99,7 +94,9 @@ std::string Harness::to_json() const {
   root.set("type", json::Value("mvsim-bench"));
   root.set("bench_schema_version", json::Value(1));
   root.set("bench", json::Value(name_));
-  root.set("git_sha", json::Value(MVSIM_GIT_SHA));
+  // The build's provenance stamp, so two BENCH files can be
+  // attributed to the commits that produced them.
+  root.set("git_sha", json::Value(obs::build_info().git_sha));
   root.set("warmup", json::Value(options_.warmup));
   root.set("repeat", json::Value(options_.repeat));
   // The experiment-shape knobs the measured numbers depend on.

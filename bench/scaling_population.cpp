@@ -18,21 +18,12 @@
 // the percolation threshold of the susceptible subgraph the outbreak
 // dies in patient zero's neighborhood; above it the epidemic reaches
 // the giant component, so penetration jumps discontinuously.
-//
-// Part 4 — shard speedup: the ladder's largest rung re-run on the
-// windowed parallel engine (--shards 4, one worker per shard; see
-// docs/parallelism.md). The headline note is speedup_shards4; the
-// target is >= 2x at the uncapped 10^6-phone rung. CI runs capped at
-// 10^5 where the window barriers bite harder, so the note is
-// informative there, not a gate.
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdlib>
-#include <thread>
 
 #include "bench_common.h"
-#include "core/sharded_simulation.h"
 #include "core/simulation.h"
 
 using namespace mvsim;
@@ -189,84 +180,6 @@ void run_market_share_sweep(Harness& harness) {
   harness.set_note("market_share_jump_at", jump_at);
 }
 
-void run_shard_speedup(Harness& harness) {
-  const graph::PhoneId population = max_ladder_population();
-  constexpr std::uint32_t kShards = 4;
-  std::cout << "\n== part 4: shard speedup (--shards 4, largest ladder rung " << population
-            << ") ==\n";
-  std::cout << "engine,final_infected,events,median_wall_s\n";
-
-  // Same scenario family as the memory ladder so the serial rung is
-  // directly comparable; single replication keeps the uncapped rung's
-  // wall-clock bounded.
-  core::ScenarioConfig config = core::market_share_scenario(0.50, population);
-  config.name = "scale/shards";
-  config.horizon = SimTime::days(10.0);
-
-  auto median_wall = [&harness](const std::string& name) {
-    for (const auto& c : harness.cases()) {
-      if (c.name == name) return sample_quantile(c.wall_seconds, 0.5);
-    }
-    return 0.0;
-  };
-
-  std::uint64_t infected = 0;
-  const std::string serial_label = "shard-speedup x1 @" + std::to_string(population);
-  harness.run_case(serial_label, [&config, &infected] {
-    core::Simulation sim(config, /*replication_seed=*/1);
-    core::ReplicationResult rep = sim.run();
-    infected = rep.total_infected;
-    return rep.metrics.counter_value("des.events_executed");
-  });
-  const double serial_wall = median_wall(serial_label);
-  std::cout << "serial," << infected << "," << harness.cases().back().events << ","
-            << fmt(serial_wall, 3) << "\n";
-
-  const std::string sharded_label =
-      "shard-speedup x" + std::to_string(kShards) + " @" + std::to_string(population);
-  double barrier_wait_s = 0.0;
-  harness.run_case(sharded_label, [&config, &infected, &barrier_wait_s] {
-    core::ShardingOptions options;
-    options.shards = kShards;
-    options.worker_threads = 0;  // one per shard
-    // The window is part of the model (cross-shard latency floor); 10
-    // simulated minutes is still tiny against the hour-scale read
-    // delays that set the epidemic's tempo, and cuts the 10-day run
-    // from 14400 barriers to 1440 so synchronization cost does not
-    // swamp the measurement.
-    options.window = SimTime::minutes(10.0);
-    core::ShardedSimulation sim(config, /*replication_seed=*/1, options);
-    core::ReplicationResult rep = sim.run();
-    infected = rep.total_infected;
-    if (const metrics::HistogramSample* h =
-            rep.metrics.find_histogram("shard.barrier_wait_ms")) {
-      barrier_wait_s = h->sum / 1000.0;
-    }
-    return rep.metrics.counter_value("des.events_executed");
-  });
-  const double sharded_wall = median_wall(sharded_label);
-  const double speedup = sharded_wall > 0.0 ? serial_wall / sharded_wall : 0.0;
-  std::cout << "shards=" << kShards << "," << infected << ","
-            << harness.cases().back().events << "," << fmt(sharded_wall, 3) << "\n";
-
-  const bool uncapped = population >= 1'000'000u;
-  const unsigned cores = std::thread::hardware_concurrency();
-  // A host with fewer cores than shards cannot run the workers at once,
-  // so the measured ratio is capped there; it is reported as measured.
-  const std::string host =
-      cores != 0 && cores < kShards
-          ? " on a " + std::to_string(cores) + "-core host (concurrency-capped)"
-          : "";
-  report("one replication parallelizes across graph partitions",
-         fmt(speedup, 2) + "x at --shards " + std::to_string(kShards) + " on " +
-             std::to_string(population) + " phones" + host +
-             (uncapped ? (speedup >= 2.0 ? " — meets the 2x target" : " — BELOW the 2x target")
-                       : " (capped rung; the 2x target applies at 10^6)"));
-  harness.set_note("speedup_shards4", speedup);
-  harness.set_note("speedup_shards4_population", static_cast<double>(population));
-  harness.set_note("shard_barrier_wait_seconds", barrier_wait_s);
-}
-
 }  // namespace
 
 int main() {
@@ -275,7 +188,6 @@ int main() {
   run_paper_scaling(harness);
   run_memory_ladder(harness);
   run_market_share_sweep(harness);
-  run_shard_speedup(harness);
   harness.write_report();
   return 0;
 }

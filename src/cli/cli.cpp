@@ -63,23 +63,13 @@ usage:
       --profile PATH       time the event loop and write the --metrics JSON report
                            with its prof.* wall-clock histograms ('-' = stdout;
                            results bit-identical; read it with profile-analyze)
-      --shards N           partition the contact graph and run each replication on
-                           N cooperating shard schedulers (default 1 = the serial
-                           engine; N >= 2 changes results — see docs/parallelism.md;
-                           proximity scenarios are rejected)
-      --shard-window MIN   synchronization window in simulated minutes (default:
-                           the scenario's delivery_delay_mean; model-relevant,
-                           like --shards; at most 10^6 windows per horizon)
-      --shard-workers N    threads per sharded replication (default 0 = one per
-                           shard; results identical for any value)
       --progress           live progress on stderr (replications done, events/sec,
-                           ETA; with --shards also per-window progress)
+                           ETA)
       --stats-stream PATH  append live time-series telemetry as NDJSON ('-' =
                            stdout): infected/patched/blocked counts, events/sec,
-                           queue depths, per-shard barrier waits
+                           queue depth
       --stats-period MIN   simulated minutes between stats samples (default 30;
-                           sharded runs sample at the first window barrier at or
-                           past each mark; at most 10^6 samples per horizon)
+                           at most 10^6 samples per horizon)
       --manifest PATH      write the run manifest as JSON ('-' = stdout): scenario
                            content hash, seed, build provenance, wall-clock phases,
                            peak RSS, artifact paths and the outcome block
@@ -315,19 +305,9 @@ class ProgressTicker {
       *err_ << line << '\n' << std::flush;
       return;
     }
-    if (update.window_fraction > 0.0) {
-      // Mid-replication window barrier of a sharded run: show how far
-      // through the horizon the in-flight replication is.
-      std::snprintf(line, sizeof line,
-                    "\r%s: rep %d/%d +%.0f%% (%d shards), %.0f ev/s, ETA %.1fs   ",
-                    update.label.c_str(), update.replications_done, update.replications_total,
-                    update.window_fraction * 100.0, update.shards, update.events_per_sec,
-                    update.eta_seconds);
-    } else {
-      std::snprintf(line, sizeof line, "\r%s: rep %d/%d, %.0f ev/s, ETA %.1fs   ",
-                    update.label.c_str(), update.replications_done, update.replications_total,
-                    update.events_per_sec, update.eta_seconds);
-    }
+    std::snprintf(line, sizeof line, "\r%s: rep %d/%d, %.0f ev/s, ETA %.1fs   ",
+                  update.label.c_str(), update.replications_done, update.replications_total,
+                  update.events_per_sec, update.eta_seconds);
     *err_ << line << std::flush;
     ticked_ = true;
   }
@@ -359,7 +339,6 @@ int command_run(const std::vector<std::string>& args, std::ostream& out, std::os
   std::string curve_csv, summary_json, metrics_path, trace_path, profile_path;
   std::string stats_stream_path, manifest_path, ledger_path;
   std::uint64_t trace_capacity = trace::TraceBuffer::kDefaultCapacity;  // 0 = unbounded
-  double shard_window_minutes = 0.0;  // 0 = scenario delivery_delay_mean
   double stats_period_minutes = 30.0;
   bool progress = false;
   bool quiet = false;
@@ -374,9 +353,6 @@ int command_run(const std::vector<std::string>& args, std::ostream& out, std::os
       {"--trace-rep", &runner.trace_replication, "a replication index", 0, 100000},
       {"--trace-cap", &trace_capacity, "an event count (0 = unbounded)"},
       {"--profile", &profile_path},
-      {"--shards", &runner.shards, "an integer in [1, 4096]", 1, 4096},
-      {"--shard-window", &shard_window_minutes, "a positive number of simulated minutes"},
-      {"--shard-workers", &runner.shard_workers, "an integer in [0, 1024]", 0, 1024},
       {"--progress", &progress},
       {"--stats-stream", &stats_stream_path},
       {"--stats-period", &stats_period_minutes, "a positive number of simulated minutes"},
@@ -393,21 +369,13 @@ int command_run(const std::vector<std::string>& args, std::ostream& out, std::os
 
   core::ScenarioConfig scenario;
   if (int rc = resolve_scenario(args[0], scenario, err); rc != 0) return rc;
-  // A period that cuts the horizon too finely would stream or window
-  // without bound; refuse it before any replication runs or byte is written.
-  const auto check_steps = [&](const char* flag, double minutes, const char* unit) {
-    if (core::within_step_limit(scenario.horizon, SimTime::minutes(minutes))) return true;
-    err << flag << ": " << minutes << " min cuts the " << scenario.horizon.to_minutes()
-        << " min horizon into more than " << core::kMaxStepsPerReplication << ' ' << unit
-        << ", the per-replication limit\n";
-    return false;
-  };
+  // A period that cuts the horizon too finely would stream without
+  // bound; refuse it before any replication runs or byte is written.
   if (!stats_stream_path.empty() &&
-      !check_steps("--stats-period", stats_period_minutes, "samples")) {
-    return 1;
-  }
-  if (runner.shards > 1 && shard_window_minutes > 0.0 &&
-      !check_steps("--shard-window", shard_window_minutes, "windows")) {
+      !core::within_step_limit(scenario.horizon, SimTime::minutes(stats_period_minutes))) {
+    err << "--stats-period: " << stats_period_minutes << " min cuts the "
+        << scenario.horizon.to_minutes() << " min horizon into more than "
+        << core::kMaxStepsPerReplication << " samples, the per-replication limit\n";
     return 1;
   }
   const std::string scenario_hash = scenario_hash_of(scenario);
@@ -462,14 +430,13 @@ int command_run(const std::vector<std::string>& args, std::ostream& out, std::os
     runner.trace = trace_buffer.get();
   }
   runner.profile = !profile_path.empty();
-  if (shard_window_minutes > 0.0) runner.shard_window = SimTime::minutes(shard_window_minutes);
   std::ofstream stats_file;
   std::unique_ptr<obs::RunStream> stats_stream;
   if (!stats_stream_path.empty()) {
     std::ostream* sink = open_stream(stats_stream_path, stats_file, out, err);
     if (sink == nullptr) return 2;
     stats_stream = std::make_unique<obs::RunStream>(*sink);
-    stats_stream->write_header({scenario.name, scenario_hash, runner.replications, runner.shards});
+    stats_stream->write_header({scenario.name, scenario_hash, runner.replications});
     runner.stats_stream = stats_stream.get();
     runner.stats_period = SimTime::minutes(stats_period_minutes);
   }
@@ -508,8 +475,6 @@ int command_run(const std::vector<std::string>& args, std::ostream& out, std::os
   core::ManifestInputs inputs;
   inputs.scenario_hash = scenario_hash;
   inputs.seed = runner.master_seed;
-  inputs.shards = runner.shards;
-  inputs.shard_window_min = shard_window_minutes;
   inputs.phases.run_seconds = std::chrono::duration<double>(run_finished - run_started).count();
   inputs.phases.write_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - run_finished).count();

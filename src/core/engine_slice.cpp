@@ -169,31 +169,21 @@ EngineSlice::EngineSlice(ReplicationState& state, std::uint32_t index, const Sha
 EngineSlice::EngineSlice(ReplicationState& state, trace::TraceBuffer* trace,
                          des::EventTimer* event_timer)
     : EngineSlice(state, 0, ShardLinks{}) {
-  set_taps(trace, event_timer);
-}
-
-EngineSlice::EngineSlice(ReplicationState& state, std::uint32_t index, const ShardLinks& links,
-                         std::size_t trace_capacity, bool profile)
-    : EngineSlice(state, index, links) {
-  if (trace_capacity > 0) {
-    owned_trace_ = std::make_unique<trace::TraceBuffer>(trace_capacity);
-    owned_trace_->set_shard(index_);
-  }
-  if (profile) profiler_ = std::make_unique<prof::Profiler>();
-  set_taps(owned_trace_.get(), profiler_.get());
-}
-
-void EngineSlice::set_taps(trace::TraceBuffer* trace, des::EventTimer* event_timer) {
   scheduler_.set_event_timer(event_timer);
   trace_ = trace;
   if (trace_ == nullptr) return;
   // First observer on the gateway, so each submission's trace event
   // precedes any mechanism reaction to it. Observers are passive —
   // registering one more never perturbs RNG draws or event order.
-  // Message ids are offset into this slice's namespace.
-  recorder_ =
-      std::make_unique<trace::GatewayRecorder>(*trace_, index_ * trace::kShardMessageStride);
+  recorder_ = std::make_unique<trace::GatewayRecorder>(*trace_);
   gateway_->add_observer(*recorder_);
+}
+
+EngineSlice::EngineSlice(ReplicationState& state, std::uint32_t index, const ShardLinks& links,
+                         bool profile)
+    : EngineSlice(state, index, links) {
+  if (profile) profiler_ = std::make_unique<prof::Profiler>();
+  scheduler_.set_event_timer(profiler_.get());
 }
 
 EngineSlice::~EngineSlice() = default;
@@ -235,7 +225,7 @@ void EngineSlice::attach() {
                                                             proximity.dwell_mean);
   }
 
-  if (trace_ != nullptr && !sharded()) {
+  if (trace_ != nullptr) {
     context_->detector().on_detected([this](SimTime at) {
       if (trace_->drop_if_full()) return;
       trace::Event event;
@@ -246,13 +236,6 @@ void EngineSlice::attach() {
   }
 }
 
-std::uint64_t EngineSlice::trace_message_id(graph::PhoneId sender, std::uint64_t message) const {
-  if (!sharded() || sender == graph::kInvalidPhoneId || message == net::kInvalidMessageId) {
-    return message;
-  }
-  return message + links_.partition->shard_of(sender) * trace::kShardMessageStride;
-}
-
 void EngineSlice::on_phone_infected(phone::PhoneId id, const phone::InfectionSource& source) {
   infection_times_.push_back(scheduler_.now());
   if (trace_ != nullptr && !trace_->drop_if_full()) {
@@ -261,8 +244,7 @@ void EngineSlice::on_phone_infected(phone::PhoneId id, const phone::InfectionSou
     event.kind = trace::EventKind::kInfection;
     event.phone = id;
     event.peer = source.sender;
-    // The carrier message was sequenced by its sender's slice.
-    event.message = trace_message_id(source.sender, source.message);
+    event.message = source.message;
     event.detail = phone::to_string(source.channel);
     trace_->record(std::move(event));
   }
@@ -389,18 +371,6 @@ void EngineSlice::flush_staged() {
       msg.infected = d.infected;
       msg.recipients.push_back({d.recipient, true});
       context_->on_delivered(d.recipient, msg, scheduler_.now());
-      // Cross-shard deliveries bypass this gateway, so its recorder
-      // never sees them; record the delivery here, under the ORIGIN
-      // shard's message id, so the merged trace links the hop.
-      if (trace_ != nullptr && !trace_->drop_if_full()) {
-        trace::Event event;
-        event.time = scheduler_.now();
-        event.kind = trace::EventKind::kMessageDelivered;
-        event.phone = d.recipient;
-        event.peer = d.sender;
-        event.message = trace_message_id(d.sender, d.sequence);
-        trace_->record(std::move(event));
-      }
     });
   }
   staged_.clear();
@@ -414,17 +384,8 @@ void EngineSlice::flush_staged() {
 
 void EngineSlice::run_window(SimTime until, bool stamp) {
   flush_staged();
-  if (profiler_ == nullptr && !stamp) {
-    scheduler_.run_until(until);
-    return;
-  }
-  const auto begin = std::chrono::steady_clock::now();
   scheduler_.run_until(until);
-  window_finished_ = std::chrono::steady_clock::now();
-  if (profiler_ != nullptr) {
-    profiler_->record_shard_window(
-        std::chrono::duration<double, std::micro>(window_finished_ - begin).count());
-  }
+  if (stamp) window_finished_ = std::chrono::steady_clock::now();
 }
 
 }  // namespace mvsim::core

@@ -13,7 +13,7 @@
 // stream seeds, immediate detection, the caller's trace buffer and the
 // optional proximity channel. ShardedSimulation runs K slices with
 // salted stream seeds and deferred detection, routing recipients that
-// another slice owns through a mailbox (docs/parallelism.md).
+// another slice owns through a mailbox (core/sharded_simulation.h).
 #pragma once
 
 #include <chrono>
@@ -154,10 +154,10 @@ class EngineSlice final : public net::ShardRouter, private phone::InfectionListe
   EngineSlice(ReplicationState& state, trace::TraceBuffer* trace, des::EventTimer* event_timer);
   /// Slice `index` of a sharded run: salted stream seeds, deferred
   /// detection, and recipients other slices own routed through `links`.
-  /// A nonzero `trace_capacity` gives the slice a private trace buffer
-  /// of that capacity; `profile` a private profiler.
+  /// `profile` gives the slice a private profiler; a shard records no
+  /// trace.
   EngineSlice(ReplicationState& state, std::uint32_t index, const ShardLinks& links,
-              std::size_t trace_capacity, bool profile);
+              bool profile);
   ~EngineSlice() override;
   EngineSlice(const EngineSlice&) = delete;
   EngineSlice& operator=(const EngineSlice&) = delete;
@@ -180,7 +180,6 @@ class EngineSlice final : public net::ShardRouter, private phone::InfectionListe
   [[nodiscard]] std::uint64_t patched_infected() const { return patched_infected_; }
   [[nodiscard]] std::uint64_t immunized_healthy() const { return immunized_healthy_; }
   [[nodiscard]] std::uint64_t bluetooth_push_attempts() const { return bluetooth_push_attempts_; }
-  [[nodiscard]] trace::TraceBuffer* trace() const { return trace_; }
 
   /// Scheduler, gateway, core and RNG counters plus the response
   /// layer's, and the slice's own profile when it owns a profiler.
@@ -200,9 +199,8 @@ class EngineSlice final : public net::ShardRouter, private phone::InfectionListe
   /// scheduling cost instead of serializing it between barriers.
   void flush_staged();
   /// One lockstep window: flush the staged work, then run to `until`.
-  /// With `stamp` (or a profiler) the finish time is recorded for the
-  /// stats stream's barrier waits; a profiler also records the window's
-  /// wall-clock into prof.shard.window_us.
+  /// With `stamp` the finish time is recorded for the per-shard barrier
+  /// waits of ShardedSimulation::sample().
   void run_window(SimTime until, bool stamp);
   [[nodiscard]] std::chrono::steady_clock::time_point window_finished() const {
     return window_finished_;
@@ -216,19 +214,12 @@ class EngineSlice final : public net::ShardRouter, private phone::InfectionListe
  private:
   /// Common wiring; a default `links` (null partition) is the serial slice.
   EngineSlice(ReplicationState& state, std::uint32_t index, const ShardLinks& links);
-  /// Attaches the trace buffer and event timer (either may be null).
-  void set_taps(trace::TraceBuffer* trace, des::EventTimer* event_timer);
 
   /// InfectionListener: the PhoneTable's exactly-once infection
   /// notification, carrying the provenance the trace layer records.
   void on_phone_infected(phone::PhoneId id, const phone::InfectionSource& source) override;
   void on_patch_applied(graph::PhoneId id);
   void schedule_bluetooth_scan(graph::PhoneId id);
-  /// `message` offset into the trace-only id namespace of the slice
-  /// whose gateway sequenced it (see trace::kShardMessageStride); the
-  /// serial slice and sentinel ids pass through untouched.
-  [[nodiscard]] std::uint64_t trace_message_id(graph::PhoneId sender,
-                                               std::uint64_t message) const;
   [[nodiscard]] bool sharded() const { return links_.partition != nullptr; }
 
   ReplicationState& state_;
@@ -263,9 +254,8 @@ class EngineSlice final : public net::ShardRouter, private phone::InfectionListe
   std::uint64_t bluetooth_push_attempts_ = 0;
 
   // Observability taps. trace_ is the caller's buffer on the serial
-  // slice and owned_trace_ on a shard.
+  // slice and null on a shard.
   trace::TraceBuffer* trace_ = nullptr;
-  std::unique_ptr<trace::TraceBuffer> owned_trace_;
   std::unique_ptr<trace::GatewayRecorder> recorder_;
   std::unique_ptr<prof::Profiler> profiler_;
 

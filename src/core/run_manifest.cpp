@@ -14,8 +14,6 @@ obs::RunManifest build_run_manifest(const ScenarioConfig& config, const Manifest
   manifest.seed = seed;
   manifest.replications = static_cast<int>(result.curve.replication_count());
   manifest.threads = result.threads_used;
-  manifest.shards = inputs.shards;
-  manifest.shard_window_min = inputs.shard_window_min;
   manifest.build = obs::build_info();
   manifest.phases = inputs.phases;
   manifest.peak_rss = obs::peak_rss_bytes();

@@ -4,10 +4,10 @@
 // so it cannot see ScenarioConfig or ExperimentResult; this core-side
 // builder closes the gap. Callers supply what only they know (the
 // scenario content hash — computed from the config JSON, which lives
-// in src/config above core — the seed, shard geometry, wall clock and
-// artifact list); the builder fills everything derivable from the
-// scenario and the finished result, including the whole outcome block
-// and the build/RSS stamps.
+// in src/config above core — the seed, wall clock and artifact list);
+// the builder fills everything derivable from the scenario and the
+// finished result, including the whole outcome block and the build/RSS
+// stamps.
 #pragma once
 
 #include <optional>
@@ -24,8 +24,6 @@ namespace mvsim::core {
 struct ManifestInputs {
   std::string scenario_hash;  ///< obs::fnv1a_hex of the canonical scenario JSON
   std::uint64_t seed = 0;
-  std::uint32_t shards = 1;
-  double shard_window_min = 0.0;  ///< 0 = scenario delivery_delay_mean
   obs::RunPhases phases;
   std::vector<obs::ManifestArtifact> artifacts;
   std::optional<obs::SweepInfo> sweep;

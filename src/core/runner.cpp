@@ -36,7 +36,6 @@ class ProgressSink {
     update_.replications_total = options.replications;
     update_.config_index = options.progress_config_index;
     update_.config_count = options.progress_config_count;
-    update_.shards = static_cast<int>(options.shards);
   }
 
   /// Reports the one-time shared-graph prewarm and restarts the
@@ -55,50 +54,21 @@ class ProgressSink {
     std::lock_guard<std::mutex> lock(mutex_);
     ++update_.replications_done;
     update_.events_executed += result.metrics.counter_value("des.events_executed");
-    update_.window_fraction = 0.0;
-    update_.window_events = 0;
-    refresh_rates(0.0, 0);
+    update_.elapsed_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - started_).count();
+    update_.events_per_sec = update_.elapsed_seconds > 0.0
+                                 ? static_cast<double>(update_.events_executed) /
+                                       update_.elapsed_seconds
+                                 : 0.0;
+    const double done = static_cast<double>(update_.replications_done);
+    const double remaining = static_cast<double>(update_.replications_total) - done;
+    update_.eta_seconds = update_.elapsed_seconds / done * remaining;
     options_->progress(update_);
-  }
-
-  /// A sharded replication reached a window barrier. Throttled by wall
-  /// clock (the window loop can tick thousands of times a second on
-  /// small scenarios); meaningful when replications run one at a time
-  /// (`threads` 1), which is the common shape for sharded runs.
-  void window_tick(SimTime window_end, SimTime horizon, std::uint64_t events) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto now = std::chrono::steady_clock::now();
-    if (std::chrono::duration<double>(now - last_window_emit_).count() < 0.25) return;
-    last_window_emit_ = now;
-    const double fraction = horizon > SimTime::zero() ? window_end / horizon : 0.0;
-    update_.window_fraction = fraction;
-    update_.window_events = events;
-    refresh_rates(fraction, events);
-    options_->progress(update_);
-    update_.window_fraction = 0.0;
-    update_.window_events = 0;
   }
 
  private:
-  /// Recomputes elapsed / events-per-sec / ETA, counting a partially
-  /// complete replication as `fraction` of one (so barrier stalls show
-  /// up in the ETA as they happen).
-  void refresh_rates(double fraction, std::uint64_t partial_events) {
-    update_.elapsed_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - started_).count();
-    update_.events_per_sec =
-        update_.elapsed_seconds > 0.0
-            ? static_cast<double>(update_.events_executed + partial_events) /
-                  update_.elapsed_seconds
-            : 0.0;
-    const double done = static_cast<double>(update_.replications_done) + fraction;
-    const double remaining = static_cast<double>(update_.replications_total) - done;
-    update_.eta_seconds = done > 0.0 ? update_.elapsed_seconds / done * remaining : 0.0;
-  }
-
   const RunnerOptions* options_;
   std::chrono::steady_clock::time_point started_;
-  std::chrono::steady_clock::time_point last_window_emit_ = started_;
   std::mutex mutex_;
   ProgressUpdate update_;
 };
@@ -108,8 +78,8 @@ class ProgressSink {
 /// events; sharded engines give every shard a profiler of its own.
 std::unique_ptr<ReplicationEngine> make_engine(const ScenarioConfig& config,
                                                const RunnerOptions& options, int rep,
-                                               prof::Profiler* profiler, graph::GraphCache* cache,
-                                               ProgressSink* progress) {
+                                               prof::Profiler* profiler,
+                                               graph::GraphCache* cache) {
   const std::uint64_t seed =
       rng::derive_seed(options.master_seed, static_cast<std::uint64_t>(rep));
   trace::TraceBuffer* trace = rep == options.trace_replication ? options.trace : nullptr;
@@ -119,27 +89,15 @@ std::unique_ptr<ReplicationEngine> make_engine(const ScenarioConfig& config,
   }
   ShardingOptions sharding;
   sharding.shards = options.shards;
-  sharding.window = options.shard_window;
   sharding.worker_threads = options.shard_workers;
-  sharding.trace = trace;
   sharding.profile = profiler != nullptr;
-  auto sim = std::make_unique<ShardedSimulation>(config, seed, sharding, des::QueueImpl::kWheel,
-                                                 cache);
-  if (progress != nullptr) {
-    sim->set_window_observer([progress](SimTime window_end, SimTime horizon,
-                                        std::uint64_t events) {
-      progress->window_tick(window_end, horizon, events);
-    });
-  }
-  return sim;
+  return std::make_unique<ShardedSimulation>(config, seed, sharding, des::QueueImpl::kWheel,
+                                             cache);
 }
 
-/// Runs `engine` to the horizon, appending a stats-stream sample at
-/// each period mark — exactly at the mark on the serial engine, at the
-/// first window barrier at or past it on the sharded one — and always
-/// one where the run ends (the horizon, or the barrier where a sharded
-/// run went quiescent). Stepping is bit-identical to one uninterrupted
-/// run (golden-pinned).
+/// Runs the serial `engine` to the horizon, appending a stats-stream
+/// sample exactly at each period mark and at the horizon. Stepping is
+/// bit-identical to one uninterrupted run (golden-pinned).
 void run_streamed(ReplicationEngine& engine, SimTime horizon, const RunnerOptions& options,
                   int rep, std::chrono::steady_clock::time_point started) {
   SimTime mark = options.stats_period;
@@ -178,7 +136,7 @@ void run_worker(const ScenarioConfig& config, const RunnerOptions& options, int 
     std::unique_ptr<ReplicationEngine> engine;
     {
       prof::ScopedPhase phase(profiler.get(), prof::Phase::kBuild);
-      engine = make_engine(config, options, rep, profiler.get(), cache, progress);
+      engine = make_engine(config, options, rep, profiler.get(), cache);
     }
     {
       prof::ScopedPhase phase(profiler.get(), prof::Phase::kRun);
@@ -264,6 +222,13 @@ ExperimentResult run_experiment(const ScenarioConfig& config, const RunnerOption
           "run_experiment: proximity (Bluetooth) scenarios cannot run sharded — proximity "
           "contacts ignore the graph partition; use shards == 1");
     }
+    if (options.trace != nullptr) {
+      throw std::invalid_argument("run_experiment: a trace needs the serial engine (shards == 1)");
+    }
+    if (options.stats_stream != nullptr) {
+      throw std::invalid_argument(
+          "run_experiment: a stats stream needs the serial engine (shards == 1)");
+    }
     if (options.shards > config.population) {
       throw std::invalid_argument("run_experiment: shards must be <= population");
     }
@@ -273,9 +238,9 @@ ExperimentResult run_experiment(const ScenarioConfig& config, const RunnerOption
     throw std::invalid_argument("run_experiment: " + step_limit_message("stats_period", "samples"));
   }
   // The sharded engine re-checks its window, but only inside a worker.
-  if (options.shards > 1 &&
-      !within_step_limit(config.horizon, resolve_shard_window(config, options.shard_window))) {
-    throw std::invalid_argument("run_experiment: " + step_limit_message("shard_window", "windows"));
+  if (options.shards > 1 && !within_step_limit(config.horizon, config.delivery_delay_mean)) {
+    throw std::invalid_argument("run_experiment: " +
+                                step_limit_message("delivery_delay_mean", "windows"));
   }
 
   auto experiment_started = std::chrono::steady_clock::now();

@@ -80,17 +80,6 @@ struct ProgressUpdate {
   double build_seconds = 0.0;
   int config_index = 0;
   int config_count = 1;
-  /// Shards per replication (RunnerOptions::shards; 1 = serial engine).
-  int shards = 1;
-  /// Sharded runs only: mid-replication updates emitted at window
-  /// barriers (throttled to a few per second). `window_fraction` is the
-  /// fraction of the horizon the in-flight replication has reached,
-  /// `window_events` the events it has executed so far; both are 0 on
-  /// ordinary end-of-replication updates. ETA and events/sec include
-  /// the partial replication, so they account for barrier stalls as
-  /// they happen instead of only between replications.
-  double window_fraction = 0.0;
-  std::uint64_t window_events = 0;
 };
 
 /// Invocations are serialized by the runner (never concurrent), in
@@ -128,36 +117,25 @@ struct RunnerOptions {
   /// creates a local cache for the experiment so the shared graph is
   /// built once, not once per replication.
   graph::GraphCache* graph_cache = nullptr;
-  /// Shards per replication (`mvsim run --shards N`). 1 (default)
-  /// runs each replication on the serial Simulation, one slice over the
-  /// whole population. >= 2 runs each replication on a
-  /// ShardedSimulation: the contact graph is partitioned into
-  /// `shards` contiguous degree-balanced ranges, each with its own
-  /// scheduler and RNG streams, synchronized at window barriers.
-  /// Results at >= 2 are a different (equally valid) sample path than
-  /// the serial engine's — see docs/parallelism.md for the model and
-  /// the determinism contract. Composes with `trace` (per-shard buffers
-  /// merged deterministically), `profile` (per-shard profilers merged
-  /// commutatively) and `stats_stream`; only proximity (Bluetooth)
+  /// Shards per replication. 1 (default) runs each replication on the
+  /// serial Simulation, one slice over the whole population. >= 2 runs
+  /// each replication on a ShardedSimulation (contiguous
+  /// degree-balanced ranges synchronized at windows of the scenario's
+  /// delivery_delay_mean): a different, equally valid sample path than
+  /// the serial engine's — see core/sharded_simulation.h. Composes with
+  /// `profile`; `trace`, `stats_stream` and proximity (Bluetooth)
   /// scenarios are rejected.
   std::uint32_t shards = 1;
-  /// Synchronization-window width for sharded runs; zero = the
-  /// scenario's delivery_delay_mean. Part of the model (cross-shard
-  /// deliveries pay this much extra latency), so it changes results —
-  /// unlike thread counts, which never do.
-  SimTime shard_window = SimTime::zero();
   /// OS threads per sharded replication (0 = one per shard; 1 = inline
   /// on the worker). Never changes results. Composes multiplicatively
   /// with `threads`: total concurrency ~= threads * shard_workers.
   int shard_workers = 0;
   /// When non-null, every replication appends time-series telemetry
   /// samples to this stream (obs::RunStream is thread-safe; records are
-  /// tagged with their replication index). Serial replications sample
-  /// every `stats_period` of simulation time exactly; sharded
-  /// replications sample at the first window barrier at or past each
-  /// period mark. Either way stepping is bit-identical to one
-  /// uninterrupted run.
-  /// Observation-only. The caller writes the stream header.
+  /// tagged with their replication index), exactly every
+  /// `stats_period` of simulation time. Stepping is bit-identical to
+  /// one uninterrupted run. Observation-only. The caller writes the
+  /// stream header.
   obs::RunStream* stats_stream = nullptr;
   /// Simulation-time spacing between stats samples (`mvsim run
   /// --stats-period MIN`); must be positive when stats_stream is set.

@@ -71,9 +71,10 @@ struct ProximityChannelConfig {
 
 /// The most fixed-period steps one replication may take over its
 /// horizon: curve points (`sample_step`), stats-stream samples
-/// (`stats_period`) and shard windows each. A finer period would make a
-/// run allocate or loop without bound — below half an ulp of the
-/// current time a period cannot advance the clock at all.
+/// (`stats_period`) and sharded-engine windows (`delivery_delay_mean`)
+/// each. A finer period would make a run allocate or loop without
+/// bound — below half an ulp of the current time a period cannot
+/// advance the clock at all.
 inline constexpr std::uint64_t kMaxStepsPerReplication = 1'000'000;
 
 /// True when `step` (positive) cuts `horizon` into at most

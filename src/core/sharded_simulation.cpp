@@ -4,7 +4,6 @@
 #include <barrier>
 #include <chrono>
 #include <exception>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,23 +30,17 @@ const ScenarioConfig& checked(const ScenarioConfig& config, const ShardingOption
   if (config.proximity) {
     throw std::invalid_argument(
         "ShardedSimulation: proximity (Bluetooth) scenarios are not shardable — "
-        "proximity contacts ignore the graph partition; run with --shards 1");
+        "proximity contacts ignore the graph partition; run with one shard");
   }
-  const SimTime window = resolve_shard_window(config, options.window);
-  if (!(window > SimTime::zero())) {
-    throw std::invalid_argument("ShardedSimulation: window must be positive");
-  }
-  if (!within_step_limit(config.horizon, window)) {
+  // The window is the mean delivery delay, which validate() keeps
+  // positive; only its step count needs checking.
+  if (!within_step_limit(config.horizon, config.delivery_delay_mean)) {
     throw std::invalid_argument("ShardedSimulation: " + step_limit_message("window", "windows"));
   }
   return config;
 }
 
 }  // namespace
-
-SimTime resolve_shard_window(const ScenarioConfig& config, SimTime window) {
-  return window > SimTime::zero() ? window : config.delivery_delay_mean;
-}
 
 /// Persistent worker pool for one run: worker j owns slices j, j+W,
 /// j+2W, ... (static assignment keeps per-slice cache state warm and
@@ -126,7 +119,7 @@ ShardedSimulation::ShardedSimulation(const ScenarioConfig& config,
                                      const ShardingOptions& options, des::QueueImpl /*queue*/,
                                      graph::GraphCache* graph_cache)
     : options_(options),
-      window_(resolve_shard_window(config, options.window)),
+      window_(config.delivery_delay_mean),
       state_(checked(config, options), replication_seed, graph_cache),
       partition_(graph::Partition::degree_balanced(*state_.graph, options.shards)),
       mailbox_(options.shards) {
@@ -134,19 +127,11 @@ ShardedSimulation::ShardedSimulation(const ScenarioConfig& config,
                  ? std::min<int>(options_.worker_threads, static_cast<int>(options_.shards))
                  : static_cast<int>(options_.shards);
 
-  std::size_t trace_capacity = 0;
-  if (options_.trace != nullptr) {
-    // Each shard records into a private slice of the requested capacity.
-    constexpr std::size_t kUnboundedCap = std::numeric_limits<std::size_t>::max();
-    trace_capacity = options_.trace->capacity() == kUnboundedCap
-                         ? kUnboundedCap
-                         : std::max<std::size_t>(1, options_.trace->capacity() / options_.shards);
-  }
   const ShardLinks links{&partition_, &mailbox_, window_};
   state_.slices.reserve(options_.shards);
   for (std::uint32_t s = 0; s < options_.shards; ++s) {
     state_.slices.push_back(
-        std::make_unique<EngineSlice>(state_, s, links, trace_capacity, options_.profile));
+        std::make_unique<EngineSlice>(state_, s, links, options_.profile));
   }
   state_.populate(&partition_);
 }
@@ -173,14 +158,6 @@ void ShardedSimulation::check_detectability(SimTime window_end) {
   if (seen < state_.config.responses.detectability_threshold) return;
   detectability_dispatched_ = true;
   detected_at_ = window_end;
-  if (options_.trace != nullptr) {
-    // Coordinator-level event: the crossing is a global, barrier-
-    // quantized decision, so it belongs to no shard (kNoShard).
-    trace::Event event;
-    event.time = window_end;
-    event.kind = trace::EventKind::kDetectabilityCrossed;
-    engine_trace_.record(std::move(event));
-  }
   // The crossing executes as an event at the barrier time in every
   // slice, so mechanism reactions (scan activation, immunization
   // development, ...) are ordinary events on the owning scheduler.
@@ -196,8 +173,6 @@ bool ShardedSimulation::quiescent() const {
 
 obs::RunSample ShardedSimulation::sample() const {
   obs::RunSample sample = state_.sample(now_);
-  sample.mailbox_sent = mailbox_.pushed_total();
-  sample.mailbox_received = mailbox_.drained_total();
   const bool threaded = barrier_release_ != std::chrono::steady_clock::time_point{};
   sample.shards.reserve(state_.slices.size());
   for (std::uint32_t s = 0; s < state_.slices.size(); ++s) {
@@ -218,8 +193,7 @@ obs::RunSample ShardedSimulation::sample() const {
 }
 
 void ShardedSimulation::step_window() {
-  const SimTime horizon = state_.config.horizon;
-  const SimTime window_end = min(now_ + window_, horizon);
+  const SimTime window_end = min(now_ + window_, state_.config.horizon);
   double waited_ms = 0.0;
   if (pool_) {
     waited_ms = pool_->run_window(window_end);
@@ -232,9 +206,6 @@ void ShardedSimulation::step_window() {
   ++windows_stepped_;
   exchange_mailboxes();
   check_detectability(window_end);
-  if (window_observer_) {
-    window_observer_(window_end, horizon, state_.sample(window_end).events_executed);
-  }
   // Dead epidemic: every later window would be a no-op barrier.
   quiescent_ = quiescent();
   if (stats_observer_) {
@@ -286,16 +257,6 @@ ReplicationResult ShardedSimulation::run() {
   auto& wait_hist = engine.histogram("shard.barrier_wait_ms", kBarrierWaitBounds);
   for (double ms : barrier_wait_ms_) wait_hist.record(ms);
   r.metrics.merge(engine.snapshot());
-
-  if (options_.trace != nullptr) {
-    // Deterministic (time, shard) merge of the per-slice buffers plus
-    // the coordinator's own events; replaces the caller's buffer.
-    std::vector<const trace::TraceBuffer*> buffers;
-    buffers.reserve(state_.slices.size() + 1);
-    for (const auto& slice : state_.slices) buffers.push_back(slice->trace());
-    buffers.push_back(&engine_trace_);
-    *options_.trace = trace::TraceBuffer::merge_shards(buffers);
-  }
   return r;
 }
 

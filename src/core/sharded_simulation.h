@@ -1,31 +1,34 @@
 // Sharded single-replication engine: one run on multiple cores.
 //
 // The serial Simulation executes a replication on one EngineSlice and
-// therefore one core; at 10^6 phones that single thread is the
-// wall-clock bound (ROADMAP item 2). ShardedSimulation partitions the
-// contact graph into K contiguous, degree-balanced ranges
-// (graph::Partition) and runs one EngineSlice per range, each with its
-// own scheduler, gateway, RNG streams and response-mechanism instances.
-// Slices advance in lockstep through fixed synchronization windows:
+// therefore one core. ShardedSimulation partitions the contact graph
+// into K contiguous, degree-balanced ranges (graph::Partition) and runs
+// one EngineSlice per range, each with its own scheduler, gateway, RNG
+// streams and response-mechanism instances. Slices advance in lockstep
+// through fixed synchronization windows of width W, the scenario's
+// delivery_delay_mean:
 //
 //   loop: run every slice to the window end (in parallel)
-//         barrier: drain cross-shard mailboxes, sum detectability,
-//                  tick progress
+//         barrier: drain cross-shard mailboxes, sum detectability
 //
-// Cross-shard MMS deliveries ride net::ShardMailboxGrid and pay a
-// deterministic extra transit latency equal to the window width — the
-// conservative lookahead that guarantees a drained entry can never
-// land in a shard's past (no rollback needed). The full protocol,
-// the determinism contract and the model-semantics notes (what changes
-// at shards >= 2 and what does not) live in docs/parallelism.md.
+// Cross-shard MMS deliveries ride net::ShardMailboxGrid and pay an
+// extra transit latency of W — the conservative lookahead that
+// guarantees a drained entry can never land in a shard's past (no
+// rollback needed). Detectability is summed over the shards at each
+// barrier, so detection is quantized to window boundaries.
 //
-// Determinism: fixed (config, seed, shards, window) ⇒ bit-identical
-// results for ANY worker-thread count, including the inline
-// single-thread mode. A sharded run is a different (equally valid)
-// sample path than the serial engine's — salted per-shard RNG streams,
-// the cross-shard latency floor and barrier-quantized detection see to
-// that — so `--shards 1` runs the serial Simulation, and the golden
-// tests pin sharded curves separately.
+// Determinism: fixed (config, seed, shards) ⇒ bit-identical results
+// for ANY worker-thread count, including the inline single-thread mode.
+// A sharded run is a different (equally valid) sample path than the
+// serial engine's — salted per-shard RNG streams, the cross-shard
+// latency floor and barrier-quantized detection see to that — so the
+// runner sends shards == 1 to the serial Simulation, and the golden
+// tests pin sharded curves separately. Initial conditions (graph,
+// susceptible set, patient zeros) are the serial run's exactly.
+//
+// The engine is reached through core::run_experiment
+// (RunnerOptions::shards) and by direct construction. It records no
+// trace; the runner rejects a trace or a stats stream at shards >= 2.
 #pragma once
 
 #include <chrono>
@@ -39,7 +42,6 @@
 #include "graph/graph_cache.h"
 #include "graph/partition.h"
 #include "net/shard_mailbox.h"
-#include "trace/trace.h"
 
 namespace mvsim::core {
 
@@ -47,40 +49,18 @@ struct ShardingOptions {
   /// Worker shards (>= 1; the runner sends one shard to the serial
   /// Simulation instead).
   std::uint32_t shards = 2;
-  /// Synchronization-window width; zero (default) resolves to the
-  /// scenario's delivery_delay_mean. Part of the model at shards >= 2:
-  /// cross-shard deliveries pay this much extra transit latency.
-  SimTime window = SimTime::zero();
   /// OS threads executing the shards (0 = one per shard; 1 = inline
   /// serial execution on the calling thread). Never changes results.
   int worker_threads = 0;
-  /// When non-null, the run records a causal trace into it: each shard
-  /// fills a private buffer (capacity split evenly, trace->capacity()
-  /// / shards each), message ids are namespaced by origin shard
-  /// (trace::kShardMessageStride), and run() replaces *trace with the
-  /// deterministic (time, shard) merge of all shard buffers.
-  /// Observation-only: results are bit-identical with tracing on or
-  /// off, at any worker count.
-  trace::TraceBuffer* trace = nullptr;
   /// Attach a prof::Profiler to every shard's scheduler (per-event
-  /// wall-clock, plus the prof.shard.window_us per-window series);
-  /// snapshots merge into the result metrics. Observation-only.
+  /// wall-clock); snapshots merge into the result metrics.
+  /// Observation-only.
   bool profile = false;
 };
 
-/// The window a sharded run uses: `window` when positive, else the
-/// scenario's delivery_delay_mean.
-[[nodiscard]] SimTime resolve_shard_window(const ScenarioConfig& config, SimTime window);
-
 class ShardedSimulation final : public ReplicationEngine {
  public:
-  /// Called at each window barrier (from the coordinating thread):
-  /// `window_end` is the simulated time just reached, `events` the
-  /// events executed so far across all shards.
-  using WindowObserver = std::function<void(SimTime window_end, SimTime horizon,
-                                            std::uint64_t events)>;
-
-  /// The stats-stream sample at one window barrier (sample() at that
+  /// The telemetry sample at one window barrier (sample() at that
   /// point), plus the coordinator's wait at the barrier (0 when the
   /// shards run inline) and whether this was the run's final window —
   /// horizon reached or epidemic quiescent.
@@ -95,7 +75,9 @@ class ShardedSimulation final : public ReplicationEngine {
 
   /// Validates `config` and the sharding options. Scenarios with a
   /// proximity (Bluetooth) channel are rejected: proximity contacts
-  /// are global by construction and do not respect the partition.
+  /// are global by construction and do not respect the partition. So
+  /// is a delivery_delay_mean that cuts the horizon into more than
+  /// kMaxStepsPerReplication windows.
   /// The des::QueueImpl parameter is ignored; `graph_cache` means
   /// exactly what it does on the serial Simulation.
   ShardedSimulation(const ScenarioConfig& config, std::uint64_t replication_seed,
@@ -106,7 +88,6 @@ class ShardedSimulation final : public ReplicationEngine {
   ShardedSimulation(const ShardedSimulation&) = delete;
   ShardedSimulation& operator=(const ShardedSimulation&) = delete;
 
-  void set_window_observer(WindowObserver observer) { window_observer_ = std::move(observer); }
   void set_stats_observer(StatsObserver observer) { stats_observer_ = std::move(observer); }
 
   /// Runs the window loop to the horizon and returns the merged
@@ -118,11 +99,9 @@ class ShardedSimulation final : public ReplicationEngine {
   [[nodiscard]] bool done() const override {
     return quiescent_ || !(now_ < state_.config.horizon);
   }
-  /// The summed sample plus mailbox traffic and the per-shard
-  /// breakdown, with each shard's wait at the last barrier.
+  /// The summed sample plus the per-shard breakdown, with each
+  /// shard's wait at the last barrier.
   [[nodiscard]] obs::RunSample sample() const override;
-
-  [[nodiscard]] const graph::Partition& partition() const { return partition_; }
 
  private:
   class WindowPool;
@@ -151,16 +130,11 @@ class ShardedSimulation final : public ReplicationEngine {
   bool quiescent_ = false;
   bool ran_ = false;
 
-  // Barrier-quantized global detectability (docs/parallelism.md).
+  // Barrier-quantized global detectability.
   bool detectability_dispatched_ = false;
   SimTime detected_at_ = SimTime::infinity();
 
-  WindowObserver window_observer_;
   StatsObserver stats_observer_;
-
-  // Coordinator-level trace events (the detectability crossing); shard
-  // kNoShard, merged after the per-shard buffers at the end of run().
-  trace::TraceBuffer engine_trace_{1};
 
   // Engine-level telemetry (merged on top of the per-slice metrics).
   std::uint64_t windows_stepped_ = 0;

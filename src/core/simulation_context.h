@@ -37,7 +37,7 @@ class SimulationContext final : public net::GatewayObserver {
   /// `defer_detection` puts the monitor in deferred (count-only) mode
   /// for per-shard contexts of a sharded run, where the crossing is a
   /// global decision the barrier coordinator makes (see
-  /// response::DetectabilityMonitor and docs/parallelism.md).
+  /// response::DetectabilityMonitor and core/sharded_simulation.h).
   SimulationContext(const response::ResponseSuiteConfig& suite,
                     const response::ResponseRegistry& registry, bool defer_detection = false);
 

@@ -33,7 +33,7 @@ class ContactGraph {
   /// on self-loops, duplicate edges (in either orientation) or
   /// endpoints >= node_count. Generators avoid this path (they stream
   /// edges through CsrBuilder instead of materializing a list); it
-  /// remains the construction route for deserialization and tests,
+  /// remains the construction route for hand-built graphs and tests,
   /// and pays CsrBuilder::finish's transient 2E-entry transpose scratch.
   ContactGraph(PhoneId node_count, std::span<const Edge> edges);
 

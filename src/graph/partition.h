@@ -1,6 +1,6 @@
 // Contiguous, degree-balanced partition of a contact graph.
 //
-// The sharded engine (docs/parallelism.md) assigns each worker shard a
+// The sharded engine (core/sharded_simulation.h) assigns each worker shard a
 // contiguous range of phone ids. Contiguity keeps ownership checks a
 // two-comparison range test and lets per-shard state stay dense; the
 // cut points are chosen so the per-shard *work estimate* — nodes plus

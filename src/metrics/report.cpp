@@ -109,9 +109,6 @@ constexpr MetricDescriptor kSchema[] = {
     {"prof.phase.run_ms", MetricKind::kHistogram, "ms", "prof",
      "Per-replication wall-clock of the event loop (run to horizon). Emitted only under "
      "--profile.", true},
-    {"prof.shard.window_us", MetricKind::kHistogram, "us", "prof",
-     "Per-shard wall-clock of each lockstep window under --shards (window imbalance = "
-     "barrier stall). Emitted only under --profile; zero-count in serial runs.", true},
     {"response.blacklist.phones_blacklisted", MetricKind::kCounter, "phones", "response",
      "Phones whose MMS service the blacklist cut off. Emitted when blacklist is enabled."},
     {"response.gateway_detection.activations", MetricKind::kCounter, "activations", "response",
@@ -146,21 +143,25 @@ constexpr MetricDescriptor kSchema[] = {
      "Raw xoshiro256** outputs drawn across all of the replication's RNG streams."},
     {"shard.barrier_wait_ms", MetricKind::kHistogram, "ms", "shard",
      "Wall-clock the coordinator spent blocked on the slowest shard at each window barrier. "
-     "Emitted only under --shards >= 2; empty when shard workers run inline.", true},
+     "Emitted only by the sharded engine (RunnerOptions::shards >= 2); empty when shard "
+     "workers run inline.", true},
     {"shard.count", MetricKind::kGauge, "shards", "shard",
-     "Shards per replication (--shards). Emitted only under --shards >= 2."},
+     "Shards per replication. Emitted only by the sharded engine (RunnerOptions::shards >= 2)."},
     {"shard.events_executed", MetricKind::kHistogram, "events", "shard",
      "Per-shard scheduler events executed over a replication — the load-balance picture the "
-     "degree-balanced partition actually achieved. Emitted only under --shards >= 2."},
+     "degree-balanced partition actually achieved. Emitted only by the sharded engine "
+     "(RunnerOptions::shards >= 2)."},
     {"shard.mailbox.received", MetricKind::kCounter, "deliveries", "shard",
      "Cross-shard deliveries drained from mailboxes and scheduled into destination shards at "
-     "window barriers (== sent at end of run). Emitted only under --shards >= 2."},
+     "window barriers (== sent at end of run). Emitted only by the sharded engine "
+     "(RunnerOptions::shards >= 2)."},
     {"shard.mailbox.sent", MetricKind::kCounter, "deliveries", "shard",
      "Cross-shard deliveries routed into mailboxes (recipient owned by another shard). "
-     "Emitted only under --shards >= 2."},
+     "Emitted only by the sharded engine (RunnerOptions::shards >= 2)."},
     {"shard.windows", MetricKind::kCounter, "windows", "shard",
-     "Synchronization windows the sharded engine stepped through (horizon / window width, "
-     "minus any quiescent early-exit). Emitted only under --shards >= 2."},
+     "Synchronization windows the sharded engine stepped through (horizon / "
+     "delivery_delay_mean, minus any quiescent early-exit). Emitted only by the sharded "
+     "engine (RunnerOptions::shards >= 2)."},
     {"timing.events_per_sec", MetricKind::kHistogram, "events/s", "timing",
      "Per-replication event throughput: scheduler events executed divided by the "
      "replication's wall-clock time.", true},

@@ -69,7 +69,7 @@ class OutgoingMmsPolicy {
 };
 
 /// Routes recipients that live on another shard of a sharded run (see
-/// docs/parallelism.md). The serial engine never sets one; with no
+/// core/sharded_simulation.h). The serial engine never sets one; with no
 /// router the gateway behaves exactly as before.
 class ShardRouter {
  public:

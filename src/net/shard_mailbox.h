@@ -1,6 +1,6 @@
 // Per-shard-pair mailboxes for cross-shard MMS deliveries.
 //
-// Under the sharded engine (docs/parallelism.md) a gateway that routes
+// Under the sharded engine (core/sharded_simulation.h) a gateway that routes
 // a recipient owned by another shard does not touch the remote
 // scheduler directly — schedulers are single-threaded. It pushes a
 // CrossShardDelivery into the (source, destination) mailbox instead;

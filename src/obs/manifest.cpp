@@ -47,9 +47,8 @@ std::string fnv1a_hex(std::string_view text) {
 
 const std::vector<std::string>& manifest_fields() {
   static const std::vector<std::string> kFields = {
-      "type",    "version",      "scenario",       "scenario_hash", "seed",
-      "replications", "threads", "shards",         "shard_window_min",
-      "build",   "phases",       "peak_rss_bytes", "artifacts",     "outcome",
+      "type",    "version", "scenario", "scenario_hash",  "seed",      "replications",
+      "threads", "build",   "phases",   "peak_rss_bytes", "artifacts", "outcome",
       "sweep"};
   return kFields;
 }
@@ -91,8 +90,6 @@ json::Value to_json(const RunManifest& manifest) {
   root.set("seed", json::Value(manifest.seed));
   root.set("replications", json::Value(manifest.replications));
   root.set("threads", json::Value(manifest.threads));
-  root.set("shards", json::Value(manifest.shards));
-  root.set("shard_window_min", json::Value(manifest.shard_window_min));
   json::Object build;
   build.set("git_sha", json::Value(manifest.build.git_sha));
   build.set("compiler", json::Value(manifest.build.compiler));
@@ -176,8 +173,6 @@ RunManifest manifest_from_json(const json::Value& value) {
   manifest.seed = string_at(root, "seed");
   manifest.replications = count_at<int>(root, "replications");
   manifest.threads = count_at<int>(root, "threads");
-  manifest.shards = count_at<std::uint32_t>(root, "shards");
-  manifest.shard_window_min = number_at(root, "shard_window_min");
   const json::Value* build = root.find("build");
   if (build == nullptr || !build->is_object()) fail("missing build block");
   manifest.build.git_sha = string_at(build->as_object(), "git_sha");

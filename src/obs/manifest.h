@@ -2,8 +2,8 @@
 //
 // Metrics, traces, profiles and the stats stream each describe one
 // run from the inside; the manifest describes the run from the
-// outside — what ran (scenario name + content hash, seed, threads/
-// shards/window), on what build (git SHA, compiler, build type),
+// outside — what ran (scenario name + content hash, seed, replications,
+// threads), on what build (git SHA, compiler, build type),
 // costing what (wall clock, peak RSS), leaving which artifacts on
 // disk, and ending where (the outcome block: final/peak infections,
 // time to peak, patches, blocks, events). `mvsim run --manifest PATH`
@@ -28,8 +28,8 @@
 
 namespace mvsim::obs {
 
-/// Build provenance from the generated obs/version.h (git SHA at
-/// configure time, compiler id+version, CMake build type).
+/// Build provenance from the generated obs/version.h (git SHA of the
+/// last build, compiler id+version, CMake build type).
 struct BuildInfo {
   std::string git_sha;
   std::string compiler;
@@ -88,7 +88,8 @@ struct SweepInfo {
 /// emitted keys match manifest_fields() exactly — the same three-way
 /// contract the metrics report and stats stream keep with their docs.
 struct RunManifest {
-  static constexpr int kVersion = 1;
+  /// v2 dropped the `shards` and `shard_window_min` fields.
+  static constexpr int kVersion = 2;
 
   std::string scenario;
   std::string scenario_hash;  ///< fnv1a_hex of the canonical scenario JSON
@@ -97,8 +98,6 @@ struct RunManifest {
   std::string seed;
   int replications = 0;
   int threads = 0;
-  std::uint32_t shards = 1;
-  double shard_window_min = 0.0;  ///< 0 = scenario delivery_delay_mean
   BuildInfo build;
   RunPhases phases;
   std::uint64_t peak_rss = 0;  ///< bytes, process peak at write time

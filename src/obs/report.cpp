@@ -107,7 +107,7 @@ std::string render_manifest(const RunManifest& manifest) {
   char line[256];
   out << "run: " << manifest.scenario << " (scenario " << manifest.scenario_hash << ")\n"
       << "  seed " << manifest.seed << ", " << manifest.replications << " replication(s), "
-      << manifest.threads << " thread(s), " << manifest.shards << " shard(s)\n"
+      << manifest.threads << " thread(s)\n"
       << "  build " << manifest.build.git_sha << " (" << manifest.build.compiler << ", "
       << manifest.build.build_type << ")\n";
   std::snprintf(line, sizeof line, "  phases: run %.2fs, write %.2fs; peak RSS %.1f MiB\n",

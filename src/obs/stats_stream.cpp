@@ -10,15 +10,8 @@ namespace mvsim::obs {
 
 const std::vector<std::string>& RunStream::sample_fields() {
   static const std::vector<std::string> kFields = {
-      "type",   "rep",          "t_min",         "infected", "patched",
-      "blocked", "events",      "events_per_sec", "queue",    "mailbox_sent",
-      "mailbox_received", "shards"};
-  return kFields;
-}
-
-const std::vector<std::string>& RunStream::shard_fields() {
-  static const std::vector<std::string> kFields = {"shard", "events", "queue",
-                                                   "barrier_wait_ms"};
+      "type",    "rep",    "t_min",          "infected", "patched",
+      "blocked", "events", "events_per_sec", "queue"};
   return kFields;
 }
 
@@ -30,15 +23,9 @@ void RunStream::write_header(const StreamInfo& info) {
   header.set("scenario_hash", json::Value(info.scenario_hash));
   header.set("git_sha", json::Value(build_info().git_sha));
   header.set("replications", json::Value(info.replications));
-  header.set("shards", json::Value(info.shards));
   json::Array fields;
   for (const std::string& field : sample_fields()) fields.push_back(json::Value(field));
   header.set("fields", json::Value(std::move(fields)));
-  json::Array shard_field_names;
-  for (const std::string& field : shard_fields()) {
-    shard_field_names.push_back(json::Value(field));
-  }
-  header.set("shard_fields", json::Value(std::move(shard_field_names)));
 
   std::lock_guard<std::mutex> lock(mutex_);
   *out_ << json::stringify(json::Value(std::move(header)), 0) << '\n';
@@ -46,10 +33,8 @@ void RunStream::write_header(const StreamInfo& info) {
 }
 
 void RunStream::write_sample(const RunSample& sample) {
-  // Every sample record carries every schema field — serial runs emit
-  // zero mailboxes and an empty shards array rather than omitting the
-  // keys, so consumers parse one shape regardless of engine. The line
-  // is appended straight into a reused buffer: the same bytes
+  // Every sample record carries every schema field. The line is
+  // appended straight into a reused buffer: the same bytes
   // json::stringify would give for the record's json::Object.
   std::lock_guard<std::mutex> lock(mutex_);
   line_.assign(R"({"type":"sample","rep":)");
@@ -65,18 +50,7 @@ void RunStream::write_sample(const RunSample& sample) {
   field(R"(,"events":)", static_cast<double>(sample.events_executed));
   field(R"(,"events_per_sec":)", sample.events_per_sec);
   field(R"(,"queue":)", static_cast<double>(sample.queue_depth));
-  field(R"(,"mailbox_sent":)", static_cast<double>(sample.mailbox_sent));
-  field(R"(,"mailbox_received":)", static_cast<double>(sample.mailbox_received));
-  line_ += R"(,"shards":[)";
-  for (std::size_t i = 0; i < sample.shards.size(); ++i) {
-    const ShardSample& shard = sample.shards[i];
-    field(i == 0 ? R"({"shard":)" : R"(,{"shard":)", shard.shard);
-    field(R"(,"events":)", static_cast<double>(shard.events_executed));
-    field(R"(,"queue":)", static_cast<double>(shard.queue_depth));
-    field(R"(,"barrier_wait_ms":)", shard.barrier_wait_ms);
-    line_ += '}';
-  }
-  line_ += "]}\n";
+  line_ += "}\n";
   out_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
   out_->flush();
   ++samples_written_;

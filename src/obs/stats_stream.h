@@ -4,12 +4,9 @@
 // "where did the wall-clock go"; the stats stream answers "how is the
 // run doing right now". `mvsim run --stats-stream PATH|-` attaches a
 // RunStream to the runner, which samples each replication every
-// `--stats-period` simulated minutes (serial engine) or at window
-// barriers (sharded engine) and appends one JSON object per line:
-// infected / patched / blocked counts, events executed, wall-clock
-// event rate, scheduler queue depth, and — for sharded runs — mailbox
-// traffic plus a per-shard breakdown with barrier wait times, which
-// names the straggler shard directly.
+// `--stats-period` simulated minutes and appends one JSON object per
+// line: infected / patched / blocked counts, events executed,
+// wall-clock event rate and scheduler queue depth.
 //
 // Strictly observation-only: sampling never draws randomness,
 // schedules events or mutates simulation state, so fixed-seed curves
@@ -28,7 +25,8 @@
 
 namespace mvsim::obs {
 
-/// Per-shard slice of one sharded sample.
+/// Per-shard slice of one sharded-engine sample (the engine's window
+/// observer, see core::ShardedSimulation; not part of the stream).
 struct ShardSample {
   std::uint32_t shard = 0;
   std::uint64_t events_executed = 0;  ///< cumulative, this shard
@@ -39,8 +37,8 @@ struct ShardSample {
 };
 
 /// One telemetry sample. Counters are cumulative since replication
-/// start; gauges are instantaneous. Serial runs leave the mailbox
-/// fields zero and `shards` empty.
+/// start; gauges are instantaneous. Only the sharded engine fills
+/// `shards`, which the stream does not write.
 struct RunSample {
   int replication = 0;
   SimTime time;
@@ -50,8 +48,6 @@ struct RunSample {
   std::uint64_t events_executed = 0;   ///< DES events so far
   double events_per_sec = 0.0;         ///< wall-clock rate since rep start
   std::uint64_t queue_depth = 0;       ///< pending DES events right now
-  std::uint64_t mailbox_sent = 0;      ///< cross-shard messages staged
-  std::uint64_t mailbox_received = 0;  ///< cross-shard messages delivered
   std::vector<ShardSample> shards;
 };
 
@@ -64,19 +60,20 @@ struct StreamInfo {
   std::string scenario;
   std::string scenario_hash;
   int replications = 0;
-  std::uint32_t shards = 1;
 };
 
 /// Serializes RunSamples as NDJSON onto one ostream. The first line is
-/// a header record `{"type":"mvsim-stats","version":2,...}` whose
+/// a header record `{"type":"mvsim-stats","version":3,...}` whose
 /// "fields" array is the sample schema; every subsequent line is a
 /// sample record carrying exactly those fields. Lines are flushed as
 /// they are written so `tail -f` (or a dashboard) sees them live.
 class RunStream {
  public:
   /// v2 added the provenance fields (`scenario_hash`, `git_sha`) to
-  /// the header; sample records are unchanged from v1.
-  static constexpr int kVersion = 2;
+  /// the header. v3 dropped the shard fields: the header's `shards`
+  /// and `shard_fields`, the samples' `mailbox_sent`,
+  /// `mailbox_received` and `shards`.
+  static constexpr int kVersion = 3;
 
   /// The stream writes to `out` for its whole lifetime; the caller
   /// keeps `out` alive and owns flushing/closing the underlying file.
@@ -93,11 +90,10 @@ class RunStream {
 
   [[nodiscard]] std::uint64_t samples_written() const { return samples_written_; }
 
-  /// The canonical field lists — the header's "fields" array, every
+  /// The canonical field list — the header's "fields" array, every
   /// sample record's keys, and the table in docs/observability.md all
-  /// come from (or are tested against) these.
+  /// come from (or are tested against) it.
   [[nodiscard]] static const std::vector<std::string>& sample_fields();
-  [[nodiscard]] static const std::vector<std::string>& shard_fields();
 
  private:
   std::ostream* out_;

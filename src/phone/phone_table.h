@@ -40,7 +40,7 @@ class PhoneTable {
   /// Sharded construction: phone ids in [bounds[s], bounds[s+1]) use
   /// envs[s] — each shard's environment carries that shard's scheduler,
   /// user stream and listener, so a phone's decision events always run
-  /// on its owner shard (docs/parallelism.md). `bounds` must cover
+  /// on its owner shard (core/sharded_simulation.h). `bounds` must cover
   /// [0, population) contiguously (size == envs.size() + 1, front 0,
   /// back == population); every env is validated like the single-env
   /// constructor. The table itself stays one global struct-of-arrays:

@@ -85,22 +85,6 @@ void write_profile_report(const metrics::ReportInfo& info, const metrics::Snapsh
     out << line;
   }
 
-  // Sharded runs only: the per-shard lockstep-window distribution. A
-  // serial profile's histogram exists but is empty.
-  if (const metrics::HistogramSample* windows = snapshot.find_histogram("prof.shard.window_us");
-      windows != nullptr && windows->count > 0) {
-    const double mean = mean_of(*windows);
-    out << "-- shard windows (per-shard lockstep window wall-clock) --\n";
-    char line[200];
-    std::snprintf(line, sizeof line,
-                  "  %10.0f windows, %8.2f us p50, %8.2f us p90, %8.2f us max, "
-                  "imbalance %.2fx\n",
-                  static_cast<double>(windows->count), histogram_quantile(*windows, 0.50),
-                  histogram_quantile(*windows, 0.90), windows->max,
-                  mean > 0.0 ? windows->max / mean : 0.0);
-    out << line;
-  }
-
   out << "-- where the time goes (event loop) --\n";
   out << "  event type                     count   total ms  share    mean us     p90 us\n";
   int printed = 0;

@@ -2,8 +2,8 @@
 //
 // A profile is not a file format of its own: `mvsim run --profile PATH`
 // writes the ordinary `--metrics` JSON report of a profiled run, whose
-// `prof.*` histograms (see profiler.h) carry the phase, event-type and
-// shard-window wall-clock. This report renders those histograms
+// `prof.*` histograms (see profiler.h) carry the phase and event-type
+// wall-clock. This report renders those histograms
 // directly from a metrics::Snapshot, so it reads any metrics report of
 // a profiled run.
 #pragma once
@@ -22,8 +22,8 @@ namespace mvsim::prof {
 /// table, and cheap enough to compute per report.
 [[nodiscard]] double histogram_quantile(const metrics::HistogramSample& histogram, double q);
 
-/// The human-readable top-N table: phases, the shard-window line
-/// (sharded runs only), event types sorted by total time descending
+/// The human-readable top-N table: phases, event types sorted by total
+/// time descending
 /// (top_n <= 0 prints all), then the coverage line (event time as a
 /// fraction of the run phase). Throws std::invalid_argument when the
 /// snapshot has no `prof.*` event histograms (the run was not

@@ -15,13 +15,6 @@ constexpr std::array<double, 8> kEventMicrosBounds = {0.25, 1.0,   4.0,    16.0,
 // Phase spans are milliseconds, same scale as timing.replication_wall_ms.
 constexpr std::array<double, 7> kPhaseMsBounds = {1.0,   5.0,    25.0,   100.0,
                                                   500.0, 2500.0, 10000.0};
-// Shard-window execution spans are microseconds: a window is tens of
-// events on a quiet shard, tens of thousands on a saturated one.
-constexpr std::array<double, 7> kShardWindowMicrosBounds = {10.0,    100.0,     1000.0, 10000.0,
-                                                            100000.0, 1000000.0, 10000000.0};
-
-constexpr const char* kShardWindowMetricName = "prof.shard.window_us";
-
 constexpr const char* kEventMetricNames[des::kEventTypeCount] = {
     "prof.event.generic",
     "prof.event.seed_infection",
@@ -61,7 +54,6 @@ Profiler::Profiler() {
   for (std::size_t i = 0; i < kPhaseCount; ++i) {
     phase_histograms_[i] = &registry_.histogram(kPhaseMetricNames[i], kPhaseMsBounds);
   }
-  shard_window_histogram_ = &registry_.histogram(kShardWindowMetricName, kShardWindowMicrosBounds);
 }
 
 void Profiler::record_event(des::EventType type, double micros) {
@@ -71,7 +63,5 @@ void Profiler::record_event(des::EventType type, double micros) {
 void Profiler::record_phase(Phase phase, double millis) {
   phase_histograms_[static_cast<std::size_t>(phase)]->record(millis);
 }
-
-void Profiler::record_shard_window(double micros) { shard_window_histogram_->record(micros); }
 
 }  // namespace mvsim::prof

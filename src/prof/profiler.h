@@ -65,13 +65,6 @@ class Profiler final : public des::EventTimer {
   /// One completed phase span of `millis` milliseconds.
   void record_phase(Phase phase, double millis);
 
-  /// Sharded engine only: one shard finished one lockstep window in
-  /// `micros` microseconds of wall-clock. The `prof.shard.window_us`
-  /// distribution exposes window imbalance — a wide spread means some
-  /// windows (i.e. some shards) consistently straggle behind the
-  /// barrier. Serial profiles keep the histogram at zero count.
-  void record_shard_window(double micros);
-
   /// The profile so far, as ordinary metrics (merge with other
   /// replications' snapshots freely — histogram merging is commutative
   /// and associative).
@@ -81,7 +74,6 @@ class Profiler final : public des::EventTimer {
   metrics::Registry registry_;
   std::array<metrics::Histogram*, des::kEventTypeCount> event_histograms_{};
   std::array<metrics::Histogram*, kPhaseCount> phase_histograms_{};
-  metrics::Histogram* shard_window_histogram_ = nullptr;
 };
 
 /// RAII phase timer: records the elapsed wall-clock into `profiler`

@@ -29,7 +29,7 @@ class DetectabilityMonitor final : public net::GatewayObserver {
   /// its own, because the threshold is global while this monitor sees
   /// one shard's gateway traffic. The sharded engine sums the per-shard
   /// counts at each window barrier and fires force_detect() on every
-  /// shard when the global total crosses (docs/parallelism.md).
+  /// shard when the global total crosses (core/sharded_simulation.h).
   explicit DetectabilityMonitor(std::uint64_t threshold, bool deferred = false);
 
   /// Registers an activation callback. Registration is setup-time

@@ -44,21 +44,7 @@ TreeStats analyze(std::span<const Event> events) {
     per_generation_time_sum[gen] += hours;
   };
 
-  // Sharded traces namespace message ids by origin shard, so a
-  // delivery or infection whose message's origin shard differs from
-  // the recording shard crossed the inter-shard mailbox.
-  auto crossed_shards = [](const Event& e) {
-    return e.shard != kNoShard && e.message != kInvalidMessageId &&
-           e.message / kShardMessageStride != e.shard;
-  };
-
   for (const Event& e : events) {
-    if (e.shard != kNoShard) {
-      if (stats.shard_event_counts.size() <= e.shard) {
-        stats.shard_event_counts.resize(e.shard + 1, 0);
-      }
-      ++stats.shard_event_counts[e.shard];
-    }
     switch (e.kind) {
       case EventKind::kInfection: {
         ++stats.infections;
@@ -80,7 +66,6 @@ TreeStats analyze(std::span<const Event> events) {
             ++stats.infections_via_bluetooth;
           } else {
             ++stats.infections_via_mms;
-            if (crossed_shards(e)) ++stats.cross_shard_infections;
           }
         }
         generation.emplace(e.phone, gen);
@@ -93,7 +78,6 @@ TreeStats analyze(std::span<const Event> events) {
         break;
       case EventKind::kMessageDelivered:
         ++stats.messages_delivered;
-        if (crossed_shards(e)) ++stats.cross_shard_deliveries;
         break;
       case EventKind::kMessageBlocked: {
         ++stats.messages_blocked;
@@ -201,27 +185,6 @@ void write_report(const TreeStats& stats, std::ostream& out) {
                     static_cast<unsigned long long>(row.recipients_spared));
       emit(line);
     }
-  }
-  if (!stats.shard_event_counts.empty()) {
-    emit("\nshards\n");
-    for (std::size_t shard = 0; shard < stats.shard_event_counts.size(); ++shard) {
-      std::snprintf(line, sizeof line, "  shard %zu: %llu event(s)\n", shard,
-                    static_cast<unsigned long long>(stats.shard_event_counts[shard]));
-      emit(line);
-    }
-    double delivered = static_cast<double>(stats.messages_delivered);
-    std::snprintf(line, sizeof line, "  cross-shard deliveries: %llu (%.1f%% of delivered)\n",
-                  static_cast<unsigned long long>(stats.cross_shard_deliveries),
-                  delivered > 0 ? 100.0 * static_cast<double>(stats.cross_shard_deliveries) /
-                                      delivered
-                                : 0.0);
-    emit(line);
-    double mms = static_cast<double>(stats.infections_via_mms);
-    std::snprintf(line, sizeof line, "  cross-shard infections: %llu (%.1f%% of mms)\n",
-                  static_cast<unsigned long long>(stats.cross_shard_infections),
-                  mms > 0 ? 100.0 * static_cast<double>(stats.cross_shard_infections) / mms
-                          : 0.0);
-    emit(line);
   }
   if (stats.dropped > 0) {
     std::snprintf(line, sizeof line,

@@ -76,15 +76,6 @@ struct TreeStats {
   /// Events the capture dropped (from the exporter's meta record); the
   /// statistics above describe only what was kept.
   std::uint64_t dropped = 0;
-
-  // Shard attribution (all zero / empty for serial traces).
-  /// Events recorded by each shard, indexed by shard id.
-  std::vector<std::uint64_t> shard_event_counts;
-  /// Deliveries whose message originated on a different shard than the
-  /// recipient — the hops that crossed the inter-shard mailbox.
-  std::uint64_t cross_shard_deliveries = 0;
-  /// MMS infections whose triggering message came from another shard.
-  std::uint64_t cross_shard_infections = 0;
 };
 
 /// Reconstructs the transmission tree and attribution tables from a

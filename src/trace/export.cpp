@@ -65,7 +65,6 @@ json::Object event_fields(const Event& event) {
     fields.set("msg", json::Value(static_cast<double>(event.message)));
   }
   if (event.value != 0) fields.set("value", json::Value(event.value));
-  if (event.shard != kNoShard) fields.set("shard", json::Value(event.shard));
   if (!event.detail.empty()) fields.set("detail", json::Value(event.detail));
   return fields;
 }
@@ -93,10 +92,6 @@ void append_event_line(const Event& event, std::string& out) {
   if (event.value != 0) {
     out += R"(,"value":)";
     json::append_number(event.value, out);
-  }
-  if (event.shard != kNoShard) {
-    out += R"(,"shard":)";
-    json::append_number(event.shard, out);
   }
   if (!event.detail.empty()) {
     out += R"(,"detail":)";
@@ -133,7 +128,6 @@ Event event_from_fields(const json::Object& fields, const char* where) {
   event.peer = integer_field<PhoneId>(fields, "peer", event.peer, where);
   event.message = integer_field<std::uint64_t>(fields, "msg", event.message, where);
   event.value = integer_field<std::uint32_t>(fields, "value", event.value, where);
-  event.shard = integer_field<std::uint32_t>(fields, "shard", event.shard, where);
   if (const json::Value* v = fields.find("detail")) event.detail = v->as_string();
   return event;
 }

@@ -20,16 +20,13 @@ Event message_event(EventKind kind, const net::MmsMessage& message, SimTime now)
 
 void GatewayRecorder::on_submitted(const net::MmsMessage& message, SimTime now) {
   if (buffer_->drop_if_full()) return;
-  Event event = message_event(EventKind::kMessageSent, message, now);
-  event.message += message_id_base_;
-  buffer_->record(std::move(event));
+  buffer_->record(message_event(EventKind::kMessageSent, message, now));
 }
 
 void GatewayRecorder::on_blocked(const net::MmsMessage& message, const char* blocked_by,
                                  SimTime now) {
   if (buffer_->drop_if_full()) return;
   Event event = message_event(EventKind::kMessageBlocked, message, now);
-  event.message += message_id_base_;
   event.detail = blocked_by;
   buffer_->record(std::move(event));
 }
@@ -42,7 +39,7 @@ void GatewayRecorder::on_delivered(net::PhoneId recipient, const net::MmsMessage
   event.kind = EventKind::kMessageDelivered;
   event.phone = recipient;
   event.peer = message.sender;
-  event.message = message.sequence + message_id_base_;
+  event.message = message.sequence;
   buffer_->record(std::move(event));
 }
 

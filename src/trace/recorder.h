@@ -13,12 +13,7 @@ namespace mvsim::trace {
 
 class GatewayRecorder final : public net::GatewayObserver {
  public:
-  /// `message_id_base` is added to every recorded message sequence —
-  /// 0 for the serial engine; shard * kShardMessageStride for a shard's
-  /// gateway, so merged sharded traces carry globally unique message
-  /// ids (every message a gateway observes was submitted locally).
-  explicit GatewayRecorder(TraceBuffer& buffer, std::uint64_t message_id_base = 0)
-      : buffer_(&buffer), message_id_base_(message_id_base) {}
+  explicit GatewayRecorder(TraceBuffer& buffer) : buffer_(&buffer) {}
 
   void on_submitted(const net::MmsMessage& message, SimTime now) override;
   void on_blocked(const net::MmsMessage& message, const char* blocked_by, SimTime now) override;
@@ -27,7 +22,6 @@ class GatewayRecorder final : public net::GatewayObserver {
 
  private:
   TraceBuffer* buffer_;
-  std::uint64_t message_id_base_;
 };
 
 }  // namespace mvsim::trace

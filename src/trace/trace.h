@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,19 +34,6 @@ namespace mvsim::trace {
 using graph::kInvalidPhoneId;
 using graph::PhoneId;
 using net::kInvalidMessageId;
-
-/// Sentinel for events recorded outside any shard (serial runs, and
-/// coordinator-level events of a sharded run).
-inline constexpr std::uint32_t kNoShard = 0xFFFF'FFFFu;
-
-/// Trace-layer message-id namespacing for sharded runs. Gateway
-/// sequence numbers are per-gateway, so two shards reuse the same raw
-/// sequences; trace events from shard s offset them by
-/// s * kShardMessageStride, making every traced message id globally
-/// unique and its origin shard recoverable as `id / stride`. This is a
-/// trace-only convention — the simulation itself never sees these ids
-/// (sharded goldens are pinned against exactly that).
-inline constexpr std::uint64_t kShardMessageStride = 1ULL << 48;
 
 enum class EventKind : std::uint8_t {
   kMessageSent,      ///< phone handed a message to the gateway (phone = sender)
@@ -77,8 +63,6 @@ struct Event {
   std::uint64_t message = kInvalidMessageId;
   /// Kind-specific count: valid recipients for sent/blocked messages.
   std::uint32_t value = 0;
-  /// Shard that recorded the event (kNoShard outside sharded runs).
-  std::uint32_t shard = kNoShard;
   /// Kind-specific label: blocking mechanism, infection channel
   /// ("mms", "bluetooth", "seed") or "mechanism:action".
   std::string detail;
@@ -115,23 +99,6 @@ class TraceBuffer {
     return true;
   }
 
-  /// Stamps every subsequently recorded event with `shard` (one buffer
-  /// per shard in sharded runs; the default kNoShard leaves events
-  /// untouched, so serial traces are unchanged).
-  void set_shard(std::uint32_t shard) { shard_ = shard; }
-  [[nodiscard]] std::uint32_t shard() const { return shard_; }
-
-  /// Deterministic K-way merge of per-shard buffers into one
-  /// causally-consistent trace, ordered by (time, within-buffer
-  /// position, shard): each input is already time-ordered, ties across
-  /// buffers resolve lowest-shard-first (kNoShard last), and ties
-  /// within a buffer keep their recording order. The result's capacity
-  /// and drop count are the sums of the inputs', so `recorded()` is
-  /// conserved. Independent of how the inputs were produced — the
-  /// worker-count invariance of merged sharded traces falls out of the
-  /// per-shard buffers being worker-count-invariant themselves.
-  [[nodiscard]] static TraceBuffer merge_shards(std::span<const TraceBuffer* const> buffers);
-
   [[nodiscard]] const std::vector<Event>& events() const { return events_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
   /// Events discarded because the buffer was full.
@@ -154,7 +121,6 @@ class TraceBuffer {
   std::vector<Event> events_;
   std::size_t capacity_;
   std::uint64_t dropped_ = 0;
-  std::uint32_t shard_ = kNoShard;
 };
 
 /// Records a mechanism state transition as "<mechanism>:<action>".

@@ -245,102 +245,19 @@ TEST(Cli, RunThreadsFlagParses) {
   std::remove(path.c_str());
 }
 
-TEST(Cli, RunShardsFlagIsWorkerCountInvariant) {
-  // The sharded engine's determinism contract: for a fixed seed and shard
-  // count, the worker-thread count never changes the curves.
-  std::string path = write_small_scenario();
-  CliResult one = invoke({"run", path, "--reps", "2", "--seed", "9", "--shards", "2",
-                          "--shard-workers", "1", "--quiet", "--summary-json", "-"});
-  CliResult two = invoke({"run", path, "--reps", "2", "--seed", "9", "--shards", "2",
-                          "--shard-workers", "2", "--quiet", "--summary-json", "-"});
-  ASSERT_EQ(one.code, 0) << one.err;
-  ASSERT_EQ(two.code, 0) << two.err;
-  EXPECT_EQ(one.out, two.out);
-  std::remove(path.c_str());
-}
-
-TEST(Cli, RunShardsOneMatchesSerialEngine) {
-  // --shards 1 routes to the serial engine, so it must be byte-identical
-  // to omitting the flag entirely.
-  std::string path = write_small_scenario();
-  CliResult serial = invoke({"run", path, "--reps", "2", "--seed", "4", "--quiet",
-                             "--summary-json", "-"});
-  CliResult one = invoke({"run", path, "--reps", "2", "--seed", "4", "--shards", "1",
-                          "--quiet", "--summary-json", "-"});
-  ASSERT_EQ(serial.code, 0) << serial.err;
-  ASSERT_EQ(one.code, 0) << one.err;
-  EXPECT_EQ(serial.out, one.out);
-  std::remove(path.c_str());
-}
-
 TEST(Cli, RunRejectsBadShardFlags) {
+  // mvsim runs serially only: the sharding flags are unknown options,
+  // and the usage no longer lists them.
   std::string path = write_small_scenario();
-  EXPECT_EQ(invoke({"run", path, "--shards"}).code, 1);
-  EXPECT_EQ(invoke({"run", path, "--shards", "0"}).code, 1);
-  EXPECT_EQ(invoke({"run", path, "--shards", "many"}).code, 1);
-  EXPECT_EQ(invoke({"run", path, "--shards", "9999"}).code, 1);
-  EXPECT_EQ(invoke({"run", path, "--shard-window", "0"}).code, 1);
-  EXPECT_EQ(invoke({"run", path, "--shard-window", "-5"}).code, 1);
-  EXPECT_EQ(invoke({"run", path, "--shard-workers", "many"}).code, 1);
-  CliResult too_fine = invoke({"run", path, "--shards", "2", "--shard-window", "1e-12"});
-  EXPECT_EQ(too_fine.code, 1);
-  EXPECT_TRUE(too_fine.out.empty()) << too_fine.out;
-  EXPECT_NE(too_fine.err.find("--shard-window"), std::string::npos) << too_fine.err;
-  EXPECT_NE(too_fine.err.find("1000000"), std::string::npos) << too_fine.err;
+  for (const char* flag : {"--shards", "--shard-window", "--shard-workers"}) {
+    CliResult r = invoke({"run", path, flag, "2", "--quiet"});
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_TRUE(r.out.empty()) << flag << ": " << r.out;
+    EXPECT_NE(r.err.find("unknown option '" + std::string(flag) + "'"), std::string::npos)
+        << r.err;
+  }
+  EXPECT_EQ(invoke({"--help"}).out.find("--shard"), std::string::npos);
   std::remove(path.c_str());
-}
-
-TEST(Cli, RunShardsComposesWithTraceProfileAndStatsStream) {
-  // The full shard observability stack in one invocation: merged
-  // shard-stamped trace, merged profile with the shard-window series,
-  // and an NDJSON stats stream — all from the same run.
-  std::string scenario_path = write_small_scenario();
-  std::string trace_path = ::testing::TempDir() + "/mvsim_cli_shard_trace.jsonl";
-  std::string profile_path = ::testing::TempDir() + "/mvsim_cli_shard_profile.json";
-  std::string stats_path = ::testing::TempDir() + "/mvsim_cli_shard_stats.ndjson";
-  CliResult r = invoke({"run", scenario_path, "--reps", "2", "--quiet", "--shards", "2",
-                        "--trace", trace_path, "--profile", profile_path, "--stats-stream",
-                        stats_path, "--stats-period", "60"});
-  ASSERT_EQ(r.code, 0) << r.err;
-
-  std::ifstream trace_file(trace_path);
-  ASSERT_TRUE(trace_file.good());
-  std::ostringstream trace_text;
-  trace_text << trace_file.rdbuf();
-  EXPECT_NE(trace_text.str().find("\"type\":\"mvsim-trace\""), std::string::npos);
-  EXPECT_NE(trace_text.str().find("\"shard\":"), std::string::npos)
-      << "sharded trace events must carry their shard";
-  CliResult analyzed = invoke({"trace-analyze", trace_path});
-  ASSERT_EQ(analyzed.code, 0) << analyzed.err;
-  EXPECT_NE(analyzed.out.find("shard 0:"), std::string::npos) << analyzed.out;
-  EXPECT_NE(analyzed.out.find("cross-shard deliveries:"), std::string::npos);
-
-  std::ifstream profile_file(profile_path);
-  ASSERT_TRUE(profile_file.good());
-  std::ostringstream profile_text;
-  profile_text << profile_file.rdbuf();
-  const metrics::Snapshot profile =
-      metrics::snapshot_from_json(json::parse(profile_text.str()));
-  const metrics::HistogramSample* windows = profile.find_histogram("prof.shard.window_us");
-  ASSERT_NE(windows, nullptr);
-  EXPECT_GT(windows->count, 0u) << "sharded profiles must carry the per-window straggler series";
-  CliResult profiled = invoke({"profile-analyze", profile_path});
-  ASSERT_EQ(profiled.code, 0) << profiled.err;
-  EXPECT_NE(profiled.out.find("shard windows"), std::string::npos) << profiled.out;
-
-  std::ifstream stats_file(stats_path);
-  ASSERT_TRUE(stats_file.good());
-  std::string header_line;
-  std::getline(stats_file, header_line);
-  EXPECT_NE(header_line.find("\"type\":\"mvsim-stats\""), std::string::npos) << header_line;
-  std::string sample_line;
-  std::getline(stats_file, sample_line);
-  EXPECT_NE(sample_line.find("\"barrier_wait_ms\":"), std::string::npos) << sample_line;
-
-  std::remove(scenario_path.c_str());
-  std::remove(trace_path.c_str());
-  std::remove(profile_path.c_str());
-  std::remove(stats_path.c_str());
 }
 
 TEST(Cli, RunStatsStreamOnStdoutAndBadFlags) {
@@ -359,17 +276,6 @@ TEST(Cli, RunStatsStreamOnStdoutAndBadFlags) {
   EXPECT_NE(too_fine.err.find("--stats-period"), std::string::npos) << too_fine.err;
   EXPECT_NE(too_fine.err.find("1000000"), std::string::npos) << too_fine.err;
   std::remove(path.c_str());
-}
-
-TEST(Cli, UsageMentionsShards) {
-  CliResult r = invoke({"--help"});
-  EXPECT_NE(r.out.find("--shards"), std::string::npos);
-  EXPECT_NE(r.out.find("--shard-window"), std::string::npos);
-  EXPECT_NE(r.out.find("--shard-workers"), std::string::npos);
-  EXPECT_NE(r.out.find("--stats-stream"), std::string::npos);
-  EXPECT_NE(r.out.find("--stats-period"), std::string::npos);
-  EXPECT_EQ(r.out.find("not combinable with --trace"), std::string::npos)
-      << "usage must not claim --shards rejects the observability flags";
 }
 
 TEST(Cli, RunEmitsMetricsJsonToStdout) {
@@ -420,6 +326,8 @@ TEST(Cli, UsageMentionsMetricsSurface) {
   CliResult r = invoke({"help"});
   EXPECT_NE(r.out.find("--metrics"), std::string::npos);
   EXPECT_NE(r.out.find("metrics-schema"), std::string::npos);
+  EXPECT_NE(r.out.find("--stats-stream"), std::string::npos);
+  EXPECT_NE(r.out.find("--stats-period"), std::string::npos);
 }
 
 TEST(Cli, RunWritesJsonlTraceAndAnalyzeReadsIt) {

@@ -181,7 +181,7 @@ std::uint64_t case_hash(const GoldenCase& golden, int threads) {
 //
 // Sharded results are a DIFFERENT fixed point than the serial engine's
 // (per-shard RNG streams, cross-shard latency floor — see
-// docs/parallelism.md), so they get their own pinned hashes, at shards
+// core/sharded_simulation.h), so they get their own pinned hashes, at shards
 // 2 and 4. dual-vector is excluded: proximity scenarios are rejected by
 // the sharded engine (covered in shard_test.cpp). Captured with
 // shard_workers = 1; ShardedSimulation's contract (verified in
@@ -318,12 +318,12 @@ TEST(GoldenResults, PresetCurvesUnperturbedByProfilingAndProgress) {
   }
 }
 
-// The stats stream and shard-aware trace/profile are observation-only
-// like tracing and profiling: a serial run streaming telemetry samples
-// (which steps run_until instead of running uninterrupted) must match
-// the pinned serial hashes at any thread count, and a sharded run with
-// the full observability stack attached (--trace + --profile +
-// --stats-stream) must still land on the pinned sharded hashes.
+// The stats stream and the per-shard profilers are observation-only
+// like tracing: a serial run streaming telemetry samples (which steps
+// run_until instead of running uninterrupted) must match the pinned
+// serial hashes at any thread count, and a profiled sharded run must
+// still land on the pinned sharded hashes. (The runner rejects a trace
+// or a stats stream on the sharded engine.)
 TEST(GoldenResults, PresetCurvesUnperturbedByStreamAndShardTrace) {
   for (const GoldenCase& golden : kCases) {
     for (int threads : {1, 4}) {
@@ -347,9 +347,6 @@ TEST(GoldenResults, PresetCurvesUnperturbedByStreamAndShardTrace) {
     const GoldenCase* golden = find_case(sharded.name);
     ASSERT_NE(golden, nullptr) << sharded.name;
     for (std::uint32_t shards : {2u, 4u}) {
-      trace::TraceBuffer buffer;
-      std::ostringstream sink;
-      obs::RunStream stream(sink);
       RunnerOptions options;
       options.replications = kReplications;
       options.master_seed = kMasterSeed;
@@ -357,25 +354,18 @@ TEST(GoldenResults, PresetCurvesUnperturbedByStreamAndShardTrace) {
       options.threads = 1;
       options.shards = shards;
       options.shard_workers = 1;
-      options.trace = &buffer;
-      options.trace_replication = 1;
       options.profile = true;
-      options.stats_stream = &stream;
-      options.stats_period = SimTime::hours(6.0);
       std::uint64_t digest = hash_result(run_experiment(golden->make(), options));
       EXPECT_EQ(digest, shards == 2 ? sharded.expected_at_2 : sharded.expected_at_4)
-          << sharded.name << " @" << shards
-          << " shards: shard-aware observability perturbed the results";
-      EXPECT_GT(buffer.events().size(), 0u) << sharded.name << ": merged shard trace was empty";
-      EXPECT_GT(stream.samples_written(), 0u) << sharded.name << ": stream stayed empty";
+          << sharded.name << " @" << shards << " shards: profiling perturbed the results";
     }
   }
 }
 
 // Manifests and the ledger are built strictly AFTER a run finishes, so
 // attaching them must leave every preset's results bit-identical — the
-// same pinned hashes as a bare run, serial (threads 1 and 4) and
-// sharded (K = 2 and 4) alike — while the manifest's outcome block
+// same pinned hashes as a bare run at threads 1 and 4 — while the
+// manifest's outcome block
 // faithfully mirrors the result it was built from and every ledger
 // line survives a read-back.
 TEST(GoldenResults, PresetCurvesUnperturbedByManifest) {
@@ -384,12 +374,10 @@ TEST(GoldenResults, PresetCurvesUnperturbedByManifest) {
                                   ".ndjson";
   std::remove(ledger_path.c_str());
   std::size_t appended = 0;
-  auto attach = [&](const ScenarioConfig& config, const ExperimentResult& result,
-                    std::uint32_t shards) {
+  auto attach = [&](const ScenarioConfig& config, const ExperimentResult& result) {
     ManifestInputs inputs;
     inputs.scenario_hash = obs::fnv1a_hex(json::stringify(config::to_json(config), 0));
     inputs.seed = kMasterSeed;
-    inputs.shards = shards;
     obs::RunManifest manifest = build_run_manifest(config, inputs, result);
     EXPECT_EQ(manifest.scenario, config.name);
     EXPECT_EQ(manifest.replications, kReplications);
@@ -416,27 +404,7 @@ TEST(GoldenResults, PresetCurvesUnperturbedByManifest) {
       EXPECT_EQ(hash_result(result), case_hash(golden, 1))
           << golden.name << " @" << threads << " threads: the manifest surface perturbed "
           << "the results";
-      attach(config, result, 1);
-    }
-  }
-
-  for (const ShardedGoldenCase& sharded : kShardedCases) {
-    const GoldenCase* golden = find_case(sharded.name);
-    ASSERT_NE(golden, nullptr) << sharded.name;
-    for (std::uint32_t shards : {2u, 4u}) {
-      ScenarioConfig config = golden->make();
-      RunnerOptions options;
-      options.replications = kReplications;
-      options.master_seed = kMasterSeed;
-      options.keep_replications = true;
-      options.threads = 1;
-      options.shards = shards;
-      options.shard_workers = 1;
-      ExperimentResult result = run_experiment(config, options);
-      EXPECT_EQ(hash_result(result), shards == 2 ? sharded.expected_at_2 : sharded.expected_at_4)
-          << sharded.name << " @" << shards << " shards: the manifest surface perturbed "
-          << "the results";
-      attach(config, result, shards);
+      attach(config, result);
     }
   }
 

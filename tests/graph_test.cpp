@@ -1,13 +1,10 @@
-// Unit tests for src/graph: ContactGraph invariants, generators,
-// stats, NGCE-style serialization.
+// Unit tests for src/graph: ContactGraph invariants, generators and
+// stats.
 #include <gtest/gtest.h>
-
-#include <sstream>
 
 #include "graph/contact_graph.h"
 #include "graph/generators.h"
 #include "graph/graph_stats.h"
-#include "graph/serialization.h"
 #include "rng/stream.h"
 
 namespace mvsim::graph {
@@ -298,66 +295,6 @@ TEST(GraphStats, ClusteringOfStarIsZero) {
 TEST(GraphStats, RingLatticeIsHighlyClustered) {
   ContactGraph g = generate_regular_ring(100, 6);
   EXPECT_GT(global_clustering_coefficient(g), 0.5);
-}
-
-TEST(Serialization, RoundTripsExactly) {
-  rng::Stream stream(41);
-  PowerLawConfig config;
-  config.node_count = 200;
-  config.target_mean_degree = 12.0;
-  ContactGraph original = generate_power_law(config, stream);
-  ContactGraph parsed = from_contact_list_string(to_contact_list_string(original));
-  ASSERT_EQ(parsed.node_count(), original.node_count());
-  ASSERT_EQ(parsed.edge_count(), original.edge_count());
-  for (PhoneId p = 0; p < original.node_count(); ++p) {
-    auto a = original.contacts(p);
-    auto b = parsed.contacts(p);
-    ASSERT_EQ(std::vector<PhoneId>(a.begin(), a.end()), std::vector<PhoneId>(b.begin(), b.end()));
-  }
-}
-
-TEST(Serialization, AcceptsCommentsAndBlankLines) {
-  ContactGraph g = from_contact_list_string(
-      "# header comment\n"
-      "0: 1 2\n"
-      "\n"
-      "1: 0   # trailing comment\n"
-      "2: 0\n");
-  EXPECT_EQ(g.node_count(), 3u);
-  EXPECT_EQ(g.edge_count(), 2u);
-}
-
-TEST(Serialization, AcceptsEmptyContactList) {
-  ContactGraph g = from_contact_list_string("0: 1\n1: 0\n2:\n");
-  EXPECT_EQ(g.node_count(), 3u);
-  EXPECT_TRUE(g.contacts(2).empty());
-}
-
-TEST(Serialization, RejectsNonReciprocalLists) {
-  EXPECT_THROW((void)from_contact_list_string("0: 1\n1:\n"), std::invalid_argument);
-}
-
-TEST(Serialization, RejectsSelfLoop) {
-  EXPECT_THROW((void)from_contact_list_string("0: 0\n"), std::invalid_argument);
-}
-
-TEST(Serialization, RejectsDuplicateDefinition) {
-  EXPECT_THROW((void)from_contact_list_string("0: 1\n1: 0\n0: 1\n"), std::invalid_argument);
-}
-
-TEST(Serialization, RejectsMissingPhone) {
-  // Phone 1 never defined though referenced.
-  EXPECT_THROW((void)from_contact_list_string("0: 2\n2: 0\n"), std::invalid_argument);
-}
-
-TEST(Serialization, RejectsUnknownReference) {
-  EXPECT_THROW((void)from_contact_list_string("0: 5\n"), std::invalid_argument);
-}
-
-TEST(Serialization, RejectsGarbage) {
-  EXPECT_THROW((void)from_contact_list_string("zero: 1\n"), std::invalid_argument);
-  EXPECT_THROW((void)from_contact_list_string("0 1 2\n"), std::invalid_argument);
-  EXPECT_THROW((void)from_contact_list_string("0: 1 banana\n"), std::invalid_argument);
 }
 
 }  // namespace

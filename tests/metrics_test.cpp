@@ -306,7 +306,6 @@ TEST(MetricsEndToEnd, FullSuiteRunEmitsExactlyTheSchemaCatalogue) {
   sharded_options.replications = 2;
   sharded_options.threads = 1;
   sharded_options.shards = 2;
-  // Sharded profiling additionally fills prof.shard.window_us.
   sharded_options.profile = true;
   core::ExperimentResult sharded = core::run_experiment(full_suite_scenario(), sharded_options);
 

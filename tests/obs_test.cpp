@@ -26,7 +26,7 @@
 namespace mvsim::obs {
 namespace {
 
-RunSample sharded_sample() {
+RunSample filled_sample() {
   RunSample sample;
   sample.replication = 3;
   sample.time = SimTime::minutes(90.0);
@@ -36,19 +36,6 @@ RunSample sharded_sample() {
   sample.events_executed = 1234;
   sample.events_per_sec = 5000.5;
   sample.queue_depth = 42;
-  sample.mailbox_sent = 11;
-  sample.mailbox_received = 10;
-  ShardSample shard0;
-  shard0.shard = 0;
-  shard0.events_executed = 700;
-  shard0.queue_depth = 30;
-  shard0.barrier_wait_ms = 0.25;
-  ShardSample shard1;
-  shard1.shard = 1;
-  shard1.events_executed = 534;
-  shard1.queue_depth = 12;
-  shard1.barrier_wait_ms = 0.0;
-  sample.shards = {shard0, shard1};
   return sample;
 }
 
@@ -61,37 +48,32 @@ std::vector<std::string> object_keys(const json::Object& object) {
 TEST(RunStreamTest, HeaderCarriesSchemaVersionProvenanceAndFieldLists) {
   std::ostringstream out;
   RunStream stream(out);
-  stream.write_header({"unit-scenario", "00aabbccddeeff11", 8, 4});
+  stream.write_header({"unit-scenario", "00aabbccddeeff11", 8});
   json::Value doc = json::parse(out.str());
   const json::Object& root = doc.as_object();
   EXPECT_EQ(root.at("type").as_string(), "mvsim-stats");
   EXPECT_EQ(root.at("version").as_number(), static_cast<double>(RunStream::kVersion));
-  EXPECT_EQ(RunStream::kVersion, 2) << "bumping the schema version needs a docs update";
+  EXPECT_EQ(RunStream::kVersion, 3) << "bumping the schema version needs a docs update";
   EXPECT_EQ(root.at("scenario").as_string(), "unit-scenario");
   EXPECT_EQ(root.at("scenario_hash").as_string(), "00aabbccddeeff11");
   EXPECT_EQ(root.at("git_sha").as_string(), build_info().git_sha);
   EXPECT_EQ(root.at("replications").as_number(), 8.0);
-  EXPECT_EQ(root.at("shards").as_number(), 4.0);
+  // v3 carries no shard fields: mvsim streams serial runs only.
+  EXPECT_EQ(root.find("shards"), nullptr);
+  EXPECT_EQ(root.find("shard_fields"), nullptr);
   const json::Array& fields = root.at("fields").as_array();
   ASSERT_EQ(fields.size(), RunStream::sample_fields().size());
   for (std::size_t i = 0; i < fields.size(); ++i) {
     EXPECT_EQ(fields[i].as_string(), RunStream::sample_fields()[i]);
   }
-  const json::Array& shard_fields = root.at("shard_fields").as_array();
-  ASSERT_EQ(shard_fields.size(), RunStream::shard_fields().size());
-  for (std::size_t i = 0; i < shard_fields.size(); ++i) {
-    EXPECT_EQ(shard_fields[i].as_string(), RunStream::shard_fields()[i]);
-  }
 }
 
 TEST(RunStreamTest, SampleRecordKeysMatchTheDeclaredSchemaExactly) {
   // The contract's first two legs: every emitted sample carries exactly
-  // sample_fields(), in order, and every shard entry exactly
-  // shard_fields() — serial samples included (empty shards array, zero
-  // mailboxes), so consumers never need per-engine parsing.
+  // sample_fields(), in order, whatever it holds.
   std::ostringstream out;
   RunStream stream(out);
-  stream.write_sample(sharded_sample());
+  stream.write_sample(filled_sample());
   RunSample serial;
   serial.replication = 0;
   serial.time = SimTime::minutes(30.0);
@@ -106,36 +88,9 @@ TEST(RunStreamTest, SampleRecordKeysMatchTheDeclaredSchemaExactly) {
     const json::Object& record = doc.as_object();
     EXPECT_EQ(object_keys(record), RunStream::sample_fields()) << line;
     EXPECT_EQ(record.at("type").as_string(), "sample");
-    for (const json::Value& entry : record.at("shards").as_array()) {
-      EXPECT_EQ(object_keys(entry.as_object()), RunStream::shard_fields()) << line;
-    }
     ++parsed;
   }
   EXPECT_EQ(parsed, 2);
-}
-
-TEST(RunStreamTest, ShardedSampleValuesRoundTrip) {
-  std::ostringstream out;
-  RunStream stream(out);
-  stream.write_sample(sharded_sample());
-  json::Value doc = json::parse(out.str());
-  const json::Object& record = doc.as_object();
-  EXPECT_EQ(record.at("rep").as_number(), 3.0);
-  EXPECT_DOUBLE_EQ(record.at("t_min").as_number(), 90.0);
-  EXPECT_EQ(record.at("infected").as_number(), 17.0);
-  EXPECT_EQ(record.at("patched").as_number(), 4.0);
-  EXPECT_EQ(record.at("blocked").as_number(), 9.0);
-  EXPECT_EQ(record.at("events").as_number(), 1234.0);
-  EXPECT_DOUBLE_EQ(record.at("events_per_sec").as_number(), 5000.5);
-  EXPECT_EQ(record.at("queue").as_number(), 42.0);
-  EXPECT_EQ(record.at("mailbox_sent").as_number(), 11.0);
-  EXPECT_EQ(record.at("mailbox_received").as_number(), 10.0);
-  const json::Array& shards = record.at("shards").as_array();
-  ASSERT_EQ(shards.size(), 2u);
-  EXPECT_EQ(shards[0].as_object().at("shard").as_number(), 0.0);
-  EXPECT_EQ(shards[0].as_object().at("events").as_number(), 700.0);
-  EXPECT_DOUBLE_EQ(shards[0].as_object().at("barrier_wait_ms").as_number(), 0.25);
-  EXPECT_EQ(shards[1].as_object().at("queue").as_number(), 12.0);
 }
 
 /// The sample writer before it appended lines directly: a json::Object
@@ -152,27 +107,13 @@ std::string reference_sample_line(const RunSample& sample) {
   record.set("events", json::Value(sample.events_executed));
   record.set("events_per_sec", json::Value(sample.events_per_sec));
   record.set("queue", json::Value(sample.queue_depth));
-  record.set("mailbox_sent", json::Value(sample.mailbox_sent));
-  record.set("mailbox_received", json::Value(sample.mailbox_received));
-  json::Array shards;
-  for (const ShardSample& shard : sample.shards) {
-    json::Object entry;
-    entry.set("shard", json::Value(shard.shard));
-    entry.set("events", json::Value(shard.events_executed));
-    entry.set("queue", json::Value(shard.queue_depth));
-    entry.set("barrier_wait_ms", json::Value(shard.barrier_wait_ms));
-    shards.push_back(json::Value(std::move(entry)));
-  }
-  record.set("shards", json::Value(std::move(shards)));
   return json::stringify(json::Value(std::move(record)), 0) + "\n";
 }
 
 TEST(RunStreamTest, DirectWriterMatchesTheTreeRendererByteForByte) {
   std::mt19937_64 rng(20070625);
   std::exponential_distribution<double> minutes(1.0 / 600.0);
-  std::exponential_distribution<double> wait_ms(2.0);
   std::uniform_real_distribution<double> rate(0.0, 2e7);
-  std::uniform_int_distribution<int> shard_count(0, 6);
   // Counters from small to past 2^53, where the double conversion
   // rounds and the writer switches from integer to %g form.
   const auto count = [&rng] {
@@ -185,7 +126,7 @@ TEST(RunStreamTest, DirectWriterMatchesTheTreeRendererByteForByte) {
   for (int i = 0; i < 20000; ++i) {
     RunSample sample;
     sample.replication = static_cast<int>(rng() % 100000);
-    // Whole-minute sample marks and arbitrary barrier times.
+    // Whole-minute sample marks and arbitrary times.
     sample.time = SimTime::minutes(i % 2 == 0 ? std::floor(minutes(rng)) : minutes(rng));
     sample.infected = count();
     sample.patched = count();
@@ -193,17 +134,6 @@ TEST(RunStreamTest, DirectWriterMatchesTheTreeRendererByteForByte) {
     sample.events_executed = count();
     sample.events_per_sec = i % 7 == 0 ? 0.0 : rate(rng);
     sample.queue_depth = count();
-    sample.mailbox_sent = count();
-    sample.mailbox_received = count();
-    const int shards = shard_count(rng);
-    for (int k = 0; k < shards; ++k) {
-      ShardSample shard;
-      shard.shard = static_cast<std::uint32_t>(k);
-      shard.events_executed = count();
-      shard.queue_depth = count();
-      shard.barrier_wait_ms = k % 3 == 0 ? 0.0 : wait_ms(rng);
-      sample.shards.push_back(shard);
-    }
     stream.write_sample(sample);
     expected += reference_sample_line(sample);
   }
@@ -264,10 +194,6 @@ TEST(RunStreamDocs, EveryStreamFieldIsDocumented) {
     EXPECT_NE(doc.find("`" + field + "`"), std::string::npos)
         << field << " is in RunStream::sample_fields() but not documented";
   }
-  for (const std::string& field : RunStream::shard_fields()) {
-    EXPECT_NE(doc.find("`" + field + "`"), std::string::npos)
-        << field << " is in RunStream::shard_fields() but not documented";
-  }
   EXPECT_NE(doc.find("\"type\":\"mvsim-stats\""), std::string::npos)
       << "the docs must show the header record";
 #endif
@@ -284,8 +210,6 @@ RunManifest sample_manifest() {
   manifest.seed = "18446744073709551615";  // u64 max: must survive as a string
   manifest.replications = 8;
   manifest.threads = 4;
-  manifest.shards = 2;
-  manifest.shard_window_min = 2.5;
   manifest.build = build_info();
   manifest.phases.run_seconds = 1.75;
   manifest.phases.write_seconds = 0.125;
@@ -320,8 +244,6 @@ TEST(ManifestTest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(copy.seed, "18446744073709551615");
   EXPECT_EQ(copy.replications, 8);
   EXPECT_EQ(copy.threads, 4);
-  EXPECT_EQ(copy.shards, 2u);
-  EXPECT_DOUBLE_EQ(copy.shard_window_min, 2.5);
   EXPECT_EQ(copy.build.git_sha, original.build.git_sha);
   EXPECT_EQ(copy.build.compiler, original.build.compiler);
   EXPECT_EQ(copy.build.build_type, original.build.build_type);
@@ -373,6 +295,13 @@ TEST(ManifestTest, RejectsMalformedDocuments) {
   json::Value doc = to_json(sample_manifest());
   doc.as_object().set("version", json::Value(999));
   EXPECT_THROW((void)manifest_from_json(doc), std::runtime_error);
+  // v1 manifests (with the retired shard fields) no longer load.
+  EXPECT_EQ(RunManifest::kVersion, 2) << "bumping the schema version needs a docs update";
+  json::Value v1 = to_json(sample_manifest());
+  v1.as_object().set("version", json::Value(1));
+  v1.as_object().set("shards", json::Value(1));
+  v1.as_object().set("shard_window_min", json::Value(0.0));
+  EXPECT_THROW((void)manifest_from_json(v1), std::runtime_error);
   json::Value missing = to_json(sample_manifest());
   missing.as_object().set("outcome", json::Value(nullptr));
   EXPECT_THROW((void)manifest_from_json(missing), std::runtime_error);

@@ -184,7 +184,7 @@ double event_ms(const metrics::Snapshot& snapshot) {
 
 TEST(Profiler, TimeBetweenRunCallsIsNotChargedToEvents) {
   // Each run call restarts the event-boundary clock, so what happens
-  // between two run calls (stats samples, shard barriers) never lands
+  // between two run calls (stats samples, window barriers) never lands
   // on the next event.
   prof::Profiler profiler;
   des::Scheduler scheduler;
@@ -301,7 +301,6 @@ TEST(ProfileIo, ProfileReportRanksEventsFromTheSnapshot) {
   EXPECT_LT(read, send);
   EXPECT_NE(text.find("75.0%"), std::string::npos) << "phone_read share of 0.04 ms: " << text;
   EXPECT_EQ(text.find("message_delivery"), std::string::npos) << text;
-  EXPECT_EQ(text.find("shard windows"), std::string::npos) << "serial: no window line";
   EXPECT_NE(text.find("coverage: 0.04 ms attributed to events of 0.08 ms run-phase wall-clock "
                       "(50.0%)"),
             std::string::npos)
@@ -311,19 +310,6 @@ TEST(ProfileIo, ProfileReportRanksEventsFromTheSnapshot) {
   prof::write_profile_report(info, profiler.snapshot(), top1, 1);
   EXPECT_NE(top1.str().find("phone_read"), std::string::npos);
   EXPECT_EQ(top1.str().find("virus_send"), std::string::npos) << "--top 1 must truncate";
-}
-
-TEST(ProfileIo, ProfileReportPrintsTheShardWindowLine) {
-  prof::Profiler profiler;
-  profiler.record_event(des::EventType::kVirusSend, 10.0);
-  profiler.record_shard_window(100.0);
-  profiler.record_shard_window(300.0);
-  metrics::ReportInfo info;
-  info.scenario = "sharded";
-  std::ostringstream report;
-  prof::write_profile_report(info, profiler.snapshot(), report);
-  EXPECT_NE(report.str().find("-- shard windows"), std::string::npos) << report.str();
-  EXPECT_NE(report.str().find("imbalance 1.50x"), std::string::npos) << report.str();
 }
 
 TEST(ProfileIo, ProfileReportReadsTheMetricsReportRoundTrip) {

@@ -19,7 +19,6 @@
 #include "virus/targeting.h"
 #include "graph/generators.h"
 #include "graph/graph_stats.h"
-#include "graph/serialization.h"
 #include "phone/consent.h"
 #include "rng/seed.h"
 #include "rng/stream.h"
@@ -71,18 +70,6 @@ TEST_P(PowerLawProperties, SimpleReciprocalAndOnTarget) {
       first = false;
     }
   }
-}
-
-TEST_P(PowerLawProperties, SerializationRoundTrips) {
-  auto [nodes, mean_degree, seed] = GetParam();
-  rng::Stream stream(seed ^ 0xF00D);
-  graph::PowerLawConfig config;
-  config.node_count = nodes;
-  config.target_mean_degree = mean_degree;
-  graph::ContactGraph g = graph::generate_power_law(config, stream);
-  graph::ContactGraph round = graph::from_contact_list_string(graph::to_contact_list_string(g));
-  EXPECT_EQ(round.edge_count(), g.edge_count());
-  EXPECT_EQ(round.node_count(), g.node_count());
 }
 
 INSTANTIATE_TEST_SUITE_P(

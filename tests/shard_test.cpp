@@ -2,8 +2,8 @@
 // graph partitioning (src/graph/partition.*), cross-shard mailboxes
 // (src/net/shard_mailbox.*), and the ShardedSimulation window protocol
 // (src/core/sharded_simulation.*) — including the determinism contract
-// docs/parallelism.md promises: fixed (config, seed, shards, window)
-// means bit-identical results at ANY worker-thread count.
+// its header promises: fixed (config, seed, shards) means bit-identical
+// results at ANY worker-thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,7 +22,6 @@
 #include "net/shard_mailbox.h"
 #include "obs/stats_stream.h"
 #include "rng/stream.h"
-#include "trace/export.h"
 #include "trace/trace.h"
 #include "virus/profile.h"
 
@@ -175,11 +174,10 @@ std::uint64_t fingerprint(const core::ReplicationResult& r) {
 }
 
 core::ReplicationResult run_sharded(const core::ScenarioConfig& config, std::uint32_t shards,
-                                    int workers, SimTime window = SimTime::zero()) {
+                                    int workers) {
   core::ShardingOptions options;
   options.shards = shards;
   options.worker_threads = workers;
-  options.window = window;
   core::ShardedSimulation sim(config, 0x5eedULL, options);
   return sim.run();
 }
@@ -205,20 +203,11 @@ TEST(ShardedSimulation, RepeatedRunsAreBitIdentical) {
   EXPECT_EQ(fingerprint(run_sharded(config, 4, 0)), fingerprint(run_sharded(config, 4, 0)));
 }
 
-TEST(ShardedSimulation, WindowWidthIsPartOfTheModel) {
-  // Unlike worker threads, the window changes cross-shard latency and
-  // therefore results (both runs are valid samples of the model).
-  core::ScenarioConfig config = small_scenario();
-  core::ReplicationResult narrow = run_sharded(config, 2, 1, SimTime::minutes(1.0));
-  core::ReplicationResult wide = run_sharded(config, 2, 1, SimTime::minutes(30.0));
-  EXPECT_NE(fingerprint(narrow), fingerprint(wide));
-  EXPECT_GT(narrow.total_infected, 1u);
-  EXPECT_GT(wide.total_infected, 1u);
-}
-
 TEST(ShardedSimulation, WindowWiderThanHorizonCompletesInOneWindow) {
+  // The window is the scenario's mean delivery delay.
   core::ScenarioConfig config = small_scenario();
-  core::ReplicationResult r = run_sharded(config, 2, 1, config.horizon + SimTime::hours(1.0));
+  config.delivery_delay_mean = config.horizon + SimTime::hours(1.0);
+  core::ReplicationResult r = run_sharded(config, 2, 1);
   EXPECT_GT(r.total_infected, 1u);
   EXPECT_EQ(r.metrics.counter_value("shard.windows"), 1u);
 }
@@ -235,7 +224,8 @@ TEST(ShardedSimulation, DetectabilityIsQuantizedToWindowBarriers) {
   // detection timestamp must sit on a window boundary.
   core::ScenarioConfig config = core::fig2_scan_scenario(SimTime::hours(6.0));
   const SimTime window = SimTime::minutes(2.0);
-  core::ReplicationResult r = run_sharded(config, 2, 1, window);
+  config.delivery_delay_mean = window;
+  core::ReplicationResult r = run_sharded(config, 2, 1);
   ASSERT_TRUE(r.detected_at.is_finite());
   const double windows = r.detected_at / window;
   EXPECT_NEAR(windows, std::round(windows), 1e-9);
@@ -294,6 +284,19 @@ TEST(ShardedRunner, RejectsProximityAndBadShardCounts) {
   core::RunnerOptions too_many = options;
   too_many.shards = config.population + 1;
   EXPECT_THROW(core::run_experiment(config, too_many), std::invalid_argument);
+
+  // The sharded engine records no trace and feeds no stats stream.
+  trace::TraceBuffer buffer;
+  core::RunnerOptions traced = options;
+  traced.trace = &buffer;
+  EXPECT_THROW(core::run_experiment(config, traced), std::invalid_argument);
+  std::ostringstream sink;
+  obs::RunStream stream(sink);
+  core::RunnerOptions streamed = options;
+  streamed.stats_stream = &stream;
+  EXPECT_THROW(core::run_experiment(config, streamed), std::invalid_argument);
+  EXPECT_TRUE(sink.str().empty());
+  EXPECT_TRUE(buffer.events().empty());
 }
 
 TEST(ShardedRunner, RejectsPeriodsPastTheStepLimit) {
@@ -302,21 +305,16 @@ TEST(ShardedRunner, RejectsPeriodsPastTheStepLimit) {
   core::ScenarioConfig config = small_scenario();
   const SimTime too_fine =
       config.horizon / (2.0 * static_cast<double>(core::kMaxStepsPerReplication));
+  // The window is the scenario's mean delivery delay.
+  core::ScenarioConfig fast_delivery = config;
+  fast_delivery.delivery_delay_mean = too_fine;
   core::RunnerOptions options;
   options.replications = 1;
   options.shards = 2;
-  options.shard_window = too_fine;
-  EXPECT_THROW(core::run_experiment(config, options), std::invalid_argument);
+  EXPECT_THROW(core::run_experiment(fast_delivery, options), std::invalid_argument);
   core::ShardingOptions sharding;
   sharding.shards = 2;
-  sharding.window = too_fine;
-  EXPECT_THROW(core::ShardedSimulation(config, 1, sharding), std::invalid_argument);
-
-  // The default window is the scenario's mean delivery delay.
-  core::ScenarioConfig fast_delivery = config;
-  fast_delivery.delivery_delay_mean = too_fine;
-  options.shard_window = SimTime::zero();
-  EXPECT_THROW(core::run_experiment(fast_delivery, options), std::invalid_argument);
+  EXPECT_THROW(core::ShardedSimulation(fast_delivery, 1, sharding), std::invalid_argument);
 
   std::ostringstream sink;
   obs::RunStream stream(sink);
@@ -328,79 +326,9 @@ TEST(ShardedRunner, RejectsPeriodsPastTheStepLimit) {
   EXPECT_TRUE(sink.str().empty());
 }
 
-// ---- Shard-aware observability ------------------------------------------
-
-std::string sharded_trace_jsonl(const core::ScenarioConfig& config, std::uint32_t shards,
-                                int workers) {
-  trace::TraceBuffer buffer = trace::TraceBuffer::unbounded();
-  core::ShardingOptions options;
-  options.shards = shards;
-  options.worker_threads = workers;
-  options.trace = &buffer;
-  core::ShardedSimulation sim(config, 0x5eedULL, options);
-  (void)sim.run();
-  std::ostringstream out;
-  trace::write_jsonl(buffer, out);
-  return out.str();
-}
-
-TEST(ShardedTrace, MergedTraceIsByteIdenticalForAnyWorkerCount) {
-  // The merge contract: per-shard buffers are worker-count-invariant
-  // and the (time, shard) merge is a total order, so the merged JSONL
-  // is byte-identical whether shards run inline, on two workers or one
-  // thread per shard.
-  core::ScenarioConfig config = small_scenario();
-  std::string inline_trace = sharded_trace_jsonl(config, 3, 1);
-  EXPECT_FALSE(inline_trace.empty());
-  EXPECT_EQ(inline_trace, sharded_trace_jsonl(config, 3, 2));
-  EXPECT_EQ(inline_trace, sharded_trace_jsonl(config, 3, 0));
-}
-
-TEST(ShardedTrace, EventsCarryShardsAndNamespacedMessageIds) {
-  core::ScenarioConfig config = small_scenario();
-  trace::TraceBuffer buffer = trace::TraceBuffer::unbounded();
-  core::ShardingOptions options;
-  options.shards = 4;
-  options.worker_threads = 1;
-  options.trace = &buffer;
-  core::ShardedSimulation sim(config, 0x5eedULL, options);
-  core::ReplicationResult result = sim.run();
-  ASSERT_GT(result.total_infected, 1u);
-
-  const graph::Partition& partition = sim.partition();
-  std::uint64_t cross_shard_deliveries = 0;
-  SimTime last = SimTime::zero();
-  for (const trace::Event& e : buffer.events()) {
-    ASSERT_GE(e.time, last) << "merged trace must be time-ordered";
-    last = e.time;
-    if (e.phone != trace::kInvalidPhoneId) {
-      ASSERT_NE(e.shard, trace::kNoShard);
-      EXPECT_EQ(e.shard, partition.shard_of(e.phone))
-          << "phone " << e.phone << " recorded by the wrong shard";
-    }
-    if (e.message == trace::kInvalidMessageId) continue;
-    // Message ids are namespaced by origin shard; a delivery recorded
-    // on a different shard than the id's origin is a cross-shard hop.
-    const std::uint64_t origin = e.message / trace::kShardMessageStride;
-    EXPECT_LT(origin, 4u);
-    if (e.kind == trace::EventKind::kMessageSent) {
-      EXPECT_EQ(origin, e.shard) << "senders submit through their own shard's gateway";
-    }
-    if (e.kind == trace::EventKind::kMessageDelivered && origin != e.shard) {
-      ++cross_shard_deliveries;
-    }
-  }
-  // Every executed cross-shard delivery surfaces in the trace; the
-  // mailbox count may run slightly ahead because entries drained at the
-  // last barrier with a delivery time past the horizon never execute.
-  EXPECT_GT(cross_shard_deliveries, 0u);
-  EXPECT_LE(cross_shard_deliveries, result.metrics.counter_value("shard.mailbox.received"));
-}
-
-TEST(ShardedRunner, ComposesTraceProfileAndStatsStreamWithoutPerturbingResults) {
-  // The observability tentpole's composition clause: --shards with
-  // trace + profile + stats stream all at once must run, populate each
-  // sink, and leave the results bit-identical to a bare run.
+TEST(ShardedRunner, ProfileFillsEventHistogramsWithoutPerturbingResults) {
+  // Every shard's scheduler gets its own profiler; the merged prof.*
+  // histograms fill, and the results stay bit-identical to a bare run.
   core::ScenarioConfig config = small_scenario();
   core::RunnerOptions bare;
   bare.replications = 2;
@@ -409,59 +337,18 @@ TEST(ShardedRunner, ComposesTraceProfileAndStatsStreamWithoutPerturbingResults) 
   bare.shard_workers = 1;
   core::ExperimentResult plain = core::run_experiment(config, bare);
 
-  trace::TraceBuffer buffer = trace::TraceBuffer::unbounded();
-  std::ostringstream stream_text;
-  obs::RunStream stream(stream_text);
-  stream.write_header({config.name, "", 2, 2});
-  core::RunnerOptions observed = bare;
-  observed.trace = &buffer;
-  observed.trace_replication = 1;
-  observed.profile = true;
-  observed.stats_stream = &stream;
-  observed.stats_period = SimTime::minutes(60.0);
-  core::ExperimentResult instrumented = core::run_experiment(config, observed);
+  core::RunnerOptions profiled = bare;
+  profiled.profile = true;
+  core::ExperimentResult instrumented = core::run_experiment(config, profiled);
 
   ASSERT_EQ(plain.replications.size(), instrumented.replications.size());
   for (std::size_t i = 0; i < plain.replications.size(); ++i) {
     EXPECT_EQ(fingerprint(plain.replications[i]), fingerprint(instrumented.replications[i]));
   }
-  EXPECT_GT(buffer.events().size(), 0u);
-  EXPECT_GT(stream.samples_written(), 0u);
-  const metrics::HistogramSample* windows =
-      instrumented.metrics.find_histogram("prof.shard.window_us");
-  ASSERT_NE(windows, nullptr);
-  EXPECT_GT(windows->count, 0u)
-      << "sharded profiling must fill the per-window straggler histogram";
   const metrics::HistogramSample* delivery =
       instrumented.metrics.find_histogram("prof.event.message_delivery");
   ASSERT_NE(delivery, nullptr);
   EXPECT_GT(delivery->count, 0u);
-}
-
-TEST(ShardedRunner, WindowProgressTicksCarryFractionAndShards) {
-  core::ScenarioConfig config = small_scenario();
-  core::RunnerOptions options;
-  options.replications = 1;
-  options.shards = 2;
-  options.shard_workers = 1;
-  options.threads = 1;
-  int window_ticks = 0;
-  int completion_ticks = 0;
-  options.progress = [&](const core::ProgressUpdate& update) {
-    EXPECT_EQ(update.shards, 2);
-    if (update.window_fraction > 0.0) {
-      ++window_ticks;
-      EXPECT_LE(update.window_fraction, 1.0);
-      EXPECT_GT(update.window_events, 0u);
-    } else {
-      ++completion_ticks;
-    }
-  };
-  (void)core::run_experiment(config, options);
-  EXPECT_EQ(completion_ticks, 1);
-  // Window ticks are wall-clock throttled, so tiny runs may emit none;
-  // the invariant is only that any emitted tick is well-formed.
-  EXPECT_GE(window_ticks, 0);
 }
 
 }  // namespace

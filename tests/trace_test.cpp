@@ -124,56 +124,6 @@ TEST(TraceBufferTest, BoundedCaptureDropsAndCounts) {
   }
 }
 
-TEST(TraceBufferTest, MergeShardsOrdersByTimeThenShardAndConservesCounts) {
-  // Two shard buffers plus a coordinator (kNoShard) buffer. The merge
-  // must interleave by time; at equal times the lower shard id wins and
-  // kNoShard sorts last; within one buffer the recorded order is kept.
-  TraceBuffer shard0(10);
-  shard0.set_shard(0);
-  shard0.record(make_event(1.0, EventKind::kInfection, 1));
-  shard0.record(make_event(3.0, EventKind::kInfection, 2));
-  TraceBuffer shard1(10);
-  shard1.set_shard(1);
-  shard1.record(make_event(1.0, EventKind::kInfection, 3));
-  shard1.record(make_event(2.0, EventKind::kInfection, 4));
-  TraceBuffer engine(10);  // no shard: coordinator events
-  engine.record(make_event(1.0, EventKind::kDetectabilityCrossed, kInvalidPhoneId));
-
-  std::vector<const TraceBuffer*> buffers = {&shard1, &shard0, &engine};
-  TraceBuffer merged = TraceBuffer::merge_shards(buffers);
-  ASSERT_EQ(merged.events().size(), 5u);
-  std::vector<PhoneId> phones;
-  for (const Event& e : merged.events()) phones.push_back(e.phone);
-  // t=1: shard 0, shard 1, then the coordinator; t=2: shard 1; t=3: shard 0.
-  EXPECT_EQ(phones, (std::vector<PhoneId>{1, 3, kInvalidPhoneId, 4, 2}));
-  EXPECT_EQ(merged.events()[0].shard, 0u);
-  EXPECT_EQ(merged.events()[1].shard, 1u);
-  EXPECT_EQ(merged.events()[2].shard, kNoShard);
-  EXPECT_EQ(merged.capacity(), 30u) << "merged capacity = sum of inputs";
-  EXPECT_EQ(merged.recorded(), 5u);
-  EXPECT_EQ(merged.dropped(), 0u);
-}
-
-TEST(TraceBufferTest, MergeShardsSumsDropsAndSaturatesUnboundedCapacity) {
-  TraceBuffer capped(1);
-  capped.set_shard(0);
-  capped.record(make_event(1.0, EventKind::kInfection, 1));
-  capped.record(make_event(2.0, EventKind::kInfection, 2));  // dropped
-  TraceBuffer unbounded = TraceBuffer::unbounded();
-  unbounded.set_shard(1);
-  unbounded.record(make_event(1.5, EventKind::kInfection, 3));
-
-  std::vector<const TraceBuffer*> buffers = {&capped, &unbounded};
-  TraceBuffer merged = TraceBuffer::merge_shards(buffers);
-  EXPECT_EQ(merged.capacity(), TraceBuffer::unbounded().capacity())
-      << "any unbounded input makes the merge unbounded";
-  EXPECT_EQ(merged.dropped(), 1u);
-  EXPECT_EQ(merged.recorded(), 3u) << "recorded() is conserved across the merge";
-  ASSERT_EQ(merged.events().size(), 2u);
-  EXPECT_EQ(merged.events()[0].phone, 1u);
-  EXPECT_EQ(merged.events()[1].phone, 3u);
-}
-
 TEST(TraceBufferTest, RecordActionHelper) {
   TraceBuffer buffer;
   record_action(&buffer, SimTime::hours(5.0), "blacklist", "blacklisted", 42);
@@ -378,7 +328,6 @@ std::string reference_jsonl(const TraceBuffer& buffer) {
       fields.set("msg", json::Value(static_cast<double>(event.message)));
     }
     if (event.value != 0) fields.set("value", json::Value(event.value));
-    if (event.shard != kNoShard) fields.set("shard", json::Value(event.shard));
     if (!event.detail.empty()) fields.set("detail", json::Value(event.detail));
     out += json::stringify(json::Value(std::move(fields)), 0) + "\n";
   }
@@ -412,11 +361,10 @@ TEST(Export, JsonlWriterMatchesTheTreeRendererByteForByte) {
     if (!sentinel()) event.phone = static_cast<PhoneId>(rng() % 2000000);
     if (!sentinel()) event.peer = static_cast<PhoneId>(rng() % 2000000);
     if (!sentinel()) {
-      // Gateway sequences, offset by the origin shard's stride.
-      event.message = (rng() % 1000000) + (rng() % 64) * kShardMessageStride;
+      // Ids up to 2^54: past 2^53 the double conversion rounds.
+      event.message = (rng() % 1000000) + (rng() % 64) * (std::uint64_t{1} << 48);
     }
     if (!sentinel()) event.value = static_cast<std::uint32_t>(rng() % 40);
-    if (!sentinel()) event.shard = static_cast<std::uint32_t>(rng() % 64);
     event.detail = details[rng() % 8];
     buffer.record(std::move(event));
   }
