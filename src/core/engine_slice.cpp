@@ -365,11 +365,11 @@ void EngineSlice::flush_staged() {
       // The local gateway's per-recipient on_delivered dispatch, so
       // core.dispatch.* telemetry and any delivery-subscribed mechanism
       // see cross-shard traffic too.
-      net::MmsMessage msg;
+      net::MmsMessage& msg = remote_delivery_;
       msg.sender = d.sender;
       msg.sequence = d.sequence;
       msg.infected = d.infected;
-      msg.recipients.push_back({d.recipient, true});
+      msg.recipients.assign(1, {d.recipient, true});
       context_->on_delivered(d.recipient, msg, scheduler_.now());
     });
   }

@@ -263,6 +263,10 @@ class EngineSlice final : public net::ShardRouter, private phone::InfectionListe
   // worker at the next window start; the barriers order the accesses.
   std::vector<net::CrossShardDelivery> staged_;
   std::optional<SimTime> staged_detection_;
+  /// The one-recipient message a cross-shard delivery shows the
+  /// delivery-subscribed mechanisms; refilled per delivery, so no
+  /// delivery allocates.
+  net::MmsMessage remote_delivery_;
   std::chrono::steady_clock::time_point window_finished_{};
 };
 

@@ -29,8 +29,10 @@ namespace {
 /// loop's hot path.
 class ProgressSink {
  public:
-  ProgressSink(const RunnerOptions& options, const ScenarioConfig& config)
+  /// `workers` is the number of replications that run at once.
+  ProgressSink(const RunnerOptions& options, const ScenarioConfig& config, int workers)
       : options_(&options),
+        workers_(workers),
         started_(std::chrono::steady_clock::now()) {
     update_.label = options.progress_label.empty() ? config.name : options.progress_label;
     update_.replications_total = options.replications;
@@ -60,14 +62,17 @@ class ProgressSink {
                                  ? static_cast<double>(update_.events_executed) /
                                        update_.elapsed_seconds
                                  : 0.0;
-    const double done = static_cast<double>(update_.replications_done);
-    const double remaining = static_cast<double>(update_.replications_total) - done;
-    update_.eta_seconds = update_.elapsed_seconds / done * remaining;
+    replication_seconds_ += result.wall_seconds;
+    update_.eta_seconds = progress_eta_seconds(
+        replication_seconds_ / static_cast<double>(update_.replications_done),
+        update_.replications_total, workers_, update_.elapsed_seconds);
     options_->progress(update_);
   }
 
  private:
   const RunnerOptions* options_;
+  int workers_;
+  double replication_seconds_ = 0.0;  ///< summed wall time of completed replications
   std::chrono::steady_clock::time_point started_;
   std::mutex mutex_;
   ProgressUpdate update_;
@@ -190,6 +195,13 @@ metrics::Snapshot merge_metrics(const std::vector<ReplicationResult>& slots,
 
 }  // namespace
 
+double progress_eta_seconds(double mean_replication_seconds, int total, int workers,
+                            double elapsed_seconds) {
+  const int at_once = std::max(workers, 1);
+  const int waves = (total + at_once - 1) / at_once;
+  return std::max(0.0, mean_replication_seconds * static_cast<double>(waves) - elapsed_seconds);
+}
+
 const stats::Accumulator& ExperimentResult::per_replication(std::string_view name) const {
   static const stats::Accumulator kEmpty;
   auto it = per_replication_.find(name);
@@ -254,7 +266,7 @@ ExperimentResult run_experiment(const ScenarioConfig& config, const RunnerOption
 
   std::vector<ReplicationResult> slots(static_cast<std::size_t>(options.replications));
   std::optional<ProgressSink> progress;
-  if (options.progress) progress.emplace(options, config);
+  if (options.progress) progress.emplace(options, config, thread_count);
   ProgressSink* sink = progress ? &*progress : nullptr;
 
   // Cache policy: an explicit cache is always honored; otherwise one

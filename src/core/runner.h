@@ -69,7 +69,7 @@ struct ProgressUpdate {
   std::uint64_t events_executed = 0;  ///< summed over completed replications
   double elapsed_seconds = 0.0;
   double events_per_sec = 0.0;        ///< events_executed / elapsed_seconds
-  double eta_seconds = 0.0;           ///< naive: elapsed/done * remaining
+  double eta_seconds = 0.0;           ///< see progress_eta_seconds
   /// True for the one update emitted when a shared contact graph
   /// finished prewarming, before any replication ran. The build is
   /// one-time work, so `elapsed_seconds` (and thus the ETA) excludes
@@ -155,6 +155,14 @@ struct RunnerOptions {
 /// of `options.threads`.
 [[nodiscard]] ExperimentResult run_experiment(const ScenarioConfig& config,
                                               const RunnerOptions& options = {});
+
+/// Estimated seconds until an experiment of `total` replications,
+/// run `workers` at a time, finishes: `total / workers` waves (rounded
+/// up) of replications that take `mean_replication_seconds` each, less
+/// the `elapsed_seconds` already spent, and never below zero. On one
+/// worker this is the mean time per replication times the number left.
+[[nodiscard]] double progress_eta_seconds(double mean_replication_seconds, int total,
+                                          int workers, double elapsed_seconds);
 
 /// Reads the replication count for benches from MVSIM_REPS (falls back
 /// to `fallback`; clamped to [1, 1000]).

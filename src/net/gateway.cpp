@@ -20,8 +20,24 @@ void Gateway::set_delivery_callback(DeliveryCallback callback) {
   deliver_ = std::move(callback);
 }
 
+std::vector<DialedRecipient> Gateway::recipient_buffer() {
+  if (spare_buffers_.empty()) return {};
+  std::vector<DialedRecipient> buffer = std::move(spare_buffers_.back());
+  spare_buffers_.pop_back();
+  return buffer;
+}
+
+void Gateway::release(std::vector<DialedRecipient>&& recipients) {
+  --in_flight_;
+  if (spare_buffers_.size() < peak_in_flight_ && recipients.capacity() > 0) {
+    recipients.clear();
+    spare_buffers_.push_back(std::move(recipients));
+  }
+}
+
 void Gateway::submit(MmsMessage message) {
   message.sequence = next_sequence_++;
+  if (++in_flight_ > peak_in_flight_) peak_in_flight_ = in_flight_;
   const SimTime now = scheduler_->now();
 
   ++counters_.messages_submitted;
@@ -32,11 +48,15 @@ void Gateway::submit(MmsMessage message) {
     if (filter->inspect(message, now) == DeliveryFilter::Decision::kBlock) {
       ++counters_.messages_blocked;
       for (GatewayObserver* obs : observers_) obs->on_blocked(message, filter->name(), now);
+      release(std::move(message.recipients));
       return;
     }
   }
 
-  if (!deliver_) return;  // no subscriber (unit tests exercising counters only)
+  if (!deliver_) {  // no subscriber (unit tests exercising counters only)
+    release(std::move(message.recipients));
+    return;
+  }
 
   // One transit event per message; recipients share the transit delay.
   // Invalid numbers are dropped here — the provider's switch discovers
@@ -44,7 +64,10 @@ void Gateway::submit(MmsMessage message) {
   std::size_t valid = message.valid_recipient_count();
   counters_.invalid_recipients_dropped +=
       static_cast<std::uint64_t>(message.recipients.size() - valid);
-  if (valid == 0) return;
+  if (valid == 0) {
+    release(std::move(message.recipients));
+    return;
+  }
   counters_.recipients_delivered += valid;
 
   SimTime delay = stream_->exponential(delivery_delay_mean_);
@@ -64,14 +87,18 @@ void Gateway::submit(MmsMessage message) {
         ++local;
       }
     }
-    if (local == 0) return;
+    if (local == 0) {
+      release(std::move(message.recipients));
+      return;
+    }
   }
 
   // The message moves into the event's inline storage (it fits EventFn's
   // buffer), so the transit event costs no allocation of its own — the
-  // recipients vector just changes hands.
+  // recipients vector just changes hands, and returns to the pool once
+  // every recipient has been served.
   scheduler_->schedule_after(delay, des::EventType::kMessageDelivery,
-                             [this, msg = std::move(message)] {
+                             [this, msg = std::move(message)]() mutable {
     const SimTime at = scheduler_->now();
     for (const DialedRecipient& r : msg.recipients) {
       if (r.valid) {
@@ -79,6 +106,7 @@ void Gateway::submit(MmsMessage message) {
         for (GatewayObserver* obs : observers_) obs->on_delivered(r.phone, msg, at);
       }
     }
+    release(std::move(msg.recipients));
   });
 }
 

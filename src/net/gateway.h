@@ -117,6 +117,13 @@ class Gateway {
   /// event. Null (the default) keeps the classic single-engine path.
   void set_shard_router(ShardRouter* router) { router_ = router; }
 
+  /// An empty recipient vector for the next message, reusing the
+  /// capacity of an earlier message's when one is spare. Fill it, move
+  /// it into MmsMessage::recipients and submit(): every exit of the
+  /// message (blocked, nothing to deliver, routed away, or delivered)
+  /// hands it back, so a steady stream of messages allocates nothing.
+  [[nodiscard]] std::vector<DialedRecipient> recipient_buffer();
+
   /// A phone hands a message to the network. The gateway notifies
   /// observers, runs the filter chain and schedules delivery to each
   /// valid recipient after a random transit delay.
@@ -125,6 +132,9 @@ class Gateway {
   [[nodiscard]] const GatewayCounters& counters() const { return counters_; }
 
  private:
+  /// Takes back the recipients of a message leaving the gateway.
+  void release(std::vector<DialedRecipient>&& recipients);
+
   des::Scheduler* scheduler_;
   rng::Stream* stream_;
   SimTime delivery_delay_mean_;
@@ -134,6 +144,14 @@ class Gateway {
   ShardRouter* router_ = nullptr;
   GatewayCounters counters_;
   std::uint64_t next_sequence_ = 0;
+
+  /// Emptied recipient vectors, reused last-in first-out. Never holds
+  /// more than `peak_in_flight_` (the most messages ever between
+  /// submit() and release() at once), so callers that build their own
+  /// vectors cannot grow it past what the traffic itself needs.
+  std::vector<std::vector<DialedRecipient>> spare_buffers_;
+  std::size_t in_flight_ = 0;
+  std::size_t peak_in_flight_ = 0;
 };
 
 }  // namespace mvsim::net

@@ -166,17 +166,17 @@ void SendingProcess::send_now() {
     if (remaining < request) request = static_cast<std::uint32_t>(remaining);
     if (request == 0) return;  // defensive; budget_available gates this
   }
-  auto recipients = targeter_->next_targets(request);
-  if (recipients.empty()) {
+  net::MmsMessage message;
+  message.recipients = env_.gateway->recipient_buffer();
+  targeter_->next_targets(request, message.recipients);
+  if (message.recipients.empty()) {
     // A phone with an empty contact list has nobody to infect; the
     // process stays alive only in the sense that it never sends.
     stop();
     return;
   }
-  const std::size_t message_recipient_count = recipients.size();
-  net::MmsMessage message;
+  const std::size_t message_recipient_count = message.recipients.size();
   message.sender = host_;
-  message.recipients = std::move(recipients);
   message.infected = true;
   env_.gateway->submit(std::move(message));
 

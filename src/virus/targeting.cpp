@@ -9,14 +9,13 @@ ContactListTargeter::ContactListTargeter(std::span<const PhoneId> contacts, rng:
   stream_->shuffle(std::span<PhoneId>(contacts_));
 }
 
-std::vector<DialedRecipient> ContactListTargeter::next_targets(std::uint32_t count) {
-  std::vector<DialedRecipient> out;
-  if (contacts_.empty()) return out;
+void ContactListTargeter::next_targets(std::uint32_t count, std::vector<DialedRecipient>& out) {
+  if (contacts_.empty()) return;
   // One message never addresses the same contact twice, so a single
   // message covers at most the whole contact list.
   std::uint32_t take = count;
   if (take > contacts_.size()) take = static_cast<std::uint32_t>(contacts_.size());
-  out.reserve(take);
+  out.reserve(out.size() + take);
   for (std::uint32_t i = 0; i < take; ++i) {
     if (cursor_ == contacts_.size()) {
       stream_->shuffle(std::span<PhoneId>(contacts_));
@@ -24,7 +23,6 @@ std::vector<DialedRecipient> ContactListTargeter::next_targets(std::uint32_t cou
     }
     out.push_back(DialedRecipient{contacts_[cursor_++], true});
   }
-  return out;
 }
 
 RandomDialTargeter::RandomDialTargeter(PhoneId self, PhoneId population, double valid_fraction,
@@ -36,9 +34,8 @@ RandomDialTargeter::RandomDialTargeter(PhoneId self, PhoneId population, double 
   }
 }
 
-std::vector<DialedRecipient> RandomDialTargeter::next_targets(std::uint32_t count) {
-  std::vector<DialedRecipient> out;
-  out.reserve(count);
+void RandomDialTargeter::next_targets(std::uint32_t count, std::vector<DialedRecipient>& out) {
+  out.reserve(out.size() + count);
   for (std::uint32_t i = 0; i < count; ++i) {
     if (!stream_->bernoulli(valid_fraction_)) {
       out.push_back(DialedRecipient{0, false});
@@ -49,7 +46,6 @@ std::vector<DialedRecipient> RandomDialTargeter::next_targets(std::uint32_t coun
     if (pick >= self_) ++pick;
     out.push_back(DialedRecipient{pick, true});
   }
-  return out;
 }
 
 }  // namespace mvsim::virus

@@ -18,8 +18,10 @@ using net::PhoneId;
 class Targeter {
  public:
   virtual ~Targeter() = default;
-  /// Up to `count` recipients (fewer only if the source has none at all).
-  [[nodiscard]] virtual std::vector<DialedRecipient> next_targets(std::uint32_t count) = 0;
+  /// Appends up to `count` recipients to `out` (fewer only if the
+  /// source has none at all). The caller owns `out`, so a recycled
+  /// buffer (net::Gateway::recipient_buffer) costs no allocation.
+  virtual void next_targets(std::uint32_t count, std::vector<DialedRecipient>& out) = 0;
   /// Number of distinct destinations the targeter can produce before it
   /// must repeat one (SIZE_MAX when effectively unbounded, e.g. random
   /// dialing). Used by one-pass-per-window viruses.
@@ -35,7 +37,7 @@ class ContactListTargeter final : public Targeter {
  public:
   ContactListTargeter(std::span<const PhoneId> contacts, rng::Stream& stream);
 
-  [[nodiscard]] std::vector<DialedRecipient> next_targets(std::uint32_t count) override;
+  void next_targets(std::uint32_t count, std::vector<DialedRecipient>& out) override;
   [[nodiscard]] std::size_t universe_size() const override { return contacts_.size(); }
 
   [[nodiscard]] std::size_t contact_count() const { return contacts_.size(); }
@@ -54,7 +56,7 @@ class RandomDialTargeter final : public Targeter {
   RandomDialTargeter(PhoneId self, PhoneId population, double valid_fraction,
                      rng::Stream& stream);
 
-  [[nodiscard]] std::vector<DialedRecipient> next_targets(std::uint32_t count) override;
+  void next_targets(std::uint32_t count, std::vector<DialedRecipient>& out) override;
   [[nodiscard]] std::size_t universe_size() const override { return SIZE_MAX; }
 
  private:

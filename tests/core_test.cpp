@@ -2,6 +2,10 @@
 // wiring and the replication runner.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <sstream>
 #include <string>
 
@@ -10,6 +14,24 @@
 #include "core/scenario.h"
 #include "core/simulation.h"
 #include "trace/trace.h"
+
+// Counting global allocator: this binary's allocation witness. Every
+// operator new in core_test (the array and nothrow forms forward here)
+// bumps the counter, so a test can bound a whole replication's heap
+// traffic per executed event.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocations{0};
+}  // namespace
+
+// Out of line, so GCC's -Wmismatched-new-delete does not pair an
+// inlined malloc with a caller's operator delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept { std::free(block); }
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept { std::free(block); }
 
 namespace mvsim::core {
 namespace {
@@ -552,6 +574,40 @@ TEST(Runner, BuildPhaseReportedSeparatelyUnderSharedSeed) {
   (void)run_experiment(config, options);
   EXPECT_EQ(build_updates, 1) << "exactly one build-phase update";
   EXPECT_EQ(rep_updates, 2);
+}
+
+TEST(Runner, BaselineReplicationsBarelyTouchTheHeap) {
+  // Each infected message's recipients live in a buffer the gateway
+  // recycles, so a replication's heap traffic is its setup (graph,
+  // tables, metrics) plus growth, not one allocation per message. Seed 1,
+  // one replication per paper virus; a per-message allocation alone
+  // would put every virus at 0.3 or more.
+  for (const virus::VirusProfile& profile : virus::paper_virus_suite()) {
+    RunnerOptions options;
+    options.replications = 1;
+    options.master_seed = 1;
+    const std::uint64_t before = g_heap_allocations.load();
+    const ExperimentResult result = run_experiment(baseline_scenario(profile), options);
+    const std::uint64_t allocations = g_heap_allocations.load() - before;
+    const std::uint64_t events = result.metrics.counter_value("des.events_executed");
+    ASSERT_GT(events, 0u) << profile.name;
+    const double per_event = static_cast<double>(allocations) / static_cast<double>(events);
+    EXPECT_LT(per_event, 0.05) << profile.name << ": " << allocations << " allocations over "
+                               << events << " events";
+  }
+}
+
+TEST(Runner, EtaCountsReplicationsThatRunAtOnce) {
+  // Four replications of 10 s on four workers all finish together, so
+  // when the first one reports there is nothing left to wait for.
+  EXPECT_NEAR(progress_eta_seconds(10.0, 4, 4, 10.0), 0.0, 1e-9);
+  // Eight on four workers take two waves: one replication's time left.
+  EXPECT_NEAR(progress_eta_seconds(10.0, 8, 4, 10.0), 10.0, 1e-9);
+  // On one worker it is the mean time per replication times the number
+  // left, the same as elapsed / done * remaining: 20 s / 2 * 3.
+  EXPECT_NEAR(progress_eta_seconds(10.0, 5, 1, 20.0), 20.0 / 2.0 * 3.0, 1e-9);
+  // A slow start never yields a negative estimate.
+  EXPECT_EQ(progress_eta_seconds(10.0, 4, 4, 12.0), 0.0);
 }
 
 TEST(Runner, EnvOverrideParsing) {

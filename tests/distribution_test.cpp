@@ -11,6 +11,8 @@
 //  - the Bluetooth-only worm scenario against outputs recorded from the
 //    standalone Bluetooth engine it replaced.
 //
+// Every replication run here also passes the conservation audit (audit.h).
+//
 // Master seeds are fixed, so the outcomes are deterministic.
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "audit.h"
 #include "core/presets.h"
 #include "core/runner.h"
 #include "two_sample.h"
@@ -46,6 +49,7 @@ Samples run_samples(const core::ScenarioConfig& config, std::uint32_t shards) {
   const core::ExperimentResult result = core::run_experiment(config, options);
   Samples samples;
   for (const core::ReplicationResult& r : result.replications) {
+    EXPECT_TRUE(test_audit::conserves(config, r));
     samples.final_infected.push_back(static_cast<double>(r.total_infected));
     const double half = static_cast<double>(r.total_infected) / 2.0;
     for (const auto& point : r.infections.points()) {

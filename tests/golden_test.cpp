@@ -8,6 +8,8 @@
 // aggregated mean curves. They were captured from the pre-refactor
 // (hard-wired mechanism) implementation; the pluggable event-dispatch
 // architecture must reproduce them exactly, at any worker-thread count.
+// Every replication of every run here also passes the conservation
+// audit (audit.h).
 //
 // To regenerate after an *intentional* behavior change:
 //   MVSIM_GOLDEN_PRINT=1 ./golden_test --gtest_filter='*OneThread*'
@@ -25,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "audit.h"
 #include "config/scenario_io.h"
 #include "core/presets.h"
 #include "core/run_manifest.h"
@@ -92,6 +95,17 @@ std::uint64_t hash_result(const ExperimentResult& result) {
     h.add_time(r.detected_at);
   }
   return h.digest();
+}
+
+/// run_experiment, plus the conservation audit on every replication
+/// (callers keep their replications).
+ExperimentResult run_audited(const ScenarioConfig& config, const RunnerOptions& options) {
+  ExperimentResult result = run_experiment(config, options);
+  EXPECT_EQ(result.replications.size(), static_cast<std::size_t>(options.replications));
+  for (const ReplicationResult& replication : result.replications) {
+    EXPECT_TRUE(test_audit::conserves(config, replication));
+  }
+  return result;
 }
 
 ScenarioConfig dual_vector_scenario() {
@@ -172,7 +186,7 @@ std::uint64_t case_hash(const GoldenCase& golden, int threads) {
   options.master_seed = kMasterSeed;
   options.keep_replications = true;
   options.threads = threads;
-  std::uint64_t digest = hash_result(run_experiment(golden.make(), options));
+  std::uint64_t digest = hash_result(run_audited(golden.make(), options));
   cache.emplace(std::move(key), digest);
   return digest;
 }
@@ -224,7 +238,7 @@ std::uint64_t sharded_case_hash(const GoldenCase& golden, std::uint32_t shards) 
   options.threads = 1;
   options.shards = shards;
   options.shard_workers = 1;
-  return hash_result(run_experiment(golden.make(), options));
+  return hash_result(run_audited(golden.make(), options));
 }
 
 TEST(GoldenResults, ShardedCurvesBitIdenticalAtTwoAndFourShards) {
@@ -280,7 +294,7 @@ TEST(GoldenResults, PresetCurvesUnperturbedByTracing) {
       options.threads = threads;
       options.trace = &buffer;
       options.trace_replication = 1;
-      std::uint64_t digest = hash_result(run_experiment(golden.make(), options));
+      std::uint64_t digest = hash_result(run_audited(golden.make(), options));
       EXPECT_EQ(digest, case_hash(golden, 1))
           << golden.name << " @" << threads << " threads: tracing perturbed the results";
       EXPECT_GT(buffer.events().size(), 0u) << golden.name << ": traced replication was empty";
@@ -305,7 +319,7 @@ TEST(GoldenResults, PresetCurvesUnperturbedByProfilingAndProgress) {
         ++updates;
         EXPECT_EQ(update.replications_total, kReplications);
       };
-      ExperimentResult result = run_experiment(golden.make(), options);
+      ExperimentResult result = run_audited(golden.make(), options);
       EXPECT_EQ(hash_result(result), case_hash(golden, 1))
           << golden.name << " @" << threads
           << " threads: profiling/progress perturbed the results";
@@ -336,7 +350,7 @@ TEST(GoldenResults, PresetCurvesUnperturbedByStreamAndShardTrace) {
       options.threads = threads;
       options.stats_stream = &stream;
       options.stats_period = SimTime::hours(6.0);
-      std::uint64_t digest = hash_result(run_experiment(golden.make(), options));
+      std::uint64_t digest = hash_result(run_audited(golden.make(), options));
       EXPECT_EQ(digest, case_hash(golden, 1))
           << golden.name << " @" << threads << " threads: the stats stream perturbed the results";
       EXPECT_GT(stream.samples_written(), 0u) << golden.name << ": stream stayed empty";
@@ -355,7 +369,7 @@ TEST(GoldenResults, PresetCurvesUnperturbedByStreamAndShardTrace) {
       options.shards = shards;
       options.shard_workers = 1;
       options.profile = true;
-      std::uint64_t digest = hash_result(run_experiment(golden->make(), options));
+      std::uint64_t digest = hash_result(run_audited(golden->make(), options));
       EXPECT_EQ(digest, shards == 2 ? sharded.expected_at_2 : sharded.expected_at_4)
           << sharded.name << " @" << shards << " shards: profiling perturbed the results";
     }
@@ -400,7 +414,7 @@ TEST(GoldenResults, PresetCurvesUnperturbedByManifest) {
       options.master_seed = kMasterSeed;
       options.keep_replications = true;
       options.threads = threads;
-      ExperimentResult result = run_experiment(config, options);
+      ExperimentResult result = run_audited(config, options);
       EXPECT_EQ(hash_result(result), case_hash(golden, 1))
           << golden.name << " @" << threads << " threads: the manifest surface perturbed "
           << "the results";

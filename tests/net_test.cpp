@@ -2,6 +2,10 @@
 // observer/filter/delivery semantics.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -9,6 +13,24 @@
 #include "net/gateway.h"
 #include "net/message.h"
 #include "rng/stream.h"
+
+// Counting global allocator: this binary's allocation witness. Every
+// operator new in net_test (the array and nothrow forms forward here)
+// bumps the counter, so a test can require that a stretch of gateway
+// traffic performs no heap allocation at all.
+namespace {
+std::atomic<std::uint64_t> g_heap_allocations{0};
+}  // namespace
+
+// Out of line, so GCC's -Wmismatched-new-delete does not pair an
+// inlined malloc with a caller's operator delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* block) noexcept { std::free(block); }
+[[gnu::noinline]] void operator delete(void* block, std::size_t) noexcept { std::free(block); }
 
 namespace mvsim::net {
 namespace {
@@ -186,6 +208,114 @@ TEST(Gateway, ManyMessagesAllDeliveredOnce) {
   fx.scheduler.run_to_quiescence();
   EXPECT_EQ(fx.delivered.size(), 100u);
   EXPECT_EQ(fx.gateway.counters().recipients_delivered, 100u);
+}
+
+// ---- Recipient buffers ----------------------------------------------------
+
+/// A message whose recipients live in a buffer from the gateway's pool:
+/// `valid` live recipients, then `invalid` dead numbers.
+MmsMessage pooled_message(Gateway& gateway, bool infected, std::size_t valid,
+                          std::size_t invalid = 0) {
+  MmsMessage m;
+  m.recipients = gateway.recipient_buffer();
+  for (std::size_t i = 0; i < valid; ++i) {
+    m.recipients.push_back({static_cast<PhoneId>(i + 1), true});
+  }
+  for (std::size_t i = 0; i < invalid; ++i) m.recipients.push_back({0, false});
+  m.infected = infected;
+  return m;
+}
+
+/// Claims every recipient for another shard.
+class RouteEverything final : public ShardRouter {
+ public:
+  [[nodiscard]] SimTime remote_extra_latency() const override { return SimTime::minutes(1.0); }
+  bool route_remote(PhoneId, const MmsMessage&, SimTime) override { return true; }
+};
+
+TEST(GatewayBuffers, EveryExitReturnsTheBuffer) {
+  // Each way a message can leave the gateway hands its recipient
+  // buffer back: the next recipient_buffer() is the same storage.
+  enum class Exit { kBlocked, kNoCallback, kNoValidRecipient, kAllRouted, kDelivered };
+  for (Exit exit : {Exit::kBlocked, Exit::kNoCallback, Exit::kNoValidRecipient,
+                    Exit::kAllRouted, Exit::kDelivered}) {
+    des::Scheduler scheduler;
+    rng::Stream stream(40);
+    Gateway gateway(scheduler, stream, SimTime::minutes(1.0));
+    BlockInfectedFilter filter;
+    RouteEverything router;
+    gateway.add_filter(filter);
+    if (exit != Exit::kNoCallback) gateway.set_delivery_callback([](PhoneId, const MmsMessage&) {});
+    if (exit == Exit::kAllRouted) gateway.set_shard_router(&router);
+
+    MmsMessage m = exit == Exit::kNoValidRecipient
+                       ? pooled_message(gateway, false, 0, 4)
+                       : pooled_message(gateway, exit == Exit::kBlocked, 4);
+    const DialedRecipient* storage = m.recipients.data();
+    gateway.submit(std::move(m));
+    scheduler.run_to_quiescence();
+    const std::vector<DialedRecipient> next = gateway.recipient_buffer();
+    EXPECT_TRUE(next.empty()) << static_cast<int>(exit);
+    EXPECT_EQ(next.data(), storage) << "exit " << static_cast<int>(exit) << " kept its buffer";
+  }
+}
+
+TEST(GatewayBuffers, SteadyStateTrafficDoesNotAllocate) {
+  // 1- and 100-recipient deliveries, filter blocks and all-invalid
+  // messages, built from recipient_buffer(), cost no heap allocation
+  // from submit through the drain once the pool and the scheduler's
+  // arena are warm.
+  des::Scheduler scheduler;
+  rng::Stream stream(41);
+  Gateway gateway(scheduler, stream, SimTime::minutes(1.0));
+  BlockInfectedFilter filter;
+  gateway.add_filter(filter);
+  std::uint64_t delivered = 0;
+  gateway.set_delivery_callback([&delivered](PhoneId, const MmsMessage&) { ++delivered; });
+
+  constexpr int kBatch = 32;
+  auto round = [&] {
+    for (std::size_t size : {std::size_t{1}, std::size_t{100}}) {
+      for (int i = 0; i < kBatch; ++i) gateway.submit(pooled_message(gateway, false, size));
+      scheduler.run_to_quiescence();
+    }
+    for (int i = 0; i < kBatch; ++i) {
+      gateway.submit(pooled_message(gateway, true, 3));      // blocked
+      gateway.submit(pooled_message(gateway, false, 0, 3));  // no valid recipient
+    }
+    scheduler.run_to_quiescence();
+  };
+  round();
+  round();
+  const std::uint64_t delivered_before = delivered;
+  const std::uint64_t before = g_heap_allocations.load();
+  for (int r = 0; r < 20; ++r) round();
+  EXPECT_EQ(g_heap_allocations.load() - before, 0u) << "steady-state messages allocated";
+  EXPECT_EQ(delivered - delivered_before, 20u * kBatch * 101u);
+  EXPECT_EQ(gateway.counters().messages_blocked, 22u * kBatch);
+}
+
+TEST(GatewayBuffers, CallerBuiltMessagesCannotGrowThePool) {
+  // Messages whose vectors the caller allocated also return them, but
+  // the pool keeps no more than the most messages ever in flight: after
+  // five batches of eight, eight spare buffers, not forty.
+  constexpr std::size_t kInFlight = 8;
+  des::Scheduler scheduler;
+  rng::Stream stream(42);
+  Gateway gateway(scheduler, stream, SimTime::minutes(1.0));
+  gateway.set_delivery_callback([](PhoneId, const MmsMessage&) {});
+  for (int batch = 0; batch < 5; ++batch) {
+    for (std::size_t i = 0; i < kInFlight; ++i) {
+      gateway.submit(infected_message(0, {{static_cast<PhoneId>(i + 1), true}}));
+    }
+    scheduler.run_to_quiescence();
+  }
+  std::vector<std::vector<DialedRecipient>> taken;
+  for (std::size_t i = 0; i <= kInFlight; ++i) taken.push_back(gateway.recipient_buffer());
+  for (std::size_t i = 0; i < kInFlight; ++i) {
+    EXPECT_GT(taken[i].capacity(), 0u) << "spare " << i << " should be a recycled buffer";
+  }
+  EXPECT_EQ(taken[kInFlight].capacity(), 0u) << "the pool held more than the peak in flight";
 }
 
 }  // namespace

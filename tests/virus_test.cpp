@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "des/scheduler.h"
 #include "net/gateway.h"
@@ -80,13 +81,20 @@ TEST(VirusProfile, ValidationCatchesBadFields) {
   EXPECT_FALSE(p.validate().ok());
 }
 
+/// The next message's recipients, drawn into a fresh buffer.
+std::vector<DialedRecipient> draw(Targeter& targeter, std::uint32_t count) {
+  std::vector<DialedRecipient> out;
+  targeter.next_targets(count, out);
+  return out;
+}
+
 TEST(ContactListTargeter, CoversWholeListBeforeRepeating) {
   rng::Stream stream(11);
   std::vector<net::PhoneId> contacts{1, 2, 3, 4, 5};
   ContactListTargeter targeter(contacts, stream);
   std::set<net::PhoneId> seen;
   for (int i = 0; i < 5; ++i) {
-    auto t = targeter.next_targets(1);
+    auto t = draw(targeter, 1);
     ASSERT_EQ(t.size(), 1u);
     EXPECT_TRUE(t[0].valid);
     seen.insert(t[0].phone);
@@ -98,7 +106,7 @@ TEST(ContactListTargeter, BatchNeverExceedsContactList) {
   rng::Stream stream(12);
   std::vector<net::PhoneId> contacts{1, 2, 3};
   ContactListTargeter targeter(contacts, stream);
-  auto t = targeter.next_targets(100);
+  auto t = draw(targeter, 100);
   EXPECT_EQ(t.size(), 3u);
   std::set<net::PhoneId> unique;
   for (const auto& r : t) unique.insert(r.phone);
@@ -110,7 +118,7 @@ TEST(ContactListTargeter, CyclesIndefinitely) {
   std::vector<net::PhoneId> contacts{1, 2};
   ContactListTargeter targeter(contacts, stream);
   for (int i = 0; i < 50; ++i) {
-    auto t = targeter.next_targets(1);
+    auto t = draw(targeter, 1);
     ASSERT_EQ(t.size(), 1u);
   }
 }
@@ -118,7 +126,27 @@ TEST(ContactListTargeter, CyclesIndefinitely) {
 TEST(ContactListTargeter, EmptyContactListYieldsNothing) {
   rng::Stream stream(14);
   ContactListTargeter targeter(std::span<const net::PhoneId>{}, stream);
-  EXPECT_TRUE(targeter.next_targets(5).empty());
+  EXPECT_TRUE(draw(targeter, 5).empty());
+}
+
+TEST(Targeter, AppendsToTheCallersBuffer) {
+  // Targeters append, so a recycled buffer's capacity carries over and
+  // whatever the caller already put there is kept.
+  rng::Stream stream(17);
+  std::vector<net::PhoneId> contacts{1, 2, 3};
+  ContactListTargeter contact_list(contacts, stream);
+  RandomDialTargeter random_dial(0, 10, 1.0, stream);
+  std::vector<DialedRecipient> out;
+  out.reserve(16);
+  const DialedRecipient* storage = out.data();
+  out.push_back({9, false});
+  contact_list.next_targets(2, out);
+  random_dial.next_targets(4, out);
+  ASSERT_EQ(out.size(), 7u);
+  EXPECT_EQ(out.data(), storage) << "appending within capacity must not reallocate";
+  EXPECT_EQ(out[0].phone, 9u);
+  EXPECT_FALSE(out[0].valid);
+  for (std::size_t i = 1; i < out.size(); ++i) EXPECT_TRUE(out[i].valid);
 }
 
 TEST(RandomDialTargeter, ValidFractionRoughlyRespected) {
@@ -126,7 +154,7 @@ TEST(RandomDialTargeter, ValidFractionRoughlyRespected) {
   RandomDialTargeter targeter(0, 1000, 1.0 / 3.0, stream);
   int valid = 0;
   constexpr int kN = 30000;
-  auto targets = targeter.next_targets(kN);
+  auto targets = draw(targeter, kN);
   ASSERT_EQ(targets.size(), static_cast<std::size_t>(kN));
   for (const auto& t : targets) valid += t.valid ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(valid) / kN, 1.0 / 3.0, 0.02);
@@ -135,7 +163,7 @@ TEST(RandomDialTargeter, ValidFractionRoughlyRespected) {
 TEST(RandomDialTargeter, NeverDialsSelfValidly) {
   rng::Stream stream(16);
   RandomDialTargeter targeter(7, 10, 1.0, stream);
-  for (const auto& t : targeter.next_targets(5000)) {
+  for (const auto& t : draw(targeter, 5000)) {
     ASSERT_TRUE(t.valid);
     ASSERT_NE(t.phone, 7u);
     ASSERT_LT(t.phone, 10u);
