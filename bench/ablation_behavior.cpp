@@ -13,7 +13,7 @@ using namespace mvsim::bench;
 
 int main() {
   std::cout << "mvsim ABL-2: behavioral-constant ablation\n";
-  Harness harness("ablation_behavior");
+  const core::RunnerOptions options = default_options();
 
   // --- Read-delay sweep: Virus 1 baseline growth speed. ---
   std::cout << "-- read delay (Virus 1 baseline) --\n";
@@ -21,14 +21,11 @@ int main() {
   for (double minutes : {15.0, 30.0, 60.0, 120.0, 240.0}) {
     core::ScenarioConfig config = core::baseline_scenario(virus::virus1());
     config.read_delay_mean = SimTime::minutes(minutes);
-    core::ExperimentResult result =
-        run_experiment_case(harness, "read_delay " + fmt(minutes, 0) + "min", config);
+    core::ExperimentResult result = core::run_experiment(config, options);
     SimTime half = result.curve.mean_first_time_at_or_above(160.0);
     std::cout << fmt(minutes, 0) << "," << fmt(result.final_infections.mean()) << ","
               << fmt(half.is_finite() ? half.to_hours() : -1.0) << "\n";
   }
-  report("plateau is read-delay invariant; growth speed shifts by at most hours",
-         "see table above: finals stable near 320, half-plateau times shift modestly");
 
   // --- Detectability-threshold sweep: gateway scan vs Virus 1. ---
   std::cout << "-- detectability threshold (Virus 1 + 6h gateway scan) --\n";
@@ -36,10 +33,9 @@ int main() {
   for (std::uint64_t threshold : {1ull, 5ull, 20ull, 50ull}) {
     core::ScenarioConfig config = core::fig2_scan_scenario(SimTime::hours(6.0));
     config.responses.detectability_threshold = threshold;
-    core::RunnerOptions options = default_options();
-    options.keep_replications = true;
-    core::ExperimentResult result = run_experiment_case(
-        harness, "detect_threshold " + std::to_string(threshold), config, options);
+    core::RunnerOptions keep = options;
+    keep.keep_replications = true;
+    core::ExperimentResult result = core::run_experiment(config, keep);
     stats::Accumulator detected_at;
     for (const auto& rep : result.replications) {
       if (rep.detected_at.is_finite()) detected_at.add(rep.detected_at.to_hours());
@@ -47,8 +43,6 @@ int main() {
     std::cout << threshold << "," << fmt(result.final_infections.mean()) << ","
               << fmt(detected_at.mean()) << "\n";
   }
-  report("containment depends on response delay measured from detectability",
-         "raising the threshold delays detection and raises the final level accordingly");
 
   // --- Legit-traffic rate: Virus 4's only free constant. ---
   std::cout << "-- legitimate-traffic gap (Virus 4 baseline) --\n";
@@ -56,14 +50,10 @@ int main() {
   for (double hours : {1.0, 2.0, 4.0}) {
     core::ScenarioConfig config = core::baseline_scenario(virus::virus4());
     config.virus.legit_traffic_gap_mean = SimTime::hours(hours);
-    core::ExperimentResult result =
-        run_experiment_case(harness, "legit_gap " + fmt(hours, 0) + "h", config);
+    core::ExperimentResult result = core::run_experiment(config, options);
     SimTime half = result.curve.mean_first_time_at_or_above(160.0);
     std::cout << fmt(hours, 0) << "," << fmt(result.final_infections.mean()) << ","
               << fmt(half.is_finite() ? half.to_hours() : -1.0) << "\n";
   }
-  report("Virus 4's time scale tracks the legitimate-traffic rate it hides behind",
-         "halving the gap roughly halves the half-plateau time; plateau unchanged");
-  harness.write_report();
   return 0;
 }

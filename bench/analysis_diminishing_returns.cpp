@@ -17,24 +17,8 @@ using namespace mvsim::bench;
 
 namespace {
 
-double baseline_final(Harness& harness, const virus::VirusProfile& profile) {
-  return run_experiment_case(harness, profile.name + " baseline",
-                             core::baseline_scenario(profile))
-      .final_infections.mean();
-}
-
-analysis::SweepResult sweep_case(Harness& harness, const std::string& label,
-                                 const std::function<analysis::SweepResult()>& fn) {
-  std::optional<analysis::SweepResult> sweep;
-  harness.run_case(label, [&fn, &sweep] {
-    sweep.emplace(fn());
-    std::uint64_t events = 0;
-    for (const analysis::SweepPoint& point : sweep->points) {
-      events += point.result.metrics.counter_value("des.events_executed");
-    }
-    return events;
-  });
-  return std::move(*sweep);
+double baseline_final(const virus::VirusProfile& profile, const core::RunnerOptions& options) {
+  return core::run_experiment(core::baseline_scenario(profile), options).final_infections.mean();
 }
 
 void run_study(const std::string& title, const analysis::SweepResult& sweep, double baseline) {
@@ -60,65 +44,50 @@ void run_study(const std::string& title, const analysis::SweepResult& sweep, dou
 
 int main() {
   std::cout << "mvsim ANA-DR: diminishing returns per mechanism (paper section 5.3)\n\n";
-  core::RunnerOptions options = default_options();
-  Harness harness("analysis_diminishing_returns");
+  const core::RunnerOptions options = default_options();
 
   // Gateway scan vs Virus 1: strength = response speed. Parameterize by
   // -delay so "stronger" is increasing (faster signature turnaround).
   run_study("gateway scan vs Virus 1 (parameter: -activation delay, hours)",
-            sweep_case(harness, "sweep scan speed",
-                       [&options] {
-                         return analysis::run_sweep(
-                             "scan speed (-delay h)", {-48.0, -24.0, -12.0, -6.0, -3.0},
-                             [](double negative_delay) {
-                               return core::fig2_scan_scenario(SimTime::hours(-negative_delay));
-                             },
-                             options);
-                       }),
-            baseline_final(harness, virus::virus1()));
+            analysis::run_sweep(
+                "scan speed (-delay h)", {-48.0, -24.0, -12.0, -6.0, -3.0},
+                [](double negative_delay) {
+                  return core::fig2_scan_scenario(SimTime::hours(-negative_delay));
+                },
+                options),
+            baseline_final(virus::virus1(), options));
 
   // Detection accuracy vs Virus 2: outcome at day 10 via final level.
   run_study("gateway detection vs Virus 2 (parameter: accuracy)",
-            sweep_case(harness, "sweep detection accuracy",
-                       [&options] {
-                         return analysis::run_sweep(
-                             "accuracy", {0.80, 0.85, 0.90, 0.95, 0.99},
-                             [](double accuracy) { return core::fig3_detection_scenario(accuracy); },
-                             options);
-                       }),
-            baseline_final(harness, virus::virus2()));
+            analysis::run_sweep(
+                "accuracy", {0.80, 0.85, 0.90, 0.95, 0.99},
+                [](double accuracy) { return core::fig3_detection_scenario(accuracy); }, options),
+            baseline_final(virus::virus2(), options));
 
   // Immunization rollout speed vs Virus 4 (24 h development fixed).
   run_study("immunization rollout vs Virus 4 (parameter: -rollout hours)",
-            sweep_case(harness, "sweep immunization rollout",
-                       [&options] {
-                         return analysis::run_sweep(
-                             "rollout speed (-h)", {-48.0, -24.0, -6.0, -1.0},
-                             [](double negative_hours) {
-                               return core::fig5_immunization_scenario(
-                                   SimTime::hours(24.0), SimTime::hours(-negative_hours));
-                             },
-                             options);
-                       }),
-            baseline_final(harness, virus::virus4()));
+            analysis::run_sweep(
+                "rollout speed (-h)", {-48.0, -24.0, -6.0, -1.0},
+                [](double negative_hours) {
+                  return core::fig5_immunization_scenario(SimTime::hours(24.0),
+                                                          SimTime::hours(-negative_hours));
+                },
+                options),
+            baseline_final(virus::virus4(), options));
 
   // Blacklist threshold vs Virus 3: strength = -threshold.
   run_study("blacklist vs Virus 3 (parameter: -threshold messages)",
-            sweep_case(harness, "sweep blacklist threshold",
-                       [&options] {
-                         return analysis::run_sweep(
-                             "tightening (-threshold)", {-40.0, -30.0, -20.0, -10.0},
-                             [](double negative_threshold) {
-                               return core::fig7_blacklist_scenario(
-                                   static_cast<std::uint32_t>(-negative_threshold));
-                             },
-                             options);
-                       }),
-            baseline_final(harness, virus::virus3()));
+            analysis::run_sweep(
+                "tightening (-threshold)", {-40.0, -30.0, -20.0, -10.0},
+                [](double negative_threshold) {
+                  return core::fig7_blacklist_scenario(
+                      static_cast<std::uint32_t>(-negative_threshold));
+                },
+                options),
+            baseline_final(virus::virus3(), options));
 
   std::cout << "Reading: a 'diminishing' row is capacity the provider can skip buying —\n"
                "e.g. signature turnaround faster than ~6 h, or detector accuracy beyond\n"
                "the low nineties, no longer moves the outcome much (cf. paper section 5.3).\n";
-  harness.write_report();
   return 0;
 }

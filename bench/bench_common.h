@@ -1,23 +1,21 @@
 // Shared helpers for the figure-reproduction benches.
 //
-// Every fig*_ binary runs a sweep of scenarios, prints the series the
+// Every fig*_ binary runs a sweep of scenarios and prints the series the
 // corresponding paper figure plots (Hours vs mean infection count, one
-// column per configuration), then prints the shape metrics the paper's
-// prose quotes next to what we measured. Replication count defaults to
-// 10 and can be overridden with MVSIM_REPS; worker-thread count
-// defaults to all cores and can be pinned with MVSIM_THREADS.
+// column per configuration) plus per-curve summaries. The paper's claims
+// about each figure are asserted by tests/anchor_test.cpp, not here.
+// Replication count defaults to 10 and can be overridden with
+// MVSIM_REPS; worker-thread count defaults to all cores and can be
+// pinned with MVSIM_THREADS.
 #pragma once
 
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/presets.h"
 #include "core/runner.h"
-#include "harness.h"
 #include "stats/summary.h"
 
 namespace mvsim::bench {
@@ -37,35 +35,7 @@ inline core::RunnerOptions default_options() {
   return options;
 }
 
-/// Runs the experiment as a harness case (timed, in the BENCH report;
-/// the case's throughput unit is engine events executed) and hands the
-/// result back for the figure tables. With repeat > 1 the runs are
-/// identical (fixed seed) and the last result is returned.
-inline core::ExperimentResult run_experiment_case(Harness& harness, const std::string& label,
-                                                  const core::ScenarioConfig& config,
-                                                  const core::RunnerOptions& options) {
-  std::optional<core::ExperimentResult> result;
-  harness.run_case(label, [&config, &options, &result] {
-    result.emplace(core::run_experiment(config, options));
-    return result->metrics.counter_value("des.events_executed");
-  });
-  return std::move(*result);
-}
-
-inline core::ExperimentResult run_experiment_case(Harness& harness, const std::string& label,
-                                                  const core::ScenarioConfig& config) {
-  return run_experiment_case(harness, label, config, default_options());
-}
-
-inline NamedRun run_labelled(Harness& harness, std::string label,
-                             const core::ScenarioConfig& config) {
-  core::ExperimentResult result = run_experiment_case(harness, label, config);
-  return NamedRun{std::move(label), std::move(result)};
-}
-
-/// Prints the figure table plus per-curve summaries and an engine
-/// throughput line per run (events processed and events/sec, from the
-/// run telemetry — wall-clock figures are machine-dependent).
+/// Prints the figure table plus per-curve summaries.
 inline void print_figure(const std::string& title, const std::vector<NamedRun>& runs,
                          SimTime row_step) {
   std::vector<stats::LabelledSeries> curves;
@@ -74,36 +44,12 @@ inline void print_figure(const std::string& title, const std::vector<NamedRun>& 
   stats::print_figure_table(std::cout, title, curves, row_step);
   std::cout << "-- curve summaries --\n";
   stats::print_curve_summaries(std::cout, curves);
-  std::cout << "-- engine throughput --\n";
-  for (const auto& r : runs) {
-    const metrics::Snapshot& m = r.result.metrics;
-    auto events = static_cast<double>(m.counter_value("des.events_executed"));
-    double wall_ms = 0.0;
-    if (const metrics::HistogramSample* h = m.find_histogram("timing.replication_wall_ms")) {
-      wall_ms = h->sum;
-    }
-    char line[160];
-    std::snprintf(line, sizeof line, "  %-24s %.0f events, %.2fs cpu, %.0f events/s\n",
-                  r.label.c_str(), events, wall_ms / 1000.0,
-                  wall_ms > 0.0 ? events / (wall_ms / 1000.0) : 0.0);
-    std::cout << line;
-  }
-}
-
-/// One "paper says X, we measured Y" line.
-inline void report(const std::string& claim, const std::string& measured) {
-  std::cout << "  paper: " << claim << "\n    ours: " << measured << "\n";
 }
 
 inline std::string fmt(double v, int precision = 1) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.*f", precision, v);
   return buf;
-}
-
-inline std::string fmt_hours(SimTime t) {
-  if (!t.is_finite()) return "never";
-  return fmt(t.to_hours()) + " h";
 }
 
 }  // namespace mvsim::bench

@@ -14,6 +14,8 @@
 // traffic; only the infection-point mechanisms — user education and
 // handset patching — remain, which inverts the paper's §5.3 ranking
 // for fast viruses.
+#include <utility>
+
 #include "bench_common.h"
 
 using namespace mvsim;
@@ -21,11 +23,10 @@ using namespace mvsim::bench;
 
 namespace {
 
-core::ExperimentResult run_bt(Harness& harness, const std::string& label,
-                              const core::ScenarioConfig& config) {
+core::ExperimentResult run_bt(const core::ScenarioConfig& config) {
   core::RunnerOptions options = default_options();
   options.master_seed = 0xB1'0E'00'07ULL;
-  return run_experiment_case(harness, label, config, options);
+  return core::run_experiment(config, options);
 }
 
 /// Without gateway visibility the provider learns of the outbreak
@@ -45,25 +46,19 @@ core::ScenarioConfig with_patch_cycle(core::ScenarioConfig config, SimTime detec
 
 int main() {
   std::cout << "mvsim EXT-BT: Bluetooth proximity worm (paper section 6 extension)\n";
-  Harness harness("ext_bluetooth");
-
   const core::ScenarioConfig base = core::bluetooth_worm_scenario();  // 1000 phones, 16x16 grid
-  core::ExperimentResult baseline = run_bt(harness, "Baseline", base);
+  core::ExperimentResult baseline = run_bt(base);
 
   core::ScenarioConfig educated = base;
   response::UserEducationConfig education;
   education.eventual_acceptance = 0.20;
   educated.responses.user_education = education;
-  core::ExperimentResult with_education = run_bt(harness, "User education 0.20", educated);
+  core::ExperimentResult with_education = run_bt(educated);
 
-  core::ExperimentResult with_patches =
-      run_bt(harness, "Patch 24h+24h+6h",
-             with_patch_cycle(base, SimTime::hours(24.0), SimTime::hours(24.0),
-                              SimTime::hours(6.0)));
-  core::ExperimentResult with_fast_patches =
-      run_bt(harness, "Patch 12h+12h+1h",
-             with_patch_cycle(base, SimTime::hours(12.0), SimTime::hours(12.0),
-                              SimTime::hours(1.0)));
+  core::ExperimentResult with_patches = run_bt(
+      with_patch_cycle(base, SimTime::hours(24.0), SimTime::hours(24.0), SimTime::hours(6.0)));
+  core::ExperimentResult with_fast_patches = run_bt(
+      with_patch_cycle(base, SimTime::hours(12.0), SimTime::hours(12.0), SimTime::hours(1.0)));
 
   std::cout << "== Bluetooth worm: infection curves ==\n";
   std::cout << "Hours,Baseline,User Education 0.20,Patch 24h+24h+6h,Patch 12h+12h+1h\n";
@@ -74,22 +69,21 @@ int main() {
               << fmt(with_fast_patches.curve.mean_at(t)) << '\n';
   }
 
-  std::cout << "-- findings --\n";
-  double base_final = baseline.final_infections.mean();
-  report("MMS-only mechanisms (scan/detection/monitoring/blacklist) see no Bluetooth traffic",
-         "structural: the worm never transits a gateway (" +
-             fmt(baseline.per_replication("net.messages_submitted").mean()) +
-             " MMS submitted/rep), so those four "
-             "cannot engage");
-  report("the consent plateau carries over from the MMS model (1000 x 0.8 x 0.40 = 320)",
-         "baseline final = " + fmt(base_final) + " infected");
-  report("user education remains universally effective (paper section 5.2)",
-         "eventual acceptance 0.20 -> final " + fmt(with_education.final_infections.mean()) +
-             " (" + fmt(100.0 * with_education.final_infections.mean() / base_final) +
-             "% of baseline)");
-  report("handset patching remains effective and its delay dominates (as in Figure 5)",
-         "48h+6h cycle -> " + fmt(with_patches.final_infections.mean()) + "; 24h+1h cycle -> " +
-             fmt(with_fast_patches.final_infections.mean()));
+  // The MMS-side mechanisms (scan, detection, monitoring, blacklist)
+  // never engage: the worm submits no MMS.
+  std::cout << "-- finals --\n";
+  std::cout << "run,final_infected,percent_of_baseline,mms_submitted_per_rep\n";
+  const double base_final = baseline.final_infections.mean();
+  const std::pair<const char*, const core::ExperimentResult*> finals[] = {
+      {"Baseline", &baseline},
+      {"User education 0.20", &with_education},
+      {"Patch 24h+24h+6h", &with_patches},
+      {"Patch 12h+12h+1h", &with_fast_patches}};
+  for (const auto& [label, result] : finals) {
+    std::cout << label << "," << fmt(result->final_infections.mean()) << ","
+              << fmt(100.0 * result->final_infections.mean() / base_final) << "%,"
+              << fmt(result->per_replication("net.messages_submitted").mean()) << "\n";
+  }
 
   // Density sweep: proximity spread is gated by encounters, a knob MMS
   // propagation does not have.
@@ -99,16 +93,12 @@ int main() {
     core::ScenarioConfig config = base;
     config.proximity->grid_width = side;
     config.proximity->grid_height = side;
-    core::ExperimentResult result =
-        run_bt(harness, "Density " + std::to_string(side) + "x" + std::to_string(side), config);
+    core::ExperimentResult result = run_bt(config);
     SimTime half = result.curve.mean_first_time_at_or_above(160.0);
     std::cout << side << "x" << side << ","
               << fmt(1000.0 / (static_cast<double>(side) * side), 2) << ","
               << fmt(result.final_infections.mean()) << ","
               << fmt(half.is_finite() ? half.to_hours() : -1.0) << "\n";
   }
-  report("a proximity worm is density-limited (no analogue in MMS propagation)",
-         "sparser grids spread strictly slower at equal population (table above)");
-  harness.write_report();
   return 0;
 }

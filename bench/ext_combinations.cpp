@@ -29,14 +29,8 @@ int main() {
   kit.monitoring = response::MonitoringConfig{};               // 30 min forced wait
   kit.blacklist = response::BlacklistConfig{};                 // 10 messages
 
-  core::RunnerOptions options = default_options();
-  Harness harness("ext_combinations");
-  std::optional<analysis::StrategyStudy> study_opt;
-  harness.run_case("evaluate_strategies <=2 of 6", [&] {
-    study_opt.emplace(analysis::evaluate_strategies(base, kit, 2, options));
-    return std::uint64_t{0};
-  });
-  analysis::StrategyStudy study = std::move(*study_opt);
+  const analysis::StrategyStudy study =
+      analysis::evaluate_strategies(base, kit, 2, default_options());
 
   std::cout << "strategy,mechanisms,final_infected,containment\n";
   for (const analysis::StrategyOutcome& outcome : study.outcomes) {
@@ -52,24 +46,5 @@ int main() {
               << fmt(outcome.final_infections) << " infected ("
               << fmt(100.0 * outcome.containment) << "% contained)\n";
   }
-
-  // The paper's specific motivating pattern: slower+halting beats both.
-  auto find = [&](const char* name) -> const analysis::StrategyOutcome* {
-    for (const auto& outcome : study.outcomes) {
-      if (outcome.name == name) return &outcome;
-    }
-    return nullptr;
-  };
-  const auto* monitor = find("monitor");
-  const auto* scan = find("scan");
-  const auto* combo = find("scan+monitor");
-  if (monitor != nullptr && scan != nullptr && combo != nullptr) {
-    std::cout << "-- paper-vs-measured --\n";
-    report("a mechanism that only slows the virus needs a second one to halt it (section 6)",
-           "monitoring alone " + fmt(monitor->final_infections) + ", scan alone " +
-               fmt(scan->final_infections) + ", monitoring+scan " +
-               fmt(combo->final_infections) + " infected");
-  }
-  harness.write_report();
   return 0;
 }

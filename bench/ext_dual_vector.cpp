@@ -27,48 +27,29 @@ core::ScenarioConfig dual_vector_base() {
 int main() {
   std::cout << "mvsim EXT-DUAL: dual-vector Virus 1 (MMS + Bluetooth, paper section 6)\n";
 
-  Harness harness("ext_dual_vector");
+  const core::RunnerOptions options = default_options();
   std::vector<NamedRun> runs;
-  runs.push_back(
-      run_labelled(harness, "MMS-only baseline", core::baseline_scenario(virus::virus1())));
-  runs.push_back(run_labelled(harness, "Dual-vector baseline", dual_vector_base()));
-
-  core::ScenarioConfig scanned_single = core::fig2_scan_scenario(SimTime::hours(6.0));
-  runs.push_back(run_labelled(harness, "MMS-only + 6h scan", scanned_single));
+  runs.push_back({"MMS-only baseline",
+                  core::run_experiment(core::baseline_scenario(virus::virus1()), options)});
+  runs.push_back({"Dual-vector baseline", core::run_experiment(dual_vector_base(), options)});
+  runs.push_back({"MMS-only + 6h scan",
+                  core::run_experiment(core::fig2_scan_scenario(SimTime::hours(6.0)), options)});
 
   core::ScenarioConfig scanned_dual = dual_vector_base();
   response::GatewayScanConfig scan;
   scan.activation_delay = SimTime::hours(6.0);
   scanned_dual.responses.gateway_scan = scan;
-  runs.push_back(run_labelled(harness, "Dual-vector + 6h scan", scanned_dual));
+  runs.push_back({"Dual-vector + 6h scan", core::run_experiment(scanned_dual, options)});
 
   core::ScenarioConfig patched_dual = dual_vector_base();
   patched_dual.responses.immunization = response::ImmunizationConfig{};
-  runs.push_back(run_labelled(harness, "Dual-vector + patching", patched_dual));
+  runs.push_back({"Dual-vector + patching", core::run_experiment(patched_dual, options)});
 
   core::ScenarioConfig educated_dual = dual_vector_base();
   educated_dual.responses.user_education = response::UserEducationConfig{};
-  runs.push_back(run_labelled(harness, "Dual-vector + education 0.20", educated_dual));
+  runs.push_back(
+      {"Dual-vector + education 0.20", core::run_experiment(educated_dual, options)});
 
   print_figure("Dual-vector Virus 1: infection curves", runs, SimTime::hours(16.0));
-
-  std::cout << "-- findings --\n";
-  double single_base = runs[0].result.final_infections.mean();
-  double dual_base = runs[1].result.final_infections.mean();
-  double single_scan = runs[2].result.final_infections.mean();
-  double dual_scan = runs[3].result.final_infections.mean();
-  report("adding the Bluetooth vector leaves the consent plateau unchanged",
-         "finals " + fmt(single_base) + " (MMS-only) vs " + fmt(dual_base) + " (dual)");
-  report("the gateway scan contains single-vector Virus 1 to a few phones (Figure 2)",
-         "MMS-only + 6h scan -> " + fmt(single_scan) + " infected (" +
-             fmt(100.0 * single_scan / single_base) + "% of baseline)");
-  report("against the dual-vector virus the same scan only amputates the MMS arm",
-         "dual + 6h scan -> " + fmt(dual_scan) + " infected (" +
-             fmt(100.0 * dual_scan / dual_base) + "% of its baseline); Bluetooth pushes/rep = " +
-             fmt(runs[3].result.per_replication("core.bluetooth_push_attempts").mean()));
-  report("infection-point mechanisms still work: they protect the phone, not the channel",
-         "dual + patching -> " + fmt(runs[4].result.final_infections.mean()) +
-             ", dual + education -> " + fmt(runs[5].result.final_infections.mean()));
-  harness.write_report();
   return 0;
 }

@@ -4,8 +4,9 @@
 // whose new-signature turnaround is 6, 12 or 24 hours after the virus
 // becomes detectable. Shape claims: 6 h delay contains the infection to
 // ~5% of baseline; even 24 h contains it to ~25%; the scan fully halts
-// further spread once active. Also checks the §5.2 side-claims that
-// Viruses 2 and 4 behave like Virus 1 and that Virus 3 is unaffected.
+// further spread once active. tests/anchor_test.cpp (fixture Fig2)
+// asserts these and the §5.2 side-claims that Viruses 2 and 4 behave
+// like Virus 1 and that Virus 3 is unaffected.
 #include "bench_common.h"
 
 using namespace mvsim;
@@ -13,43 +14,16 @@ using namespace mvsim::bench;
 
 int main() {
   std::cout << "mvsim FIG-2: gateway virus scan, activation delay sweep (Figure 2)\n";
-  Harness harness("fig2_virus_scan");
+  const core::RunnerOptions options = default_options();
   std::vector<NamedRun> runs;
-  runs.push_back(run_labelled(harness, "Baseline", core::baseline_scenario(virus::virus1())));
+  runs.push_back(
+      {"Baseline", core::run_experiment(core::baseline_scenario(virus::virus1()), options)});
   for (double hours : {6.0, 12.0, 24.0}) {
-    runs.push_back(run_labelled(harness, fmt(hours, 0) + "-Hour Delay",
-                                core::fig2_scan_scenario(SimTime::hours(hours))));
+    runs.push_back({fmt(hours, 0) + "-Hour Delay",
+                    core::run_experiment(core::fig2_scan_scenario(SimTime::hours(hours)),
+                                         options)});
   }
   print_figure("Figure 2: Virus Scan, Varying the Activation Time Delay (Virus 1)", runs,
                SimTime::hours(8.0));
-
-  double base = runs[0].result.final_infections.mean();
-  std::cout << "-- paper-vs-measured --\n";
-  report("6-hour delay: infection reaches only ~5% of the baseline level",
-         fmt(100.0 * runs[1].result.final_infections.mean() / base) + "% of baseline (" +
-             fmt(runs[1].result.final_infections.mean()) + " phones)");
-  report("24-hour delay: spread still contained to ~25% of baseline",
-         fmt(100.0 * runs[3].result.final_infections.mean() / base) + "% of baseline (" +
-             fmt(runs[3].result.final_infections.mean()) + " phones)");
-
-  // Side-claims: similar containment for Viruses 2 and 4; none for 3.
-  auto side_run = [&](const virus::VirusProfile& profile) {
-    core::ScenarioConfig with_scan = core::baseline_scenario(profile);
-    response::GatewayScanConfig scan;
-    scan.activation_delay = SimTime::hours(6.0);
-    with_scan.responses.gateway_scan = scan;
-    core::ExperimentResult scanned =
-        run_experiment_case(harness, profile.name + " + 6h scan", with_scan);
-    core::ExperimentResult baseline =
-        run_experiment_case(harness, profile.name + " baseline", core::baseline_scenario(profile));
-    return 100.0 * scanned.final_infections.mean() / baseline.final_infections.mean();
-  };
-  report("results with the gateway scan look similar for Viruses 1, 2 and 4",
-         "6h-delay final as % of baseline: Virus 2 = " + fmt(side_run(virus::virus2())) +
-             "%, Virus 4 = " + fmt(side_run(virus::virus4())) + "%");
-  report("the gateway scan is completely ineffectual against rapid Virus 3",
-         "Virus 3 with 6h-delay scan reaches " + fmt(side_run(virus::virus3())) +
-             "% of its baseline penetration");
-  harness.write_report();
   return 0;
 }

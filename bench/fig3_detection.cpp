@@ -4,7 +4,8 @@
 // once its analysis period ends, stops each infected message with
 // probability 0.80/0.85/0.90/0.95/0.99. Shape claims: the detector
 // slows but never stops the spread; at 0.95 accuracy the 135-infection
-// mark moves from ~2 days (baseline) to ~9 days.
+// mark moves from ~2 days (baseline) to ~9 days. tests/anchor_test.cpp
+// (fixture Fig3) asserts them.
 #include "bench_common.h"
 
 using namespace mvsim;
@@ -12,34 +13,15 @@ using namespace mvsim::bench;
 
 int main() {
   std::cout << "mvsim FIG-3: gateway detection algorithm, accuracy sweep (Figure 3)\n";
-  Harness harness("fig3_detection");
+  const core::RunnerOptions options = default_options();
   std::vector<NamedRun> runs;
-  runs.push_back(run_labelled(harness, "Baseline", core::baseline_scenario(virus::virus2())));
+  runs.push_back(
+      {"Baseline", core::run_experiment(core::baseline_scenario(virus::virus2()), options)});
   for (double accuracy : {0.99, 0.95, 0.90, 0.85, 0.80}) {
-    runs.push_back(run_labelled(harness, fmt(accuracy, 2) + " Accuracy",
-                                core::fig3_detection_scenario(accuracy)));
+    runs.push_back({fmt(accuracy, 2) + " Accuracy",
+                    core::run_experiment(core::fig3_detection_scenario(accuracy), options)});
   }
   print_figure("Figure 3: Virus Detection Algorithm, Varying Detection Accuracy (Virus 2)", runs,
                SimTime::hours(8.0));
-
-  std::cout << "-- paper-vs-measured --\n";
-  SimTime t_base = runs[0].result.curve.mean_first_time_at_or_above(135.0);
-  SimTime t_95 = runs[2].result.curve.mean_first_time_at_or_above(135.0);
-  report("baseline Virus 2 infects 135 phones after ~2 days of propagation",
-         "135-infection mark at " + fmt_hours(t_base) + " (" + fmt(t_base.to_days()) + " days)");
-  report("at 0.95 accuracy the 135-infection mark is pushed to ~9 days",
-         "135-infection mark at " + fmt_hours(t_95) +
-             (t_95.is_finite() ? " (" + fmt(t_95.to_days()) + " days)" : ""));
-  report("the detection algorithm slows the spread but does not stop it",
-         "0.99-accuracy final = " + fmt(runs[1].result.final_infections.mean()) +
-             " and still rising vs baseline " + fmt(runs[0].result.final_infections.mean()));
-
-  // Ordering check: lower accuracy => faster spread, monotonically.
-  std::cout << "  accuracy -> final infections at day 10: ";
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    std::cout << runs[i].label << "=" << fmt(runs[i].result.final_infections.mean()) << " ";
-  }
-  std::cout << "\n";
-  harness.write_report();
   return 0;
 }

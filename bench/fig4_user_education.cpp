@@ -6,7 +6,7 @@
 // against all four viruses; halving the acceptance roughly halves the
 // plateau (the paper's own prose says one-half, then its Figure 4
 // caption says 80 phones = 25% — an internal inconsistency; see
-// EXPERIMENTS.md).
+// EXPERIMENTS.md). tests/anchor_test.cpp (fixture Fig4) asserts them.
 #include "bench_common.h"
 
 using namespace mvsim;
@@ -14,35 +14,22 @@ using namespace mvsim::bench;
 
 int main() {
   std::cout << "mvsim FIG-4: phone user education, acceptance sweep (Figure 4)\n";
-  Harness harness("fig4_user_education");
+  const core::RunnerOptions options = default_options();
   std::vector<NamedRun> runs;
   for (const auto& profile : virus::paper_virus_suite()) {
     core::ScenarioConfig base = core::baseline_scenario(profile);
     base.horizon = SimTime::hours(400.0);
     base.sample_step = SimTime::hours(1.0);
-    runs.push_back(run_labelled(harness, profile.name, base));
+    runs.push_back({profile.name, core::run_experiment(base, options)});
     for (double acceptance : {0.20, 0.10}) {
       core::ScenarioConfig educated = core::fig4_education_scenario(profile, acceptance);
       educated.horizon = SimTime::hours(400.0);
       educated.sample_step = SimTime::hours(1.0);
-      runs.push_back(run_labelled(harness, profile.name + " Ed" + fmt(acceptance, 2), educated));
+      runs.push_back(
+          {profile.name + " Ed" + fmt(acceptance, 2), core::run_experiment(educated, options)});
     }
   }
   print_figure("Figure 4: Phone User Education, Effective for All Viruses", runs,
                SimTime::hours(16.0));
-
-  std::cout << "-- paper-vs-measured --\n";
-  for (std::size_t v = 0; v < 4; ++v) {
-    double base = runs[v * 3].result.final_infections.mean();
-    double half = runs[v * 3 + 1].result.final_infections.mean();
-    double quarter = runs[v * 3 + 2].result.final_infections.mean();
-    report(runs[v * 3].label +
-               ": acceptance 0.20 halves the final level; 0.10 quarters it",
-           "final " + fmt(base) + " -> " + fmt(half) + " (" + fmt(100.0 * half / base) +
-               "%) -> " + fmt(quarter) + " (" + fmt(100.0 * quarter / base) + "%)");
-  }
-  report("education both slows and eventually stops the virus spread (plateau reduced)",
-         "all educated curves plateau below their baselines");
-  harness.write_report();
   return 0;
 }

@@ -7,7 +7,7 @@
 // hours during which deployment is in progress, e.g. "Hours 24-30").
 // Shape claims: development time dominates; with 24 h development, a
 // 24-hour rollout lets ~60% more phones get infected than a 1-hour
-// rollout.
+// rollout. tests/anchor_test.cpp (fixture Fig5) asserts them.
 #include "bench_common.h"
 
 using namespace mvsim;
@@ -15,9 +15,10 @@ using namespace mvsim::bench;
 
 int main() {
   std::cout << "mvsim FIG-5: immunization patches, deployment sweep (Figure 5)\n";
-  Harness harness("fig5_immunization");
+  const core::RunnerOptions options = default_options();
   std::vector<NamedRun> runs;
-  runs.push_back(run_labelled(harness, "Baseline", core::baseline_scenario(virus::virus4())));
+  runs.push_back(
+      {"Baseline", core::run_experiment(core::baseline_scenario(virus::virus4()), options)});
   struct Variant {
     double dev;
     double deploy;
@@ -25,42 +26,12 @@ int main() {
   for (const Variant& v :
        {Variant{24, 1}, Variant{24, 24}, Variant{24, 6}, Variant{48, 1}, Variant{48, 24},
         Variant{48, 6}}) {
-    std::string label =
-        "Hours " + fmt(v.dev, 0) + "-" + fmt(v.dev + v.deploy, 0);
-    runs.push_back(run_labelled(
-        harness, label,
-        core::fig5_immunization_scenario(SimTime::hours(v.dev), SimTime::hours(v.deploy))));
+    runs.push_back({"Hours " + fmt(v.dev, 0) + "-" + fmt(v.dev + v.deploy, 0),
+                    core::run_experiment(core::fig5_immunization_scenario(
+                                             SimTime::hours(v.dev), SimTime::hours(v.deploy)),
+                                         options)});
   }
   print_figure("Figure 5: Immunization Using Patches, Varying the Deployment Times (Virus 4)",
                runs, SimTime::hours(8.0));
-
-  std::cout << "-- paper-vs-measured --\n";
-  double dev24_fast = runs[1].result.final_infections.mean();   // 24h dev, 1h rollout
-  double dev24_slow = runs[2].result.final_infections.mean();   // 24h dev, 24h rollout
-  double dev48_fast = runs[4].result.final_infections.mean();   // 48h dev, 1h rollout
-  report("24-hour rollout infects ~60% more phones than a 1-hour rollout (24 h development)",
-         fmt(100.0 * (dev24_slow - dev24_fast) / dev24_fast) + "% more (" + fmt(dev24_fast) +
-             " -> " + fmt(dev24_slow) + ")");
-  report("24-hour development cases start limiting the spread earlier than 48-hour cases",
-         "finals: dev-24h/1h-rollout = " + fmt(dev24_fast) + " vs dev-48h/1h-rollout = " +
-             fmt(dev48_fast));
-  report("the patch halts further spread: every curve plateaus below the baseline",
-         "baseline final = " + fmt(runs[0].result.final_infections.mean()) +
-             "; all immunized finals lower");
-
-  // Side-claim: Virus 3 outruns any patch cycle.
-  core::ScenarioConfig v3 = core::baseline_scenario(virus::virus3());
-  response::ImmunizationConfig immunization;
-  immunization.development_time = SimTime::hours(24.0);
-  immunization.deployment_duration = SimTime::hours(1.0);
-  v3.responses.immunization = immunization;
-  core::ExperimentResult v3_patched = run_experiment_case(harness, "Virus 3 + 24h+1h patch", v3);
-  core::ExperimentResult v3_base =
-      run_experiment_case(harness, "Virus 3 baseline", core::baseline_scenario(virus::virus3()));
-  report("Virus 3 moves too fast for a patch to be developed and deployed in time",
-         "Virus 3 with 24h+1h patching reaches " +
-             fmt(100.0 * v3_patched.final_infections.mean() / v3_base.final_infections.mean()) +
-             "% of its baseline penetration");
-  harness.write_report();
   return 0;
 }

@@ -8,6 +8,7 @@
 // the threshold (threshold 30 vs random dialing ~ threshold 10 vs
 // contact-list propagation); blacklisting at threshold 10 restricts
 // Viruses 1/4 to ~60% of baseline; Virus 2 evades any threshold.
+// tests/anchor_test.cpp (fixture Fig7) asserts them.
 #include "bench_common.h"
 
 using namespace mvsim;
@@ -15,55 +16,15 @@ using namespace mvsim::bench;
 
 int main() {
   std::cout << "mvsim FIG-7: blacklisting, threshold sweep (Figure 7)\n";
-  Harness harness("fig7_blacklist");
+  const core::RunnerOptions options = default_options();
   std::vector<NamedRun> runs;
-  runs.push_back(run_labelled(harness, "Baseline", core::baseline_scenario(virus::virus3())));
+  runs.push_back(
+      {"Baseline", core::run_experiment(core::baseline_scenario(virus::virus3()), options)});
   for (std::uint32_t threshold : {10u, 20u, 30u, 40u}) {
-    runs.push_back(run_labelled(harness, std::to_string(threshold) + " Messages",
-                                core::fig7_blacklist_scenario(threshold)));
+    runs.push_back({std::to_string(threshold) + " Messages",
+                    core::run_experiment(core::fig7_blacklist_scenario(threshold), options)});
   }
   print_figure("Figure 7: Blacklisting, Varying the Activation Threshold (Virus 3)", runs,
                SimTime::hours(1.0));
-
-  std::cout << "-- paper-vs-measured --\n";
-  double base = runs[0].result.final_infections.mean();
-  report("low thresholds strongly restrict the random-dialing virus",
-         "finals as % of baseline: 10msg = " +
-             fmt(100.0 * runs[1].result.final_infections.mean() / base) + "%, 20msg = " +
-             fmt(100.0 * runs[2].result.final_infections.mean() / base) + "%, 30msg = " +
-             fmt(100.0 * runs[3].result.final_infections.mean() / base) + "%, 40msg = " +
-             fmt(100.0 * runs[4].result.final_infections.mean() / base) + "%");
-
-  // Equivalence claim: threshold 30 vs random dialing ~ threshold 10 vs
-  // contact-list propagation (only 1/3 of dialed numbers are valid).
-  core::ScenarioConfig v1_bl10 = core::baseline_scenario(virus::virus1());
-  response::BlacklistConfig bl10;
-  bl10.message_threshold = 10;
-  v1_bl10.responses.blacklist = bl10;
-  core::ExperimentResult v1_blacklisted =
-      run_experiment_case(harness, "Virus 1 + blacklist@10", v1_bl10);
-  core::ExperimentResult v1_base =
-      run_experiment_case(harness, "Virus 1 baseline", core::baseline_scenario(virus::virus1()));
-  double v1_ratio = v1_blacklisted.final_infections.mean() / v1_base.final_infections.mean();
-  double v3_ratio30 = runs[3].result.final_infections.mean() / base;
-  report("threshold 30 vs random dialing is equivalent to threshold 10 vs contact lists",
-         "Virus 3 @30 reaches " + fmt(100.0 * v3_ratio30) + "% of baseline; Virus 1 @10 reaches " +
-             fmt(100.0 * v1_ratio) + "%");
-  report("blacklisting at threshold 10 restricts Viruses 1/4 to ~60% of baseline penetration",
-         "Virus 1 @10: " + fmt(100.0 * v1_ratio) + "% of baseline");
-
-  // Evasion claim: Virus 2's multi-recipient messages defeat counting.
-  core::ScenarioConfig v2_bl = core::baseline_scenario(virus::virus2());
-  v2_bl.responses.blacklist = bl10;
-  core::ExperimentResult v2_blacklisted =
-      run_experiment_case(harness, "Virus 2 + blacklist@10", v2_bl);
-  core::ExperimentResult v2_base =
-      run_experiment_case(harness, "Virus 2 baseline", core::baseline_scenario(virus::virus2()));
-  report("blacklisting is completely ineffective for Virus 2 at any threshold",
-         "Virus 2 @10 reaches " +
-             fmt(100.0 * v2_blacklisted.final_infections.mean() /
-                 v2_base.final_infections.mean()) +
-             "% of its baseline");
-  harness.write_report();
   return 0;
 }

@@ -18,27 +18,22 @@
 // the percolation threshold of the susceptible subgraph the outbreak
 // dies in patient zero's neighborhood; above it the epidemic reaches
 // the giant component, so penetration jumps discontinuously.
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <cstdlib>
 
 #include "bench_common.h"
 #include "core/simulation.h"
+#include "obs/manifest.h"
 
 using namespace mvsim;
 using namespace mvsim::bench;
 
 namespace {
 
-/// Peak resident set size of this process, in bytes (Linux reports
-/// ru_maxrss in KiB). Monotone over the process lifetime, so sample it
-/// right after the workload of interest.
-double peak_rss_bytes() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<double>(usage.ru_maxrss) * 1024.0;
-}
+constexpr double kMiB = 1024.0 * 1024.0;
+
+/// Peak resident set size of this process so far, in MiB.
+double peak_rss_mb() { return static_cast<double>(obs::peak_rss_bytes()) / kMiB; }
 
 graph::PhoneId max_ladder_population() {
   constexpr unsigned long kDefault = 1'000'000ul;
@@ -50,33 +45,26 @@ graph::PhoneId max_ladder_population() {
   return static_cast<graph::PhoneId>(std::min(value, kDefault));
 }
 
-void run_paper_scaling(Harness& harness) {
+void run_paper_scaling(const core::RunnerOptions& options) {
   std::cout << "== part 1: paper section 5.3 (1000 vs 2000 phones) ==\n";
   std::cout << "virus,population,final_infected,penetration_of_susceptible,half_plateau_hours\n";
   for (const auto& profile : virus::paper_virus_suite()) {
-    double fractions[2] = {0.0, 0.0};
-    int slot = 0;
     for (graph::PhoneId population : {1000u, 2000u}) {
       core::ScenarioConfig config = core::baseline_scenario(profile);
       config.population = population;
-      core::ExperimentResult result = run_experiment_case(
-          harness, profile.name + " @" + std::to_string(population), config);
+      core::ExperimentResult result = core::run_experiment(config, options);
       double susceptible = static_cast<double>(population) * config.susceptible_fraction;
       double fraction = result.final_infections.mean() / susceptible;
-      fractions[slot++] = fraction;
       SimTime half = result.curve.mean_first_time_at_or_above(
           config.expected_unrestrained_plateau() / 2.0);
       std::cout << profile.name << "," << population << ","
                 << fmt(result.final_infections.mean()) << "," << fmt(100.0 * fraction) << "%,"
                 << fmt(half.is_finite() ? half.to_hours() : -1.0) << "\n";
     }
-    report(profile.name + ": results scale nicely to larger population sizes",
-           "penetration " + fmt(100.0 * fractions[0]) + "% at 1000 phones vs " +
-               fmt(100.0 * fractions[1]) + "% at 2000 phones");
   }
 }
 
-void run_memory_ladder(Harness& harness) {
+void run_memory_ladder() {
   const graph::PhoneId cap = max_ladder_population();
   std::cout << "\n== part 2: memory ladder (single replication, 10 day horizon, cap "
             << cap << ") ==\n";
@@ -99,40 +87,28 @@ void run_memory_ladder(Harness& harness) {
     config.name = "scale/ladder";
     config.horizon = SimTime::days(10.0);
 
-    std::uint64_t final_infected = 0;
-    double phone_bytes = 0.0;
-    double graph_bytes = 0.0;
-    harness.run_case("ladder @" + std::to_string(population), [&] {
-      core::Simulation sim(config, /*replication_seed=*/1);
-      core::ReplicationResult rep = sim.run();
-      final_infected = rep.total_infected;
-      phone_bytes = static_cast<double>(sim.phones().memory_bytes());
-      graph_bytes = static_cast<double>(sim.contact_graph().memory_bytes());
-      return rep.metrics.counter_value("des.events_executed");
-    });
+    core::Simulation sim(config, /*replication_seed=*/1);
+    core::ReplicationResult rep = sim.run();
+    const double phone_bytes = static_cast<double>(sim.phones().memory_bytes());
+    const double graph_bytes = static_cast<double>(sim.contact_graph().memory_bytes());
 
     const double n = static_cast<double>(population);
-    const double mb = 1024.0 * 1024.0;
     last_phone_bpp = phone_bytes / n;
     last_population = population;
-    std::cout << population << "," << final_infected << ","
-              << harness.cases().back().events << "," << fmt(phone_bytes / mb, 2) << ","
-              << fmt(phone_bytes / n, 2) << "," << fmt(graph_bytes / mb, 2) << ","
-              << fmt(graph_bytes / n, 2) << "," << fmt(peak_rss_bytes() / mb, 1) << "\n";
+    std::cout << population << "," << rep.total_infected << ","
+              << rep.metrics.counter_value("des.events_executed") << ","
+              << fmt(phone_bytes / kMiB, 2) << "," << fmt(phone_bytes / n, 2) << ","
+              << fmt(graph_bytes / kMiB, 2) << "," << fmt(graph_bytes / n, 2) << ","
+              << fmt(peak_rss_mb(), 1) << "\n";
   }
 
-  report("population state fits in under half the old 64 B/phone layout",
-         fmt(last_phone_bpp, 2) + " B/phone at " + std::to_string(last_population) +
-             " phones (budget " + fmt(kOldBytesPerPhone / 2.0, 0) + " B) — " +
-             (last_phone_bpp < kOldBytesPerPhone / 2.0 ? "within budget" : "OVER BUDGET"));
-
-  harness.set_note("ladder_max_population", static_cast<double>(last_population));
-  harness.set_note("phone_state_bytes_per_phone", last_phone_bpp);
-  harness.set_note("old_phone_bytes_per_phone", kOldBytesPerPhone);
-  harness.set_note("peak_rss_mb", peak_rss_bytes() / (1024.0 * 1024.0));
+  std::cout << "ladder_max_population,phone_state_B_per_phone,old_phone_B_per_phone,"
+               "peak_rss_MB\n";
+  std::cout << last_population << "," << fmt(last_phone_bpp, 2) << ","
+            << fmt(kOldBytesPerPhone, 0) << "," << fmt(peak_rss_mb(), 1) << "\n";
 }
 
-void run_market_share_sweep(Harness& harness) {
+void run_market_share_sweep() {
   std::cout << "\n== part 3: market-share penetration (shared graph, virus 1) ==\n";
   std::cout << "share,final_infected,penetration_of_susceptible,ignition_fraction\n";
 
@@ -147,8 +123,7 @@ void run_market_share_sweep(Harness& harness) {
   bool first = true;
   for (double share : shares) {
     core::ScenarioConfig config = core::market_share_scenario(share);
-    core::ExperimentResult result =
-        run_experiment_case(harness, "share " + fmt(share, 2), config, options);
+    core::ExperimentResult result = core::run_experiment(config, options);
     double susceptible = static_cast<double>(config.population) * share;
     double penetration = result.final_infections.mean() / susceptible;
     // A replication "ignited" when the outbreak escaped the seeds'
@@ -173,21 +148,16 @@ void run_market_share_sweep(Harness& harness) {
     first = false;
   }
 
-  report("penetration is discontinuous in market share (percolation threshold)",
-         "ignition probability jumps +" + fmt(max_jump, 2) + " crossing share " +
-             fmt(jump_at, 2));
-  harness.set_note("market_share_ignition_jump", max_jump);
-  harness.set_note("market_share_jump_at", jump_at);
+  std::cout << "largest_ignition_jump,at_share\n" << fmt(max_jump, 2) << "," << fmt(jump_at, 2)
+            << "\n";
 }
 
 }  // namespace
 
 int main() {
   std::cout << "mvsim SCALE: population scaling (paper section 5.3 + million-phone ladder)\n";
-  Harness harness("scaling_population");
-  run_paper_scaling(harness);
-  run_memory_ladder(harness);
-  run_market_share_sweep(harness);
-  harness.write_report();
+  run_paper_scaling(default_options());
+  run_memory_ladder();
+  run_market_share_sweep();
   return 0;
 }

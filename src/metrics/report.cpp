@@ -62,7 +62,8 @@ constexpr MetricDescriptor kSchema[] = {
     {"net.messages_submitted", MetricKind::kCounter, "messages", "net",
      "MMS messages phones handed to the gateway (before filtering)."},
     {"net.recipients_delivered", MetricKind::kCounter, "deliveries", "net",
-     "Per-recipient deliveries that reached a valid phone."},
+     "Recipients routed to a valid phone, counted at routing before the transit delay "
+     "(includes recipients still in transit at the horizon)."},
     {"prof.event.bluetooth_scan", MetricKind::kHistogram, "us", "prof",
      "Per-event wall-clock of proximity-channel scan/push events. Emitted only under "
      "--profile.", true},

@@ -1,0 +1,916 @@
+// Paper anchors: every claim of the paper's evaluation (Figures 1-7 and
+// the prose around them), asserted against the simulator at the
+// paper's scale.
+//
+// Each figure is one fixture (Fig1 ... Fig7). Its SetUpTestSuite runs
+// the figure's experiments once -- 1000 phones, each virus's paper
+// horizon, 10 replications, master seed 0xD5A72007 (the figure
+// binaries' seed), one thread -- and many small TEST_Fs assert on the
+// shared results. The bands come from the paper's claims. A row that
+// EXPERIMENTS.md marks as a deviation asserts the documented direction
+// of that deviation instead, so a change that closes (or widens) a gap
+// shows up here as a failing test.
+//
+// Every anchor records its claim, band and measured value as test
+// properties, so
+//   build/tests/anchor_test --gtest_output=json:anchors.json
+// is the paper-vs-measured table. ctest runs one test per figure
+// (anchors.Fig1 ... anchors.Fig7, label `anchors`); `ctest -L anchors`
+// runs the paper checks alone.
+//
+// The tests after the figures are not figure anchors: they check the
+// paper's claims on reduced populations (250 phones) with their own
+// seed, as a second, cheaper witness next to the paper-scale anchors,
+// plus the patch rollout, defense in depth (paper section 6) and
+// population scaling (section 5.3).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <string>
+
+#include "core/presets.h"
+#include "core/runner.h"
+#include "core/simulation.h"
+
+namespace mvsim::core {
+namespace {
+
+/// The figure binaries' settings, pinned: the anchors must not follow
+/// MVSIM_REPS or MVSIM_THREADS.
+RunnerOptions anchor_options() {
+  RunnerOptions options;
+  options.replications = 10;
+  options.master_seed = 0xD5A7'2007ULL;
+  options.threads = 1;
+  options.keep_replications = false;
+  return options;
+}
+
+std::string fmt(double value, int precision = 1) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", precision, value);
+  return buf;
+}
+
+std::string fmt_hours(SimTime t) { return t.is_finite() ? fmt(t.to_hours()) + " h" : "never"; }
+
+/// Attaches the anchor's claim, band and measurement to the running
+/// test (gtest properties, carried into --gtest_output).
+void record(const std::string& claim, const std::string& band, const std::string& measured) {
+  ::testing::Test::RecordProperty("claim", claim);
+  ::testing::Test::RecordProperty("band", band);
+  ::testing::Test::RecordProperty("measured", measured);
+}
+
+void expect_within(const std::string& what, double value, double lo, double hi) {
+  EXPECT_GE(value, lo) << what;
+  EXPECT_LE(value, hi) << what;
+}
+
+/// One figure's experiments by label, each run once per suite.
+class Runs {
+ public:
+  void add(const std::string& label, const ScenarioConfig& config) {
+    results_.emplace(label, run_experiment(config, anchor_options()));
+  }
+  void clear() { results_.clear(); }
+
+  [[nodiscard]] const ExperimentResult& operator[](const std::string& label) const {
+    return results_.at(label);
+  }
+  [[nodiscard]] double final_of(const std::string& label) const {
+    return results_.at(label).final_infections.mean();
+  }
+  /// Final infections of `label` as a percentage of `baseline`'s.
+  [[nodiscard]] double percent_of(const std::string& label, const std::string& baseline) const {
+    return 100.0 * final_of(label) / final_of(baseline);
+  }
+  [[nodiscard]] double level_at(const std::string& label, SimTime t) const {
+    return results_.at(label).curve.mean_at(t);
+  }
+  /// First time the mean curve of `label` reaches `level`.
+  [[nodiscard]] SimTime time_to(const std::string& label, double level) const {
+    return results_.at(label).curve.mean_first_time_at_or_above(level);
+  }
+
+ private:
+  std::map<std::string, ExperimentResult> results_;
+};
+
+/// 800 susceptible phones x 0.40 eventual acceptance.
+constexpr double kPlateau = 320.0;
+
+ScenarioConfig with_scan(const virus::VirusProfile& profile, SimTime delay) {
+  ScenarioConfig config = baseline_scenario(profile);
+  response::GatewayScanConfig scan;
+  scan.activation_delay = delay;
+  config.responses.gateway_scan = scan;
+  return config;
+}
+
+// ---------------------------------------------------------------------
+// Figure 1: baseline curves of the four viruses.
+
+class Fig1 : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    for (const auto& profile : virus::paper_virus_suite()) {
+      runs.add(profile.name, baseline_scenario(profile));
+    }
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  static SimTime half_plateau(const std::string& virus) {
+    return runs.time_to(virus, kPlateau / 2.0);
+  }
+  static inline Runs runs;
+};
+
+TEST_F(Fig1, EveryVirusPlateausNear320) {
+  std::string measured;
+  for (const char* virus : {"Virus 1", "Virus 2", "Virus 3", "Virus 4"}) {
+    measured += (measured.empty() ? "" : " / ") + fmt(runs.final_of(virus));
+    expect_within(virus, runs.final_of(virus), 0.9 * kPlateau, 1.1 * kPlateau);
+  }
+  record("peak infected is 320 (800 x 0.40) for all four viruses", "288-352 phones each",
+         "finals " + measured);
+}
+
+TEST_F(Fig1, Virus3SaturatesWithinADay) {
+  const SimTime half = half_plateau("Virus 3");
+  record("Virus 3 is so fast that 24 hours suffice to observe its spread", "half-plateau < 24 h",
+         "half-plateau at " + fmt_hours(half));
+  EXPECT_LT(half, SimTime::hours(24.0));
+}
+
+TEST_F(Fig1, Virus2GrowsInDailySteps) {
+  // Virus 2 sends its whole daily budget in a burst at each 24-hour
+  // boundary, so nearly all of a day's growth lands in the first hours
+  // after the boundary and the curve is flat in between.
+  std::string measured;
+  for (double day_start : {24.0, 48.0}) {
+    const double at_start = runs.level_at("Virus 2", SimTime::hours(day_start));
+    const double after_burst = runs.level_at("Virus 2", SimTime::hours(day_start + 3.0));
+    const double day_end = runs.level_at("Virus 2", SimTime::hours(day_start + 23.0));
+    const double share = (after_burst - at_start) / (day_end - at_start);
+    measured += (measured.empty() ? "" : "; ") + fmt(at_start) + " -> " + fmt(after_burst) +
+                " -> " + fmt(day_end) + " across hour " + fmt(day_start, 0);
+    EXPECT_GE(share, 0.8) << "share of the day's growth in the 3 h after hour " << day_start;
+  }
+  record("Virus 2's curve resembles a step function",
+         ">= 80% of each day's growth within 3 h of the day boundary", measured);
+}
+
+TEST_F(Fig1, SpeedOrderingIsThreeThenOneAndTwoThenFour) {
+  const SimTime t1 = half_plateau("Virus 1");
+  const SimTime t2 = half_plateau("Virus 2");
+  const SimTime t3 = half_plateau("Virus 3");
+  const SimTime t4 = half_plateau("Virus 4");
+  record("Virus 3 is fastest (1 day), Virus 2 next (10 days), Viruses 1 and 4 slowest",
+         "half-plateau 2 x t3 <= t1, t2 and 2 x max(t1, t2) <= t4",
+         "half-plateau " + fmt_hours(t1) + " / " + fmt_hours(t2) + " / " + fmt_hours(t3) +
+             " / " + fmt_hours(t4) + " (Viruses 1-4)");
+  EXPECT_LE(t3 * 2.0, t1);
+  EXPECT_LE(t3 * 2.0, t2);
+  EXPECT_LE(t1 * 2.0, t4);
+  EXPECT_LE(t2 * 2.0, t4);
+}
+
+TEST_F(Fig1, Virus1SpreadsFasterThanThePaper) {
+  // Deviation: Virus 1's growth phase is compressed (configuration-
+  // model contact lists); the paper's curve stretches across its
+  // 18-day axis. The direction asserted: half-plateau inside the first
+  // half of that axis.
+  const SimTime t1 = half_plateau("Virus 1");
+  record("Viruses 1 and 4 are examined over an 18-day period", "Virus 1 half-plateau <= 9 days",
+         "half-plateau at " + fmt_hours(t1));
+  EXPECT_LE(t1, SimTime::days(9.0));
+}
+
+TEST_F(Fig1, CurvesRiseToAPlateau) {
+  std::string measured;
+  for (const char* virus : {"Virus 1", "Virus 2", "Virus 3", "Virus 4"}) {
+    const ExperimentResult& result = runs[virus];
+    double previous = 0.0;
+    for (const auto& point : result.curve.grid()) {
+      EXPECT_GE(point.mean, previous) << virus << " at " << point.time.to_hours() << " h";
+      previous = point.mean;
+    }
+    // Settled: the last tenth of the horizon adds under 2% of the plateau.
+    const SimTime horizon = result.curve.horizon();
+    const double late_gain = runs.final_of(virus) - runs.level_at(virus, horizon * 0.9);
+    measured += (measured.empty() ? "" : " / ") + fmt(late_gain);
+    EXPECT_LE(late_gain, 0.02 * kPlateau) << virus;
+  }
+  record("classic S-curves: growth, then a plateau", "non-decreasing; last 10% of horizon adds "
+         "<= 6.4 phones", "late gain " + measured);
+}
+
+// ---------------------------------------------------------------------
+// Figure 2: gateway signature scan vs Virus 1, 6/12/24 h activation.
+
+class Fig2 : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    for (const auto& profile : virus::paper_virus_suite()) {
+      runs.add(profile.name, baseline_scenario(profile));
+      runs.add(profile.name + " + 6h scan", with_scan(profile, SimTime::hours(6.0)));
+    }
+    runs.add("Virus 1 + 12h scan", fig2_scan_scenario(SimTime::hours(12.0)));
+    runs.add("Virus 1 + 24h scan", fig2_scan_scenario(SimTime::hours(24.0)));
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  static inline Runs runs;
+};
+
+TEST_F(Fig2, SixHourDelayEndsNearFivePercent) {
+  const double percent = runs.percent_of("Virus 1 + 6h scan", "Virus 1");
+  record("6 h delay: infection reaches only ~5% of the baseline level", "<= 10% of baseline",
+         fmt(percent) + "% (" + fmt(runs.final_of("Virus 1 + 6h scan")) + " phones)");
+  EXPECT_LE(percent, 10.0);
+}
+
+TEST_F(Fig2, TwentyFourHourDelayStillContains) {
+  // Deviation: the paper's ~25% becomes ~50%, because our Virus 1
+  // grows faster between hours 8 and 26. Asserted: worse than the
+  // paper, still well short of the baseline.
+  const double percent = runs.percent_of("Virus 1 + 24h scan", "Virus 1");
+  record("24 h delay: spread still contained to ~25% of baseline", "25-75% of baseline",
+         fmt(percent) + "% (" + fmt(runs.final_of("Virus 1 + 24h scan")) + " phones)");
+  expect_within("24 h delay", percent, 25.0, 75.0);
+}
+
+TEST_F(Fig2, PromptResponseIsMostEffective) {
+  const double p6 = runs.percent_of("Virus 1 + 6h scan", "Virus 1");
+  const double p12 = runs.percent_of("Virus 1 + 12h scan", "Virus 1");
+  const double p24 = runs.percent_of("Virus 1 + 24h scan", "Virus 1");
+  record("prompt response is most effective", "6 h < 12 h < 24 h < baseline",
+         fmt(p6) + "% < " + fmt(p12) + "% < " + fmt(p24) + "%");
+  EXPECT_LT(p6, p12);
+  EXPECT_LT(p12, p24);
+  EXPECT_LT(p24, 100.0);
+}
+
+TEST_F(Fig2, ScanHaltsFurtherSpread) {
+  // Once the signature is active no infected message gets through; the
+  // last week adds nothing but messages read before activation.
+  std::string measured;
+  for (const char* label : {"Virus 1 + 6h scan", "Virus 1 + 12h scan", "Virus 1 + 24h scan"}) {
+    const double late_gain = runs.final_of(label) - runs.level_at(label, SimTime::days(11.0));
+    measured += (measured.empty() ? "" : " / ") + fmt(late_gain);
+    EXPECT_LE(late_gain, 0.01 * kPlateau) << label;
+  }
+  record("the scan halts further spread once active", "days 11-18 add <= 3.2 phones",
+         "late gain " + measured + " (6/12/24 h)");
+}
+
+TEST_F(Fig2, Viruses2And4AreContainedLikeVirus1) {
+  const double v2 = runs.percent_of("Virus 2 + 6h scan", "Virus 2");
+  const double v4 = runs.percent_of("Virus 4 + 6h scan", "Virus 4");
+  record("results with the gateway scan look similar for Viruses 1, 2 and 4",
+         "6 h delay <= 10% of baseline", "Virus 2 " + fmt(v2) + "%, Virus 4 " + fmt(v4) + "%");
+  EXPECT_LE(v2, 10.0);
+  EXPECT_LE(v4, 10.0);
+}
+
+TEST_F(Fig2, ScanIsIneffectualAgainstVirus3) {
+  const double v3 = runs.percent_of("Virus 3 + 6h scan", "Virus 3");
+  record("the gateway scan is completely ineffectual against Virus 3", ">= 90% of baseline",
+         fmt(v3) + "%");
+  EXPECT_GE(v3, 90.0);
+}
+
+// ---------------------------------------------------------------------
+// Figure 3: gateway detection algorithm vs Virus 2, accuracy sweep.
+
+constexpr double kDetectionAccuracies[] = {0.99, 0.95, 0.90, 0.85, 0.80};
+
+std::string accuracy_label(double accuracy) { return "Virus 2 @" + fmt(accuracy, 2); }
+
+class Fig3 : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    runs.add("Virus 2", baseline_scenario(virus::virus2()));
+    for (double accuracy : kDetectionAccuracies) {
+      runs.add(accuracy_label(accuracy), fig3_detection_scenario(accuracy));
+    }
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  static SimTime mark_135(const std::string& label) { return runs.time_to(label, 135.0); }
+  static inline Runs runs;
+};
+
+TEST_F(Fig3, Baseline135MarkNearTwoDays) {
+  // Deviation: our Virus 2 is one day faster; the direction asserted is
+  // "earlier than the paper, but not before the first daily burst".
+  const SimTime t = mark_135("Virus 2");
+  record("baseline Virus 2 infects 135 phones after ~2 days", "1-2 days",
+         fmt(t.to_days(), 2) + " days");
+  expect_within("135-infection mark, days", t.to_days(), 1.0, 2.0);
+}
+
+TEST_F(Fig3, Accuracy095PushesThe135MarkOut) {
+  // Deviation: the absolute time is early (as the baseline is), so the
+  // anchor is the delay factor the 95% filter buys: paper 9/2 = 4.5x.
+  const SimTime base = mark_135("Virus 2");
+  const SimTime t95 = mark_135(accuracy_label(0.95));
+  const double factor = t95 / base;
+  record("0.95 accuracy pushes the 135-infection mark to ~9 days (4.5x)", "delay factor 3.0-5.0",
+         fmt(t95.to_days()) + " days, " + fmt(factor) + "x");
+  expect_within("delay factor", factor, 3.0, 5.0);
+}
+
+TEST_F(Fig3, DetectorSlowsButNeverStops) {
+  const std::string strict = accuracy_label(0.99);
+  const double day9 = runs.level_at(strict, SimTime::days(9.0));
+  const double day10 = runs.final_of(strict);
+  record("the detection algorithm slows the spread but does not stop it",
+         "0.99 accuracy: below half the baseline and still rising at day 10",
+         fmt(day9) + " at day 9 -> " + fmt(day10) + " at day 10 (baseline " +
+             fmt(runs.final_of("Virus 2")) + ")");
+  EXPECT_GT(day10, day9);
+  EXPECT_LT(day10, 0.5 * runs.final_of("Virus 2"));
+}
+
+TEST_F(Fig3, EffectivenessIsMonotoneInAccuracy) {
+  std::string marks;
+  std::string finals;
+  SimTime previous = SimTime::infinity();
+  for (double accuracy : kDetectionAccuracies) {
+    const SimTime t = mark_135(accuracy_label(accuracy));
+    marks += (marks.empty() ? "" : " >= ") + fmt_hours(t);
+    finals += (finals.empty() ? "" : " / ") + fmt(runs.final_of(accuracy_label(accuracy)));
+    EXPECT_LE(t, previous) << "accuracy " << accuracy;
+    previous = t;
+  }
+  EXPECT_LE(mark_135("Virus 2"), previous);
+  record("higher accuracy slows the virus more", "135-mark non-increasing from 0.99 to 0.80",
+         "135-mark " + marks + "; day-10 finals " + finals + " (0.99 ... 0.80)");
+}
+
+TEST_F(Fig3, HigherAccuracyBlocksALargerShareOfTraffic) {
+  // Absolute block counts fall with accuracy (a stricter detector
+  // suppresses the epidemic that makes the traffic); the share rises.
+  auto blocked_share = [](double accuracy) {
+    const ExperimentResult& result = runs[accuracy_label(accuracy)];
+    return result.per_replication("net.messages_blocked").mean() /
+           result.per_replication("net.messages_submitted").mean();
+  };
+  const double strict = blocked_share(0.99);
+  const double lax = blocked_share(0.80);
+  record("the detector stops each infected message with probability = accuracy",
+         "blocked share of submitted messages: 0.99 > 0.80",
+         fmt(100.0 * strict) + "% at 0.99 vs " + fmt(100.0 * lax) + "% at 0.80");
+  EXPECT_GT(strict, lax);
+}
+
+// ---------------------------------------------------------------------
+// Figure 4: user education, eventual acceptance 0.40 -> 0.20 / 0.10.
+
+class Fig4 : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    for (const auto& profile : virus::paper_virus_suite()) {
+      runs.add(profile.name, baseline_scenario(profile));
+      runs.add(profile.name + " @0.20", fig4_education_scenario(profile, 0.20));
+      runs.add(profile.name + " @0.10", fig4_education_scenario(profile, 0.10));
+    }
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  static inline Runs runs;
+};
+
+TEST_F(Fig4, HalfAcceptanceHalvesEveryPlateau) {
+  std::string measured;
+  for (const char* virus : {"Virus 1", "Virus 2", "Virus 3", "Virus 4"}) {
+    const double percent = runs.percent_of(std::string(virus) + " @0.20", virus);
+    measured += (measured.empty() ? "" : " / ") + fmt(percent) + "%";
+    expect_within(virus, percent, 40.0, 60.0);
+  }
+  record("acceptance 0.20 ends at one-half of the baseline, for every virus",
+         "40-60% of baseline", measured + " (Viruses 1-4)");
+}
+
+TEST_F(Fig4, QuarterAcceptanceQuartersEveryPlateau) {
+  std::string measured;
+  for (const char* virus : {"Virus 1", "Virus 2", "Virus 3", "Virus 4"}) {
+    const double percent = runs.percent_of(std::string(virus) + " @0.10", virus);
+    measured += (measured.empty() ? "" : " / ") + fmt(percent) + "%";
+    expect_within(virus, percent, 15.0, 35.0);
+  }
+  record("acceptance 0.10 ends at one-quarter of the baseline", "15-35% of baseline",
+         measured + " (Viruses 1-4)");
+}
+
+TEST_F(Fig4, EducationWorksAgainstEveryVirus) {
+  for (const char* virus : {"Virus 1", "Virus 2", "Virus 3", "Virus 4"}) {
+    const std::string name = virus;
+    EXPECT_LT(runs.final_of(name + " @0.10"), runs.final_of(name + " @0.20")) << name;
+    EXPECT_LT(runs.final_of(name + " @0.20"), runs.final_of(name)) << name;
+  }
+  record("education is the one mechanism effective against all four viruses",
+         "0.10 < 0.20 < baseline for each virus", "holds for Viruses 1-4");
+}
+
+// ---------------------------------------------------------------------
+// Figure 5: immunization vs Virus 4, development 24/48 h x rollout 1/6/24 h.
+
+std::string patch_label(double development, double deployment) {
+  return "dev " + fmt(development, 0) + "h + rollout " + fmt(deployment, 0) + "h";
+}
+
+class Fig5 : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    runs.add("Virus 4", baseline_scenario(virus::virus4()));
+    for (double development : {24.0, 48.0}) {
+      for (double deployment : {1.0, 6.0, 24.0}) {
+        runs.add(patch_label(development, deployment),
+                 fig5_immunization_scenario(SimTime::hours(development),
+                                            SimTime::hours(deployment)));
+      }
+    }
+    ScenarioConfig v3 = baseline_scenario(virus::virus3());
+    runs.add("Virus 3", v3);
+    response::ImmunizationConfig immunization;
+    immunization.development_time = SimTime::hours(24.0);
+    immunization.deployment_duration = SimTime::hours(1.0);
+    v3.responses.immunization = immunization;
+    runs.add("Virus 3 + patch", v3);
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  static inline Runs runs;
+};
+
+TEST_F(Fig5, SlowRolloutInfectsMoreThanFast) {
+  // Deviation: the paper's ~60% more comes out lower here. Asserted:
+  // clearly more, at most the paper's figure.
+  const double fast = runs.final_of(patch_label(24.0, 1.0));
+  const double slow = runs.final_of(patch_label(24.0, 24.0));
+  const double more = 100.0 * (slow - fast) / fast;
+  record("with 24 h development, a 24 h rollout infects ~60% more phones than a 1 h rollout",
+         "10-66% more", fmt(more) + "% more (" + fmt(fast) + " -> " + fmt(slow) + ")");
+  expect_within("extra infections, %", more, 10.0, 66.0);
+}
+
+TEST_F(Fig5, DevelopmentTimeDominates) {
+  std::string measured;
+  for (double deployment : {1.0, 6.0, 24.0}) {
+    const double dev24 = runs.final_of(patch_label(24.0, deployment));
+    const double dev48 = runs.final_of(patch_label(48.0, deployment));
+    measured += (measured.empty() ? "" : "; ") + fmt(dev24) + " vs " + fmt(dev48);
+    EXPECT_LT(dev24, dev48) << "rollout " << deployment << " h";
+  }
+  EXPECT_LT(runs.final_of(patch_label(24.0, 24.0)), runs.final_of(patch_label(48.0, 1.0)))
+      << "a day less development beats a 23 h faster rollout";
+  record("24 h development limits the spread earlier than 48 h development",
+         "dev 24 h < dev 48 h at every rollout; dev 24 h + 24 h rollout < dev 48 h + 1 h",
+         measured + " (rollout 1/6/24 h)");
+}
+
+TEST_F(Fig5, PatchHaltsFurtherSpread) {
+  std::string measured;
+  for (double development : {24.0, 48.0}) {
+    for (double deployment : {1.0, 6.0, 24.0}) {
+      const std::string label = patch_label(development, deployment);
+      const double late_gain = runs.final_of(label) - runs.level_at(label, SimTime::days(9.0));
+      measured += (measured.empty() ? "" : " / ") + fmt(runs.final_of(label));
+      EXPECT_LT(runs.final_of(label), 0.25 * runs.final_of("Virus 4")) << label;
+      EXPECT_LE(late_gain, 0.5) << label << ": spread after day 9";
+      EXPECT_NEAR(runs[label].patches_applied.mean(), 800.0, 1.0)
+          << label << ": every susceptible phone gets the patch";
+    }
+  }
+  record("the patch halts further spread: every curve plateaus below the baseline",
+         "< 25% of baseline, flat after day 9, all 800 phones patched",
+         "finals " + measured + " vs baseline " + fmt(runs.final_of("Virus 4")));
+}
+
+TEST_F(Fig5, Virus3OutrunsThePatchCycle) {
+  const double percent = runs.percent_of("Virus 3 + patch", "Virus 3");
+  record("Virus 3 moves too fast for a patch to be developed and deployed in time",
+         ">= 90% of baseline", fmt(percent) + "% with a 24 h + 1 h patch cycle");
+  EXPECT_GE(percent, 90.0);
+}
+
+// ---------------------------------------------------------------------
+// Figure 6: monitoring vs Virus 3, forced wait 15/30/60 min.
+
+std::string wait_label(double minutes) { return fmt(minutes, 0) + "-min wait"; }
+
+class Fig6 : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    runs.add("Virus 3", baseline_scenario(virus::virus3()));
+    for (double minutes : {15.0, 30.0, 60.0}) {
+      runs.add(wait_label(minutes), fig6_monitoring_scenario(SimTime::minutes(minutes)));
+    }
+    for (const auto& profile : {virus::virus1(), virus::virus2(), virus::virus4()}) {
+      ScenarioConfig monitored = baseline_scenario(profile);
+      runs.add(profile.name, monitored);
+      monitored.responses.monitoring = response::MonitoringConfig{};
+      runs.add(profile.name + " + monitoring", monitored);
+    }
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  static inline Runs runs;
+};
+
+TEST_F(Fig6, Baseline150MarkNearTwoAndAHalfHours) {
+  // Deviation: our Virus 3 takes about twice as long. Asserted: no
+  // faster than the paper, at most 6 h.
+  const SimTime t = runs.time_to("Virus 3", 150.0);
+  record("baseline Virus 3 can infect 150 phones in about 2.5 hours", "2.5-6 h", fmt_hours(t));
+  expect_within("150-infection mark, hours", t.to_hours(), 2.5, 6.0);
+}
+
+TEST_F(Fig6, FifteenMinuteWaitHoldsUnder150For20Hours) {
+  const double at20 = runs.level_at(wait_label(15.0), SimTime::hours(20.0));
+  record("a 15-minute forced wait keeps the infection under 150 phones for up to 20 h",
+         "< 150 at 20 h",
+         fmt(at20) + " at 20 h; crosses 150 at " + fmt_hours(runs.time_to(wait_label(15.0), 150.0)));
+  EXPECT_LT(at20, 150.0);
+}
+
+TEST_F(Fig6, LongerWaitsSlowTheVirusMore) {
+  const SimTime t = SimTime::hours(12.0);
+  std::string measured = fmt(runs.level_at("Virus 3", t));
+  double previous = runs.level_at("Virus 3", t);
+  for (double minutes : {15.0, 30.0, 60.0}) {
+    const double level = runs.level_at(wait_label(minutes), t);
+    measured += " > " + fmt(level);
+    EXPECT_LT(level, previous) << wait_label(minutes);
+    previous = level;
+  }
+  record("longer forced waits slow the virus more", "level at 12 h: base > 15 > 30 > 60 min",
+         measured);
+}
+
+TEST_F(Fig6, MonitoringBuysTimeButDoesNotStop) {
+  std::string measured;
+  for (double minutes : {15.0, 30.0, 60.0}) {
+    const std::string label = wait_label(minutes);
+    const double at12 = runs.level_at(label, SimTime::hours(12.0));
+    measured += (measured.empty() ? "" : "; ") + fmt(at12) + " -> " + fmt(runs.final_of(label));
+    EXPECT_GT(runs.final_of(label), at12) << label << " still climbs after 12 h";
+    EXPECT_GT(runs[label].per_replication("response.monitoring.phones_flagged").mean(), 0.0);
+  }
+  record("monitoring slows the spread but does not stop it",
+         "every monitored curve climbs from 12 h to 25 h",
+         measured + " (15/30/60 min, 12 h -> 25 h)");
+}
+
+TEST_F(Fig6, SelfThrottledVirusesSlipThrough) {
+  std::string measured;
+  for (const char* virus : {"Virus 1", "Virus 2", "Virus 4"}) {
+    const std::string monitored = std::string(virus) + " + monitoring";
+    const double percent = runs.percent_of(monitored, virus);
+    const double flagged = runs[monitored].per_replication("response.monitoring.phones_flagged")
+                               .mean();
+    measured += (measured.empty() ? "" : "; ") + std::string(virus) + " " + fmt(percent) +
+                "% (flagged " + fmt(flagged) + ")";
+    EXPECT_GE(percent, 85.0) << virus;
+    if (std::string(virus) != "Virus 2") {
+      EXPECT_EQ(flagged, 0.0) << virus << " sends at most ~2 messages/hour";
+    }
+  }
+  record("monitoring is ineffectual against the self-throttled Viruses 1, 2 and 4",
+         ">= 85% of baseline; Viruses 1 and 4 never flagged", measured);
+}
+
+// ---------------------------------------------------------------------
+// Figure 7: blacklisting vs Virus 3, threshold 10/20/30/40 messages.
+
+std::string threshold_label(std::uint32_t threshold) {
+  return "Virus 3 @" + std::to_string(threshold);
+}
+
+ScenarioConfig blacklisted(const virus::VirusProfile& profile, std::uint32_t threshold) {
+  ScenarioConfig config = baseline_scenario(profile);
+  response::BlacklistConfig blacklist;
+  blacklist.message_threshold = threshold;
+  config.responses.blacklist = blacklist;
+  return config;
+}
+
+class Fig7 : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    runs.add("Virus 3", baseline_scenario(virus::virus3()));
+    for (std::uint32_t threshold : {10u, 20u, 30u, 40u}) {
+      runs.add(threshold_label(threshold), fig7_blacklist_scenario(threshold));
+    }
+    for (const auto& profile : {virus::virus1(), virus::virus2()}) {
+      runs.add(profile.name, baseline_scenario(profile));
+      runs.add(profile.name + " @10", blacklisted(profile, 10));
+    }
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  static inline Runs runs;
+};
+
+TEST_F(Fig7, LowThresholdsStronglyRestrictVirus3) {
+  const double at10 = runs.percent_of(threshold_label(10), "Virus 3");
+  const double at20 = runs.percent_of(threshold_label(20), "Virus 3");
+  record("low thresholds strongly restrict the random-dialing virus",
+         "@10 <= 10%, @20 <= 50% of baseline", "@10 " + fmt(at10) + "%, @20 " + fmt(at20) + "%");
+  EXPECT_LE(at10, 10.0);
+  EXPECT_LE(at20, 50.0);
+  EXPECT_GT(runs[threshold_label(10)].per_replication("response.blacklist.phones_blacklisted")
+                .mean(),
+            0.0);
+}
+
+TEST_F(Fig7, RestrictionIsMonotoneInThreshold) {
+  std::string measured;
+  double previous = 0.0;
+  for (std::uint32_t threshold : {10u, 20u, 30u, 40u}) {
+    const double percent = runs.percent_of(threshold_label(threshold), "Virus 3");
+    measured += (measured.empty() ? "" : " < ") + fmt(percent) + "%";
+    EXPECT_GT(percent, previous) << threshold_label(threshold);
+    previous = percent;
+  }
+  EXPECT_LT(previous, 100.0);
+  record("the lower the threshold, the stronger the restriction", "@10 < @20 < @30 < @40 < 100%",
+         measured);
+}
+
+TEST_F(Fig7, ThresholdScalesWithTheValidNumberFraction) {
+  // Only ~1/3 of randomly dialed numbers are valid, so threshold 30
+  // against Virus 3 should act like threshold 10 against contact-list
+  // Virus 1. Deviation: Virus 1 is suppressed harder; asserted: both in
+  // the same partial-containment regime, Virus 1 at or below Virus 3.
+  const double v3_at30 = runs.percent_of(threshold_label(30), "Virus 3");
+  const double v1_at10 = runs.percent_of("Virus 1 @10", "Virus 1");
+  record("threshold 30 vs random dialing is equivalent to threshold 10 vs contact lists",
+         "both 10-90% of baseline, Virus 1 @10 <= Virus 3 @30",
+         "Virus 3 @30 " + fmt(v3_at30) + "%, Virus 1 @10 " + fmt(v1_at10) + "%");
+  expect_within("Virus 3 @30", v3_at30, 10.0, 90.0);
+  expect_within("Virus 1 @10", v1_at10, 10.0, 90.0);
+  EXPECT_LE(v1_at10, v3_at30);
+}
+
+TEST_F(Fig7, Threshold10RestrictsVirus1) {
+  // Deviation: ~29% against the paper's ~60%; asserted: at least the
+  // paper's restriction.
+  const double v1_at10 = runs.percent_of("Virus 1 @10", "Virus 1");
+  record("blacklisting at threshold 10 restricts Virus 1 to ~60% of baseline",
+         "10-66% of baseline", fmt(v1_at10) + "%");
+  expect_within("Virus 1 @10", v1_at10, 10.0, 66.0);
+}
+
+TEST_F(Fig7, Virus2EvadesBlacklisting) {
+  const double v2_at10 = runs.percent_of("Virus 2 @10", "Virus 2");
+  record("blacklisting is completely ineffective against Virus 2 at any threshold",
+         ">= 90% of baseline at threshold 10", fmt(v2_at10) + "%");
+  EXPECT_GE(v2_at10, 90.0);
+}
+
+// ---------------------------------------------------------------------
+// Reduced-population checks (not figure anchors).
+
+/// Paper-shaped scenario scaled down 4x for test speed: 250 phones,
+/// mean contact-list size 20.
+ScenarioConfig scaled_scenario(const virus::VirusProfile& profile) {
+  ScenarioConfig config = baseline_scenario(profile);
+  config.population = 250;
+  config.topology.mean_degree = 20.0;
+  return config;
+}
+
+ExperimentResult run(const ScenarioConfig& config, int reps = 5, std::uint64_t seed = 7777) {
+  RunnerOptions options;
+  options.replications = reps;
+  options.master_seed = seed;
+  return run_experiment(config, options);
+}
+
+TEST(Baseline, AllVirusesApproachTheExpectedPlateau) {
+  // 250 x 0.8 x 0.40 = 80 expected infections at saturation.
+  for (const auto& profile : virus::paper_virus_suite()) {
+    ScenarioConfig config = scaled_scenario(profile);
+    if (profile.name == "Virus 4") config.horizon = SimTime::days(24.0);  // slowest to settle
+    ExperimentResult result = run(config);
+    EXPECT_NEAR(result.final_infections.mean(), config.expected_unrestrained_plateau(),
+                config.expected_unrestrained_plateau() * 0.25)
+        << profile.name;
+  }
+}
+
+TEST(Baseline, VirusSpeedOrderingMatchesFigure1) {
+  // Time for the mean curve to reach half the expected plateau:
+  // Virus 3 fastest, Virus 2 next, Viruses 1 and 4 slowest.
+  //
+  // The Virus 1 / Virus 2 ordering depends on the ratio of contact-list
+  // size to population (Virus 1's pace is set by how long one pass over
+  // the list takes), so this test runs at the paper's full scale —
+  // which is cheap, a Virus 1 replication is ~0.1 s.
+  std::map<std::string, SimTime> half_time;
+  for (const auto& profile : virus::paper_virus_suite()) {
+    // Each virus keeps its own paper horizon (running Virus 3's
+    // unlimited firehose for 18 days would only burn CPU; it crosses
+    // the half-plateau within its first day).
+    ScenarioConfig config = baseline_scenario(profile);
+    config.sample_step = SimTime::minutes(30.0);
+    ExperimentResult result = run(config, 3);
+    half_time[profile.name] =
+        result.curve.mean_first_time_at_or_above(config.expected_unrestrained_plateau() / 2.0);
+  }
+  // Virus 1 and Virus 2 have statistically overlapping half-times (in
+  // the paper as well: Virus 2 hits 135 infections at ~2 days, about
+  // when Virus 1 does); the robust orderings are 3 << {1,2} << 4.
+  EXPECT_LT(half_time["Virus 3"], half_time["Virus 2"]);
+  EXPECT_LT(half_time["Virus 3"], half_time["Virus 1"]);
+  EXPECT_LT(half_time["Virus 1"], half_time["Virus 4"]);
+  EXPECT_LT(half_time["Virus 2"], half_time["Virus 4"]);
+  EXPECT_LT(half_time["Virus 3"], SimTime::hours(24.0)) << "Virus 3 saturates within a day";
+}
+
+TEST(Baseline, Virus2CurveIsStepLike) {
+  // Between day boundaries the aligned-burst virus gains little; across
+  // a boundary it jumps. Compare growth in the two halves of day 2.
+  ScenarioConfig config = scaled_scenario(virus::virus2());
+  config.sample_step = SimTime::hours(1.0);
+  ExperimentResult result = run(config, 8);
+  double start_day2 = result.curve.mean_at(SimTime::hours(24.0));
+  double mid_day2 = result.curve.mean_at(SimTime::hours(30.0));
+  double end_day2 = result.curve.mean_at(SimTime::hours(47.0));
+  double burst_growth = mid_day2 - start_day2;   // includes the day-2 burst wave
+  double quiet_growth = end_day2 - mid_day2;     // budget exhausted: near-flat
+  EXPECT_GT(burst_growth, 4.0 * std::max(quiet_growth, 0.5))
+      << "growth concentrates right after each 24-hour boundary";
+}
+
+TEST(GatewayScanStudy, PromptResponseContainsVirus1) {
+  ScenarioConfig baseline = scaled_scenario(virus::virus1());
+  ExperimentResult base = run(baseline);
+
+  auto scan_config = [&](SimTime delay) {
+    ScenarioConfig c = baseline;
+    response::GatewayScanConfig scan;
+    scan.activation_delay = delay;
+    c.responses.gateway_scan = scan;
+    return c;
+  };
+  ExperimentResult fast = run(scan_config(SimTime::hours(6.0)));
+  ExperimentResult slow = run(scan_config(SimTime::hours(24.0)));
+
+  EXPECT_LT(fast.final_infections.mean(), slow.final_infections.mean());
+  // At the test's reduced scale (contact lists of 20) the virus re-spams
+  // each contact 4x faster than at paper scale, so the 24-hour response
+  // contains less than the paper's 25%; the full-scale bench reproduces
+  // the paper's ratios.
+  EXPECT_LT(slow.final_infections.mean(), 0.75 * base.final_infections.mean());
+  EXPECT_LT(fast.final_infections.mean(), 0.25 * base.final_infections.mean())
+      << "6-hour signature turnaround contains the infection to a small fraction";
+}
+
+TEST(GatewayScanStudy, ScanCannotCatchVirus3) {
+  ScenarioConfig config = scaled_scenario(virus::virus3());
+  response::GatewayScanConfig scan;
+  scan.activation_delay = SimTime::hours(6.0);
+  config.responses.gateway_scan = scan;
+  ExperimentResult with_scan = run(config);
+  ExperimentResult base = run(scaled_scenario(virus::virus3()));
+  EXPECT_GT(with_scan.final_infections.mean(), 0.85 * base.final_infections.mean())
+      << "Virus 3 penetrates the population before any 6-hour response";
+}
+
+TEST(MonitoringStudy, ForcedWaitSlowsVirus3) {
+  ScenarioConfig base_config = scaled_scenario(virus::virus3());
+  base_config.sample_step = SimTime::minutes(15.0);
+  ExperimentResult base = run(base_config);
+
+  auto monitoring_config = [&](SimTime wait) {
+    ScenarioConfig c = base_config;
+    response::MonitoringConfig monitoring;
+    monitoring.forced_wait = wait;
+    c.responses.monitoring = monitoring;
+    return c;
+  };
+  ExperimentResult wait15 = run(monitoring_config(SimTime::minutes(15.0)));
+  ExperimentResult wait60 = run(monitoring_config(SimTime::minutes(60.0)));
+
+  double level = 0.5 * base.final_infections.mean();
+  SimTime t_base = base.curve.mean_first_time_at_or_above(level);
+  SimTime t_15 = wait15.curve.mean_first_time_at_or_above(level);
+  EXPECT_LT(t_base + SimTime::hours(2.0), t_15)
+      << "monitoring buys hours against the rapid virus";
+  EXPECT_LE(wait60.curve.mean_at(SimTime::hours(12.0)), wait15.curve.mean_at(SimTime::hours(12.0)))
+      << "longer forced waits slow the spread at least as much";
+  EXPECT_GT(wait15.per_replication("response.monitoring.phones_flagged").mean(), 0.0);
+}
+
+TEST(MonitoringStudy, SelfThrottledVirusesSlipUnderMonitoring) {
+  // Viruses 1 and 4 never even trip the detector (<= 2 messages/hour).
+  for (const auto& profile : {virus::virus1(), virus::virus4()}) {
+    ScenarioConfig config = scaled_scenario(profile);
+    config.responses.monitoring = response::MonitoringConfig{};
+    ExperimentResult result = run(config, 3);
+    EXPECT_DOUBLE_EQ(result.per_replication("response.monitoring.phones_flagged").mean(), 0.0)
+        << profile.name << " sends at most ~2 messages/hour, under the 5/hour threshold";
+  }
+  // Virus 2's burst can be flagged, but a 30-minute forced wait barely
+  // constrains a virus that needs only 30 sends per day: the infection
+  // outcome matches the unmonitored baseline (paper: "ineffectual").
+  ScenarioConfig config = scaled_scenario(virus::virus2());
+  ExperimentResult base = run(config, 4);
+  config.responses.monitoring = response::MonitoringConfig{};
+  ExperimentResult monitored = run(config, 4);
+  EXPECT_GT(monitored.final_infections.mean(), 0.85 * base.final_infections.mean());
+}
+
+TEST(BlacklistStudy, LowThresholdSuppressesVirus3) {
+  ScenarioConfig base_config = scaled_scenario(virus::virus3());
+  ExperimentResult base = run(base_config);
+
+  auto blacklist_config = [&](std::uint32_t threshold) {
+    ScenarioConfig c = base_config;
+    response::BlacklistConfig blacklist;
+    blacklist.message_threshold = threshold;
+    c.responses.blacklist = blacklist;
+    return c;
+  };
+  ExperimentResult strict = run(blacklist_config(10));
+  ExperimentResult lax = run(blacklist_config(40));
+
+  EXPECT_LT(strict.final_infections.mean(), 0.5 * base.final_infections.mean());
+  EXPECT_LT(strict.final_infections.mean(), lax.final_infections.mean());
+  EXPECT_GT(strict.per_replication("response.blacklist.phones_blacklisted").mean(), 0.0);
+}
+
+TEST(BlacklistStudy, Virus2EvadesBlacklisting) {
+  // The evasion needs contact lists larger than the daily message
+  // budget (then each counted message carries several recipients), so
+  // this test keeps the paper's mean degree of 80.
+  ScenarioConfig config = scaled_scenario(virus::virus2());
+  config.topology.mean_degree = 80.0;
+  response::BlacklistConfig blacklist;
+  blacklist.message_threshold = 10;
+  config.responses.blacklist = blacklist;
+  ExperimentResult with_blacklist = run(config);
+  ScenarioConfig base_config = scaled_scenario(virus::virus2());
+  base_config.topology.mean_degree = 80.0;
+  ExperimentResult base = run(base_config);
+  EXPECT_GT(with_blacklist.final_infections.mean(), 0.8 * base.final_infections.mean())
+      << "multi-recipient messages defeat per-message counting (paper §5.2)";
+}
+
+TEST(ImmunizationStudy, PatchedPopulationEndsUpImmunizedOrSilenced) {
+  ScenarioConfig config = scaled_scenario(virus::virus1());
+  response::ImmunizationConfig immunization;
+  immunization.development_time = SimTime::hours(24.0);
+  immunization.deployment_duration = SimTime::hours(6.0);
+  config.responses.immunization = immunization;
+  Simulation sim(config, 123);
+  ReplicationResult r = sim.run();
+  const phone::PhoneTable& phones = sim.phones();
+  for (graph::PhoneId id = 0; id < config.population; ++id) {
+    if (phones.susceptible(id)) {
+      EXPECT_TRUE(phones.patched(id)) << "susceptible phone " << id << " missed the rollout";
+    }
+  }
+  EXPECT_EQ(r.metrics.counter_value("core.phones_immunized_healthy") +
+                r.metrics.counter_value("core.phones_patched_infected"),
+            200u);
+}
+
+TEST(DefenseInDepth, CombiningMechanismsBeatsEither) {
+  // Paper §6 future work: a slowing mechanism (monitoring) buys time
+  // for a stopping mechanism (gateway scan) against the fast virus.
+  ScenarioConfig base_config = scaled_scenario(virus::virus3());
+  ExperimentResult base = run(base_config);
+
+  ScenarioConfig scan_only = base_config;
+  response::GatewayScanConfig scan;
+  scan.activation_delay = SimTime::hours(6.0);
+  scan_only.responses.gateway_scan = scan;
+  ExperimentResult only_scan = run(scan_only);
+
+  ScenarioConfig combined = scan_only;
+  response::MonitoringConfig monitoring;
+  monitoring.forced_wait = SimTime::minutes(30.0);
+  combined.responses.monitoring = monitoring;
+  ExperimentResult both = run(combined);
+
+  EXPECT_LT(both.final_infections.mean(), 0.7 * only_scan.final_infections.mean());
+  EXPECT_LT(both.final_infections.mean(), 0.7 * base.final_infections.mean());
+}
+
+TEST(Scaling, DoublingPopulationScalesThePlateau) {
+  // Paper §5.3: "results scale nicely to larger population sizes".
+  ScenarioConfig small = scaled_scenario(virus::virus1());
+  ScenarioConfig big = small;
+  big.population = 500;
+  ExperimentResult small_result = run(small, 4);
+  ExperimentResult big_result = run(big, 4);
+  double small_fraction = small_result.final_infections.mean() / 250.0;
+  double big_fraction = big_result.final_infections.mean() / 500.0;
+  EXPECT_NEAR(small_fraction, big_fraction, 0.08)
+      << "penetration fraction is population-invariant";
+}
+
+}  // namespace
+}  // namespace mvsim::core

@@ -3,7 +3,10 @@
 // the JSONL / Chrome trace_event exporters (lossless round-trips).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <random>
 #include <set>
@@ -12,7 +15,10 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
+#include "cli/preset_registry.h"
+#include "config/scenario_io.h"
 #include "core/presets.h"
 #include "core/scenario.h"
 #include "core/simulation.h"
@@ -254,30 +260,75 @@ TEST(Analysis, ReconstructsGenerationsAndAttribution) {
   EXPECT_NE(report.str().find("generation"), std::string::npos);
 }
 
-TEST(Analysis, AgreesWithSimulationTotals) {
+/// Runs `config` once with an uncapped trace and checks the trace's
+/// tree statistics against the replication's counters.
+void expect_trace_matches_counters(const core::ScenarioConfig& config,
+                                   std::uint64_t replication_seed) {
   TraceBuffer buffer = TraceBuffer::unbounded();
-  core::ScenarioConfig config = traced_scenario();
-  config.responses.gateway_scan = response::GatewayScanConfig{};
-  core::Simulation sim(config, 202, &buffer);
+  core::Simulation sim(config, replication_seed, &buffer);
   core::ReplicationResult result = sim.run();
+  const metrics::Snapshot& counters = result.metrics;
 
   TreeStats stats = analyze(buffer.events());
   EXPECT_EQ(stats.infections, result.total_infected);
-  EXPECT_EQ(stats.seeds, 1u);
+  EXPECT_EQ(stats.seeds, config.initial_infected);
   EXPECT_EQ(stats.orphans, 0u) << "an unbounded trace loses no infectors";
-  EXPECT_EQ(stats.messages_sent, result.metrics.counter_value("net.messages_submitted"));
-  EXPECT_EQ(stats.messages_blocked, result.metrics.counter_value("net.messages_blocked"));
+  EXPECT_EQ(stats.messages_sent, counters.counter_value("net.messages_submitted"));
+  EXPECT_EQ(stats.messages_blocked, counters.counter_value("net.messages_blocked"));
+  EXPECT_LE(stats.messages_delivered, counters.counter_value("net.recipients_delivered"))
+      << "recipients are counted at routing; deliveries happen after the transit delay";
   EXPECT_EQ(stats.detected_at, result.detected_at);
-  if (result.metrics.counter_value("net.messages_blocked") > 0) {
+  if (counters.counter_value("net.messages_blocked") > 0) {
     ASSERT_FALSE(stats.mechanism_blocks.empty());
     std::uint64_t attributed = 0;
     for (const MechanismBlockRow& row : stats.mechanism_blocks) {
       attributed += row.messages_blocked;
     }
-    EXPECT_EQ(attributed, result.metrics.counter_value("net.messages_blocked"))
+    EXPECT_EQ(attributed, counters.counter_value("net.messages_blocked"))
         << "every block must be attributed to exactly one mechanism";
   }
 }
+
+TEST(Analysis, AgreesWithSimulationTotals) {
+  core::ScenarioConfig config = traced_scenario();
+  config.responses.gateway_scan = response::GatewayScanConfig{};
+  expect_trace_matches_counters(config, 202);
+}
+
+/// Every preset by name, then every shipped scenarios/*.json by file
+/// name.
+std::vector<std::string> shipped_configs() {
+  std::vector<std::string> names;
+  for (const cli::PresetEntry& preset : cli::list_presets()) names.push_back(preset.name);
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(std::filesystem::path(MVSIM_SOURCE_DIR) / "scenarios")) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  names.insert(names.end(), files.begin(), files.end());
+  return names;
+}
+
+class ShippedConfigTrace : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ShippedConfigTrace, AgreesWithSimulationTotals) {
+  const std::string& name = GetParam();
+  const std::filesystem::path file = std::filesystem::path(MVSIM_SOURCE_DIR) / "scenarios" / name;
+  const core::ScenarioConfig scenario = file.extension() == ".json"
+                                            ? config::load_scenario_file(file.string())
+                                            : *cli::find_preset(name);
+  expect_trace_matches_counters(scenario, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shipped, ShippedConfigTrace, ::testing::ValuesIn(shipped_configs()),
+                         [](const ::testing::TestParamInfo<std::string>& param_info) {
+                           std::string id = param_info.param;
+                           for (char& c : id) {
+                             if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+                           }
+                           return id;
+                         });
 
 TEST(Export, JsonlRoundTripIsLossless) {
   TraceBuffer buffer(100);
