@@ -1,12 +1,10 @@
-// Shared helpers for the figure-reproduction benches.
+// Shared helpers for the scaling, ablation and extension benches.
 //
-// Every fig*_ binary runs a sweep of scenarios and prints the series the
-// corresponding paper figure plots (Hours vs mean infection count, one
-// column per configuration) plus per-curve summaries. The paper's claims
-// about each figure are asserted by tests/anchor_test.cpp, not here.
-// Replication count defaults to 10 and can be overridden with
-// MVSIM_REPS; worker-thread count defaults to all cores and can be
-// pinned with MVSIM_THREADS.
+// Each binary runs a set of scenarios and prints its tables; some print
+// curves (Hours vs mean infection count, one column per configuration)
+// plus per-curve summaries. Replication count defaults to 10 and can be
+// overridden with MVSIM_REPS; worker-thread count defaults to all cores
+// and can be pinned with MVSIM_THREADS.
 #pragma once
 
 #include <cstdio>

@@ -1,26 +1,15 @@
 #include "analysis/diminishing_returns.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
 namespace mvsim::analysis {
 
-DiminishingReturnsReport analyze_diminishing_returns(const SweepResult& sweep,
-                                                     double baseline_final,
-                                                     double knee_fraction) {
-  std::vector<std::pair<double, double>> points;
-  points.reserve(sweep.points.size());
-  for (const SweepPoint& point : sweep.points) {
-    points.emplace_back(point.parameter, point.result.final_infections.mean());
-  }
-  return analyze_diminishing_returns(sweep.parameter_name, points, baseline_final,
-                                     knee_fraction);
-}
-
 DiminishingReturnsReport analyze_diminishing_returns(
-    const std::string& parameter_name, const std::vector<std::pair<double, double>>& points,
-    double baseline_final, double knee_fraction) {
+    const std::string& parameter_name, std::vector<std::pair<double, double>> points,
+    Stronger stronger, double knee_fraction) {
   if (points.size() < 2) {
     throw std::invalid_argument("analyze_diminishing_returns: need at least two sweep points");
   }
@@ -28,9 +17,13 @@ DiminishingReturnsReport analyze_diminishing_returns(
     throw std::invalid_argument("analyze_diminishing_returns: knee_fraction must be in (0, 1)");
   }
 
+  // Weakest first: ascending when a higher value is stronger.
+  std::stable_sort(points.begin(), points.end(), [stronger](const auto& a, const auto& b) {
+    return stronger == Stronger::kHigher ? a.first < b.first : a.first > b.first;
+  });
+
   DiminishingReturnsReport report;
   report.parameter_name = parameter_name;
-  report.baseline_final = baseline_final;
   report.gains.reserve(points.size() - 1);
   for (std::size_t i = 0; i + 1 < points.size(); ++i) {
     const auto& [weak_parameter, weak_final] = points[i];
@@ -56,8 +49,11 @@ DiminishingReturnsReport analyze_diminishing_returns(
       report.peak_index = i;
     }
   }
-  report.knee_index = report.gains.size();
+  // When no step avoids an infection, strengthening never pays: every
+  // step lies past the knee and none reads "worth it".
+  report.knee_index = 0;
   if (best_rate > 0.0) {
+    report.knee_index = report.gains.size();
     for (std::size_t i = report.peak_index; i < report.gains.size(); ++i) {
       if (report.gains[i].avoided_per_unit < knee_fraction * best_rate) {
         report.knee_index = i;
@@ -90,9 +86,6 @@ std::string to_table(const DiminishingReturnsReport& report) {
                   g.infections_avoided, g.avoided_per_unit, verdict);
     out += line;
   }
-  std::snprintf(line, sizeof line, "(no-response baseline final: %.1f)\n",
-                report.baseline_final);
-  out += line;
   return out;
 }
 

@@ -7,11 +7,12 @@
 // mechanism, the point where implementing a faster or more accurate
 // response mechanism does not much improve the success rate."
 //
-// Given a sweep ordered from weakest to strongest response, this
-// module computes the infections avoided by each strengthening step
-// (normalized per unit of parameter change) and locates the knee: the
-// first step whose per-unit gain falls below a fraction of the best
-// per-unit gain seen so far.
+// Given a sweep's points in any order and which end of the parameter
+// is the stronger response, this module orders the points from weakest
+// to strongest, computes the infections avoided by each strengthening
+// step (normalized per unit of parameter change) and locates the knee:
+// the first step at or after the best step whose per-unit gain falls
+// below a fraction of that best gain.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/sweep.h"
+#include "analysis/param_registry.h"
 
 namespace mvsim::analysis {
 
@@ -37,8 +38,7 @@ struct MarginalGain {
 
 struct DiminishingReturnsReport {
   std::string parameter_name;
-  double baseline_final = 0.0;  ///< no-response final level for context
-  std::vector<MarginalGain> gains;
+  std::vector<MarginalGain> gains;  ///< weakest -> strongest
   /// Index of the step with the best per-unit rate. Low-rate steps
   /// *before* it are "ramp-up" (the mechanism has not started biting
   /// yet — e.g. a detector below ~0.9 accuracy barely matters), not
@@ -46,7 +46,8 @@ struct DiminishingReturnsReport {
   std::size_t peak_index = 0;
   /// Index into `gains` of the first step past the knee — the first
   /// low-rate step at or after the peak (== gains.size() when every
-  /// step from the peak onward still pays off).
+  /// step from the peak onward still pays off; 0 when no step avoids
+  /// any infection).
   std::size_t knee_index = 0;
   /// True when some step lies past the knee.
   [[nodiscard]] bool has_knee() const { return knee_index < gains.size(); }
@@ -58,22 +59,17 @@ struct DiminishingReturnsReport {
   }
 };
 
-/// `sweep` must be ordered weakest -> strongest response (its `points`
-/// order is taken as given). `knee_fraction` is the cutoff relative to
-/// the best per-unit gain (default: a step earning less than 20% of
-/// the best step's rate is past the point of diminishing returns).
-[[nodiscard]] DiminishingReturnsReport analyze_diminishing_returns(const SweepResult& sweep,
-                                                                   double baseline_final,
-                                                                   double knee_fraction = 0.2);
-
-/// As above over bare (parameter, mean final infections) pairs — what
-/// an experiment ledger records per sweep point, so `mvsim report` can
-/// locate the knee offline without the full ExperimentResults.
+/// `points` are (parameter, mean final infections) pairs in any order
+/// — a sweep's points or one ladder of an experiment ledger. They are
+/// ordered weakest -> strongest by `stronger` before the steps are
+/// taken. `knee_fraction` is the cutoff relative to the best per-unit
+/// gain (default: a step earning less than 20% of the best step's rate
+/// is past the point of diminishing returns).
 [[nodiscard]] DiminishingReturnsReport analyze_diminishing_returns(
-    const std::string& parameter_name, const std::vector<std::pair<double, double>>& points,
-    double baseline_final, double knee_fraction = 0.2);
+    const std::string& parameter_name, std::vector<std::pair<double, double>> points,
+    Stronger stronger, double knee_fraction = 0.2);
 
-/// Renders the report as an aligned text table (for benches/CLI).
+/// Renders the report as an aligned text table (for the CLI).
 [[nodiscard]] std::string to_table(const DiminishingReturnsReport& report);
 
 }  // namespace mvsim::analysis

@@ -97,34 +97,40 @@ bool apply_eventual_acceptance(core::ScenarioConfig& config, double acceptance) 
 const std::vector<SweepableParam>& sweepable_params() {
   static const std::vector<SweepableParam> kParams = {
       {"gateway_scan.activation_delay_h", "hours",
-       "signature activation delay of the gateway virus scan (Fig. 2)", apply_scan_delay},
+       "signature activation delay of the gateway virus scan (Fig. 2)", Stronger::kLower,
+       apply_scan_delay},
       {"gateway_detection.accuracy", "fraction",
-       "per-message accuracy of the gateway detection algorithm (Fig. 3)",
+       "per-message accuracy of the gateway detection algorithm (Fig. 3)", Stronger::kHigher,
        apply_detection_accuracy},
       {"gateway_detection.analysis_period_h", "hours",
-       "traffic-analysis period before gateway detection activates", apply_detection_period},
+       "traffic-analysis period before gateway detection activates", Stronger::kLower,
+       apply_detection_period},
       {"user_education.eventual_acceptance", "probability",
-       "educated users' eventual acceptance probability (Fig. 4)", apply_education_acceptance},
+       "educated users' eventual acceptance probability (Fig. 4)", Stronger::kLower,
+       apply_education_acceptance},
       {"immunization.development_time_h", "hours",
-       "patch development time before immunization rollout (Fig. 5)",
+       "patch development time before immunization rollout (Fig. 5)", Stronger::kLower,
        apply_immunization_development},
       {"immunization.deployment_duration_h", "hours",
-       "immunization rollout duration across the population (Fig. 5)",
+       "immunization rollout duration across the population (Fig. 5)", Stronger::kLower,
        apply_immunization_deployment},
       {"monitoring.forced_wait_min", "minutes",
-       "forced wait between messages of a flagged phone (Fig. 6)", apply_monitoring_wait},
+       "forced wait between messages of a flagged phone (Fig. 6)", Stronger::kHigher,
+       apply_monitoring_wait},
       {"monitoring.window_message_threshold", "messages",
-       "messages per window before monitoring flags a phone", apply_monitoring_threshold},
+       "messages per window before monitoring flags a phone", Stronger::kLower,
+       apply_monitoring_threshold},
       {"blacklist.message_threshold", "messages",
-       "suspected messages tolerated before blacklisting (Fig. 7)", apply_blacklist_threshold},
+       "suspected messages tolerated before blacklisting (Fig. 7)", Stronger::kLower,
+       apply_blacklist_threshold},
       {"detectability_threshold", "messages",
-       "infected messages the gateways see before the virus is detectable",
+       "infected messages the gateways see before the virus is detectable", Stronger::kLower,
        apply_detectability},
-      {"population", "phones", "total phone population", apply_population},
+      {"population", "phones", "total phone population", Stronger::kLower, apply_population},
       {"susceptible_fraction", "fraction", "fraction of phones on the vulnerable platform",
-       apply_susceptible_fraction},
+       Stronger::kLower, apply_susceptible_fraction},
       {"eventual_acceptance", "probability",
-       "baseline eventual acceptance probability of the consent curve",
+       "baseline eventual acceptance probability of the consent curve", Stronger::kLower,
        apply_eventual_acceptance},
   };
   return kParams;

@@ -8,7 +8,7 @@
 // threshold) is here, plus the population/behavior knobs sensitivity
 // studies vary. Applying a mechanism parameter enables the mechanism
 // (with defaults for its other knobs) when the base scenario does not
-// already carry it, so `mvsim sweep fig1-baseline --param
+// already carry it, so `mvsim sweep virus1-baseline --param
 // gateway_scan.activation_delay_h ...` works without a handcrafted
 // scenario file.
 #pragma once
@@ -20,10 +20,16 @@
 
 namespace mvsim::analysis {
 
+/// Which end of a parameter's range is the stronger response (the one
+/// expected to leave fewer infections): a shorter delay, a lower
+/// threshold, a higher accuracy.
+enum class Stronger { kHigher, kLower };
+
 struct SweepableParam {
   const char* name;         ///< e.g. "gateway_scan.activation_delay_h"
   const char* unit;         ///< e.g. "hours"
   const char* description;  ///< one line for `mvsim sweep --list-params`
+  Stronger stronger;        ///< orders a ladder for the knee analysis
   /// Sets the knob to the value; false when the knob is an integer
   /// and the value is fractional or out of its range.
   bool (*apply)(core::ScenarioConfig&, double);

@@ -33,6 +33,7 @@
 #include "obs/sweep_stream.h"
 #include "prof/profile_io.h"
 #include "response/registry.h"
+#include "stats/summary.h"
 #include "trace/analysis.h"
 #include "trace/export.h"
 #include "trace/trace.h"
@@ -78,11 +79,13 @@ usage:
       --quiet              suppress the human-readable summary
   mvsim sweep <scenario.json | preset-name> --param NAME --values V1,V2,...
               [--reps N] [--seed N] [--threads N] [--ledger PATH] [--stream PATH]
-              [--knee-fraction F] [--progress]
+              [--curve-csv PATH] [--knee-fraction F] [--progress]
                            run a parameter ladder: one experiment per value, a
                            manifest per point appended to the ledger, NDJSON sweep
-                           progress on --stream, and the diminishing-returns knee
-                           table (paper Sec. 5.3) on stdout
+                           progress on --stream, the mean infection curve of every
+                           point as one CSV ('-' = stdout), and the diminishing-
+                           returns knee table (paper Sec. 5.3; values in any order,
+                           ranked by response strength) on stdout
   mvsim sweep --list-params
                            list sweepable parameter names
   mvsim report <manifest.json>
@@ -699,14 +702,15 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
   core::RunnerOptions runner = cli_runner();
   std::string ledger_path;
   std::string stream_path;
+  std::string curve_csv;
   double knee_fraction = 0.2;
   bool progress = false;
   const Flag flags[] = {
       {"--param", &param_name},       {"--values", &values_text},
       reps_flag(runner.replications), seed_flag(runner.master_seed),
       threads_flag(runner.threads),   {"--ledger", &ledger_path},
-      {"--stream", &stream_path},     knee_fraction_flag(knee_fraction),
-      {"--progress", &progress},
+      {"--stream", &stream_path},     {"--curve-csv", &curve_csv},
+      knee_fraction_flag(knee_fraction), {"--progress", &progress},
   };
   if (int rc = parse_flags(args, 1, flags, nullptr, "sweep", err); rc != 0) return rc;
   std::vector<double> values;
@@ -757,6 +761,7 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
     scenario.validate().throw_if_invalid();
   }
   if (int rc = probe_writable(ledger_path, err); rc != 0) return rc;
+  if (int rc = probe_writable(curve_csv, err); rc != 0) return rc;
 
   std::ofstream stream_file;
   std::unique_ptr<obs::SweepStream> stream;
@@ -821,6 +826,8 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
   out << "sweep: " << base.name << " over " << param_name << " [" << param->unit << "], "
       << values.size() << " point(s) x " << runner.replications << " replication(s) (seed "
       << runner.master_seed << ")\n";
+  std::vector<std::pair<double, double>> finals;
+  std::vector<stats::LabelledSeries> curves;
   for (const analysis::SweepPoint& point : sweep.points) {
     char line[160];
     std::snprintf(line, sizeof line, "  %-14s %10.1f +/- %-8.1f (blocked %.1f)\n",
@@ -829,13 +836,21 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
                   point.result.final_infections.ci95_half_width(),
                   point.result.per_replication("net.messages_blocked").mean());
     out << line;
+    finals.emplace_back(point.parameter, point.result.final_infections.mean());
+    curves.push_back({param_name + "=" + format_value(point.parameter), &point.result.curve});
   }
-  const double baseline_final = sweep.points.front().result.final_infections.mean();
-  analysis::DiminishingReturnsReport report =
-      analysis::analyze_diminishing_returns(sweep, baseline_final, knee_fraction);
+  const analysis::DiminishingReturnsReport report = analysis::analyze_diminishing_returns(
+      param_name, std::move(finals), param->stronger, knee_fraction);
   out << '\n' << analysis::to_table(report);
   print_knee_marker(report, out);
-  return 0;
+  if (curve_csv.empty()) return 0;
+  // One mean column per point, on the points' shared sample grid.
+  return write_to(
+      curve_csv,
+      [&](std::ostream& os) {
+        stats::write_figure_csv(os, curves, sweep.points.front().result.curve.step());
+      },
+      out, err);
 }
 
 /// Stitches the on-disk artifacts one manifest references into the
@@ -894,23 +909,34 @@ int report_ledger(const std::string& path, double knee_fraction, std::ostream& o
                   static_cast<unsigned long long>(manifest.outcome.total_events));
     out << line;
   }
-  // Sweep-tagged runs regroup into their ladders (insertion order, by
-  // parameter name) so the report can re-run the knee analysis offline.
-  std::vector<std::string> order;
-  std::map<std::string, std::vector<std::pair<double, double>>> ladders;
+  // Sweep-tagged runs regroup into their ladders, one per base scenario
+  // and parameter (in order of first appearance), so the report can
+  // re-run the knee analysis offline. A point's scenario is named
+  // "<base>/<parameter>=<value>".
+  using LadderKey = std::pair<std::string, std::string>;
+  std::vector<LadderKey> order;
+  std::map<LadderKey, std::vector<std::pair<double, double>>> ladders;
   for (const obs::RunManifest& manifest : manifests) {
     if (!manifest.sweep.has_value()) continue;
-    auto [it, inserted] = ladders.try_emplace(manifest.sweep->parameter);
-    if (inserted) order.push_back(manifest.sweep->parameter);
+    const std::string& parameter = manifest.sweep->parameter;
+    const std::size_t suffix = manifest.scenario.rfind("/" + parameter + "=");
+    LadderKey key{manifest.scenario.substr(0, suffix), parameter};
+    auto [it, inserted] = ladders.try_emplace(key);
+    if (inserted) order.push_back(std::move(key));
     it->second.emplace_back(manifest.sweep->value, manifest.outcome.final_infected_mean);
   }
-  for (const std::string& parameter : order) {
-    const auto& points = ladders[parameter];
+  for (const LadderKey& key : order) {
+    auto& points = ladders[key];
     if (points.size() < 2) continue;
-    out << "\nsweep " << parameter << " (" << points.size() << " points):\n";
-    analysis::DiminishingReturnsReport report =
-        analysis::analyze_diminishing_returns(parameter, points, points.front().second,
-                                              knee_fraction);
+    const auto& [base, parameter] = key;
+    out << '\n' << base << ": sweep " << parameter << " (" << points.size() << " points):\n";
+    const analysis::SweepableParam* param = analysis::find_sweepable(parameter);
+    if (param == nullptr) {
+      out << "no knee analysis: '" << parameter << "' is not a sweepable parameter\n";
+      continue;
+    }
+    const analysis::DiminishingReturnsReport report = analysis::analyze_diminishing_returns(
+        parameter, std::move(points), param->stronger, knee_fraction);
     out << analysis::to_table(report);
     print_knee_marker(report, out);
   }

@@ -13,17 +13,16 @@ std::string fixed(double v, int precision = 1) {
 }
 }  // namespace
 
-void print_figure_table(std::ostream& out, const std::string& title,
-                        const std::vector<LabelledSeries>& curves, SimTime row_step) {
-  if (curves.empty()) throw std::invalid_argument("print_figure_table: no curves");
+void write_figure_csv(std::ostream& out, const std::vector<LabelledSeries>& curves,
+                      SimTime row_step) {
+  if (curves.empty()) throw std::invalid_argument("write_figure_csv: no curves");
   const AggregatedSeries& first = *curves.front().series;
   for (const auto& c : curves) {
-    if (c.series == nullptr) throw std::invalid_argument("print_figure_table: null series");
+    if (c.series == nullptr) throw std::invalid_argument("write_figure_csv: null series");
     if (c.series->step() != first.step() || c.series->horizon() != first.horizon()) {
-      throw std::invalid_argument("print_figure_table: curves on different grids");
+      throw std::invalid_argument("write_figure_csv: curves on different grids");
     }
   }
-  out << "== " << title << " ==\n";
   out << "Hours";
   for (const auto& c : curves) out << ',' << c.label;
   out << '\n';
@@ -32,6 +31,12 @@ void print_figure_table(std::ostream& out, const std::string& title,
     for (const auto& c : curves) out << ',' << fixed(c.series->mean_at(t));
     out << '\n';
   }
+}
+
+void print_figure_table(std::ostream& out, const std::string& title,
+                        const std::vector<LabelledSeries>& curves, SimTime row_step) {
+  out << "== " << title << " ==\n";
+  write_figure_csv(out, curves, row_step);
 }
 
 void print_curve_summaries(std::ostream& out, const std::vector<LabelledSeries>& curves) {

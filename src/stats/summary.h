@@ -1,8 +1,9 @@
 // Figure-oriented summary metrics and table printing.
 //
-// Benches reproduce each figure as a CSV-ish table of Hours vs mean
-// infection count per configuration, followed by the shape metrics the
-// paper's prose quotes (plateau level, time-to-level, ratios).
+// `mvsim sweep --curve-csv` and the benches write a figure as a CSV
+// table of Hours vs mean infection count per configuration; the benches
+// follow it with the shape metrics the paper's prose quotes (plateau
+// level, time-to-level, ratios).
 #pragma once
 
 #include <ostream>
@@ -20,9 +21,13 @@ struct LabelledSeries {
   const AggregatedSeries* series = nullptr;
 };
 
-/// Prints a figure as a table: first column Hours, one column per curve,
+/// Writes a figure as CSV: first column Hours, one column per curve,
 /// rows every `row_step` (coarser than the aggregation grid is fine).
 /// All series must share the aggregation grid.
+void write_figure_csv(std::ostream& out, const std::vector<LabelledSeries>& curves,
+                      SimTime row_step);
+
+/// write_figure_csv under a "== title ==" line.
 void print_figure_table(std::ostream& out, const std::string& title,
                         const std::vector<LabelledSeries>& curves, SimTime row_step);
 

@@ -4,12 +4,12 @@
 //
 // Each figure is one fixture (Fig1 ... Fig7). Its SetUpTestSuite runs
 // the figure's experiments once -- 1000 phones, each virus's paper
-// horizon, 10 replications, master seed 0xD5A72007 (the figure
-// binaries' seed), one thread -- and many small TEST_Fs assert on the
-// shared results. The bands come from the paper's claims. A row that
-// EXPERIMENTS.md marks as a deviation asserts the documented direction
-// of that deviation instead, so a change that closes (or widens) a gap
-// shows up here as a failing test.
+// horizon, 10 replications, master seed 0xD5A72007 (the seed of the
+// figure commands EXPERIMENTS.md lists), one thread -- and many small
+// TEST_Fs assert on the shared results. The bands come from the paper's
+// claims. A row that EXPERIMENTS.md marks as a deviation asserts the
+// documented direction of that deviation instead, so a change that
+// closes (or widens) a gap shows up here as a failing test.
 //
 // Every anchor records its claim, band and measured value as test
 // properties, so
@@ -18,19 +18,21 @@
 // (anchors.Fig1 ... anchors.Fig7, label `anchors`); `ctest -L anchors`
 // runs the paper checks alone.
 //
-// The tests after the figures are not figure anchors: they check the
-// paper's claims on reduced populations (250 phones) with their own
-// seed, as a second, cheaper witness next to the paper-scale anchors,
-// plus the patch rollout, defense in depth (paper section 6) and
-// population scaling (section 5.3).
+// The tests after the figures are not figure anchors: on reduced
+// populations (250 phones) with their own seed, they check the patch
+// rollout, defense in depth (paper section 6) and population scaling
+// (section 5.3).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "analysis/diminishing_returns.h"
+#include "analysis/param_registry.h"
 #include "core/presets.h"
 #include "core/runner.h"
 #include "core/simulation.h"
@@ -38,7 +40,7 @@
 namespace mvsim::core {
 namespace {
 
-/// The figure binaries' settings, pinned: the anchors must not follow
+/// The figure commands' settings, pinned: the anchors must not follow
 /// MVSIM_REPS or MVSIM_THREADS.
 RunnerOptions anchor_options() {
   RunnerOptions options;
@@ -211,6 +213,12 @@ TEST_F(Fig1, CurvesRiseToAPlateau) {
 // ---------------------------------------------------------------------
 // Figure 2: gateway signature scan vs Virus 1, 6/12/24 h activation.
 
+/// The scan delays the Fig2 suite runs against Virus 1: the paper's
+/// 6/12/24 h plus 3 h and 48 h around them for the knee analysis.
+constexpr double kScanDelays[] = {3.0, 6.0, 12.0, 24.0, 48.0};
+
+std::string scan_label(double hours) { return "Virus 1 + " + fmt(hours, 0) + "h scan"; }
+
 class Fig2 : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -218,8 +226,9 @@ class Fig2 : public ::testing::Test {
       runs.add(profile.name, baseline_scenario(profile));
       runs.add(profile.name + " + 6h scan", with_scan(profile, SimTime::hours(6.0)));
     }
-    runs.add("Virus 1 + 12h scan", fig2_scan_scenario(SimTime::hours(12.0)));
-    runs.add("Virus 1 + 24h scan", fig2_scan_scenario(SimTime::hours(24.0)));
+    for (double hours : {3.0, 12.0, 24.0, 48.0}) {
+      runs.add(scan_label(hours), fig2_scan_scenario(SimTime::hours(hours)));
+    }
   }
   static void TearDownTestSuite() { runs.clear(); }
   static inline Runs runs;
@@ -280,6 +289,28 @@ TEST_F(Fig2, ScanIsIneffectualAgainstVirus3) {
   record("the gateway scan is completely ineffectual against Virus 3", ">= 90% of baseline",
          fmt(v3) + "%");
   EXPECT_GE(v3, 90.0);
+}
+
+TEST_F(Fig2, DiminishingReturnsPastSixHours) {
+  // Paper section 5.3: locate the point where a faster response no
+  // longer improves the outcome much. The delays go in from the
+  // shortest; the analysis ranks them by strength itself.
+  std::vector<std::pair<double, double>> finals;
+  for (double hours : kScanDelays) finals.emplace_back(hours, runs.final_of(scan_label(hours)));
+  const std::string parameter = "gateway_scan.activation_delay_h";
+  const analysis::DiminishingReturnsReport report = analysis::analyze_diminishing_returns(
+      parameter, finals, analysis::find_sweepable(parameter)->stronger);
+  ASSERT_TRUE(report.has_knee()) << analysis::to_table(report);
+  const analysis::MarginalGain& knee = report.gains[report.knee_index];
+  const analysis::MarginalGain& peak = report.gains[report.peak_index];
+  record("the scan's point of diminishing returns is near a 6 h turnaround",
+         "knee at the 6 h -> 3 h step (< 20% of the best per-hour gain)",
+         "6 h -> 3 h: " + fmt(knee.from_final) + " -> " + fmt(knee.to_final) + " phones, " +
+             fmt(knee.avoided_per_unit, 2) + " avoided/h against a " +
+             fmt(peak.avoided_per_unit, 2) + " peak (" + fmt(peak.from_parameter, 0) +
+             " h -> " + fmt(peak.to_parameter, 0) + " h)");
+  EXPECT_DOUBLE_EQ(knee.from_parameter, 6.0) << analysis::to_table(report);
+  EXPECT_DOUBLE_EQ(knee.to_parameter, 3.0) << analysis::to_table(report);
 }
 
 // ---------------------------------------------------------------------
@@ -364,6 +395,28 @@ TEST_F(Fig3, HigherAccuracyBlocksALargerShareOfTraffic) {
          "blocked share of submitted messages: 0.99 > 0.80",
          fmt(100.0 * strict) + "% at 0.99 vs " + fmt(100.0 * lax) + "% at 0.80");
   EXPECT_GT(strict, lax);
+}
+
+TEST_F(Fig3, DetectionIsConvexInAccuracy) {
+  // Paper section 5.3 asks where strengthening stops paying. For the
+  // detector it never does inside the studied range: each step up in
+  // accuracy buys more than the one before. The accuracies go in
+  // strongest first, as the figure lists them.
+  std::vector<std::pair<double, double>> finals;
+  for (double accuracy : kDetectionAccuracies) {
+    finals.emplace_back(accuracy, runs.final_of(accuracy_label(accuracy)));
+  }
+  const std::string parameter = "gateway_detection.accuracy";
+  const analysis::DiminishingReturnsReport report = analysis::analyze_diminishing_returns(
+      parameter, finals, analysis::find_sweepable(parameter)->stronger);
+  std::string rates;
+  for (const analysis::MarginalGain& gain : report.gains) {
+    rates += (rates.empty() ? "" : " / ") + fmt(gain.avoided_per_unit, 0);
+  }
+  record("a provider should buy detector accuracy: returns still increase at 0.99",
+         "the 0.95 -> 0.99 step earns the best per-unit gain, no knee",
+         "avoided per unit accuracy " + rates + " (0.80 -> 0.85 ... 0.95 -> 0.99)");
+  EXPECT_TRUE(report.returns_still_increasing()) << analysis::to_table(report);
 }
 
 // ---------------------------------------------------------------------
@@ -685,177 +738,6 @@ ExperimentResult run(const ScenarioConfig& config, int reps = 5, std::uint64_t s
   options.replications = reps;
   options.master_seed = seed;
   return run_experiment(config, options);
-}
-
-TEST(Baseline, AllVirusesApproachTheExpectedPlateau) {
-  // 250 x 0.8 x 0.40 = 80 expected infections at saturation.
-  for (const auto& profile : virus::paper_virus_suite()) {
-    ScenarioConfig config = scaled_scenario(profile);
-    if (profile.name == "Virus 4") config.horizon = SimTime::days(24.0);  // slowest to settle
-    ExperimentResult result = run(config);
-    EXPECT_NEAR(result.final_infections.mean(), config.expected_unrestrained_plateau(),
-                config.expected_unrestrained_plateau() * 0.25)
-        << profile.name;
-  }
-}
-
-TEST(Baseline, VirusSpeedOrderingMatchesFigure1) {
-  // Time for the mean curve to reach half the expected plateau:
-  // Virus 3 fastest, Virus 2 next, Viruses 1 and 4 slowest.
-  //
-  // The Virus 1 / Virus 2 ordering depends on the ratio of contact-list
-  // size to population (Virus 1's pace is set by how long one pass over
-  // the list takes), so this test runs at the paper's full scale —
-  // which is cheap, a Virus 1 replication is ~0.1 s.
-  std::map<std::string, SimTime> half_time;
-  for (const auto& profile : virus::paper_virus_suite()) {
-    // Each virus keeps its own paper horizon (running Virus 3's
-    // unlimited firehose for 18 days would only burn CPU; it crosses
-    // the half-plateau within its first day).
-    ScenarioConfig config = baseline_scenario(profile);
-    config.sample_step = SimTime::minutes(30.0);
-    ExperimentResult result = run(config, 3);
-    half_time[profile.name] =
-        result.curve.mean_first_time_at_or_above(config.expected_unrestrained_plateau() / 2.0);
-  }
-  // Virus 1 and Virus 2 have statistically overlapping half-times (in
-  // the paper as well: Virus 2 hits 135 infections at ~2 days, about
-  // when Virus 1 does); the robust orderings are 3 << {1,2} << 4.
-  EXPECT_LT(half_time["Virus 3"], half_time["Virus 2"]);
-  EXPECT_LT(half_time["Virus 3"], half_time["Virus 1"]);
-  EXPECT_LT(half_time["Virus 1"], half_time["Virus 4"]);
-  EXPECT_LT(half_time["Virus 2"], half_time["Virus 4"]);
-  EXPECT_LT(half_time["Virus 3"], SimTime::hours(24.0)) << "Virus 3 saturates within a day";
-}
-
-TEST(Baseline, Virus2CurveIsStepLike) {
-  // Between day boundaries the aligned-burst virus gains little; across
-  // a boundary it jumps. Compare growth in the two halves of day 2.
-  ScenarioConfig config = scaled_scenario(virus::virus2());
-  config.sample_step = SimTime::hours(1.0);
-  ExperimentResult result = run(config, 8);
-  double start_day2 = result.curve.mean_at(SimTime::hours(24.0));
-  double mid_day2 = result.curve.mean_at(SimTime::hours(30.0));
-  double end_day2 = result.curve.mean_at(SimTime::hours(47.0));
-  double burst_growth = mid_day2 - start_day2;   // includes the day-2 burst wave
-  double quiet_growth = end_day2 - mid_day2;     // budget exhausted: near-flat
-  EXPECT_GT(burst_growth, 4.0 * std::max(quiet_growth, 0.5))
-      << "growth concentrates right after each 24-hour boundary";
-}
-
-TEST(GatewayScanStudy, PromptResponseContainsVirus1) {
-  ScenarioConfig baseline = scaled_scenario(virus::virus1());
-  ExperimentResult base = run(baseline);
-
-  auto scan_config = [&](SimTime delay) {
-    ScenarioConfig c = baseline;
-    response::GatewayScanConfig scan;
-    scan.activation_delay = delay;
-    c.responses.gateway_scan = scan;
-    return c;
-  };
-  ExperimentResult fast = run(scan_config(SimTime::hours(6.0)));
-  ExperimentResult slow = run(scan_config(SimTime::hours(24.0)));
-
-  EXPECT_LT(fast.final_infections.mean(), slow.final_infections.mean());
-  // At the test's reduced scale (contact lists of 20) the virus re-spams
-  // each contact 4x faster than at paper scale, so the 24-hour response
-  // contains less than the paper's 25%; the full-scale bench reproduces
-  // the paper's ratios.
-  EXPECT_LT(slow.final_infections.mean(), 0.75 * base.final_infections.mean());
-  EXPECT_LT(fast.final_infections.mean(), 0.25 * base.final_infections.mean())
-      << "6-hour signature turnaround contains the infection to a small fraction";
-}
-
-TEST(GatewayScanStudy, ScanCannotCatchVirus3) {
-  ScenarioConfig config = scaled_scenario(virus::virus3());
-  response::GatewayScanConfig scan;
-  scan.activation_delay = SimTime::hours(6.0);
-  config.responses.gateway_scan = scan;
-  ExperimentResult with_scan = run(config);
-  ExperimentResult base = run(scaled_scenario(virus::virus3()));
-  EXPECT_GT(with_scan.final_infections.mean(), 0.85 * base.final_infections.mean())
-      << "Virus 3 penetrates the population before any 6-hour response";
-}
-
-TEST(MonitoringStudy, ForcedWaitSlowsVirus3) {
-  ScenarioConfig base_config = scaled_scenario(virus::virus3());
-  base_config.sample_step = SimTime::minutes(15.0);
-  ExperimentResult base = run(base_config);
-
-  auto monitoring_config = [&](SimTime wait) {
-    ScenarioConfig c = base_config;
-    response::MonitoringConfig monitoring;
-    monitoring.forced_wait = wait;
-    c.responses.monitoring = monitoring;
-    return c;
-  };
-  ExperimentResult wait15 = run(monitoring_config(SimTime::minutes(15.0)));
-  ExperimentResult wait60 = run(monitoring_config(SimTime::minutes(60.0)));
-
-  double level = 0.5 * base.final_infections.mean();
-  SimTime t_base = base.curve.mean_first_time_at_or_above(level);
-  SimTime t_15 = wait15.curve.mean_first_time_at_or_above(level);
-  EXPECT_LT(t_base + SimTime::hours(2.0), t_15)
-      << "monitoring buys hours against the rapid virus";
-  EXPECT_LE(wait60.curve.mean_at(SimTime::hours(12.0)), wait15.curve.mean_at(SimTime::hours(12.0)))
-      << "longer forced waits slow the spread at least as much";
-  EXPECT_GT(wait15.per_replication("response.monitoring.phones_flagged").mean(), 0.0);
-}
-
-TEST(MonitoringStudy, SelfThrottledVirusesSlipUnderMonitoring) {
-  // Viruses 1 and 4 never even trip the detector (<= 2 messages/hour).
-  for (const auto& profile : {virus::virus1(), virus::virus4()}) {
-    ScenarioConfig config = scaled_scenario(profile);
-    config.responses.monitoring = response::MonitoringConfig{};
-    ExperimentResult result = run(config, 3);
-    EXPECT_DOUBLE_EQ(result.per_replication("response.monitoring.phones_flagged").mean(), 0.0)
-        << profile.name << " sends at most ~2 messages/hour, under the 5/hour threshold";
-  }
-  // Virus 2's burst can be flagged, but a 30-minute forced wait barely
-  // constrains a virus that needs only 30 sends per day: the infection
-  // outcome matches the unmonitored baseline (paper: "ineffectual").
-  ScenarioConfig config = scaled_scenario(virus::virus2());
-  ExperimentResult base = run(config, 4);
-  config.responses.monitoring = response::MonitoringConfig{};
-  ExperimentResult monitored = run(config, 4);
-  EXPECT_GT(monitored.final_infections.mean(), 0.85 * base.final_infections.mean());
-}
-
-TEST(BlacklistStudy, LowThresholdSuppressesVirus3) {
-  ScenarioConfig base_config = scaled_scenario(virus::virus3());
-  ExperimentResult base = run(base_config);
-
-  auto blacklist_config = [&](std::uint32_t threshold) {
-    ScenarioConfig c = base_config;
-    response::BlacklistConfig blacklist;
-    blacklist.message_threshold = threshold;
-    c.responses.blacklist = blacklist;
-    return c;
-  };
-  ExperimentResult strict = run(blacklist_config(10));
-  ExperimentResult lax = run(blacklist_config(40));
-
-  EXPECT_LT(strict.final_infections.mean(), 0.5 * base.final_infections.mean());
-  EXPECT_LT(strict.final_infections.mean(), lax.final_infections.mean());
-  EXPECT_GT(strict.per_replication("response.blacklist.phones_blacklisted").mean(), 0.0);
-}
-
-TEST(BlacklistStudy, Virus2EvadesBlacklisting) {
-  // The evasion needs contact lists larger than the daily message
-  // budget (then each counted message carries several recipients), so
-  // this test keeps the paper's mean degree of 80.
-  ScenarioConfig config = scaled_scenario(virus::virus2());
-  config.topology.mean_degree = 80.0;
-  response::BlacklistConfig blacklist;
-  blacklist.message_threshold = 10;
-  config.responses.blacklist = blacklist;
-  ExperimentResult with_blacklist = run(config);
-  ScenarioConfig base_config = scaled_scenario(virus::virus2());
-  base_config.topology.mean_degree = 80.0;
-  ExperimentResult base = run(base_config);
-  EXPECT_GT(with_blacklist.final_infections.mean(), 0.8 * base.final_infections.mean())
-      << "multi-recipient messages defeat per-message counting (paper §5.2)";
 }
 
 TEST(ImmunizationStudy, PatchedPopulationEndsUpImmunizedOrSilenced) {

@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -598,8 +599,6 @@ TEST(Cli, SweepAppendsLedgerStreamsProgressAndFindsTheKnee) {
   std::string stream_path = ::testing::TempDir() + "/mvsim_cli_sweep_stream_" +
                             std::to_string(static_cast<long long>(::getpid())) + ".ndjson";
   std::remove(ledger_path.c_str());
-  // Weakest -> strongest: a *shorter* activation delay is the stronger
-  // response, so the ladder descends.
   CliResult r = invoke({"sweep", scenario_path, "--param", "gateway_scan.activation_delay_h",
                         "--values", "24,12,6,2", "--reps", "1", "--seed", "5", "--ledger",
                         ledger_path, "--stream", stream_path});
@@ -962,6 +961,121 @@ TEST(Cli, TraceAnalyzeRejectsOutOfRangeIds) {
   std::remove(scenario_path.c_str());
   std::remove(trace_path.c_str());
   std::remove(path.c_str());
+}
+
+// ---- Sweep verdicts: ranked by response strength, not by value order ----
+
+/// The knee table of a `sweep` or `report --ledger` output: from the
+/// table's header line through the "knee:" marker.
+std::string knee_table(const std::string& out, const std::string& parameter) {
+  const std::size_t begin = out.find(parameter + "      final");
+  const std::size_t marker = out.find("knee:", begin);
+  if (begin == std::string::npos || marker == std::string::npos) return "";
+  return out.substr(begin, out.find('\n', marker) - begin);
+}
+
+/// Rows of a knee table whose verdict is "worth it", and how many of
+/// them avoid no infection (must be none).
+std::pair<int, int> worth_it_rows(const std::string& table) {
+  std::istringstream rows(table);
+  std::string row;
+  int worth_it = 0, not_avoiding = 0;
+  while (std::getline(rows, row)) {
+    if (row.find("worth it") == std::string::npos) continue;
+    double from = 0, to = 0, final_before = 0, final_after = 0, avoided = 0;
+    if (std::sscanf(row.c_str(), "%lf -> %lf %lf %lf %lf", &from, &to, &final_before,
+                    &final_after, &avoided) != 5) {
+      ADD_FAILURE() << "unparsable row: " << row;
+      continue;
+    }
+    ++worth_it;
+    if (!(avoided > 0.0)) ++not_avoiding;
+  }
+  return {worth_it, not_avoiding};
+}
+
+TEST(Cli, SweepKneeTableDoesNotDependOnValueOrder) {
+  // The same ladder given weakest-first and strongest-first: a shorter
+  // activation delay is the stronger response either way.
+  const std::string parameter = "gateway_scan.activation_delay_h";
+  CliResult ascending = invoke({"sweep", "fig2-scan", "--param", parameter, "--values", "6,12,24",
+                                "--reps", "2", "--seed", "5"});
+  CliResult descending = invoke({"sweep", "fig2-scan", "--param", parameter, "--values",
+                                 "24,12,6", "--reps", "2", "--seed", "5"});
+  ASSERT_EQ(ascending.code, 0) << ascending.err;
+  ASSERT_EQ(descending.code, 0) << descending.err;
+  const std::string table = knee_table(ascending.out, parameter);
+  ASSERT_FALSE(table.empty()) << ascending.out;
+  EXPECT_EQ(table, knee_table(descending.out, parameter));
+  EXPECT_EQ(worth_it_rows(table), std::make_pair(2, 0))
+      << "both steps toward a faster scan avoid infections:\n" << table;
+  EXPECT_NE(table.find("24.00 -> 12.00"), std::string::npos) << table;
+  EXPECT_EQ(ascending.out.find("baseline"), std::string::npos) << ascending.out;
+}
+
+TEST(Cli, SweepWritesOneCurveColumnPerPoint) {
+  const std::string scenario_path = write_small_scenario();
+  const std::string csv_path = temp_path("sweep_curves.csv");
+  CliResult r = invoke({"sweep", scenario_path, "--param", "blacklist.message_threshold",
+                        "--values", "20,10", "--reps", "1", "--curve-csv", csv_path});
+  ASSERT_EQ(r.code, 0) << r.err;
+  std::istringstream csv(read_file(csv_path));
+  std::string line;
+  ASSERT_TRUE(std::getline(csv, line));
+  EXPECT_EQ(line, "Hours,blacklist.message_threshold=20,blacklist.message_threshold=10");
+  int rows = 0;
+  while (std::getline(csv, line)) {
+    EXPECT_EQ(std::count(line.begin(), line.end(), ','), 2) << line;
+    ++rows;
+  }
+  EXPECT_GT(rows, 1);
+  CliResult unwritable = invoke({"sweep", scenario_path, "--param", "population", "--values",
+                                 "100,200", "--curve-csv", "/no/such/dir/curves.csv"});
+  EXPECT_EQ(unwritable.code, 2);
+  EXPECT_TRUE(unwritable.out.empty()) << "the path is probed before any point runs";
+  std::remove(scenario_path.c_str());
+  std::remove(csv_path.c_str());
+}
+
+TEST(Cli, ReportLedgerKeepsSweepsOfDifferentScenariosApart) {
+  // One parameter swept on two base scenarios into one ledger: two
+  // ladders, never one 6-point ladder mixing Virus 3 and Virus 1.
+  const std::string parameter = "blacklist.message_threshold";
+  const std::string ledger_path = temp_path("two_sweeps.ndjson");
+  std::remove(ledger_path.c_str());
+  for (const char* base : {"fig7-blacklist", "virus1-baseline"}) {
+    CliResult r = invoke({"sweep", base, "--param", parameter, "--values", "40,20,10", "--reps",
+                          "1", "--seed", "5", "--ledger", ledger_path});
+    ASSERT_EQ(r.code, 0) << base << ": " << r.err;
+  }
+  CliResult report = invoke({"report", "--ledger", ledger_path});
+  ASSERT_EQ(report.code, 0) << report.err;
+  EXPECT_NE(report.out.find("fig7/blacklist: sweep " + parameter + " (3 points):"),
+            std::string::npos)
+      << report.out;
+  EXPECT_NE(report.out.find("baseline/Virus 1: sweep " + parameter + " (3 points):"),
+            std::string::npos)
+      << report.out;
+  EXPECT_EQ(report.out.find("6 points"), std::string::npos) << report.out;
+  EXPECT_EQ(report.out.find("10.00 -> 40.00"), std::string::npos) << report.out;
+  EXPECT_EQ(worth_it_rows(report.out).second, 0) << report.out;
+
+  // A ledger naming a parameter the registry does not know (stale or
+  // hand-edited) gets a note instead of a knee table.
+  std::string ledger = read_file(ledger_path);
+  for (std::size_t at = ledger.find(parameter); at != std::string::npos;
+       at = ledger.find(parameter, at)) {
+    ledger.replace(at, parameter.size(), "no.such.knob");
+  }
+  const std::string stale_path = write_temp("stale_sweeps.ndjson", ledger);
+  CliResult stale = invoke({"report", "--ledger", stale_path});
+  ASSERT_EQ(stale.code, 0) << stale.err;
+  EXPECT_NE(stale.out.find("fig7/blacklist: sweep no.such.knob (3 points):\nno knee analysis"),
+            std::string::npos)
+      << stale.out;
+  EXPECT_EQ(stale.out.find("knee:"), std::string::npos) << stale.out;
+  std::remove(ledger_path.c_str());
+  std::remove(stale_path.c_str());
 }
 
 }  // namespace

@@ -129,8 +129,8 @@ ScenarioConfig dual_vector_wide_scenario() {
 }
 
 ScenarioConfig defense_in_depth_scenario() {
-  // All six paper mechanisms at default parameters against Virus 3,
-  // as in examples/defense_in_depth.
+  // All six paper mechanisms at once, at default parameters, against
+  // Virus 3.
   ScenarioConfig config = baseline_scenario(virus::virus3());
   config.name = "golden/defense-in-depth";
   config.responses.gateway_scan = response::GatewayScanConfig{};
