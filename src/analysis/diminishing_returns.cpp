@@ -24,6 +24,7 @@ DiminishingReturnsReport analyze_diminishing_returns(
 
   DiminishingReturnsReport report;
   report.parameter_name = parameter_name;
+  report.knee_fraction = knee_fraction;
   report.gains.reserve(points.size() - 1);
   for (std::size_t i = 0; i + 1 < points.size(); ++i) {
     const auto& [weak_parameter, weak_final] = points[i];
@@ -78,7 +79,7 @@ std::string to_table(const DiminishingReturnsReport& report) {
     const char* verdict = "worth it";
     if (i >= report.knee_index) {
       verdict = "diminishing";
-    } else if (i < report.peak_index && g.avoided_per_unit < 0.2 * peak_rate) {
+    } else if (i < report.peak_index && g.avoided_per_unit < report.knee_fraction * peak_rate) {
       verdict = "ramp-up";
     }
     std::snprintf(line, sizeof line, "%8.2f -> %-10.2f %10.1f %10.1f %12.1f %14.2f %s\n",

@@ -39,6 +39,9 @@ struct MarginalGain {
 struct DiminishingReturnsReport {
   std::string parameter_name;
   std::vector<MarginalGain> gains;  ///< weakest -> strongest
+  /// A step earning under this fraction of the best per-unit rate is
+  /// low-rate: past the knee after the peak, ramp-up before it.
+  double knee_fraction = 0.2;
   /// Index of the step with the best per-unit rate. Low-rate steps
   /// *before* it are "ramp-up" (the mechanism has not started biting
   /// yet — e.g. a detector below ~0.9 accuracy barely matters), not

@@ -830,11 +830,10 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
   std::vector<stats::LabelledSeries> curves;
   for (const analysis::SweepPoint& point : sweep.points) {
     char line[160];
-    std::snprintf(line, sizeof line, "  %-14s %10.1f +/- %-8.1f (blocked %.1f)\n",
+    std::snprintf(line, sizeof line, "  %-14s %10.1f +/- %.1f\n",
                   format_value(point.parameter).c_str(),
                   point.result.final_infections.mean(),
-                  point.result.final_infections.ci95_half_width(),
-                  point.result.per_replication("net.messages_blocked").mean());
+                  point.result.final_infections.ci95_half_width());
     out << line;
     finals.emplace_back(point.parameter, point.result.final_infections.mean());
     curves.push_back({param_name + "=" + format_value(point.parameter), &point.result.curve});

@@ -24,7 +24,7 @@ ScenarioConfig baseline_scenario(const virus::VirusProfile& profile) {
 
 ScenarioConfig fig2_scan_scenario(SimTime activation_delay) {
   ScenarioConfig config = baseline_scenario(virus::virus1());
-  config.name = "fig2/scan-delay-" + activation_delay.to_string();
+  config.name = "fig2/scan";
   response::GatewayScanConfig scan;
   scan.activation_delay = activation_delay;
   config.responses.gateway_scan = scan;

@@ -1,7 +1,7 @@
 // Experiment presets: the paper's scenarios, one helper per figure.
 //
-// Each preset returns a fully-validated ScenarioConfig; the bench
-// binaries sweep the single parameter their figure varies. Horizons
+// Each preset returns a fully-validated ScenarioConfig; `mvsim sweep`
+// varies the single parameter its figure varies. Horizons
 // follow §5.1: Viruses 1 and 4 are tracked over 18 days, Virus 2 over
 // 10 days, Virus 3 over about a day.
 #pragma once

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -333,27 +332,6 @@ ExperimentResult run_experiment(const ScenarioConfig& config, const RunnerOption
     if (options.keep_replications) result.replications.push_back(std::move(r));
   }
   return result;
-}
-
-namespace {
-
-int int_from_env(const char* name, int fallback, long lo, long hi) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  long value = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<int>(std::clamp(value, lo, hi));
-}
-
-}  // namespace
-
-int replications_from_env(int fallback) {
-  return int_from_env("MVSIM_REPS", fallback, 1L, 1000L);
-}
-
-int threads_from_env(int fallback) {
-  return int_from_env("MVSIM_THREADS", fallback, 0L, 1024L);
 }
 
 }  // namespace mvsim::core

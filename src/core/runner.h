@@ -164,13 +164,4 @@ struct RunnerOptions {
 [[nodiscard]] double progress_eta_seconds(double mean_replication_seconds, int total,
                                           int workers, double elapsed_seconds);
 
-/// Reads the replication count for benches from MVSIM_REPS (falls back
-/// to `fallback`; clamped to [1, 1000]).
-[[nodiscard]] int replications_from_env(int fallback);
-
-/// Reads the worker-thread count for benches from MVSIM_THREADS (falls
-/// back to `fallback`; clamped to [0, 1024], 0 = hardware concurrency).
-/// Results are thread-count-invariant, so this only changes wall-clock.
-[[nodiscard]] int threads_from_env(int fallback);
-
 }  // namespace mvsim::core

@@ -34,9 +34,9 @@ struct TopologyConfig {
   /// Social-clustering knob (kPowerLaw only); see
   /// graph::PowerLawConfig::locality_jitter. At the paper's density
   /// (mean degree 80 over 1000 phones) the hub-heavy degree sequence
-  /// already yields clustering ~0.24 and the epidemic results are
-  /// insensitive to this knob (quantified in bench/ablation_topology),
-  /// so the default stays at the pure configuration model.
+  /// already yields clustering ~0.26 and the epidemic results are
+  /// insensitive to this knob (asserted by anchors.Abl1), so the
+  /// default stays at the pure configuration model.
   double locality_jitter = 0.0;
   /// When set, every replication builds its contact graph from this
   /// seed instead of the per-replication topology seed — all
@@ -56,8 +56,8 @@ struct TopologyConfig {
 /// spread over both MMS and Bluetooth). Proximity traffic never
 /// transits the MMS gateway, so reception- and dissemination-point
 /// mechanisms cannot see or stop it — quantifying that blind spot is
-/// the point of the ext_dual_vector bench. With virus targeting
-/// kNone it is the only vector (a Bluetooth-only worm, ext_bluetooth).
+/// the point of anchors.ExtDual. With virus targeting kNone it is the
+/// only vector (a Bluetooth-only worm, anchors.ExtBt).
 struct ProximityChannelConfig {
   std::uint32_t grid_width = 16;
   std::uint32_t grid_height = 16;

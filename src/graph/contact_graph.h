@@ -54,7 +54,7 @@ class ContactGraph {
   [[nodiscard]] double average_degree() const;
 
   /// Heap footprint of the CSR arrays, for the bytes-per-phone budget
-  /// the scaling bench reports: exactly (n+1)·4 + 2E·4 bytes, whatever
+  /// the scale tests assert: exactly (n+1)·4 + 2E·4 bytes, whatever
   /// buffer CsrBuilder::finish transposed through.
   [[nodiscard]] std::size_t memory_bytes() const {
     return offsets_.capacity() * sizeof(std::uint32_t) + adjacency_.capacity() * sizeof(PhoneId);

@@ -4,8 +4,8 @@
 // (power-law random graph, 1000 nodes, mean contact-list size 80). We
 // rebuild that capability from scratch: a configuration-model power-law
 // generator whose degree sequence is tuned to a target mean degree,
-// plus Erdős–Rényi and k-regular-ring generators used by the topology
-// ablation bench.
+// plus Erdős–Rényi, Barabási–Albert and k-regular-ring generators for
+// the topology ablation (anchors.Abl1).
 #pragma once
 
 #include <cstdint>

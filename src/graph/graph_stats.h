@@ -1,8 +1,8 @@
 // Structural statistics over a ContactGraph.
 //
 // Used by property tests (degree targets, connectivity of generated
-// topologies) and by the topology-ablation bench to report what kind of
-// network each generator actually produced.
+// topologies) and by the topology-ablation anchors to report what kind
+// of network each generator actually produced.
 #pragma once
 
 #include <cstdint>

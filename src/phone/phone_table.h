@@ -87,7 +87,7 @@ class PhoneTable {
   bool force_infect(PhoneId id);
 
   /// Heap footprint of the parallel arrays, for the bytes-per-phone
-  /// budget the scaling bench reports.
+  /// budget the scale tests assert.
   [[nodiscard]] std::size_t memory_bytes() const {
     return flags_.capacity() * sizeof(std::uint8_t) +
            received_.capacity() * sizeof(std::uint32_t) +

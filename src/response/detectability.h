@@ -6,7 +6,7 @@
 // provider can only watch its own gateways, so mvsim operationalizes
 // detectability as: the cumulative number of infected messages that
 // have transited the gateways reaches a threshold (default 5). The
-// choice is a config knob and is ablated in bench/ablation_behavior.
+// choice is a config knob, ablated by anchors.Abl2.
 #pragma once
 
 #include <cstdint>

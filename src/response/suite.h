@@ -3,9 +3,8 @@
 //
 // The paper evaluates each mechanism independently (§5.2) and names
 // combinations as future work (§6); ResponseSuiteConfig supports both —
-// any subset may be enabled at once, which is what the ext_combinations
-// bench and the DefenseInDepth test exercise. The per-mechanism optionals are
-// plain data; everything that iterates over "all mechanisms"
+// any subset may be enabled at once, which is what the ExtCombo anchors
+// exercise. The per-mechanism optionals are plain data; everything that iterates over "all mechanisms"
 // (validation, construction, JSON binding) goes through
 // ResponseRegistry::built_ins() so this file does not grow an
 // if-ladder per mechanism.

@@ -33,24 +33,6 @@ void write_figure_csv(std::ostream& out, const std::vector<LabelledSeries>& curv
   }
 }
 
-void print_figure_table(std::ostream& out, const std::string& title,
-                        const std::vector<LabelledSeries>& curves, SimTime row_step) {
-  out << "== " << title << " ==\n";
-  write_figure_csv(out, curves, row_step);
-}
-
-void print_curve_summaries(std::ostream& out, const std::vector<LabelledSeries>& curves) {
-  for (const auto& c : curves) {
-    const AggregatedSeries& s = *c.series;
-    double final_level = s.final_mean();
-    SimTime half_time = s.mean_first_time_at_or_above(final_level / 2.0);
-    out << "  " << c.label << ": final=" << fixed(final_level)
-        << " infected, time-to-half-final="
-        << (half_time.is_finite() ? fixed(half_time.to_hours()) + " h" : std::string("never"))
-        << ", reps=" << s.replication_count() << '\n';
-  }
-}
-
 double final_level_ratio(const AggregatedSeries& curve, const AggregatedSeries& baseline) {
   double base = baseline.final_mean();
   if (base == 0.0) return 0.0;

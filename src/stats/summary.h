@@ -1,9 +1,7 @@
-// Figure-oriented summary metrics and table printing.
+// Figure-oriented summary metrics and the figure CSV.
 //
-// `mvsim sweep --curve-csv` and the benches write a figure as a CSV
-// table of Hours vs mean infection count per configuration; the benches
-// follow it with the shape metrics the paper's prose quotes (plateau
-// level, time-to-level, ratios).
+// `mvsim sweep --curve-csv` writes a figure as a CSV table of Hours vs
+// mean infection count per configuration.
 #pragma once
 
 #include <ostream>
@@ -26,13 +24,6 @@ struct LabelledSeries {
 /// All series must share the aggregation grid.
 void write_figure_csv(std::ostream& out, const std::vector<LabelledSeries>& curves,
                       SimTime row_step);
-
-/// write_figure_csv under a "== title ==" line.
-void print_figure_table(std::ostream& out, const std::string& title,
-                        const std::vector<LabelledSeries>& curves, SimTime row_step);
-
-/// Per-curve one-line summaries (final level, peak, time to half-peak).
-void print_curve_summaries(std::ostream& out, const std::vector<LabelledSeries>& curves);
 
 /// Ratio of a curve's final mean to a baseline's final mean, as the
 /// paper quotes ("contained to 25% of the baseline infection level").

@@ -1,4 +1,4 @@
-// Minimal CSV writer used by benches and examples to emit figure data.
+// Minimal CSV writer for figure data, results and metric reports.
 #pragma once
 
 #include <ostream>

@@ -1,5 +1,5 @@
 // Unit + integration tests for src/analysis: sweeps, the §5.3
-// diminishing-returns analysis, §6 strategy combinations.
+// diminishing-returns analysis, and a §6 mechanism combination.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "analysis/diminishing_returns.h"
-#include "analysis/strategy.h"
 #include "analysis/sweep.h"
 #include "core/presets.h"
 
@@ -107,6 +106,23 @@ TEST(DiminishingReturns, RampUpShapeHasNoFalseKnee) {
   std::string table = to_table(report);
   EXPECT_NE(table.find("ramp-up"), std::string::npos);
   EXPECT_EQ(table.find("diminishing"), std::string::npos);
+}
+
+TEST(DiminishingReturns, RampUpUsesTheKneeFraction) {
+  // The Figure 7 blacklist ladder (Virus 3, thresholds 40 -> 10): the
+  // 40 -> 30 step earns 2.80 per message, 18.7% of the 15.00 peak. At a
+  // knee fraction of 0.1 that is not low-rate, before the peak or after.
+  const Points points = {{10.0, 1.5}, {20.0, 49.8}, {30.0, 199.8}, {40.0, 227.8}};
+  DiminishingReturnsReport report =
+      analyze_diminishing_returns("blacklist.message_threshold", points, Stronger::kLower, 0.1);
+  ASSERT_EQ(report.peak_index, 1u);
+  const std::string table = to_table(report);
+  EXPECT_EQ(table.find("ramp-up"), std::string::npos) << table;
+  EXPECT_NE(to_table(analyze_diminishing_returns("blacklist.message_threshold", points,
+                                                 Stronger::kLower))
+                .find("ramp-up"),
+            std::string::npos)
+      << "at the default 0.2 the same step is ramp-up";
 }
 
 TEST(DiminishingReturns, KneeAfterPeakStillDetected) {
@@ -219,101 +235,24 @@ TEST(DiminishingReturns, RealBlacklistSweepHasEarlyKnee) {
   EXPECT_GE(report.gains[0].from_final, report.gains[2].to_final);
 }
 
-TEST(Strategy, NamesAndCounts) {
-  EXPECT_EQ(strategy_name(0), "none");
-  EXPECT_EQ(strategy_name(kGatewayScan), "scan");
-  EXPECT_EQ(strategy_name(kGatewayScan | kMonitoring), "scan+monitor");
-  EXPECT_EQ(strategy_name(kAllMechanisms),
-            "scan+detect+educate+patch+monitor+blacklist");
-  EXPECT_EQ(mechanism_count(0), 0);
-  EXPECT_EQ(mechanism_count(kAllMechanisms), 6);
-  EXPECT_EQ(mechanism_count(kUserEducation | kBlacklist), 2);
-}
-
-TEST(Strategy, SelectMechanismsHonorsMaskAndKit) {
-  response::ResponseSuiteConfig kit;
-  kit.gateway_scan = response::GatewayScanConfig{};
-  kit.monitoring = response::MonitoringConfig{};
-  kit.detectability_threshold = 9;
-
-  response::ResponseSuiteConfig chosen = select_mechanisms(kit, kGatewayScan | kBlacklist);
-  EXPECT_TRUE(chosen.gateway_scan.has_value());
-  EXPECT_FALSE(chosen.monitoring.has_value());
-  EXPECT_FALSE(chosen.blacklist.has_value()) << "blacklist not in the kit";
-  EXPECT_EQ(chosen.detectability_threshold, 9u);
-}
-
 TEST(Strategy, EvaluateStrategiesFindsTheLayeredWin) {
   // The paper's motivating §6 case: monitoring alone slows, scan alone
-  // is too late, together they contain Virus 3.
-  core::ScenarioConfig base = small_v3();
-  response::ResponseSuiteConfig kit;
-  kit.gateway_scan = response::GatewayScanConfig{};
-  kit.monitoring = response::MonitoringConfig{};
-
-  StrategyStudy study = evaluate_strategies(base, kit, 2, fast_options());
-  ASSERT_EQ(study.outcomes.size(), 4u);  // none, scan, monitor, scan+monitor
-  EXPECT_EQ(study.outcomes[0].name, "none");
-  EXPECT_DOUBLE_EQ(study.outcomes[0].containment, 0.0);
-  const StrategyOutcome* combo = nullptr;
-  for (const auto& outcome : study.outcomes) {
-    if (outcome.name == "scan+monitor") combo = &outcome;
-  }
-  ASSERT_NE(combo, nullptr);
-  for (const auto& outcome : study.outcomes) {
-    if (outcome.mechanisms <= 1) {
-      EXPECT_LE(combo->final_infections, outcome.final_infections)
-          << "the pair dominates every single mechanism against Virus 3";
-    }
-  }
-  EXPECT_GT(combo->containment, 0.5);
-}
-
-TEST(Strategy, ParetoFrontIsNondominatedAndOrdered) {
-  core::ScenarioConfig base = small_v3();
-  response::ResponseSuiteConfig kit;
-  kit.gateway_scan = response::GatewayScanConfig{};
-  kit.monitoring = response::MonitoringConfig{};
-  kit.blacklist = response::BlacklistConfig{};
-
-  StrategyStudy study = evaluate_strategies(base, kit, 3, fast_options());
-  EXPECT_EQ(study.outcomes.size(), 8u);
-  ASSERT_FALSE(study.pareto.empty());
-  // The empty strategy is always on the front (fewest mechanisms).
-  EXPECT_EQ(study.outcomes[study.pareto.front()].mechanisms, 0);
-  // Front members must be mutually nondominated.
-  for (std::size_t a : study.pareto) {
-    for (std::size_t b : study.pareto) {
-      if (a == b) continue;
-      const auto& oa = study.outcomes[a];
-      const auto& ob = study.outcomes[b];
-      bool dominates = oa.mechanisms <= ob.mechanisms &&
-                       oa.final_infections <= ob.final_infections &&
-                       (oa.mechanisms < ob.mechanisms ||
-                        oa.final_infections < ob.final_infections);
-      EXPECT_FALSE(dominates) << oa.name << " dominates " << ob.name;
-    }
-  }
-}
-
-TEST(Strategy, Validation) {
-  core::ScenarioConfig base = small_v3();
-  response::ResponseSuiteConfig empty_kit;
-  EXPECT_THROW((void)evaluate_strategies(base, empty_kit, 2, fast_options()),
-               std::invalid_argument);
-  response::ResponseSuiteConfig kit;
-  kit.blacklist = response::BlacklistConfig{};
-  EXPECT_THROW((void)evaluate_strategies(base, kit, -1, fast_options()),
-               std::invalid_argument);
-}
-
-TEST(Strategy, MaxZeroMeansBaselineOnly) {
-  core::ScenarioConfig base = small_v3();
-  response::ResponseSuiteConfig kit;
-  kit.blacklist = response::BlacklistConfig{};
-  StrategyStudy study = evaluate_strategies(base, kit, 0, fast_options());
-  ASSERT_EQ(study.outcomes.size(), 1u);
-  EXPECT_EQ(study.outcomes[0].name, "none");
+  // is too late, together they contain Virus 3. Every subset of
+  // {scan, monitor} at its default configuration.
+  auto final_infections = [](bool scan, bool monitor) {
+    core::ScenarioConfig config = small_v3();
+    if (scan) config.responses.gateway_scan = response::GatewayScanConfig{};
+    if (monitor) config.responses.monitoring = response::MonitoringConfig{};
+    return core::run_experiment(config, fast_options()).final_infections.mean();
+  };
+  const double none = final_infections(false, false);
+  const double scan = final_infections(true, false);
+  const double monitor = final_infections(false, true);
+  const double both = final_infections(true, true);
+  ASSERT_GT(none, 0.0);
+  EXPECT_LE(both, scan) << "the pair dominates the scan alone against Virus 3";
+  EXPECT_LE(both, monitor) << "the pair dominates monitoring alone against Virus 3";
+  EXPECT_GT(1.0 - both / none, 0.5) << "the pair contains most of the baseline outbreak";
 }
 
 }  // namespace

@@ -1,27 +1,29 @@
 // Paper anchors: every claim of the paper's evaluation (Figures 1-7 and
-// the prose around them), asserted against the simulator at the
-// paper's scale.
+// the prose around them, the section 5.3 scaling check and the section
+// 6 extensions), plus two ablations of constants the paper leaves open,
+// asserted against the simulator at the paper's scale.
 //
-// Each figure is one fixture (Fig1 ... Fig7). Its SetUpTestSuite runs
-// the figure's experiments once -- 1000 phones, each virus's paper
-// horizon, 10 replications, master seed 0xD5A72007 (the seed of the
-// figure commands EXPERIMENTS.md lists), one thread -- and many small
-// TEST_Fs assert on the shared results. The bands come from the paper's
-// claims. A row that EXPERIMENTS.md marks as a deviation asserts the
-// documented direction of that deviation instead, so a change that
-// closes (or widens) a gap shows up here as a failing test.
+// Each figure or experiment is one fixture (Fig1 ... Fig7, Scale, Abl1,
+// Abl2, ExtBt, ExtDual, ExtCombo). Its SetUpTestSuite runs the
+// experiments once -- 1000 phones, each virus's paper horizon, 10
+// replications, master seed 0xD5A72007 (the seed of the figure commands
+// EXPERIMENTS.md lists; ExtBt keeps its own, 0xB10E0007), one thread --
+// and many small TEST_Fs assert on the shared results. The bands come
+// from the paper's claims. A row that EXPERIMENTS.md marks as a
+// deviation asserts the documented direction of that deviation instead,
+// so a change that closes (or widens) a gap shows up here as a failing
+// test.
 //
 // Every anchor records its claim, band and measured value as test
 // properties, so
 //   build/tests/anchor_test --gtest_output=json:anchors.json
-// is the paper-vs-measured table. ctest runs one test per figure
-// (anchors.Fig1 ... anchors.Fig7, label `anchors`); `ctest -L anchors`
-// runs the paper checks alone.
+// is the paper-vs-measured table. ctest runs one test per fixture
+// (anchors.Fig1 ... anchors.ExtCombo, label `anchors`); `ctest -L
+// anchors` runs the paper checks alone.
 //
-// The tests after the figures are not figure anchors: on reduced
-// populations (250 phones) with their own seed, they check the patch
-// rollout, defense in depth (paper section 6) and population scaling
-// (section 5.3).
+// The last two tests are not anchors: on a 250-phone population they
+// check that the patch rollout reaches every susceptible phone and that
+// monitoring plus a gateway scan beats either against Virus 3.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,12 +38,14 @@
 #include "core/presets.h"
 #include "core/runner.h"
 #include "core/simulation.h"
+#include "graph/generators.h"
+#include "graph/graph_stats.h"
+#include "rng/stream.h"
 
 namespace mvsim::core {
 namespace {
 
-/// The figure commands' settings, pinned: the anchors must not follow
-/// MVSIM_REPS or MVSIM_THREADS.
+/// The figure commands' settings, pinned.
 RunnerOptions anchor_options() {
   RunnerOptions options;
   options.replications = 10;
@@ -75,8 +79,9 @@ void expect_within(const std::string& what, double value, double lo, double hi) 
 /// One figure's experiments by label, each run once per suite.
 class Runs {
  public:
-  void add(const std::string& label, const ScenarioConfig& config) {
-    results_.emplace(label, run_experiment(config, anchor_options()));
+  void add(const std::string& label, const ScenarioConfig& config,
+           const RunnerOptions& options = anchor_options()) {
+    results_.emplace(label, run_experiment(config, options));
   }
   void clear() { results_.clear(); }
 
@@ -96,6 +101,10 @@ class Runs {
   /// First time the mean curve of `label` reaches `level`.
   [[nodiscard]] SimTime time_to(const std::string& label, double level) const {
     return results_.at(label).curve.mean_first_time_at_or_above(level);
+  }
+  /// First time the mean curve of `label` reaches half its own final.
+  [[nodiscard]] SimTime half_final(const std::string& label) const {
+    return time_to(label, final_of(label) / 2.0);
   }
 
  private:
@@ -721,8 +730,584 @@ TEST_F(Fig7, Virus2EvadesBlacklisting) {
   EXPECT_GE(v2_at10, 90.0);
 }
 
+
 // ---------------------------------------------------------------------
-// Reduced-population checks (not figure anchors).
+// SCALE: paper section 5.3's 2000-phone check, and the market-share
+// extension's percolation threshold.
+
+/// 80% of the phones run the targeted platform.
+constexpr double kSusceptibleFraction = 0.8;
+
+constexpr graph::PhoneId kPopulations[] = {1000, 2000};
+constexpr double kMarketShares[] = {0.10, 0.50};
+
+std::string population_label(const std::string& virus, graph::PhoneId population) {
+  return virus + " @" + std::to_string(population);
+}
+
+std::string share_label(double share) { return "share " + fmt(share, 2); }
+
+class Scale : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    for (const auto& profile : virus::paper_virus_suite()) {
+      for (graph::PhoneId population : kPopulations) {
+        ScenarioConfig config = baseline_scenario(profile);
+        config.population = population;
+        runs.add(population_label(profile.name, population), config);
+      }
+    }
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  /// Final infections as a percentage of the susceptible phones.
+  static double penetration(const std::string& virus, graph::PhoneId population) {
+    return 100.0 * runs.final_of(population_label(virus, population)) /
+           (kSusceptibleFraction * population);
+  }
+  static SimTime half_plateau(const std::string& virus, graph::PhoneId population) {
+    return runs.time_to(population_label(virus, population),
+                        kPlateau / 2.0 * population / 1000.0);
+  }
+  static inline Runs runs;
+};
+
+TEST_F(Scale, PenetrationIsPopulationInvariant) {
+  std::string measured;
+  for (const char* virus : {"Virus 1", "Virus 2", "Virus 3", "Virus 4"}) {
+    const double small = penetration(virus, 1000);
+    const double large = penetration(virus, 2000);
+    measured += (measured.empty() ? "" : " / ") + fmt(small) + "% -> " + fmt(large) + "%";
+    expect_within(virus, large, 36.0, 44.0);
+    EXPECT_NEAR(large, small, 2.5) << virus;
+  }
+  record("results at 1000 phones scale nicely to a 2000-phone population",
+         "2000-phone penetration 36-44% and within 2.5 points of 1000 phones",
+         measured + " (Viruses 1-4, 1000 -> 2000 phones)");
+}
+
+TEST_F(Scale, HalfPlateauGrowsMildlyWithPopulation) {
+  // A graph twice the size takes a generation or two more to cover.
+  std::string measured;
+  for (const char* virus : {"Virus 1", "Virus 2", "Virus 3", "Virus 4"}) {
+    const SimTime small = half_plateau(virus, 1000);
+    const SimTime large = half_plateau(virus, 2000);
+    measured += (measured.empty() ? "" : " / ") + fmt_hours(small) + " -> " + fmt_hours(large);
+    EXPECT_GE(large, small) << virus;
+    EXPECT_LE(large, small * 1.5) << virus;
+  }
+  record("doubling the population delays the half-plateau only mildly",
+         "1000-phone time <= 2000-phone time <= 1.5x it", measured + " (Viruses 1-4)");
+}
+
+// The market-share extension runs 20,000 phones for 30 days, so it is a
+// fixture of its own, at 6 replications rather than 10.
+class MarketShare : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    RunnerOptions keep = anchor_options();
+    keep.replications = 6;
+    keep.keep_replications = true;  // ignition is counted per replication
+    for (double share : kMarketShares) {
+      runs.add(share_label(share), market_share_scenario(share), keep);
+    }
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  static inline Runs runs;
+};
+
+TEST_F(MarketShare, IgnitesOnlyAboveThePercolationThreshold) {
+  // A replication ignites when it reaches 1% of the susceptible phones.
+  // Below the susceptible subgraph's percolation threshold every
+  // outbreak dies near its patient zeros; above it every one escapes.
+  auto ignition = [](double share) {
+    const ExperimentResult& result = runs[share_label(share)];
+    const double susceptible = share * market_share_scenario(share).population;
+    int ignited = 0;
+    for (const auto& rep : result.replications) {
+      if (static_cast<double>(rep.total_infected) >= 0.01 * susceptible) ++ignited;
+    }
+    return static_cast<double>(ignited) / static_cast<double>(result.replications.size());
+  };
+  const double low = ignition(0.10);
+  const double high = ignition(0.50);
+  record("on sparse contact lists a platform's market share has an outbreak threshold",
+         "ignition <= 0.1 at share 0.10, >= 0.9 at share 0.50",
+         fmt(low, 2) + " at 0.10 (" + fmt(runs.final_of(share_label(0.10))) + " infected), " +
+             fmt(high, 2) + " at 0.50 (" + fmt(runs.final_of(share_label(0.50))) + ")");
+  EXPECT_LE(low, 0.1);
+  EXPECT_GE(high, 0.9);
+}
+
+// ---------------------------------------------------------------------
+// ABL-1: contact-list topology ablation (Virus 1; not a paper figure).
+
+constexpr TopologyConfig::Kind kTopologies[] = {
+    TopologyConfig::Kind::kPowerLaw, TopologyConfig::Kind::kErdosRenyi,
+    TopologyConfig::Kind::kBarabasiAlbert, TopologyConfig::Kind::kRegularRing};
+constexpr double kLocalityJitters[] = {0.05, 0.10, 0.20};
+
+std::string jitter_label(double jitter) { return "jitter " + fmt(jitter, 2); }
+
+/// Global clustering of a power-law graph of the paper's shape.
+double power_law_clustering(double locality_jitter, std::uint64_t seed) {
+  graph::PowerLawConfig config;
+  config.locality_jitter = locality_jitter;
+  rng::Stream stream(seed);
+  return graph::global_clustering_coefficient(graph::generate_power_law(config, stream));
+}
+
+class Abl1 : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    for (TopologyConfig::Kind kind : kTopologies) {
+      ScenarioConfig config = baseline_scenario(virus::virus1());
+      config.topology.kind = kind;
+      runs.add(to_string(kind), config);
+    }
+    for (double jitter : kLocalityJitters) {
+      ScenarioConfig config = baseline_scenario(virus::virus1());
+      config.topology.locality_jitter = jitter;
+      runs.add(jitter_label(jitter), config);
+    }
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  static inline Runs runs;
+};
+
+TEST_F(Abl1, PlateauIsTopologyInvariant) {
+  std::string measured;
+  for (TopologyConfig::Kind kind : kTopologies) {
+    measured += (measured.empty() ? "" : " / ") + fmt(runs.final_of(to_string(kind)));
+    expect_within(to_string(kind), runs.final_of(to_string(kind)), 0.9 * kPlateau,
+                  1.1 * kPlateau);
+  }
+  record("the plateau is set by the consent model, not the contact graph",
+         "288-352 phones on every topology",
+         "finals " + measured + " (power-law / Erdos-Renyi / Barabasi-Albert / ring)");
+}
+
+TEST_F(Abl1, RingClusteringSlowsGrowth) {
+  const double ring_clustering =
+      graph::global_clustering_coefficient(graph::generate_regular_ring(1000, 80));
+  const SimTime power_law = runs.half_final("power-law");
+  const SimTime ring = runs.half_final("regular-ring");
+  record("a highly clustered ring lattice slows the growth phase",
+         "ring half-final >= 1.5x power-law's",
+         "ring " + fmt_hours(ring) + " (clustering " + fmt(ring_clustering, 3) +
+             ") vs power-law " + fmt_hours(power_law));
+  EXPECT_GE(ring, power_law * 1.5);
+}
+
+TEST_F(Abl1, PowerLawHubsAlreadyCluster) {
+  const double power_law = power_law_clustering(0.0, 7);
+  rng::Stream stream(7);
+  const double random = graph::global_clustering_coefficient(graph::generate_erdos_renyi(
+      1000, 80.0, stream));
+  record("the power-law generator at mean degree 80 is clustered by its hubs alone",
+         "clustering 0.20-0.35, >= 2x an Erdos-Renyi graph of the same mean degree",
+         fmt(power_law, 3) + " vs " + fmt(random, 3) + " (Erdos-Renyi)");
+  expect_within("power-law clustering", power_law, 0.20, 0.35);
+  EXPECT_GE(power_law, 2.0 * random);
+}
+
+TEST_F(Abl1, LocalityJitterDoesNotMoveTheEpidemic) {
+  // Forcing triadic overlap into the contact lists (locality_jitter)
+  // neither raises the clustering the hubs already give nor moves the
+  // epidemic: the reproduction does not hinge on the unpublished NGCE
+  // instance beyond its degree profile.
+  const double final0 = runs.final_of("power-law");
+  const SimTime half0 = runs.time_to("power-law", kPlateau / 2.0);
+  const double clustering0 = power_law_clustering(0.0, 9);
+  std::string measured = "jitter 0: " + fmt(final0) + ", " + fmt_hours(half0) +
+                         ", clustering " + fmt(clustering0, 3);
+  for (double jitter : kLocalityJitters) {
+    const std::string label = jitter_label(jitter);
+    const SimTime half = runs.time_to(label, kPlateau / 2.0);
+    const double clustering = power_law_clustering(jitter, 9);
+    measured += "; " + fmt(jitter, 2) + ": " + fmt(runs.final_of(label)) + ", " +
+                fmt_hours(half) + ", clustering " + fmt(clustering, 3);
+    EXPECT_NEAR(runs.final_of(label), final0, 0.05 * final0) << label;
+    EXPECT_NEAR(half.to_hours(), half0.to_hours(), 3.0) << label;
+    EXPECT_NEAR(clustering, clustering0, 0.03) << label;
+  }
+  record("extra contact-list locality changes neither the clustering nor the epidemic",
+         "final within 5%, half-plateau within 3 h, clustering within 0.03 of jitter 0",
+         measured);
+}
+
+// ---------------------------------------------------------------------
+// ABL-2: behavioral constants the paper leaves unspecified.
+
+constexpr double kReadDelaysMin[] = {15.0, 30.0, 60.0, 120.0, 240.0};
+constexpr std::uint64_t kDetectabilityThresholds[] = {1, 5, 20, 50};
+constexpr double kLegitGapsHours[] = {1.0, 2.0, 4.0};
+
+std::string read_delay_label(double minutes) { return "read " + fmt(minutes, 0) + " min"; }
+std::string detectability_label(std::uint64_t messages) {
+  return "threshold " + std::to_string(messages);
+}
+std::string legit_gap_label(double hours) { return "legit gap " + fmt(hours, 0) + " h"; }
+
+class Abl2 : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    for (double minutes : kReadDelaysMin) {
+      ScenarioConfig config = baseline_scenario(virus::virus1());
+      config.read_delay_mean = SimTime::minutes(minutes);
+      runs.add(read_delay_label(minutes), config);
+    }
+    RunnerOptions keep = anchor_options();
+    keep.keep_replications = true;  // for each replication's detection time
+    for (std::uint64_t messages : kDetectabilityThresholds) {
+      ScenarioConfig config = fig2_scan_scenario(SimTime::hours(6.0));
+      config.responses.detectability_threshold = messages;
+      runs.add(detectability_label(messages), config, keep);
+    }
+    for (double hours : kLegitGapsHours) {
+      ScenarioConfig config = baseline_scenario(virus::virus4());
+      config.virus.legit_traffic_gap_mean = SimTime::hours(hours);
+      runs.add(legit_gap_label(hours), config);
+    }
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  /// Mean detection time, in hours, over the replications that detected.
+  static double detected_at_hours(std::uint64_t messages) {
+    stats::Accumulator detected_at;
+    for (const auto& rep : runs[detectability_label(messages)].replications) {
+      if (rep.detected_at.is_finite()) detected_at.add(rep.detected_at.to_hours());
+    }
+    return detected_at.mean();
+  }
+  static inline Runs runs;
+};
+
+TEST_F(Abl2, ReadDelayShiftsTimingNotThePlateau) {
+  std::string finals;
+  std::string halves;
+  SimTime previous = SimTime::zero();
+  for (double minutes : kReadDelaysMin) {
+    const std::string label = read_delay_label(minutes);
+    const SimTime half = runs.time_to(label, kPlateau / 2.0);
+    finals += (finals.empty() ? "" : " / ") + fmt(runs.final_of(label));
+    halves += (halves.empty() ? "" : " -> ") + fmt_hours(half);
+    expect_within(label, runs.final_of(label), 0.9 * kPlateau, 1.1 * kPlateau);
+    EXPECT_GE(half, previous) << label;
+    previous = half;
+  }
+  EXPECT_GE(previous, runs.time_to(read_delay_label(15.0), kPlateau / 2.0) * 1.5);
+  record("the unspecified read delay sets Virus 1's pace, not its plateau",
+         "finals 288-352; half-plateau non-decreasing, 240 min >= 1.5x 15 min",
+         "half-plateau " + halves + "; finals " + finals + " (15 ... 240 min)");
+}
+
+TEST_F(Abl2, DetectabilityThresholdDelaysTheScan) {
+  std::string finals;
+  std::string detections;
+  double previous_final = 0.0;
+  double previous_detection = -1.0;
+  for (std::uint64_t messages : kDetectabilityThresholds) {
+    const double final_infections = runs.final_of(detectability_label(messages));
+    const double detection = detected_at_hours(messages);
+    finals += (finals.empty() ? "" : " -> ") + fmt(final_infections);
+    detections += (detections.empty() ? "" : " -> ") + fmt(detection);
+    EXPECT_GT(final_infections, previous_final) << detectability_label(messages);
+    EXPECT_GT(detection, previous_detection) << detectability_label(messages);
+    previous_final = final_infections;
+    previous_detection = detection;
+  }
+  EXPECT_LE(previous_final, 0.2 * kPlateau) << "the 6 h scan still contains Virus 1 at 50";
+  record("a later detection point (more infected messages seen) weakens the 6 h scan",
+         "final and detection time increasing in the threshold; <= 64 phones at 50",
+         "finals " + finals + ", detected at " + detections + " h (1 / 5 / 20 / 50 messages)");
+}
+
+TEST_F(Abl2, LegitTrafficSetsVirus4TimeScale) {
+  std::string halves;
+  std::string finals;
+  SimTime previous = SimTime::zero();
+  for (double hours : kLegitGapsHours) {
+    const std::string label = legit_gap_label(hours);
+    const SimTime half = runs.time_to(label, kPlateau / 2.0);
+    halves += (halves.empty() ? "" : " / ") + fmt_hours(half);
+    finals += (finals.empty() ? "" : " / ") + fmt(runs.final_of(label));
+    expect_within(label, runs.final_of(label), 0.9 * kPlateau, 1.1 * kPlateau);
+    EXPECT_GT(half, previous) << label;
+    previous = half;
+  }
+  EXPECT_GE(previous, runs.time_to(legit_gap_label(1.0), kPlateau / 2.0) * 2.0);
+  record("Virus 4's one free constant, the legitimate-traffic rate, sets its time scale",
+         "half-plateau increasing in the gap, 4 h >= 2x 1 h; finals 288-352",
+         "half-plateau " + halves + "; finals " + finals + " (1 / 2 / 4 h gaps)");
+}
+
+// ---------------------------------------------------------------------
+// EXT-BT: Bluetooth-only worm (paper section 6 future work), on its own
+// master seed.
+
+RunnerOptions bluetooth_options() {
+  RunnerOptions options = anchor_options();
+  options.master_seed = 0xB1'0E'00'07ULL;
+  return options;
+}
+
+/// Without gateway visibility the provider learns of the outbreak out
+/// of band (handset AV telemetry, user complaints): a fixed detection
+/// time starts the patch cycle.
+ScenarioConfig with_patch_cycle(ScenarioConfig config, double detection_h, double development_h,
+                                double deployment_h) {
+  response::ImmunizationConfig immunization;
+  immunization.detection_time = SimTime::hours(detection_h);
+  immunization.development_time = SimTime::hours(development_h);
+  immunization.deployment_duration = SimTime::hours(deployment_h);
+  config.responses.immunization = immunization;
+  return config;
+}
+
+constexpr std::uint32_t kGridSides[] = {8, 16, 32};
+
+std::string grid_label(std::uint32_t side) {
+  return side == 16 ? "Baseline" : "grid " + std::to_string(side);
+}
+
+class ExtBt : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    const ScenarioConfig base = bluetooth_worm_scenario();  // 1000 phones, 16x16 grid
+    runs.add("Baseline", base, bluetooth_options());
+    ScenarioConfig educated = base;
+    response::UserEducationConfig education;
+    education.eventual_acceptance = 0.20;
+    educated.responses.user_education = education;
+    runs.add("Education 0.20", educated, bluetooth_options());
+    runs.add("Patch 24h+24h+6h", with_patch_cycle(base, 24.0, 24.0, 6.0), bluetooth_options());
+    runs.add("Patch 12h+12h+1h", with_patch_cycle(base, 12.0, 12.0, 1.0), bluetooth_options());
+    for (std::uint32_t side : {8u, 32u}) {
+      ScenarioConfig config = base;
+      config.proximity->grid_width = side;
+      config.proximity->grid_height = side;
+      runs.add(grid_label(side), config, bluetooth_options());
+    }
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  static inline Runs runs;
+};
+
+constexpr const char* kBluetoothRuns[] = {"Baseline", "Education 0.20", "Patch 24h+24h+6h",
+                                          "Patch 12h+12h+1h"};
+
+TEST_F(ExtBt, GatewayMechanismsSeeNoMms) {
+  std::string measured;
+  for (const char* label : kBluetoothRuns) {
+    const double submitted = runs[label].per_replication("net.messages_submitted").mean();
+    measured += (measured.empty() ? "" : " / ") + fmt(submitted);
+    EXPECT_EQ(submitted, 0.0) << label;
+  }
+  record("scan, detection, monitoring and blacklisting are blind to a Bluetooth worm",
+         "0 MMS submitted per replication", "MMS submitted " + measured);
+}
+
+TEST_F(ExtBt, ConsentPlateauCarriesOver) {
+  const double base = runs.final_of("Baseline");
+  record("the consent model fixes the Bluetooth plateau as it does the MMS one",
+         "288-352 phones", fmt(base));
+  expect_within("Bluetooth baseline", base, 0.9 * kPlateau, 1.1 * kPlateau);
+}
+
+TEST_F(ExtBt, EducationHalvesThePlateau) {
+  const double percent = runs.percent_of("Education 0.20", "Baseline");
+  record("user education still works: acceptance 0.20 halves the plateau", "40-60% of baseline",
+         fmt(percent) + "% (" + fmt(runs.final_of("Education 0.20")) + " phones)");
+  expect_within("education 0.20", percent, 40.0, 60.0);
+}
+
+TEST_F(ExtBt, PatchingWorksWhenTheCycleBeatsTheWorm) {
+  const double fast = runs.final_of("Patch 12h+12h+1h");
+  const double slow = runs.final_of("Patch 24h+24h+6h");
+  const double base = runs.final_of("Baseline");
+  record("patching with out-of-band detection helps as far as the cycle outruns the worm",
+         "12h+12h+1h <= 25% of baseline < 24h+24h+6h < baseline",
+         fmt(fast) + " (12h+12h+1h) / " + fmt(slow) + " (24h+24h+6h) / " + fmt(base) +
+             " (baseline)");
+  EXPECT_LE(fast, 0.25 * base);
+  EXPECT_LT(fast, slow);
+  EXPECT_LT(slow, base);
+}
+
+TEST_F(ExtBt, SpreadIsEncounterLimited) {
+  std::string measured;
+  SimTime previous = SimTime::zero();
+  for (std::uint32_t side : kGridSides) {
+    const std::string label = grid_label(side);
+    const SimTime half = runs.time_to(label, kPlateau / 2.0);
+    measured += (measured.empty() ? "" : " / ") + fmt_hours(half) + " at " +
+                fmt(1000.0 / (side * side), 2);
+    EXPECT_GT(half, previous) << label;
+    previous = half;
+  }
+  EXPECT_GE(previous, runs.time_to("grid 8", kPlateau / 2.0) * 2.0);
+  record("proximity spread is gated by same-cell encounters",
+         "half-plateau rises as density falls; 1 phone/cell >= 2x 15.6",
+         "half-plateau " + measured + " phones per cell");
+}
+
+// ---------------------------------------------------------------------
+// EXT-DUAL: Virus 1 over MMS and Bluetooth (paper section 6).
+
+ScenarioConfig dual_vector_base() {
+  ScenarioConfig config = baseline_scenario(virus::virus1());
+  config.name = "dual-vector/Virus 1 + Bluetooth";
+  config.proximity = ProximityChannelConfig{};  // 16x16 grid, 60 min scans
+  return config;
+}
+
+class ExtDual : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    runs.add("MMS-only", baseline_scenario(virus::virus1()));
+    runs.add("Dual", dual_vector_base());
+    runs.add("MMS-only + 6h scan", fig2_scan_scenario(SimTime::hours(6.0)));
+    ScenarioConfig scanned = dual_vector_base();
+    response::GatewayScanConfig scan;
+    scan.activation_delay = SimTime::hours(6.0);
+    scanned.responses.gateway_scan = scan;
+    runs.add("Dual + 6h scan", scanned);
+    ScenarioConfig patched = dual_vector_base();
+    patched.responses.immunization = response::ImmunizationConfig{};
+    runs.add("Dual + patching", patched);
+    ScenarioConfig educated = dual_vector_base();
+    educated.responses.user_education = response::UserEducationConfig{};
+    runs.add("Dual + education", educated);
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  static inline Runs runs;
+};
+
+TEST_F(ExtDual, ScanIsBlindToTheBluetoothArm) {
+  const double single = runs.percent_of("MMS-only + 6h scan", "MMS-only");
+  const double dual = runs.percent_of("Dual + 6h scan", "Dual");
+  record("the 6 h scan that contains MMS-only Virus 1 cannot stop a dual-vector Virus 1",
+         "MMS-only <= 10%, dual-vector >= 90% of its baseline",
+         "MMS-only " + fmt(single) + "% (" + fmt(runs.final_of("MMS-only + 6h scan")) +
+             "), dual-vector " + fmt(dual) + "% (" + fmt(runs.final_of("Dual + 6h scan")) + ")");
+  EXPECT_LE(single, 10.0);
+  EXPECT_GE(dual, 90.0);
+}
+
+TEST_F(ExtDual, SecondVectorSpeedsTheOutbreak) {
+  const SimTime single = runs.half_final("MMS-only");
+  const SimTime dual = runs.half_final("Dual");
+  record("Bluetooth adds a second route: the dual-vector virus spreads faster",
+         "dual-vector half-final earlier; both plateau at 288-352",
+         fmt_hours(dual) + " vs " + fmt_hours(single) + "; finals " +
+             fmt(runs.final_of("Dual")) + " / " + fmt(runs.final_of("MMS-only")));
+  EXPECT_LT(dual, single);
+  expect_within("dual-vector baseline", runs.final_of("Dual"), 0.9 * kPlateau, 1.1 * kPlateau);
+}
+
+TEST_F(ExtDual, EducationStillHalvesThePlateau) {
+  const double percent = runs.percent_of("Dual + education", "Dual");
+  record("education protects the phone, not the channel, so it works on both vectors",
+         "40-60% of the dual-vector baseline",
+         fmt(percent) + "% (" + fmt(runs.final_of("Dual + education")) + " phones)");
+  expect_within("dual + education", percent, 40.0, 60.0);
+}
+
+TEST_F(ExtDual, DefaultPatchCycleComesTooLate) {
+  // The default cycle develops the patch 24 h after detection; by then
+  // the dual-vector outbreak is past its half-final.
+  const double percent = runs.percent_of("Dual + patching", "Dual");
+  record("a 24 h + 6 h patch cycle is too slow for the dual-vector Virus 1",
+         ">= 85% of the dual-vector baseline",
+         fmt(percent) + "% (" + fmt(runs.final_of("Dual + patching")) + " phones)");
+  EXPECT_GE(percent, 85.0);
+}
+
+// ---------------------------------------------------------------------
+// EXT-COMBO: mechanism combinations against Virus 3 (paper section 6:
+// "a response mechanism that only slows virus propagation requires a
+// secondary mechanism to completely halt virus spread"). Every
+// mechanism at its default configuration.
+
+constexpr const char* kSingleMechanisms[] = {"scan",  "detect",  "educate",
+                                             "patch", "monitor", "blacklist"};
+
+class ExtCombo : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    const ScenarioConfig base = baseline_scenario(virus::virus3());
+    runs.add("none", base);
+    auto add = [&base](const char* label, auto enable) {
+      ScenarioConfig config = base;
+      enable(config.responses);
+      runs.add(label, config);
+    };
+    using Suite = response::ResponseSuiteConfig;
+    add("scan", [](Suite& r) { r.gateway_scan = response::GatewayScanConfig{}; });
+    add("detect", [](Suite& r) { r.gateway_detection = response::GatewayDetectionConfig{}; });
+    add("educate", [](Suite& r) { r.user_education = response::UserEducationConfig{}; });
+    add("patch", [](Suite& r) { r.immunization = response::ImmunizationConfig{}; });
+    add("monitor", [](Suite& r) { r.monitoring = response::MonitoringConfig{}; });
+    add("blacklist", [](Suite& r) { r.blacklist = response::BlacklistConfig{}; });
+    add("scan+monitor", [](Suite& r) {
+      r.gateway_scan = response::GatewayScanConfig{};
+      r.monitoring = response::MonitoringConfig{};
+    });
+  }
+  static void TearDownTestSuite() { runs.clear(); }
+  static inline Runs runs;
+};
+
+TEST_F(ExtCombo, MonitoringAloneOnlySlows) {
+  const double at20 = runs.level_at("monitor", SimTime::hours(20.0));
+  const double final_infections = runs.final_of("monitor");
+  record("monitoring alone only slows Virus 3",
+         "<= 25% of baseline at 25 h, still climbing after 20 h",
+         fmt(at20) + " at 20 h -> " + fmt(final_infections) + " at 25 h (baseline " +
+             fmt(runs.final_of("none")) + ")");
+  EXPECT_LE(final_infections, 0.25 * runs.final_of("none"));
+  EXPECT_GT(final_infections, at20);
+}
+
+TEST_F(ExtCombo, ScanAloneIsTooLate) {
+  const double percent = runs.percent_of("scan", "none");
+  record("the 6 h scan alone is too late for Virus 3", ">= 90% of baseline",
+         fmt(percent) + "% (" + fmt(runs.final_of("scan")) + " phones)");
+  EXPECT_GE(percent, 90.0);
+}
+
+TEST_F(ExtCombo, MonitoringBuysTheScanItsTime) {
+  const double both = runs.final_of("scan+monitor");
+  record("a slowing mechanism plus a stopping one contains what neither does alone",
+         "scan+monitor <= 5% of baseline and <= 25% of monitoring alone",
+         fmt(both) + " phones vs " + fmt(runs.final_of("monitor")) + " (monitor) and " +
+             fmt(runs.final_of("scan")) + " (scan)");
+  EXPECT_LE(both, 0.05 * runs.final_of("none"));
+  EXPECT_LE(both, 0.25 * runs.final_of("monitor"));
+}
+
+TEST_F(ExtCombo, BlacklistIsTheBestSingleMechanism) {
+  // As Figure 7 predicts: a random dialer trips the blacklist at once.
+  std::string measured;
+  for (const char* mechanism : kSingleMechanisms) {
+    measured += (measured.empty() ? "" : " / ") + fmt(runs.final_of(mechanism));
+    if (std::string(mechanism) != "blacklist") {
+      EXPECT_LT(runs.final_of("blacklist"), runs.final_of(mechanism)) << mechanism;
+    }
+  }
+  record("against the random dialer, blacklisting alone beats every other single mechanism",
+         "blacklist final below each of the other five",
+         "finals " + measured + " (scan / detect / educate / patch / monitor / blacklist)");
+}
+
+TEST_F(ExtCombo, PatchCycleOutlastsTheHorizon) {
+  const double percent = runs.percent_of("patch", "none");
+  record("a 24 h + 6 h patch cycle cannot act within Virus 3's 25 h",
+         ">= 99% of baseline", fmt(percent) + "% (" + fmt(runs.final_of("patch")) + " phones)");
+  EXPECT_GE(percent, 99.0);
+}
+
+// ---------------------------------------------------------------------
+// Reduced-population checks (not anchors).
 
 /// Paper-shaped scenario scaled down 4x for test speed: 250 phones,
 /// mean contact-list size 20.
@@ -779,19 +1364,6 @@ TEST(DefenseInDepth, CombiningMechanismsBeatsEither) {
 
   EXPECT_LT(both.final_infections.mean(), 0.7 * only_scan.final_infections.mean());
   EXPECT_LT(both.final_infections.mean(), 0.7 * base.final_infections.mean());
-}
-
-TEST(Scaling, DoublingPopulationScalesThePlateau) {
-  // Paper §5.3: "results scale nicely to larger population sizes".
-  ScenarioConfig small = scaled_scenario(virus::virus1());
-  ScenarioConfig big = small;
-  big.population = 500;
-  ExperimentResult small_result = run(small, 4);
-  ExperimentResult big_result = run(big, 4);
-  double small_fraction = small_result.final_infections.mean() / 250.0;
-  double big_fraction = big_result.final_infections.mean() / 500.0;
-  EXPECT_NEAR(small_fraction, big_fraction, 0.08)
-      << "penetration fraction is population-invariant";
 }
 
 }  // namespace

@@ -610,20 +610,5 @@ TEST(Runner, EtaCountsReplicationsThatRunAtOnce) {
   EXPECT_EQ(progress_eta_seconds(10.0, 4, 4, 12.0), 0.0);
 }
 
-TEST(Runner, EnvOverrideParsing) {
-  // No env var set in the test environment: falls back.
-  unsetenv("MVSIM_REPS");
-  EXPECT_EQ(replications_from_env(7), 7);
-  setenv("MVSIM_REPS", "12", 1);
-  EXPECT_EQ(replications_from_env(7), 12);
-  setenv("MVSIM_REPS", "0", 1);
-  EXPECT_EQ(replications_from_env(7), 1) << "clamped to >= 1";
-  setenv("MVSIM_REPS", "garbage", 1);
-  EXPECT_EQ(replications_from_env(7), 7);
-  setenv("MVSIM_REPS", "12x", 1);
-  EXPECT_EQ(replications_from_env(7), 7);
-  unsetenv("MVSIM_REPS");
-}
-
 }  // namespace
 }  // namespace mvsim::core

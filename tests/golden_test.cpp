@@ -109,7 +109,7 @@ ExperimentResult run_audited(const ScenarioConfig& config, const RunnerOptions& 
 }
 
 ScenarioConfig dual_vector_scenario() {
-  // The ext_dual_vector bench's headline configuration: Virus 1 with
+  // The EXT-DUAL experiment's headline configuration: Virus 1 with
   // the Bluetooth side channel, against the 6 h gateway scan.
   ScenarioConfig config = fig2_scan_scenario(SimTime::hours(6.0));
   config.name = "golden/dual-vector";

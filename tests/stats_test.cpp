@@ -148,7 +148,7 @@ TEST(AggregatedSeries, ValidatesConstruction) {
                std::invalid_argument);
 }
 
-TEST(PrintFigureTable, EmitsHoursAndCurves) {
+TEST(WriteFigureCsv, EmitsHoursAndCurves) {
   AggregatedSeries base(SimTime::hours(1.0), SimTime::hours(2.0));
   TimeSeries a;
   a.push(SimTime::hours(1.0), 5.0);
@@ -157,33 +157,17 @@ TEST(PrintFigureTable, EmitsHoursAndCurves) {
   other.add_replication(TimeSeries{});
 
   std::ostringstream out;
-  print_figure_table(out, "Test Figure", {{"Baseline", &base}, {"Other", &other}},
-                     SimTime::hours(1.0));
-  std::string text = out.str();
-  EXPECT_NE(text.find("== Test Figure =="), std::string::npos);
-  EXPECT_NE(text.find("Hours,Baseline,Other"), std::string::npos);
-  EXPECT_NE(text.find("1.0,5.0,0.0"), std::string::npos);
+  write_figure_csv(out, {{"Baseline", &base}, {"Other", &other}}, SimTime::hours(1.0));
+  EXPECT_EQ(out.str(), "Hours,Baseline,Other\n0.0,0.0,0.0\n1.0,5.0,0.0\n2.0,5.0,0.0\n");
 }
 
-TEST(PrintFigureTable, RejectsMismatchedGrids) {
+TEST(WriteFigureCsv, RejectsMismatchedGrids) {
   AggregatedSeries a(SimTime::hours(1.0), SimTime::hours(2.0));
   AggregatedSeries b(SimTime::hours(1.0), SimTime::hours(3.0));
   std::ostringstream out;
-  EXPECT_THROW(print_figure_table(out, "x", {{"a", &a}, {"b", &b}}, SimTime::hours(1.0)),
+  EXPECT_THROW(write_figure_csv(out, {{"a", &a}, {"b", &b}}, SimTime::hours(1.0)),
                std::invalid_argument);
-  EXPECT_THROW(print_figure_table(out, "x", {}, SimTime::hours(1.0)), std::invalid_argument);
-}
-
-TEST(PrintCurveSummaries, MentionsEachCurve) {
-  AggregatedSeries base(SimTime::hours(1.0), SimTime::hours(4.0));
-  TimeSeries a;
-  a.push(SimTime::hours(1.0), 2.0);
-  a.push(SimTime::hours(3.0), 10.0);
-  base.add_replication(a);
-  std::ostringstream out;
-  print_curve_summaries(out, {{"MyCurve", &base}});
-  EXPECT_NE(out.str().find("MyCurve"), std::string::npos);
-  EXPECT_NE(out.str().find("final=10.0"), std::string::npos);
+  EXPECT_THROW(write_figure_csv(out, {}, SimTime::hours(1.0)), std::invalid_argument);
 }
 
 TEST(FinalLevelRatio, ComputesAndHandlesZeroBaseline) {

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Run every figure command EXPERIMENTS.md lists, at 2 replications.
+"""Check EXPERIMENTS.md against the anchors and run its figure commands.
 
-Each FIG-1 ... FIG-7 section of EXPERIMENTS.md lists the `mvsim run` /
+Every `##` section of EXPERIMENTS.md after the intro names the anchor
+tests (`Fixture.Test`, from tests/anchor_test.cpp) that assert its
+claims. Each FIG-1 ... FIG-7 section also lists the `mvsim run` /
 `mvsim sweep` commands that reproduce its figure in ```sh blocks. This
 script runs each of them with `--reps 2` instead of the listed
 `--reps 10`, so a renamed preset, parameter or flag fails here rather
 than in a reader's terminal. It fails when:
 
+- a section names no anchor test, or names one that does not exist;
 - a FIG section is missing or lists no command;
 - a command does not use the anchors' `--reps 10 --seed 3584499719`;
 - a command exits non-zero or leaves its --curve-csv file empty;
@@ -29,6 +32,27 @@ REPS = "10"
 SEED = "3584499719"
 # A knee-table row: "from -> to final final' avoided avoided/unit verdict".
 ROW_RE = re.compile(r"^\s*\S+ -> \S+\s+\S+\s+\S+\s+(\S+)\s")
+# An anchor test in tests/anchor_test.cpp, and one named in EXPERIMENTS.md.
+TEST_RE = re.compile(r"^TEST(?:_F)?\((\w+), (\w+)\)", re.MULTILINE)
+NAMED_RE = re.compile(r"`([A-Z]\w*)\.([A-Z]\w*)`")
+
+
+def section_anchor_problems(text, tests):
+    """Checks that every `##` section names an existing anchor test.
+
+    A backticked `Fixture.Test` whose fixture is in the anchor file must
+    be a test there; at least one per section is required."""
+    fixtures = {fixture for fixture, _ in tests}
+    problems = []
+    sections = re.split(r"^## ", text, flags=re.MULTILINE)[1:]
+    for section in sections:
+        title = section.splitlines()[0].strip()
+        named = {match for match in NAMED_RE.findall(section) if match[0] in fixtures}
+        for fixture, test in sorted(named - tests):
+            problems.append(f"{title}: names {fixture}.{test}, which is not an anchor test")
+        if not named & tests:
+            problems.append(f"{title}: names no anchor test")
+    return problems
 
 
 def figure_commands(text):
@@ -103,8 +127,11 @@ def main(argv):
     mvsim, root, work_dir = (os.path.abspath(arg) for arg in argv[1:])
     os.makedirs(work_dir, exist_ok=True)
     with open(os.path.join(root, "EXPERIMENTS.md"), encoding="utf-8") as handle:
-        commands = figure_commands(handle.read())
-    problems = []
+        text = handle.read()
+    with open(os.path.join(root, "tests", "anchor_test.cpp"), encoding="utf-8") as handle:
+        tests = set(TEST_RE.findall(handle.read()))
+    commands = figure_commands(text)
+    problems = section_anchor_problems(text, tests)
     for figure in FIGURES:
         listed = commands.get(figure, [])
         if not listed:
