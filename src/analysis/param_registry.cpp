@@ -126,11 +126,11 @@ const std::vector<SweepableParam>& sweepable_params() {
       {"detectability_threshold", "messages",
        "infected messages the gateways see before the virus is detectable", Stronger::kLower,
        apply_detectability},
-      {"population", "phones", "total phone population", Stronger::kLower, apply_population},
+      {"population", "phones", "total phone population", std::nullopt, apply_population},
       {"susceptible_fraction", "fraction", "fraction of phones on the vulnerable platform",
-       Stronger::kLower, apply_susceptible_fraction},
+       std::nullopt, apply_susceptible_fraction},
       {"eventual_acceptance", "probability",
-       "baseline eventual acceptance probability of the consent curve", Stronger::kLower,
+       "baseline eventual acceptance probability of the consent curve", std::nullopt,
        apply_eventual_acceptance},
   };
   return kParams;

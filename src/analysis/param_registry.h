@@ -6,13 +6,14 @@
 // the paper sweeps (Figs. 2-7: activation delay, detection accuracy,
 // educated acceptance, immunization rollout, forced wait, blacklist
 // threshold) is here, plus the population/behavior knobs sensitivity
-// studies vary. Applying a mechanism parameter enables the mechanism
-// (with defaults for its other knobs) when the base scenario does not
-// already carry it, so `mvsim sweep virus1-baseline --param
-// gateway_scan.activation_delay_h ...` works without a handcrafted
-// scenario file.
+// studies vary (which get no knee analysis). Applying a mechanism
+// parameter enables the mechanism (with defaults for its other knobs)
+// when the base scenario does not already carry it, so `mvsim sweep
+// virus1-baseline --param gateway_scan.activation_delay_h ...` works
+// without a handcrafted scenario file.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,11 @@ struct SweepableParam {
   const char* name;         ///< e.g. "gateway_scan.activation_delay_h"
   const char* unit;         ///< e.g. "hours"
   const char* description;  ///< one line for `mvsim sweep --list-params`
-  Stronger stronger;        ///< orders a ladder for the knee analysis
+  /// Orders a ladder for the knee analysis. None for a property of the
+  /// phone population (its size, the vulnerable share, the baseline
+  /// acceptance), which no provider's response sets: a "worth it"
+  /// verdict on it has no meaning.
+  std::optional<Stronger> stronger;
   /// Sets the knob to the value; false when the knob is an integer
   /// and the value is fractional or out of its range.
   bool (*apply)(core::ScenarioConfig&, double);

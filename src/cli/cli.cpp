@@ -20,7 +20,6 @@
 
 #include "analysis/diminishing_returns.h"
 #include "analysis/param_registry.h"
-#include "analysis/sweep.h"
 #include "cli/preset_registry.h"
 #include "config/results_io.h"
 #include "config/scenario_io.h"
@@ -30,7 +29,6 @@
 #include "obs/manifest.h"
 #include "obs/report.h"
 #include "obs/stats_stream.h"
-#include "obs/sweep_stream.h"
 #include "prof/profile_io.h"
 #include "response/registry.h"
 #include "stats/summary.h"
@@ -53,9 +51,8 @@ usage:
       --threads N          worker threads (default: all cores; results identical)
       --curve-csv PATH     write the mean infection curve as CSV ('-' = stdout)
       --summary-json PATH  write the result summary as JSON ('-' = stdout)
-      --metrics PATH       write the telemetry report ('-' = stdout; a path
-                           ending in .csv selects CSV, anything else JSON;
-                           see docs/observability.md)
+      --metrics PATH       write the telemetry report as JSON ('-' = stdout; see
+                           docs/observability.md)
       --trace PATH         record one replication's causal event trace
                            ('-' or a .jsonl path = JSONL, anything else =
                            Chrome trace JSON, loadable in Perfetto)
@@ -78,14 +75,16 @@ usage:
                            ledger (append-safe under concurrent runs)
       --quiet              suppress the human-readable summary
   mvsim sweep <scenario.json | preset-name> --param NAME --values V1,V2,...
-              [--reps N] [--seed N] [--threads N] [--ledger PATH] [--stream PATH]
+              [--reps N] [--seed N] [--threads N] [--ledger PATH]
               [--curve-csv PATH] [--knee-fraction F] [--progress]
                            run a parameter ladder: one experiment per value, a
-                           manifest per point appended to the ledger, NDJSON sweep
-                           progress on --stream, the mean infection curve of every
-                           point as one CSV ('-' = stdout), and the diminishing-
-                           returns knee table (paper Sec. 5.3; values in any order,
-                           ranked by response strength) on stdout
+                           manifest per point appended to the ledger as it
+                           finishes, one line per point (with an ETA) on stderr
+                           under --progress, the mean infection curve of every
+                           point as one CSV ('-' = stdout), and for a response
+                           parameter the diminishing-returns knee table (paper
+                           Sec. 5.3; values in any order, ranked by response
+                           strength) on stdout
   mvsim sweep --list-params
                            list sweepable parameter names
   mvsim report <manifest.json>
@@ -397,14 +396,7 @@ int command_run(const std::vector<std::string>& args, std::ostream& out, std::os
        [](const core::ExperimentResult& result, std::ostream& os) {
          config::write_curve_csv(result, os);
        }},
-      {"metrics", metrics_path,
-       [&](const core::ExperimentResult& result, std::ostream& os) {
-         if (metrics_path.ends_with(".csv")) {
-           metrics::write_report_csv(info, result.metrics, os);
-         } else {
-           json_report(result, os);
-         }
-       }},
+      {"metrics", metrics_path, json_report},
       // The profile is the metrics report of a profiled run.
       {"profile", profile_path, json_report},
       {"trace", trace_path,
@@ -659,23 +651,35 @@ int command_validate(const std::vector<std::string>& args, std::ostream& out,
   }
 }
 
-/// Formats a sweep value the way per-point scenario names embed it
-/// (compact, round-trippable for the ladders the paper uses).
+/// Formats a sweep value the way per-point scenario names embed it:
+/// whole numbers whole (1000000, not 1e+06), fractions as typed (0.95).
 std::string format_value(double value) {
   char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%g", value);
+  std::snprintf(buffer, sizeof buffer, "%.15g", value);
   return buffer;
 }
 
-/// Prints the knee verdict as a stable greppable marker line.
-void print_knee_marker(const analysis::DiminishingReturnsReport& report, std::ostream& out) {
+/// Prints the diminishing-returns table of a ladder of (value, mean
+/// final infections) points and its knee verdict as a stable greppable
+/// marker line, or one note when `parameter` has no stronger end.
+void print_knee_analysis(const std::string& parameter,
+                         std::vector<std::pair<double, double>> points, double knee_fraction,
+                         std::ostream& out) {
+  const analysis::SweepableParam* param = analysis::find_sweepable(parameter);
+  if (param == nullptr || !param->stronger) {
+    out << "no knee analysis: '" << parameter << "' is not a "
+        << (param == nullptr ? "sweepable" : "response") << " parameter\n";
+    return;
+  }
+  const analysis::DiminishingReturnsReport report = analysis::analyze_diminishing_returns(
+      parameter, std::move(points), *param->stronger, knee_fraction);
+  out << analysis::to_table(report);
   if (report.has_knee()) {
     const analysis::MarginalGain& step = report.gains[report.knee_index];
     char line[160];
-    std::snprintf(line, sizeof line,
-                  "knee: %s past %g (the step to %g earns %.2f avoided/unit)\n",
-                  report.parameter_name.c_str(), step.from_parameter, step.to_parameter,
-                  step.avoided_per_unit);
+    std::snprintf(line, sizeof line, "knee: %s past %s (the step to %s earns %.2f avoided/unit)\n",
+                  parameter.c_str(), format_value(step.from_parameter).c_str(),
+                  format_value(step.to_parameter).c_str(), step.avoided_per_unit);
     out << line;
   } else if (report.returns_still_increasing()) {
     out << "knee: none (returns still increasing at the strongest setting studied)\n";
@@ -701,16 +705,15 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
   std::string values_text;
   core::RunnerOptions runner = cli_runner();
   std::string ledger_path;
-  std::string stream_path;
   std::string curve_csv;
   double knee_fraction = 0.2;
   bool progress = false;
   const Flag flags[] = {
-      {"--param", &param_name},       {"--values", &values_text},
-      reps_flag(runner.replications), seed_flag(runner.master_seed),
-      threads_flag(runner.threads),   {"--ledger", &ledger_path},
-      {"--stream", &stream_path},     {"--curve-csv", &curve_csv},
-      knee_fraction_flag(knee_fraction), {"--progress", &progress},
+      {"--param", &param_name},          {"--values", &values_text},
+      reps_flag(runner.replications),    seed_flag(runner.master_seed),
+      threads_flag(runner.threads),      {"--ledger", &ledger_path},
+      {"--curve-csv", &curve_csv},       knee_fraction_flag(knee_fraction),
+      {"--progress", &progress},
   };
   if (int rc = parse_flags(args, 1, flags, nullptr, "sweep", err); rc != 0) return rc;
   std::vector<double> values;
@@ -763,91 +766,69 @@ int command_sweep(const std::vector<std::string>& args, std::ostream& out, std::
   if (int rc = probe_writable(ledger_path, err); rc != 0) return rc;
   if (int rc = probe_writable(curve_csv, err); rc != 0) return rc;
 
-  std::ofstream stream_file;
-  std::unique_ptr<obs::SweepStream> stream;
-  if (!stream_path.empty()) {
-    std::ostream* sink = open_stream(stream_path, stream_file, out, err);
-    if (sink == nullptr) return 2;
-    stream = std::make_unique<obs::SweepStream>(*sink);
-    stream->write_header({param_name, base.name, scenario_hash_of(base),
-                          static_cast<int>(values.size()), runner.replications});
-  }
-
-  // run_sweep asks for each point's scenario once, in order.
-  std::size_t next_point = 0;
-  auto make_scenario = [&](double) { return scenarios[next_point++]; };
-
-  const auto sweep_started = std::chrono::steady_clock::now();
-  std::string ledger_error;
-  analysis::SweepHooks hooks;
-  hooks.point_started = [&](std::size_t index, std::size_t count, double value,
-                            const core::ScenarioConfig&) {
+  // Each point's manifest reaches the ledger as soon as the point
+  // finishes, so the ledger is the sweep's live record.
+  const std::size_t count = scenarios.size();
+  std::vector<core::ExperimentResult> results;
+  results.reserve(count);
+  double finished_seconds = 0.0;  // summed wall time of the points run so far
+  for (std::size_t i = 0; i < count; ++i) {
+    const core::ScenarioConfig& scenario = scenarios[i];
     if (progress) {
-      err << "[" << index + 1 << "/" << count << "] " << param_name << " = "
-          << format_value(value) << "...\n";
+      err << "[" << i + 1 << "/" << count << "] " << param_name << " = "
+          << format_value(values[i]) << "...";
+      if (i > 0) {
+        const double mean_seconds = finished_seconds / static_cast<double>(i);
+        char eta[48];
+        std::snprintf(eta, sizeof eta, " (ETA %.1f s)",
+                      mean_seconds * static_cast<double>(count - i));
+        err << eta;
+      }
+      err << '\n';
     }
-    if (stream != nullptr) {
-      stream->write_point({"point-started", static_cast<int>(index), static_cast<int>(count),
-                           value});
+    const auto started = std::chrono::steady_clock::now();
+    const core::ExperimentResult& result =
+        results.emplace_back(core::run_experiment(scenario, runner));
+    const double wall_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+    finished_seconds += wall_seconds;
+    if (ledger_path.empty()) continue;
+    core::ManifestInputs inputs;
+    inputs.scenario_hash = scenario_hash_of(scenario);
+    inputs.seed = runner.master_seed;
+    inputs.phases.run_seconds = wall_seconds;
+    inputs.sweep = obs::SweepInfo{param_name, values[i], static_cast<int>(i),
+                                  static_cast<int>(count)};
+    if (!obs::append_to_ledger(ledger_path,
+                               core::build_run_manifest(scenario, inputs, result))) {
+      err << "cannot write '" << ledger_path << "'\n";
+      return 2;
     }
-  };
-  hooks.point_finished = [&](std::size_t index, std::size_t count, double value,
-                             const core::ScenarioConfig& config,
-                             const core::ExperimentResult& result, double wall_seconds) {
-    const int i = static_cast<int>(index);
-    const int n = static_cast<int>(count);
-    if (stream != nullptr) {
-      const std::chrono::duration<double> elapsed =
-          std::chrono::steady_clock::now() - sweep_started;
-      stream->write_point({.type = "point-finished", .index = i, .count = n, .value = value,
-                           .wall_seconds = wall_seconds,
-                           .eta_seconds = elapsed.count() / (i + 1) * (n - i - 1),
-                           .final_infected_mean = result.final_infections.mean(),
-                           .total_events = result.metrics.counter_value("des.events_executed")});
-    }
-    if (!ledger_path.empty() && ledger_error.empty()) {
-      core::ManifestInputs inputs;
-      inputs.scenario_hash = scenario_hash_of(config);
-      inputs.seed = runner.master_seed;
-      inputs.phases.run_seconds = wall_seconds;
-      inputs.sweep = obs::SweepInfo{param_name, value, i, n};
-      obs::RunManifest manifest = core::build_run_manifest(config, inputs, result);
-      if (!obs::append_to_ledger(ledger_path, manifest)) ledger_error = ledger_path;
-    }
-  };
-
-  analysis::SweepResult sweep =
-      analysis::run_sweep(param_name, values, make_scenario, runner, hooks);
-  if (!ledger_error.empty()) {
-    err << "cannot write '" << ledger_error << "'\n";
-    return 2;
   }
 
   out << "sweep: " << base.name << " over " << param_name << " [" << param->unit << "], "
-      << values.size() << " point(s) x " << runner.replications << " replication(s) (seed "
+      << count << " point(s) x " << runner.replications << " replication(s) (seed "
       << runner.master_seed << ")\n";
   std::vector<std::pair<double, double>> finals;
   std::vector<stats::LabelledSeries> curves;
-  for (const analysis::SweepPoint& point : sweep.points) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const core::ExperimentResult& result = results[i];
+    const std::string value = format_value(values[i]);
     char line[160];
-    std::snprintf(line, sizeof line, "  %-14s %10.1f +/- %.1f\n",
-                  format_value(point.parameter).c_str(),
-                  point.result.final_infections.mean(),
-                  point.result.final_infections.ci95_half_width());
+    std::snprintf(line, sizeof line, "  %-14s %10.1f +/- %.1f\n", value.c_str(),
+                  result.final_infections.mean(), result.final_infections.ci95_half_width());
     out << line;
-    finals.emplace_back(point.parameter, point.result.final_infections.mean());
-    curves.push_back({param_name + "=" + format_value(point.parameter), &point.result.curve});
+    finals.emplace_back(values[i], result.final_infections.mean());
+    curves.push_back({param_name + "=" + value, &result.curve});
   }
-  const analysis::DiminishingReturnsReport report = analysis::analyze_diminishing_returns(
-      param_name, std::move(finals), param->stronger, knee_fraction);
-  out << '\n' << analysis::to_table(report);
-  print_knee_marker(report, out);
+  out << '\n';
+  print_knee_analysis(param_name, std::move(finals), knee_fraction, out);
   if (curve_csv.empty()) return 0;
   // One mean column per point, on the points' shared sample grid.
   return write_to(
       curve_csv,
       [&](std::ostream& os) {
-        stats::write_figure_csv(os, curves, sweep.points.front().result.curve.step());
+        stats::write_figure_csv(os, curves, results.front().curve.step());
       },
       out, err);
 }
@@ -866,7 +847,7 @@ void report_artifacts(const obs::RunManifest& manifest, std::ostream& out) {
         const json::Value* derived =
             doc.is_object() ? doc.as_object().find("derived") : nullptr;
         if (derived == nullptr || !derived->is_object()) {
-          throw std::runtime_error("no derived section (CSV metrics are not stitched)");
+          throw std::runtime_error("no derived section");
         }
         out << "\n-- metrics (" << artifact.path << ") --\n";
         for (const auto& [key, value] : derived->as_object().entries()) {
@@ -929,15 +910,7 @@ int report_ledger(const std::string& path, double knee_fraction, std::ostream& o
     if (points.size() < 2) continue;
     const auto& [base, parameter] = key;
     out << '\n' << base << ": sweep " << parameter << " (" << points.size() << " points):\n";
-    const analysis::SweepableParam* param = analysis::find_sweepable(parameter);
-    if (param == nullptr) {
-      out << "no knee analysis: '" << parameter << "' is not a sweepable parameter\n";
-      continue;
-    }
-    const analysis::DiminishingReturnsReport report = analysis::analyze_diminishing_returns(
-        parameter, std::move(points), param->stronger, knee_fraction);
-    out << analysis::to_table(report);
-    print_knee_marker(report, out);
+    print_knee_analysis(parameter, std::move(points), knee_fraction, out);
   }
   return 0;
 }

@@ -33,10 +33,8 @@ class ProgressSink {
       : options_(&options),
         workers_(workers),
         started_(std::chrono::steady_clock::now()) {
-    update_.label = options.progress_label.empty() ? config.name : options.progress_label;
+    update_.label = config.name;
     update_.replications_total = options.replications;
-    update_.config_index = options.progress_config_index;
-    update_.config_count = options.progress_config_count;
   }
 
   /// Reports the one-time shared-graph prewarm and restarts the

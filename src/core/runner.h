@@ -58,12 +58,9 @@ struct ExperimentResult {
 };
 
 /// One live progress observation, delivered after each replication
-/// completes. Counts are cumulative over the experiment so far;
-/// `config_index`/`config_count` situate the experiment inside a
-/// multi-config driver (a sweep point, a figure series), both 0-based /
-/// 1 for a standalone run.
+/// completes. Counts are cumulative over the experiment so far.
 struct ProgressUpdate {
-  std::string label;               ///< scenario (or sweep-point) label
+  std::string label;               ///< the scenario's name
   int replications_done = 0;
   int replications_total = 0;
   std::uint64_t events_executed = 0;  ///< summed over completed replications
@@ -78,8 +75,6 @@ struct ProgressUpdate {
   /// Wall-clock seconds the shared-graph prewarm took (0 when the
   /// scenario builds per-replication graphs).
   double build_seconds = 0.0;
-  int config_index = 0;
-  int config_count = 1;
 };
 
 /// Invocations are serialized by the runner (never concurrent), in
@@ -143,10 +138,6 @@ struct RunnerOptions {
   /// When set, called after every completed replication (serialized,
   /// in completion order). Observation-only.
   ProgressReporter progress;
-  /// Label for ProgressUpdate::label; empty = the scenario's name.
-  std::string progress_label;
-  int progress_config_index = 0;
-  int progress_config_count = 1;
 };
 
 /// Runs `options.replications` independent replications of `config`.

@@ -1,14 +1,11 @@
 #include "metrics/report.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 
 #include "util/checked_integer.h"
-#include "util/csv.h"
 
 namespace mvsim::metrics {
 
@@ -201,13 +198,6 @@ std::uint64_t as_u64(const json::Value& value, const std::string& field) {
   return *n;
 }
 
-/// Compact bound label for CSV bucket rows: "le_100", "le_2.5".
-std::string bound_field(double bound) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "le_%g", bound);
-  return buf;
-}
-
 }  // namespace
 
 std::span<const MetricDescriptor> schema() { return kSchema; }
@@ -331,33 +321,6 @@ json::Value report_to_json(const ReportInfo& info, const Snapshot& snapshot) {
                   : json::Value(nullptr));
   root.set("derived", json::Value(std::move(derived)));
   return json::Value(std::move(root));
-}
-
-void write_report_csv(const ReportInfo& info, const Snapshot& snapshot, std::ostream& out) {
-  CsvWriter csv(out);
-  csv.header({"metric", "kind", "field", "value"});
-  csv.row("scenario", "info", "name", info.scenario);
-  csv.row("replications", "info", "value", info.replications);
-  csv.row("threads", "info", "value", info.threads);
-  csv.row("master_seed", "info", "value", info.master_seed);
-  for (const CounterSample& c : snapshot.counters) {
-    csv.row(c.name, "counter", "value", c.value);
-  }
-  for (const GaugeSample& g : snapshot.gauges) {
-    csv.row(g.name, "gauge", "value", g.value);
-    csv.row(g.name, "gauge", "peak", g.peak);
-  }
-  for (const HistogramSample& h : snapshot.histograms) {
-    csv.row(h.name, "histogram", "count", h.count);
-    csv.row(h.name, "histogram", "sum", h.sum);
-    csv.row(h.name, "histogram", "min", h.min);
-    csv.row(h.name, "histogram", "max", h.max);
-    for (std::size_t i = 0; i < h.bucket_counts.size(); ++i) {
-      std::string field =
-          i < h.upper_bounds.size() ? bound_field(h.upper_bounds[i]) : std::string("le_inf");
-      csv.row(h.name, "histogram", field, h.bucket_counts[i]);
-    }
-  }
 }
 
 }  // namespace mvsim::metrics

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <string_view>
@@ -68,9 +67,5 @@ struct ReportInfo {
 /// snapshot (counters/gauges/histograms) and derived throughput
 /// figures (events processed, events/sec).
 [[nodiscard]] json::Value report_to_json(const ReportInfo& info, const Snapshot& snapshot);
-
-/// The same report as flat CSV: one `metric,kind,field,value` row per
-/// scalar (histograms emit one row per bucket plus count/sum/min/max).
-void write_report_csv(const ReportInfo& info, const Snapshot& snapshot, std::ostream& out);
 
 }  // namespace mvsim::metrics

@@ -33,10 +33,4 @@ void write_figure_csv(std::ostream& out, const std::vector<LabelledSeries>& curv
   }
 }
 
-double final_level_ratio(const AggregatedSeries& curve, const AggregatedSeries& baseline) {
-  double base = baseline.final_mean();
-  if (base == 0.0) return 0.0;
-  return curve.final_mean() / base;
-}
-
 }  // namespace mvsim::stats

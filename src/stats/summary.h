@@ -25,9 +25,4 @@ struct LabelledSeries {
 void write_figure_csv(std::ostream& out, const std::vector<LabelledSeries>& curves,
                       SimTime row_step);
 
-/// Ratio of a curve's final mean to a baseline's final mean, as the
-/// paper quotes ("contained to 25% of the baseline infection level").
-[[nodiscard]] double final_level_ratio(const AggregatedSeries& curve,
-                                       const AggregatedSeries& baseline);
-
 }  // namespace mvsim::stats

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <ostream>
 
 namespace mvsim {
 
@@ -17,5 +18,7 @@ std::string SimTime::to_string() const {
   }
   return buf;
 }
+
+std::ostream& operator<<(std::ostream& out, SimTime time) { return out << time.to_string(); }
 
 }  // namespace mvsim

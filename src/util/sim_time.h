@@ -8,6 +8,7 @@
 #pragma once
 
 #include <compare>
+#include <iosfwd>
 #include <limits>
 #include <string>
 
@@ -72,5 +73,9 @@ class SimTime {
 
 [[nodiscard]] constexpr SimTime min(SimTime a, SimTime b) { return a < b ? a : b; }
 [[nodiscard]] constexpr SimTime max(SimTime a, SimTime b) { return a < b ? b : a; }
+
+/// Writes `time.to_string()`, so a failed test assertion on two times
+/// prints them in their natural unit.
+std::ostream& operator<<(std::ostream& out, SimTime time);
 
 }  // namespace mvsim

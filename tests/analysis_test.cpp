@@ -1,5 +1,5 @@
-// Unit + integration tests for src/analysis: sweeps, the §5.3
-// diminishing-returns analysis, and a §6 mechanism combination.
+// Unit + integration tests for src/analysis: the §5.3 diminishing-returns
+// analysis over registry parameters, and a §6 mechanism combination.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "analysis/diminishing_returns.h"
-#include "analysis/sweep.h"
 #include "core/presets.h"
+#include "core/runner.h"
 
 namespace mvsim::analysis {
 namespace {
@@ -28,31 +28,6 @@ core::RunnerOptions fast_options() {
   options.master_seed = 808;
   options.keep_replications = false;
   return options;
-}
-
-TEST(Sweep, RunsEveryValueInOrder) {
-  SweepResult sweep = run_sweep(
-      "blacklist threshold", {10.0, 20.0, 40.0},
-      [](double threshold) {
-        core::ScenarioConfig config = small_v3();
-        response::BlacklistConfig blacklist;
-        blacklist.message_threshold = static_cast<std::uint32_t>(threshold);
-        config.responses.blacklist = blacklist;
-        return config;
-      },
-      fast_options());
-  ASSERT_EQ(sweep.points.size(), 3u);
-  EXPECT_DOUBLE_EQ(sweep.points[0].parameter, 10.0);
-  EXPECT_DOUBLE_EQ(sweep.points[2].parameter, 40.0);
-  EXPECT_EQ(sweep.parameter_name, "blacklist threshold");
-  // Lower thresholds contain more.
-  EXPECT_LT(sweep.points[0].result.final_infections.mean(),
-            sweep.points[2].result.final_infections.mean());
-}
-
-TEST(Sweep, RejectsEmptyInput) {
-  EXPECT_THROW((void)run_sweep("x", {}, [](double) { return small_v3(); }), std::invalid_argument);
-  EXPECT_THROW((void)run_sweep("x", {1.0}, nullptr), std::invalid_argument);
 }
 
 /// (parameter, mean final infections) pairs, as a sweep or a ledger
@@ -212,24 +187,19 @@ TEST(DiminishingReturns, Validation) {
 TEST(DiminishingReturns, RealBlacklistSweepHasEarlyKnee) {
   // Against Virus 3, tightening the threshold 40 -> 30 buys little;
   // 20 -> 10 buys a lot. A lower threshold is the stronger response.
-  SweepResult sweep = run_sweep(
-      "blacklist.message_threshold", {40.0, 30.0, 20.0, 10.0},
-      [](double threshold) {
-        core::ScenarioConfig config = small_v3();
-        response::BlacklistConfig blacklist;
-        blacklist.message_threshold = static_cast<std::uint32_t>(threshold);
-        config.responses.blacklist = blacklist;
-        return config;
-      },
-      fast_options());
-  Points points;
-  for (const SweepPoint& point : sweep.points) {
-    points.emplace_back(point.parameter, point.result.final_infections.mean());
-  }
-  const SweepableParam* param = find_sweepable(sweep.parameter_name);
+  const std::string parameter = "blacklist.message_threshold";
+  const SweepableParam* param = find_sweepable(parameter);
   ASSERT_NE(param, nullptr);
+  ASSERT_TRUE(param->stronger.has_value());
+  Points points;
+  for (double threshold : {40.0, 30.0, 20.0, 10.0}) {
+    core::ScenarioConfig config = small_v3();
+    ASSERT_TRUE(param->apply(config, threshold));
+    points.emplace_back(threshold,
+                        core::run_experiment(config, fast_options()).final_infections.mean());
+  }
   DiminishingReturnsReport report =
-      analyze_diminishing_returns(sweep.parameter_name, points, param->stronger);
+      analyze_diminishing_returns(parameter, points, *param->stronger);
   ASSERT_EQ(report.gains.size(), 3u);
   // Every step tightens containment (monotone finals).
   EXPECT_GE(report.gains[0].from_final, report.gains[2].to_final);

@@ -308,7 +308,7 @@ TEST_F(Fig2, DiminishingReturnsPastSixHours) {
   for (double hours : kScanDelays) finals.emplace_back(hours, runs.final_of(scan_label(hours)));
   const std::string parameter = "gateway_scan.activation_delay_h";
   const analysis::DiminishingReturnsReport report = analysis::analyze_diminishing_returns(
-      parameter, finals, analysis::find_sweepable(parameter)->stronger);
+      parameter, finals, *analysis::find_sweepable(parameter)->stronger);
   ASSERT_TRUE(report.has_knee()) << analysis::to_table(report);
   const analysis::MarginalGain& knee = report.gains[report.knee_index];
   const analysis::MarginalGain& peak = report.gains[report.peak_index];
@@ -417,7 +417,7 @@ TEST_F(Fig3, DetectionIsConvexInAccuracy) {
   }
   const std::string parameter = "gateway_detection.accuracy";
   const analysis::DiminishingReturnsReport report = analysis::analyze_diminishing_returns(
-      parameter, finals, analysis::find_sweepable(parameter)->stronger);
+      parameter, finals, *analysis::find_sweepable(parameter)->stronger);
   std::string rates;
   for (const analysis::MarginalGain& gain : report.gains) {
     rates += (rates.empty() ? "" : " / ") + fmt(gain.avoided_per_unit, 0);

@@ -302,19 +302,30 @@ TEST(Cli, RunEmitsMetricsJsonToStdout) {
   std::remove(path.c_str());
 }
 
-TEST(Cli, RunWritesMetricsCsvFile) {
+TEST(Cli, MetricsReportIsJsonWhateverThePathSuffix) {
+  // The report has one encoding, so `report` can stitch it whatever
+  // the path is named.
   std::string scenario_path = write_small_scenario();
-  std::string metrics_path = ::testing::TempDir() + "/mvsim_cli_metrics.csv";
-  CliResult r =
-      invoke({"run", scenario_path, "--reps", "2", "--quiet", "--metrics", metrics_path});
+  const std::string stem = ::testing::TempDir() + "/mvsim_cli_metrics_" +
+                           std::to_string(static_cast<long long>(::getpid()));
+  const std::string metrics_path = stem + ".csv";
+  const std::string manifest_path = stem + "_manifest.json";
+  CliResult r = invoke({"run", scenario_path, "--reps", "2", "--quiet", "--metrics", metrics_path,
+                        "--manifest", manifest_path});
   ASSERT_EQ(r.code, 0) << r.err;
   std::ifstream file(metrics_path);
   ASSERT_TRUE(file.good());
-  std::string header;
-  std::getline(file, header);
-  EXPECT_EQ(header, "metric,kind,field,value");
+  std::ostringstream text;
+  text << file.rdbuf();
+  EXPECT_EQ(json::parse(text.str()).as_object().at("schema_version").as_number(), 1.0);
+  CliResult report = invoke({"report", manifest_path});
+  ASSERT_EQ(report.code, 0) << report.err;
+  EXPECT_NE(report.out.find("-- metrics (" + metrics_path + ") --"), std::string::npos)
+      << report.out;
+  EXPECT_EQ(report.out.find("skipped"), std::string::npos) << report.out;
   std::remove(scenario_path.c_str());
   std::remove(metrics_path.c_str());
+  std::remove(manifest_path.c_str());
 }
 
 TEST(Cli, MetricsSchemaMatchesLibraryCatalogue) {
@@ -596,12 +607,10 @@ TEST(Cli, SweepAppendsLedgerStreamsProgressAndFindsTheKnee) {
   std::string scenario_path = write_small_scenario();
   std::string ledger_path = ::testing::TempDir() + "/mvsim_cli_sweep_ledger_" +
                             std::to_string(static_cast<long long>(::getpid())) + ".ndjson";
-  std::string stream_path = ::testing::TempDir() + "/mvsim_cli_sweep_stream_" +
-                            std::to_string(static_cast<long long>(::getpid())) + ".ndjson";
   std::remove(ledger_path.c_str());
   CliResult r = invoke({"sweep", scenario_path, "--param", "gateway_scan.activation_delay_h",
                         "--values", "24,12,6,2", "--reps", "1", "--seed", "5", "--ledger",
-                        ledger_path, "--stream", stream_path});
+                        ledger_path, "--progress"});
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("sweep: cli-test over gateway_scan.activation_delay_h"),
             std::string::npos)
@@ -623,19 +632,17 @@ TEST(Cli, SweepAppendsLedgerStreamsProgressAndFindsTheKnee) {
   // Different parameter values are different model inputs.
   EXPECT_NE(ledger[0].scenario_hash, ledger[3].scenario_hash);
 
-  // The stream carries a header and a started+finished pair per point.
-  std::ifstream stream_file(stream_path);
-  ASSERT_TRUE(stream_file.good());
-  std::string line;
-  ASSERT_TRUE(std::getline(stream_file, line));
-  EXPECT_NE(line.find("\"type\":\"mvsim-sweep\""), std::string::npos) << line;
-  int started = 0, finished = 0;
-  while (std::getline(stream_file, line)) {
-    if (line.find("\"type\":\"point-started\"") != std::string::npos) ++started;
-    if (line.find("\"type\":\"point-finished\"") != std::string::npos) ++finished;
-  }
-  EXPECT_EQ(started, 4);
-  EXPECT_EQ(finished, 4);
+  // --progress announces each point on stderr, with an ETA once a
+  // point has finished.
+  std::istringstream progress(r.err);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(progress, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u) << r.err;
+  EXPECT_EQ(lines[0], "[1/4] gateway_scan.activation_delay_h = 24...");
+  EXPECT_EQ(lines[1].rfind("[2/4] gateway_scan.activation_delay_h = 12... (ETA ", 0), 0u)
+      << lines[1];
+  EXPECT_EQ(lines[3].rfind("[4/4] gateway_scan.activation_delay_h = 2... (ETA ", 0), 0u)
+      << lines[3];
 
   // The ledger report regroups the ladder and re-finds the knee.
   CliResult report = invoke({"report", "--ledger", ledger_path});
@@ -647,7 +654,6 @@ TEST(Cli, SweepAppendsLedgerStreamsProgressAndFindsTheKnee) {
 
   std::remove(scenario_path.c_str());
   std::remove(ledger_path.c_str());
-  std::remove(stream_path.c_str());
 }
 
 TEST(Cli, SweepListParamsAndBadFlags) {
@@ -1076,6 +1082,63 @@ TEST(Cli, ReportLedgerKeepsSweepsOfDifferentScenariosApart) {
   EXPECT_EQ(stale.out.find("knee:"), std::string::npos) << stale.out;
   std::remove(ledger_path.c_str());
   std::remove(stale_path.c_str());
+}
+
+TEST(Cli, SweepGivesNoVerdictOnPopulationParameters) {
+  // Population size, the vulnerable share and the baseline acceptance
+  // are properties of the phones, not a provider's response: neither
+  // the sweep nor the ledger report may call a step "worth it".
+  const std::string scenario_path = write_small_scenario();
+  const std::string ledger_path = temp_path("population_sweeps.ndjson");
+  std::remove(ledger_path.c_str());
+  for (const auto& [parameter, values] :
+       {std::pair{"population", "120,240"}, std::pair{"susceptible_fraction", "0.9,0.5"},
+        std::pair{"eventual_acceptance", "0.4,0.2"}}) {
+    CliResult r = invoke({"sweep", scenario_path, "--param", parameter, "--values", values,
+                          "--reps", "1", "--seed", "5", "--ledger", ledger_path});
+    ASSERT_EQ(r.code, 0) << parameter << ": " << r.err;
+    EXPECT_NE(r.out.find("no knee analysis: '" + std::string(parameter) +
+                         "' is not a response parameter\n"),
+              std::string::npos)
+        << r.out;
+    EXPECT_EQ(r.out.find("worth it"), std::string::npos) << r.out;
+    EXPECT_EQ(r.out.find("knee:"), std::string::npos) << r.out;
+  }
+  CliResult report = invoke({"report", "--ledger", ledger_path});
+  ASSERT_EQ(report.code, 0) << report.err;
+  EXPECT_NE(report.out.find("cli-test: sweep population (2 points):\nno knee analysis: "
+                            "'population' is not a response parameter"),
+            std::string::npos)
+      << report.out;
+  EXPECT_EQ(report.out.find("worth it"), std::string::npos) << report.out;
+  EXPECT_EQ(report.out.find("knee:"), std::string::npos) << report.out;
+  std::remove(scenario_path.c_str());
+  std::remove(ledger_path.c_str());
+}
+
+TEST(Cli, SweepNamesPointsWithTheirValuesInFull) {
+  // Whole values print whole (not 1e+06) and fractions as typed, in
+  // the point lines and in the point scenario names the ledger keeps.
+  const std::string scenario_path = write_small_scenario();
+  const std::string ledger_path = temp_path("value_names.ndjson");
+  std::remove(ledger_path.c_str());
+  CliResult whole = invoke({"sweep", scenario_path, "--param", "detectability_threshold",
+                            "--values", "5,1000000", "--reps", "1", "--ledger", ledger_path});
+  ASSERT_EQ(whole.code, 0) << whole.err;
+  EXPECT_NE(whole.out.find("\n  1000000 "), std::string::npos) << whole.out;
+  CliResult fraction = invoke({"sweep", scenario_path, "--param", "gateway_detection.accuracy",
+                               "--values", "0.95,0.8", "--reps", "1", "--ledger", ledger_path});
+  ASSERT_EQ(fraction.code, 0) << fraction.err;
+  std::vector<std::string> names;
+  for (const obs::RunManifest& manifest : obs::read_ledger_file(ledger_path)) {
+    names.push_back(manifest.scenario);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"cli-test/detectability_threshold=5",
+                                             "cli-test/detectability_threshold=1000000",
+                                             "cli-test/gateway_detection.accuracy=0.95",
+                                             "cli-test/gateway_detection.accuracy=0.8"}));
+  std::remove(scenario_path.c_str());
+  std::remove(ledger_path.c_str());
 }
 
 }  // namespace

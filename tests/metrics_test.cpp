@@ -1,6 +1,6 @@
 // Tests for src/metrics and the observability surface end to end:
 // registry arithmetic, snapshot merging (the thread-invariance
-// property the runner relies on), JSON/CSV report round-trips, and the
+// property the runner relies on), JSON report round-trips, and the
 // three-way contract between metrics::schema(), the names a run
 // actually emits, and docs/observability.md.
 #include <gtest/gtest.h>
@@ -172,7 +172,7 @@ TEST(MetricsSnapshot, MergeRejectsMismatchedHistogramBounds) {
   EXPECT_THROW(a.merge(rb.snapshot()), std::logic_error);
 }
 
-// ---- JSON / CSV reports -------------------------------------------------
+// ---- JSON reports -------------------------------------------------------
 
 TEST(MetricsReport, SnapshotJsonRoundTripsExactly) {
   Registry reg;
@@ -209,28 +209,6 @@ TEST(MetricsReport, ReportJsonCarriesRunInfoAndDerivedThroughput) {
   EXPECT_EQ(derived.at("events_processed").as_number(), 1000.0);
   // 1000 events over 500 ms of replication wall time = 2000 events/s.
   EXPECT_DOUBLE_EQ(derived.at("events_per_second_aggregate").as_number(), 2000.0);
-}
-
-TEST(MetricsReport, CsvReportListsEveryScalar) {
-  Registry reg;
-  reg.counter("c").add(5);
-  reg.gauge("g").set(2);
-  const std::vector<double> bounds = {1.0, 1000000.0};
-  reg.histogram("h", bounds).record(3.0);
-  ReportInfo info;
-  info.scenario = "unit";
-  info.replications = 1;
-  info.threads = 1;
-
-  std::ostringstream out;
-  write_report_csv(info, reg.snapshot(), out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("metric,kind,field,value\n"), std::string::npos);
-  EXPECT_NE(csv.find("c,counter,value,5"), std::string::npos);
-  EXPECT_NE(csv.find("g,gauge,peak,2"), std::string::npos);
-  EXPECT_NE(csv.find("h,histogram,le_1,0"), std::string::npos);
-  EXPECT_NE(csv.find("h,histogram,le_1e+06,1"), std::string::npos);
-  EXPECT_NE(csv.find("h,histogram,le_inf,0"), std::string::npos);
 }
 
 // ---- Schema -------------------------------------------------------------

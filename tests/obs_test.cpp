@@ -1,5 +1,5 @@
 // Tests for src/obs: the NDJSON stats stream, run manifests, the
-// experiment ledger, the sweep stream and the outcome comparison —
+// experiment ledger and the outcome comparison —
 // header/record schemas, thread-safety of interleaved writers, and
 // the three-way contracts between the canonical field lists, the keys
 // emitted records actually carry, and the tables in
@@ -20,7 +20,6 @@
 #include "obs/manifest.h"
 #include "obs/report.h"
 #include "obs/stats_stream.h"
-#include "obs/sweep_stream.h"
 #include "util/json.h"
 
 namespace mvsim::obs {
@@ -392,81 +391,6 @@ TEST(ManifestDocs, EveryManifestFieldIsDocumented) {
   expect_documented(artifact_fields(), "artifact_fields()");
   EXPECT_NE(doc.find("\"type\":\"mvsim-manifest\""), std::string::npos)
       << "the docs must show the manifest record";
-#endif
-}
-
-// ---------------------------------------------------------------------------
-// Sweep stream
-// ---------------------------------------------------------------------------
-
-TEST(SweepStreamTest, HeaderAndRecordsCarryTheDeclaredSchema) {
-  std::ostringstream out;
-  SweepStream stream(out);
-  SweepStreamHeader header;
-  header.parameter = "gateway_scan.activation_delay_h";
-  header.scenario = "unit-scenario";
-  header.scenario_hash = "00aabbccddeeff11";
-  header.points = 4;
-  header.replications = 3;
-  stream.write_header(header);
-  SweepPointRecord started;
-  started.type = "point-started";
-  started.index = 0;
-  started.count = 4;
-  started.value = 2.0;
-  stream.write_point(started);
-  SweepPointRecord finished = started;
-  finished.type = "point-finished";
-  finished.wall_seconds = 0.5;
-  finished.eta_seconds = 1.5;
-  finished.final_infected_mean = 321.0;
-  finished.total_events = 4242;
-  stream.write_point(finished);
-  EXPECT_EQ(stream.records_written(), 2u);
-
-  std::istringstream lines(out.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(lines, line));
-  json::Value head = json::parse(line);
-  const json::Object& root = head.as_object();
-  EXPECT_EQ(root.at("type").as_string(), "mvsim-sweep");
-  EXPECT_EQ(root.at("version").as_number(), static_cast<double>(SweepStream::kVersion));
-  EXPECT_EQ(root.at("parameter").as_string(), header.parameter);
-  EXPECT_EQ(root.at("scenario").as_string(), "unit-scenario");
-  EXPECT_EQ(root.at("scenario_hash").as_string(), "00aabbccddeeff11");
-  EXPECT_EQ(root.at("git_sha").as_string(), build_info().git_sha);
-  EXPECT_EQ(root.at("points").as_number(), 4.0);
-  EXPECT_EQ(root.at("replications").as_number(), 3.0);
-  const json::Array& fields = root.at("fields").as_array();
-  ASSERT_EQ(fields.size(), SweepStream::point_fields().size());
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    EXPECT_EQ(fields[i].as_string(), SweepStream::point_fields()[i]);
-  }
-
-  int records = 0;
-  while (std::getline(lines, line)) {
-    json::Value doc = json::parse(line);
-    EXPECT_EQ(object_keys(doc.as_object()), SweepStream::point_fields()) << line;
-    ++records;
-  }
-  EXPECT_EQ(records, 2);
-}
-
-TEST(SweepStreamDocs, EverySweepFieldIsDocumented) {
-#ifndef MVSIM_SOURCE_DIR
-  GTEST_SKIP() << "MVSIM_SOURCE_DIR not defined";
-#else
-  std::ifstream file(std::string(MVSIM_SOURCE_DIR) + "/docs/observability.md");
-  ASSERT_TRUE(file.is_open()) << "docs/observability.md missing";
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  const std::string doc = buffer.str();
-  for (const std::string& field : SweepStream::point_fields()) {
-    EXPECT_NE(doc.find("`" + field + "`"), std::string::npos)
-        << field << " is in SweepStream::point_fields() but not documented";
-  }
-  EXPECT_NE(doc.find("\"type\":\"mvsim-sweep\""), std::string::npos)
-      << "the docs must show the sweep header record";
 #endif
 }
 

@@ -170,23 +170,6 @@ TEST(WriteFigureCsv, RejectsMismatchedGrids) {
   EXPECT_THROW(write_figure_csv(out, {}, SimTime::hours(1.0)), std::invalid_argument);
 }
 
-TEST(FinalLevelRatio, ComputesAndHandlesZeroBaseline) {
-  AggregatedSeries base(SimTime::hours(1.0), SimTime::hours(1.0));
-  TimeSeries a;
-  a.push(SimTime::hours(0.5), 100.0);
-  base.add_replication(a);
-  AggregatedSeries quarter(SimTime::hours(1.0), SimTime::hours(1.0));
-  TimeSeries b;
-  b.push(SimTime::hours(0.5), 25.0);
-  quarter.add_replication(b);
-  EXPECT_DOUBLE_EQ(final_level_ratio(quarter, base), 0.25);
-
-  AggregatedSeries zero(SimTime::hours(1.0), SimTime::hours(1.0));
-  zero.add_replication(TimeSeries{});
-  EXPECT_DOUBLE_EQ(final_level_ratio(base, zero), 0.0);
-}
-
-
 TEST(QuantileSeries, MedianAndBandsOfKnownReplications) {
   QuantileSeries q(SimTime::minutes(10.0), SimTime::minutes(20.0));
   for (double level : {10.0, 20.0, 30.0, 40.0, 50.0}) {

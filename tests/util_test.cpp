@@ -66,6 +66,10 @@ TEST(SimTime, ToStringPicksNaturalUnit) {
   EXPECT_EQ(SimTime::infinity().to_string(), "+inf");
 }
 
+TEST(SimTime, TestFailuresPrintTheNaturalUnit) {
+  EXPECT_EQ(::testing::PrintToString(SimTime::hours(28.0)), "1.17 d");
+}
+
 TEST(CsvWriter, WritesHeaderAndRows) {
   std::ostringstream out;
   CsvWriter csv(out);
