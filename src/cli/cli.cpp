@@ -21,7 +21,6 @@
 #include "analysis/diminishing_returns.h"
 #include "analysis/param_registry.h"
 #include "cli/preset_registry.h"
-#include "config/results_io.h"
 #include "config/scenario_io.h"
 #include "core/run_manifest.h"
 #include "core/runner.h"
@@ -50,7 +49,6 @@ usage:
       --seed N             master seed (default 3735928559)
       --threads N          worker threads (default: all cores; results identical)
       --curve-csv PATH     write the mean infection curve as CSV ('-' = stdout)
-      --summary-json PATH  write the result summary as JSON ('-' = stdout)
       --metrics PATH       write the telemetry report as JSON ('-' = stdout; see
                            docs/observability.md)
       --trace PATH         record one replication's causal event trace
@@ -91,14 +89,14 @@ usage:
                            single-run report from a manifest: provenance, outcome,
                            and the metrics/trace/profile artifacts it references
   mvsim report --ledger PATH [--knee-fraction F]
-                           aggregate an experiment ledger: run table, sweep tables
-                           with outcome-vs-parameter and knee detection
+                           aggregate an experiment ledger: run table (final
+                           infections +/- ci95 per run; append several runs to
+                           one ledger to compare them), sweep tables with
+                           outcome-vs-parameter and knee detection
   mvsim report --compare <a.json> <b.json> [--threshold F]
                            diff two run manifests: normalized outcome deltas with
                            IMPROVED/REGRESSED/OK verdicts (exit 1 on regression,
                            default threshold 0.05)
-  mvsim compare <a> <b> [...] [--reps N] [--seed N]
-                           run several scenarios/presets, print a comparison table
   mvsim trace-analyze <file>
                            transmission-tree report from a --trace export
                            (generations, effective R, per-mechanism blocks)
@@ -338,7 +336,7 @@ int command_run(const std::vector<std::string>& args, std::ostream& out, std::os
     return 1;
   }
   core::RunnerOptions runner = cli_runner();
-  std::string curve_csv, summary_json, metrics_path, trace_path, profile_path;
+  std::string curve_csv, metrics_path, trace_path, profile_path;
   std::string stats_stream_path, manifest_path, ledger_path;
   std::uint64_t trace_capacity = trace::TraceBuffer::kDefaultCapacity;  // 0 = unbounded
   double stats_period_minutes = 30.0;
@@ -349,7 +347,6 @@ int command_run(const std::vector<std::string>& args, std::ostream& out, std::os
       seed_flag(runner.master_seed),
       threads_flag(runner.threads),
       {"--curve-csv", &curve_csv},
-      {"--summary-json", &summary_json},
       {"--metrics", &metrics_path},
       {"--trace", &trace_path},
       {"--trace-rep", &runner.trace_replication, "a replication index", 0, 100000},
@@ -388,13 +385,9 @@ int command_run(const std::vector<std::string>& args, std::ostream& out, std::os
     os << json::stringify(metrics::report_to_json(info, result.metrics), 2) << '\n';
   };
   const Artifact artifacts[] = {
-      {"summary-json", summary_json,
-       [&](const core::ExperimentResult& result, std::ostream& os) {
-         os << json::stringify(config::results_to_json(scenario, result), 2) << '\n';
-       }},
       {"curve-csv", curve_csv,
        [](const core::ExperimentResult& result, std::ostream& os) {
-         config::write_curve_csv(result, os);
+         stats::write_curve_csv(os, result.curve);
        }},
       {"metrics", metrics_path, json_report},
       // The profile is the metrics report of a profiled run.
@@ -562,37 +555,6 @@ int command_profile_analyze(const std::vector<std::string>& args, std::ostream& 
     err << e.what() << '\n';
     return 2;
   }
-}
-
-int command_compare(const std::vector<std::string>& args, std::ostream& out,
-                    std::ostream& err) {
-  std::vector<std::string> targets;
-  core::RunnerOptions runner = cli_runner();
-  const Flag flags[] = {reps_flag(runner.replications), seed_flag(runner.master_seed)};
-  if (int rc = parse_flags(args, 0, flags, &targets, "compare", err); rc != 0) return rc;
-  if (targets.size() < 2) {
-    err << "compare: need at least two scenarios or presets\n";
-    return 1;
-  }
-
-  // The table is printed only once every target has run.
-  std::string table = "scenario,final_infected,ci95,pct_of_first,messages_per_rep\n";
-  double baseline = 0.0;
-  for (const std::string& target : targets) {
-    core::ScenarioConfig scenario;
-    if (int rc = resolve_scenario(target, scenario, err); rc != 0) return rc;
-    const core::ExperimentResult result = core::run_experiment(scenario, runner);
-    const double final_mean = result.final_infections.mean();
-    if (&target == &targets.front()) baseline = final_mean;
-    char line[256];
-    std::snprintf(line, sizeof line, "%s,%.1f,%.1f,%.1f%%,%.0f\n", scenario.name.c_str(),
-                  final_mean, result.final_infections.ci95_half_width(),
-                  baseline > 0.0 ? 100.0 * final_mean / baseline : 0.0,
-                  result.per_replication("net.messages_submitted").mean());
-    table += line;
-  }
-  out << table;
-  return 0;
 }
 
 int command_preset(const std::vector<std::string>& args, std::ostream& out, std::ostream& err) {
@@ -879,14 +841,15 @@ int report_ledger(const std::string& path, double knee_fraction, std::ostream& o
   }
   out << "ledger: " << path << ", " << manifests.size() << " run(s)\n";
   char line[256];
-  std::snprintf(line, sizeof line, "%-44s %6s %5s %10s %10s %12s\n", "scenario", "reps",
-                "thr", "final", "patched", "events");
+  std::snprintf(line, sizeof line, "%-44s %6s %5s %10s %8s %10s %12s\n", "scenario", "reps",
+                "thr", "final", "ci95", "patched", "events");
   out << line;
   for (const obs::RunManifest& manifest : manifests) {
-    std::snprintf(line, sizeof line, "%-44s %6d %5d %10.1f %10.1f %12llu\n",
+    const obs::RunOutcome& o = manifest.outcome;
+    std::snprintf(line, sizeof line, "%-44s %6d %5d %10.1f %8.1f %10.1f %12llu\n",
                   manifest.scenario.c_str(), manifest.replications, manifest.threads,
-                  manifest.outcome.final_infected_mean, manifest.outcome.patched_mean,
-                  static_cast<unsigned long long>(manifest.outcome.total_events));
+                  o.final_infected_mean, o.final_infected_ci95, o.patched_mean,
+                  static_cast<unsigned long long>(o.total_events));
     out << line;
   }
   // Sweep-tagged runs regroup into their ladders, one per base scenario
@@ -976,7 +939,6 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out, std::ostrea
     if (command == "run") return command_run(rest, out, err);
     if (command == "sweep") return command_sweep(rest, out, err);
     if (command == "report") return command_report(rest, out, err);
-    if (command == "compare") return command_compare(rest, out, err);
     if (command == "trace-analyze") return command_trace_analyze(rest, out, err);
     if (command == "profile-analyze") return command_profile_analyze(rest, out, err);
     if (command == "preset") return command_preset(rest, out, err);

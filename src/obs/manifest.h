@@ -50,7 +50,7 @@ struct BuildInfo {
 
 /// One artifact the run left on disk ("-" when it went to stdout).
 struct ManifestArtifact {
-  std::string kind;  ///< metrics | trace | profile | stats-stream | curve-csv | summary-json
+  std::string kind;  ///< metrics | trace | profile | stats-stream | curve-csv
   std::string path;
 };
 

@@ -115,7 +115,7 @@ std::string render_manifest(const RunManifest& manifest) {
                 static_cast<double>(manifest.peak_rss) / (1024.0 * 1024.0));
   out << line;
   if (manifest.sweep.has_value()) {
-    std::snprintf(line, sizeof line, "  sweep: %s = %g (point %d/%d)\n",
+    std::snprintf(line, sizeof line, "  sweep: %s = %.15g (point %d/%d)\n",
                   manifest.sweep->parameter.c_str(), manifest.sweep->value,
                   manifest.sweep->index + 1, manifest.sweep->count);
     out << line;

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "util/csv.h"
+
 namespace mvsim::stats {
 
 namespace {
@@ -12,6 +14,14 @@ std::string fixed(double v, int precision = 1) {
   return buf;
 }
 }  // namespace
+
+void write_curve_csv(std::ostream& out, const AggregatedSeries& curve) {
+  CsvWriter csv(out);
+  csv.header({"hours", "mean_infected", "stddev", "ci95", "min", "max"});
+  for (const auto& point : curve.grid()) {
+    csv.row(point.time.to_hours(), point.mean, point.stddev, point.ci95, point.min, point.max);
+  }
+}
 
 void write_figure_csv(std::ostream& out, const std::vector<LabelledSeries>& curves,
                       SimTime row_step) {

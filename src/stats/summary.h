@@ -1,7 +1,8 @@
-// Figure-oriented summary metrics and the figure CSV.
+// The two curve CSVs.
 //
-// `mvsim sweep --curve-csv` writes a figure as a CSV table of Hours vs
-// mean infection count per configuration.
+// `mvsim run --curve-csv` writes one experiment's mean infection curve
+// with its spread; `mvsim sweep --curve-csv` writes a figure as a CSV
+// table of Hours vs mean infection count per configuration.
 #pragma once
 
 #include <ostream>
@@ -12,6 +13,10 @@
 #include "util/sim_time.h"
 
 namespace mvsim::stats {
+
+/// Curve CSV: hours, mean_infected, stddev, ci95, min, max; one row
+/// per grid point.
+void write_curve_csv(std::ostream& out, const AggregatedSeries& curve);
 
 /// One labelled curve of a figure (e.g. "24-Hour Delay").
 struct LabelledSeries {

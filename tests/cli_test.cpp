@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -152,11 +153,11 @@ TEST(Cli, RunIsDeterministicGivenSeed) {
 
 TEST(Cli, RunEmitsCsvAndJsonToStdout) {
   std::string path = write_small_scenario();
-  CliResult r = invoke(
-      {"run", path, "--reps", "2", "--quiet", "--curve-csv", "-", "--summary-json", "-"});
+  CliResult r =
+      invoke({"run", path, "--reps", "2", "--quiet", "--curve-csv", "-", "--metrics", "-"});
   ASSERT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("hours,mean_infected"), std::string::npos);
-  EXPECT_NE(r.out.find("\"final_infections\""), std::string::npos);
+  EXPECT_NE(r.out.find("\"schema_version\""), std::string::npos);
   EXPECT_EQ(r.out.find("scenario: cli-test"), std::string::npos) << "--quiet suppresses prose";
   std::remove(path.c_str());
 }
@@ -164,9 +165,9 @@ TEST(Cli, RunEmitsCsvAndJsonToStdout) {
 TEST(Cli, RunWritesOutputFiles) {
   std::string scenario_path = write_small_scenario();
   std::string csv_path = ::testing::TempDir() + "/mvsim_cli_curve.csv";
-  std::string json_path = ::testing::TempDir() + "/mvsim_cli_summary.json";
+  std::string json_path = ::testing::TempDir() + "/mvsim_cli_metrics.json";
   CliResult r = invoke({"run", scenario_path, "--reps", "2", "--quiet", "--curve-csv", csv_path,
-                        "--summary-json", json_path});
+                        "--metrics", json_path});
   ASSERT_EQ(r.code, 0) << r.err;
   std::ifstream csv(csv_path);
   ASSERT_TRUE(csv.good());
@@ -209,32 +210,20 @@ TEST(Cli, RunMissingFileFails) {
   EXPECT_FALSE(r.err.empty());
 }
 
-TEST(Cli, CompareRunsMultipleTargets) {
-  std::string path = write_small_scenario();
-  CliResult r = invoke({"compare", path, path, "--reps", "2", "--seed", "3"});
-  ASSERT_EQ(r.code, 0) << r.err;
-  EXPECT_NE(r.out.find("scenario,final_infected"), std::string::npos);
-  // Two identical targets at the same seed produce identical rows.
-  EXPECT_NE(r.out.find("100.0%"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Cli, CompareNeedsTwoTargets) {
-  EXPECT_EQ(invoke({"compare"}).code, 1);
-  EXPECT_EQ(invoke({"compare", "virus1-baseline"}).code, 1);
-  EXPECT_EQ(invoke({"compare", "a", "b", "--reps"}).code, 1);
-  EXPECT_EQ(invoke({"compare", "a", "b", "--reps", "0"}).code, 1);
-}
-
-TEST(Cli, CompareBoundsRepsLikeRun) {
+TEST(Cli, RunAndSweepBoundRepsAlike) {
   // 2^32 + 1 once truncated to 1 replication, and 3e9 to a negative
-  // count; both are usage errors now, before anything runs.
+  // count; both are usage errors, before anything runs.
   for (const char* reps : {"4294967297", "3000000000", "100001"}) {
-    CliResult r = invoke({"compare", "virus1-baseline", "virus2-baseline", "--reps", reps});
-    EXPECT_EQ(r.code, 1) << reps;
-    EXPECT_NE(r.err.find("--reps: expected a positive integer"), std::string::npos)
-        << reps << ": " << r.err;
-    EXPECT_TRUE(r.out.empty()) << reps << ": " << r.out;
+    for (const std::vector<std::string>& args :
+         {std::vector<std::string>{"run", "virus1-baseline", "--reps", reps},
+          std::vector<std::string>{"sweep", "virus1-baseline", "--param", "population",
+                                   "--values", "100,200", "--reps", reps}}) {
+      CliResult r = invoke(args);
+      EXPECT_EQ(r.code, 1) << args[0] << " " << reps;
+      EXPECT_NE(r.err.find("--reps: expected a positive integer"), std::string::npos)
+          << args[0] << " " << reps << ": " << r.err;
+      EXPECT_TRUE(r.out.empty()) << args[0] << " " << reps << ": " << r.out;
+    }
   }
 }
 
@@ -522,8 +511,8 @@ TEST(Cli, RunProgressTicksOnStderr) {
 TEST(Cli, RunReportsUnwritableOutputPaths) {
   std::string path = write_small_scenario();
   const char* kUnwritable = "/no/such/dir/mvsim_out.json";
-  for (const char* flag : {"--metrics", "--trace", "--profile", "--curve-csv", "--summary-json",
-                           "--stats-stream", "--manifest", "--ledger"}) {
+  for (const char* flag : {"--metrics", "--trace", "--profile", "--curve-csv", "--stats-stream",
+                           "--manifest", "--ledger"}) {
     CliResult r =
         invoke({"run", path, "--reps", "1", "--quiet", "--progress", flag, kUnwritable});
     EXPECT_EQ(r.code, 2) << flag;
@@ -547,7 +536,7 @@ TEST(Cli, RunManifestRoundTripsThroughReport) {
                             std::to_string(static_cast<long long>(::getpid())) + ".ndjson";
   std::remove(ledger_path.c_str());
   CliResult r = invoke({"run", scenario_path, "--reps", "2", "--seed", "7", "--quiet",
-                        "--summary-json", "-", "--manifest", manifest_path, "--ledger",
+                        "--curve-csv", "-", "--manifest", manifest_path, "--ledger",
                         ledger_path});
   ASSERT_EQ(r.code, 0) << r.err;
 
@@ -561,7 +550,7 @@ TEST(Cli, RunManifestRoundTripsThroughReport) {
   EXPECT_GT(manifest.phases.run_seconds, 0.0);
   EXPECT_GT(manifest.peak_rss, 0u);
   ASSERT_EQ(manifest.artifacts.size(), 1u);
-  EXPECT_EQ(manifest.artifacts[0].kind, "summary-json");
+  EXPECT_EQ(manifest.artifacts[0].kind, "curve-csv");
   EXPECT_EQ(manifest.artifacts[0].path, "-");
   EXPECT_FALSE(manifest.sweep.has_value());
 
@@ -593,9 +582,9 @@ TEST(Cli, ManifestIsExecutionOnlyForTheSummary) {
   std::string manifest_path = ::testing::TempDir() + "/mvsim_cli_manifest_inert_" +
                               std::to_string(static_cast<long long>(::getpid())) + ".json";
   CliResult plain = invoke({"run", scenario_path, "--reps", "2", "--seed", "11",
-                            "--summary-json", "-", "--quiet"});
+                            "--curve-csv", "-", "--quiet"});
   CliResult with = invoke({"run", scenario_path, "--reps", "2", "--seed", "11",
-                           "--summary-json", "-", "--quiet", "--manifest", manifest_path});
+                           "--curve-csv", "-", "--quiet", "--manifest", manifest_path});
   ASSERT_EQ(plain.code, 0) << plain.err;
   ASSERT_EQ(with.code, 0) << with.err;
   EXPECT_EQ(plain.out, with.out);
@@ -1137,6 +1126,47 @@ TEST(Cli, SweepNamesPointsWithTheirValuesInFull) {
                                              "cli-test/detectability_threshold=1000000",
                                              "cli-test/gateway_detection.accuracy=0.95",
                                              "cli-test/gateway_detection.accuracy=0.8"}));
+  std::remove(scenario_path.c_str());
+  std::remove(ledger_path.c_str());
+}
+
+TEST(Cli, LedgerReportComparesRuns) {
+  // Runs are compared by appending them to one ledger: two same-seed
+  // runs print two identical rows whose final and ci95 columns are the
+  // outcome their manifests record.
+  const std::string scenario_path = write_small_scenario();
+  const std::string ledger_path = temp_path("compare_runs.ndjson");
+  std::remove(ledger_path.c_str());
+  for (int run = 0; run < 2; ++run) {
+    CliResult r = invoke({"run", scenario_path, "--reps", "3", "--seed", "3", "--quiet",
+                          "--ledger", ledger_path});
+    ASSERT_EQ(r.code, 0) << r.err;
+  }
+  CliResult report = invoke({"report", "--ledger", ledger_path});
+  ASSERT_EQ(report.code, 0) << report.err;
+  std::istringstream lines(report.out);
+  std::vector<std::vector<std::string>> table;  // header, then one row per run
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("scenario ", 0) != 0 && line.rfind("cli-test ", 0) != 0) continue;
+    std::istringstream fields(line);
+    table.emplace_back(std::istream_iterator<std::string>(fields),
+                       std::istream_iterator<std::string>());
+  }
+  ASSERT_EQ(table.size(), 3u) << report.out;
+  ASSERT_EQ(table[0], (std::vector<std::string>{"scenario", "reps", "thr", "final", "ci95",
+                                                "patched", "events"}))
+      << report.out;
+  EXPECT_EQ(table[1], table[2]) << report.out;
+
+  const obs::RunOutcome outcome = obs::read_ledger_file(ledger_path).front().outcome;
+  const auto one_decimal = [](double value) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%.1f", value);
+    return std::string(text);
+  };
+  ASSERT_EQ(table[1].size(), 7u) << report.out;
+  EXPECT_EQ(table[1][3], one_decimal(outcome.final_infected_mean)) << report.out;
+  EXPECT_EQ(table[1][4], one_decimal(outcome.final_infected_ci95)) << report.out;
   std::remove(scenario_path.c_str());
   std::remove(ledger_path.c_str());
 }

@@ -1,16 +1,12 @@
-// Unit tests for src/config: durations, scenario JSON bindings,
-// results export.
+// Unit tests for src/config: durations and scenario JSON bindings.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
-#include "config/results_io.h"
 #include "config/scenario_io.h"
 #include "core/presets.h"
-#include "core/runner.h"
 #include "util/duration.h"
 
 namespace mvsim::config {
@@ -292,45 +288,6 @@ TEST(ScenarioIo, SharedSeedRoundTrips) {
   json::Value plain_encoded = to_json(plain);
   EXPECT_FALSE(scenario_from_json(plain_encoded).topology.shared_seed.has_value())
       << "unset shared_seed must stay unset through a round trip";
-}
-
-TEST(ResultsIo, SummaryJsonHasTheHeadlineNumbers) {
-  core::ScenarioConfig config = core::baseline_scenario(virus::virus1());
-  config.population = 150;
-  config.topology.mean_degree = 15.0;
-  config.horizon = SimTime::days(3.0);
-  core::RunnerOptions options;
-  options.replications = 3;
-  core::ExperimentResult result = core::run_experiment(config, options);
-
-  json::Value summary = results_to_json(config, result);
-  const json::Object& o = summary.as_object();
-  EXPECT_EQ(o.at("replications").as_number(), 3.0);
-  EXPECT_GT(o.at("final_infections").as_object().at("mean").as_number(), 0.0);
-  EXPECT_TRUE(o.at("hours_to_plateau_fraction").is_object());
-  EXPECT_DOUBLE_EQ(o.at("expected_unrestrained_plateau").as_number(), 48.0);
-  // The summary must itself be valid JSON end-to-end.
-  EXPECT_NO_THROW((void)json::parse(json::stringify(summary, 2)));
-}
-
-TEST(ResultsIo, CurveCsvHasHeaderAndGridRows) {
-  core::ScenarioConfig config = core::baseline_scenario(virus::virus1());
-  config.population = 120;
-  config.topology.mean_degree = 12.0;
-  config.horizon = SimTime::hours(10.0);
-  core::RunnerOptions options;
-  options.replications = 2;
-  core::ExperimentResult result = core::run_experiment(config, options);
-
-  std::ostringstream out;
-  write_curve_csv(result, out);
-  std::istringstream lines(out.str());
-  std::string header;
-  std::getline(lines, header);
-  EXPECT_EQ(header, "hours,mean_infected,stddev,ci95,min,max");
-  int rows = 0;
-  for (std::string line; std::getline(lines, line);) ++rows;
-  EXPECT_EQ(rows, 11) << "grid 0..10h at 1h step";
 }
 
 }  // namespace

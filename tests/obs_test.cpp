@@ -265,6 +265,17 @@ TEST(ManifestTest, JsonRoundTripPreservesEveryField) {
   EXPECT_EQ(copy.sweep->count, 5);
 }
 
+TEST(ManifestTest, ReportPrintsTheSweepValueInFull) {
+  // The point line prints the value as the point's scenario name
+  // embeds it: 1000000, not 1e+06.
+  RunManifest manifest = sample_manifest();
+  manifest.scenario = "ext/market-share/population=1000000";
+  manifest.sweep = SweepInfo{"population", 1000000.0, 1, 2};
+  EXPECT_NE(render_manifest(manifest).find("\n  sweep: population = 1000000 (point 2/2)\n"),
+            std::string::npos)
+      << render_manifest(manifest);
+}
+
 TEST(ManifestTest, EmittedKeysMatchTheCataloguesExactly) {
   // The contract's first leg: a manifest always carries exactly
   // manifest_fields(), in order, with each nested block carrying its

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "stats/aggregate.h"
 #include "stats/quantiles.h"
@@ -146,6 +148,28 @@ TEST(AggregatedSeries, ValidatesConstruction) {
   EXPECT_THROW(AggregatedSeries(SimTime::zero(), SimTime::hours(1.0)), std::invalid_argument);
   EXPECT_THROW(AggregatedSeries(SimTime::minutes(1.0), SimTime::minutes(-1.0)),
                std::invalid_argument);
+}
+
+TEST(WriteCurveCsv, EmitsHeaderAndGridRows) {
+  AggregatedSeries curve(SimTime::hours(1.0), SimTime::hours(10.0));
+  TimeSeries a;
+  a.push(SimTime::hours(2.0), 4.0);
+  TimeSeries b;
+  b.push(SimTime::hours(2.0), 8.0);
+  curve.add_replication(a);
+  curve.add_replication(b);
+
+  std::ostringstream out;
+  write_curve_csv(out, curve);
+  std::istringstream lines(out.str());
+  std::string header;
+  std::getline(lines, header);
+  EXPECT_EQ(header, "hours,mean_infected,stddev,ci95,min,max");
+  std::vector<std::string> rows;
+  for (std::string line; std::getline(lines, line);) rows.push_back(line);
+  EXPECT_EQ(rows.size(), 11u) << "grid 0..10h at 1h step";
+  ASSERT_GE(rows.size(), 3u);
+  EXPECT_TRUE(rows[2].starts_with("2,6,") && rows[2].ends_with(",4,8")) << rows[2];
 }
 
 TEST(WriteFigureCsv, EmitsHoursAndCurves) {
